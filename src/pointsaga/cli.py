@@ -111,6 +111,12 @@ def build_parser():
     return parser
 
 
+def _check_repeats(args):
+    # With no repeats there is nothing to average: the summary would hold NaN.
+    if args.repeats < 1:
+        raise PointSagaError(f"--repeats must be >= 1, got {args.repeats}")
+
+
 def _build_problem(args):
     if args.problem.startswith("file:"):
         _, problem = load_libsvm(args.problem[5:], args.mu)
@@ -200,6 +206,7 @@ def _solve_cell(problem, args, gamma, s, threshold=None):
 
 
 def cmd_run(args):
+    _check_repeats(args)
     problem = _build_problem(args)
     if problem.known_solution is None:
         x_star, _ = reference_solution(problem, tol=1e-12)
@@ -235,16 +242,17 @@ def cmd_run(args):
     summary["final_dist_sq"] = float(np.mean(finals))
     summary["prox_calls"] = prox_calls
     summary["wall_ns"] = wall
+    text = json.dumps(summary, indent=2, allow_nan=False)
     with open(f"{args.out}/summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2))
+        fh.write(text + "\n")
+    print(text)
     return 0
 
 
 def cmd_sweep(args):
     if args.gammas is None and args.ss is None:
         raise PointSagaError("sweep needs --gammas and/or --ss")
+    _check_repeats(args)
     gammas = args.gammas if args.gammas is not None else [args.gamma]
     ss = args.ss if args.ss is not None else [args.s]
 

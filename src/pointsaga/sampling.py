@@ -67,15 +67,18 @@ def sample_k_subset(rng, n, s, iteration=0):
 
     Partial Fisher-Yates over [1..n]: the first s entries after s swap steps
     are a uniform s-permutation; sorting forgets order, leaving a uniform
-    subset. O(n) per draw.
+    subset. Only displaced slots are stored (slot j holds j+1 otherwise), so
+    a draw costs O(s), not O(n).
     """
     if not 1 <= s <= n:
         raise InvalidBatchSize(f"need 1 <= s <= n, got s={s}, n={n}")
-    arr = list(range(1, n + 1))
+    displaced = {}
+    picked = []
     for i in range(s):
         j = i + rng.next_below(n - i)
-        arr[i], arr[j] = arr[j], arr[i]
-    return SubsetSample(tuple(sorted(arr[:s])), iteration)
+        picked.append(displaced.get(j, j + 1))
+        displaced[j] = displaced.get(i, i + 1)
+    return SubsetSample(tuple(sorted(picked)), iteration)
 
 
 def enumerate_k_subsets(n, s, cap=ENUMERATION_CAP):

@@ -11,10 +11,16 @@ two-term recurrence
 
 which equals the true table mean in exact arithmetic; a periodic exact
 recomputation bounds floating-point drift.
+
+The public step and apply_subset_step are pure: each copies the table once
+and returns a fresh state. run owns the state that initialize builds for it
+and advances it, table included, in place, so one of its iterations costs
+O(s*d) whatever n is. Its Lyapunov value and table drift are O(n*d) passes
+made once per trace record, so trace_every sets the cost of diagnostics.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,17 +124,13 @@ def _prop1_coeffs(n, s):
     return n - s, s
 
 
-def apply_subset_step(state, problem, gamma, indices0, tol_prox=TOL_PROX):
-    """One deterministic iteration given the 0-based subset to activate.
-
-    Pure: returns a fresh state, leaving the input untouched. The residual of
-    every prox output is checked against tol_prox * (1 + ||z_i||); a breach
-    raises ProxFailure naming the component.
-    """
-    idx = np.asarray(indices0, dtype=int)
+def _advance(state, problem, gamma, idx, tol_prox, table):
+    """The iteration's arithmetic: writes the s new rows into ``table`` and
+    returns (x_new, g_new). ``table`` is either state.grad_table itself or a
+    copy of it; the subset rows are read before any row is written."""
     s = idx.shape[0]
     n = problem.n
-    x_old, table, g_avg = state.x, state.grad_table, state.g_avg
+    x_old, g_avg = state.x, state.g_avg
 
     z = x_old[None, :] + gamma * (table[idx] - g_avg[None, :])
     z_norm = np.sqrt((z * z).sum(axis=1))
@@ -139,27 +141,50 @@ def apply_subset_step(state, problem, gamma, indices0, tol_prox=TOL_PROX):
             raise ProxFailure(int(idx[k]) + 1, float(result.residual))
         outs[k] = result.point
 
-    new_table = table.copy()
-    new_table[idx] = (z - outs) / gamma
+    table[idx] = (z - outs) / gamma
     x_new = outs.mean(axis=0)  # idx is sorted: ascending-index reduction
     c_keep, c_move = _prop1_coeffs(n, s)
     # Integer coefficients and divisions in the array dtype: pre-rounding
     # s/(n*gamma) in float64 would freeze an absolute error at the iterate
     # scale into g_avg (the recurrence conserves g_avg - mean(table)).
     g_new = (c_keep * g_avg + c_move * ((x_old - x_new) / gamma)) / n
-    return SolverState(t=state.t + 1, x=x_new, grad_table=new_table, g_avg=g_new)
+    return x_new, g_new
+
+
+def apply_subset_step(state, problem, gamma, indices0, tol_prox=TOL_PROX):
+    """One deterministic iteration given the 0-based subset to activate.
+
+    Pure: returns a fresh state, leaving the input untouched. The residual of
+    every prox output is checked against tol_prox * (1 + ||z_i||); a breach
+    raises ProxFailure naming the component.
+    """
+    table = state.grad_table.copy()
+    idx = np.asarray(indices0, dtype=int)
+    x_new, g_new = _advance(state, problem, gamma, idx, tol_prox, table)
+    return SolverState(t=state.t + 1, x=x_new, grad_table=table, g_avg=g_new)
+
+
+def _step(state, problem, config, rng, gamma, table):
+    """Sample, advance and maybe refresh, writing into ``table`` (a copy of
+    state.grad_table, or run's own table); returns (x_new, g_new)."""
+    sub = sample_k_subset(rng, problem.n, config.s, iteration=state.t)
+    idx0 = np.asarray(sub.indices, dtype=int) - 1
+    x_new, g_new = _advance(state, problem, gamma, idx0, config.tol_prox, table)
+    if config.refresh_every is not None and (state.t + 1) % config.refresh_every == 0:
+        g_new = table.mean(axis=0)
+    return x_new, g_new
 
 
 def step(state, problem, config, rng, gamma=None):
-    """Draw the iteration's subset, run one step, and maybe refresh g_avg."""
+    """Draw the iteration's subset, run one step, and maybe refresh g_avg.
+
+    Pure, like apply_subset_step: the input state is left untouched.
+    """
     if gamma is None:
         gamma = config.resolve_gamma(problem)
-    sub = sample_k_subset(rng, problem.n, config.s, iteration=state.t)
-    idx0 = np.asarray(sub.indices, dtype=int) - 1
-    new = apply_subset_step(state, problem, gamma, idx0, config.tol_prox)
-    if config.refresh_every is not None and new.t % config.refresh_every == 0:
-        new = replace(new, g_avg=new.grad_table.mean(axis=0))
-    return new
+    table = state.grad_table.copy()
+    x_new, g_new = _step(state, problem, config, rng, gamma, table)
+    return SolverState(t=state.t + 1, x=x_new, grad_table=table, g_avg=g_new)
 
 
 def table_drift(state):
@@ -170,6 +195,11 @@ def table_drift(state):
 
 def run(problem, config, x0, g0=None):
     """Iterate from x0 until max_iters or the distance threshold.
+
+    run advances the state that initialize builds for it, table included, in
+    place: an iteration costs O(s*d) whatever n is. The Lyapunov value and the
+    table drift are O(n*d) passes made only when a record is written, so
+    trace_every sets the cost of the diagnostics.
 
     Parameters
     ----------
@@ -201,18 +231,19 @@ def run(problem, config, x0, g0=None):
         grad_star = np.stack([c.gradient(x_star) for c in problem.components])
         weights = LyapunovWeights.from_constants(gamma, config.s, problem.mu, problem.L)
 
-    def diag(st):
+    def distance(st):
         if x_star is None:
-            return None, None
+            return None
         d = st.x - x_star
-        dist_sq = d @ d
-        e = st.grad_table - grad_star
-        lyap = weights.w_x * dist_sq + weights.w_g * (e * e).sum()
-        return dist_sq, lyap
+        return d @ d
 
     t_begin = time.perf_counter_ns()
 
-    def record(st, dist_sq, lyap):
+    def record(st, dist_sq):
+        lyap = None
+        if x_star is not None:
+            e = st.grad_table - grad_star
+            lyap = weights.w_x * dist_sq + weights.w_g * (e * e).sum()
         records.append(
             TraceRecord(
                 t=st.t,
@@ -224,18 +255,20 @@ def run(problem, config, x0, g0=None):
         )
 
     records = []
-    dist_sq, lyap = diag(state)
-    record(state, dist_sq, lyap)
+    record(state, distance(state))
     while state.t < config.max_iters:
-        state = step(state, problem, config, rng, gamma=gamma)
-        dist_sq, lyap = diag(state)
+        state.x, state.g_avg = _step(
+            state, problem, config, rng, gamma, state.grad_table
+        )
+        state.t += 1
+        dist_sq = distance(state)
         stop = (
             x_star is not None
             and config.stop_dist_sq > 0
             and dist_sq <= config.stop_dist_sq
         )
         if state.t % config.trace_every == 0 or state.t == config.max_iters or stop:
-            record(state, dist_sq, lyap)
+            record(state, dist_sq)
         if stop:
             break
     return state, records

@@ -199,3 +199,25 @@ def test_verify_detects_wrong_average_coefficient(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "prop1-drift" in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summary_is_strict_json(tmp_path):
+    assert cli.main(run_args(tmp_path, iters="20")) == 0
+    text = (tmp_path / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert summary["prox_calls"] == 4 * 20
+
+
+def test_zero_repeats_exit_2_and_write_nothing(tmp_path, capsys):
+    assert cli.main(run_args(tmp_path, repeats="0")) == 2
+    assert "--repeats must be >= 1" in capsys.readouterr().err
+    argv = run_args(tmp_path, repeats="0")
+    argv[0] = "sweep"
+    argv += ["--ss", "4"]
+    assert cli.main(argv) == 2
+    assert "--repeats must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -104,3 +104,27 @@ def test_enumeration_cap():
 def test_subset_sample_rejects_disorder():
     with pytest.raises(ValueError):
         SubsetSample((2, 1), 0)
+
+
+def dense_sample_k_subset(rng, n, s):
+    # The O(n) partial Fisher-Yates the sparse sampler replaced, kept here as
+    # the reference for its stream.
+    arr = list(range(1, n + 1))
+    for i in range(s):
+        j = i + rng.next_below(n - i)
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(sorted(arr[:s]))
+
+
+@pytest.mark.parametrize(
+    "n,s,seed",
+    [(1, 1, 0), (2, 1, 5), (2, 2, 6), (7, 1, 1), (7, 3, 2), (7, 7, 3),
+     (64, 32, 4), (100, 99, 5), (1000, 10, 6), (20000, 1, 7), (20000, 50, 8)],
+)
+def test_sparse_sampler_matches_dense_stream(n, s, seed):
+    sparse, dense = SplitMix64(seed), SplitMix64(seed)
+    for t in range(30):
+        assert sample_k_subset(sparse, n, s, t).indices == dense_sample_k_subset(
+            dense, n, s
+        )
+        assert sparse.state == dense.state

@@ -9,6 +9,7 @@ from pointsaga import (
     apply_subset_step,
     gen_quadratic,
     initialize,
+    lyapunov,
     run,
     step,
     table_drift,
@@ -226,6 +227,110 @@ def test_fixed_point_is_stationary():
     nxt = apply_subset_step(state, problem, 0.3, np.arange(10))
     assert np.linalg.norm(nxt.x - x_star) <= 1e-10
     assert np.abs(nxt.grad_table - table).max() <= 1e-9
+
+
+# --- purity and aliasing ----------------------------------------------------------
+
+
+def snapshot(state):
+    return state.t, state.x.copy(), state.grad_table.copy(), state.g_avg.copy()
+
+
+def assert_unchanged(state, snap):
+    t, x, table, g_avg = snap
+    assert state.t == t
+    assert np.array_equal(state.x, x)
+    assert np.array_equal(state.grad_table, table)
+    assert np.array_equal(state.g_avg, g_avg)
+
+
+def assert_disjoint(a, b):
+    for u, v in ((a.x, b.x), (a.grad_table, b.grad_table), (a.g_avg, b.g_avg)):
+        assert not np.shares_memory(u, v)
+
+
+def test_step_and_apply_subset_step_leave_input_unchanged():
+    problem = quad_problem()
+    cfg = SolverConfig(s=3, gamma=0.2, refresh_every=1)
+    state = initialize(problem, cfg, np.ones(4))
+    state = apply_subset_step(state, problem, 0.2, np.array([1, 4]))
+    snap = snapshot(state)
+    nxt = apply_subset_step(state, problem, 0.2, np.array([0, 2, 9]))
+    assert_unchanged(state, snap)
+    assert_disjoint(state, nxt)
+    nxt = step(state, problem, cfg, SplitMix64(4), gamma=0.2)
+    assert_unchanged(state, snap)
+    assert_disjoint(state, nxt)
+    assert not np.array_equal(nxt.grad_table, state.grad_table)
+
+
+def test_run_leaves_provided_table_untouched():
+    problem = quad_problem()
+    g0 = np.random.default_rng(8).normal(size=(10, 4))
+    before = g0.copy()
+    cfg = SolverConfig(s=2, gamma=0.1, max_iters=40, init_gradients="provided")
+    state, _ = run(problem, cfg, np.zeros(4), g0=g0)
+    assert np.array_equal(g0, before)
+    assert not np.shares_memory(state.grad_table, g0)
+
+
+def test_runs_from_one_x0_array_agree_and_leave_it_unchanged():
+    problem = quad_problem()
+    x0 = np.linspace(-1.0, 1.0, 4)
+    before = x0.copy()
+    cfg = SolverConfig(s=3, gamma=0.2, max_iters=50, seed=77, trace_every=5)
+    s1, r1 = run(problem, cfg, x0)
+    s2, r2 = run(problem, cfg, x0)
+    assert np.array_equal(x0, before)
+    assert not np.shares_memory(s1.x, x0)
+    assert_unchanged(s2, snapshot(s1))
+    assert [(r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in r1] == [
+        (r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in r2
+    ]
+
+
+# --- trace equivalence with the pure step -----------------------------------------
+
+
+def check_record(record, state, problem, gamma, s, grad_star):
+    x_star = problem.known_solution
+    d = state.x - x_star
+    assert record.t == state.t
+    assert record.dist_sq == d @ d
+    assert record.lyapunov == lyapunov(state, problem, x_star, grad_star, gamma, s)
+    assert record.table_drift == table_drift(state)
+
+
+def test_run_matches_loop_of_pure_steps():
+    problem = quad_problem()
+    gamma = 0.2
+    cfg = SolverConfig(s=3, gamma=gamma, max_iters=60, seed=13, trace_every=7,
+                       refresh_every=10)
+    final, records = run(problem, cfg, np.zeros(4))
+
+    state = initialize(problem, cfg, np.zeros(4))
+    rng = SplitMix64(cfg.seed)
+    states = {0: state}
+    while state.t < cfg.max_iters:
+        state = step(state, problem, cfg, rng, gamma=gamma)
+        states[state.t] = state
+    assert_unchanged(final, snapshot(state))
+
+    grad_star = np.stack([c.gradient(problem.known_solution) for c in problem.components])
+    assert [r.t for r in records] == [0, 7, 14, 21, 28, 35, 42, 49, 56, 60]
+    for r in records:
+        check_record(r, states[r.t], problem, gamma, cfg.s, grad_star)
+
+
+def test_early_stop_between_trace_points_records_lyapunov():
+    problem = one_dim_problem()
+    cfg = SolverConfig(s=1, gamma=1.0, max_iters=100, stop_dist_sq=1e-16,
+                       trace_every=1000, init_gradients="zeros")
+    state, records = run(problem, cfg, np.array([2.0]))
+    assert [r.t for r in records] == [0, 28]
+    grad_star = np.stack([c.gradient(np.zeros(1)) for c in problem.components])
+    check_record(records[-1], state, problem, 1.0, 1, grad_star)
+    assert records[-1].lyapunov > 0
 
 
 def test_prox_failure_names_component():
