@@ -236,7 +236,7 @@ def snapshot(state):
     return state.t, state.x.copy(), state.grad_table.copy(), state.g_avg.copy()
 
 
-def assert_unchanged(state, snap):
+def assert_state_equals(state, snap):
     t, x, table, g_avg = snap
     assert state.t == t
     assert np.array_equal(state.x, x)
@@ -256,10 +256,10 @@ def test_step_and_apply_subset_step_leave_input_unchanged():
     state = apply_subset_step(state, problem, 0.2, np.array([1, 4]))
     snap = snapshot(state)
     nxt = apply_subset_step(state, problem, 0.2, np.array([0, 2, 9]))
-    assert_unchanged(state, snap)
+    assert_state_equals(state, snap)
     assert_disjoint(state, nxt)
     nxt = step(state, problem, cfg, SplitMix64(4), gamma=0.2)
-    assert_unchanged(state, snap)
+    assert_state_equals(state, snap)
     assert_disjoint(state, nxt)
     assert not np.array_equal(nxt.grad_table, state.grad_table)
 
@@ -283,7 +283,7 @@ def test_runs_from_one_x0_array_agree_and_leave_it_unchanged():
     s2, r2 = run(problem, cfg, x0)
     assert np.array_equal(x0, before)
     assert not np.shares_memory(s1.x, x0)
-    assert_unchanged(s2, snapshot(s1))
+    assert_state_equals(s2, snapshot(s1))
     assert [(r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in r1] == [
         (r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in r2
     ]
@@ -314,7 +314,7 @@ def test_run_matches_loop_of_pure_steps():
     while state.t < cfg.max_iters:
         state = step(state, problem, cfg, rng, gamma=gamma)
         states[state.t] = state
-    assert_unchanged(final, snapshot(state))
+    assert_state_equals(final, snapshot(state))
 
     grad_star = np.stack([c.gradient(problem.known_solution) for c in problem.components])
     assert [r.t for r in records] == [0, 7, 14, 21, 28, 35, 42, 49, 56, 60]
