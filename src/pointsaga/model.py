@@ -44,6 +44,13 @@ class ComponentFunction(ABC):
     def prox(self, gamma, z):
         """Proximity operator of gamma * f at z."""
 
+    @classmethod
+    def stack(cls, components):
+        """A bank whose ``prox(gamma, idx, Z)`` returns the prox points of
+        components[idx[k]] at Z[k] and their resolvent defects in one call,
+        or None to prox the components one at a time."""
+        return None
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteSumProblem:
@@ -60,6 +67,8 @@ class FiniteSumProblem:
         Ambient dimension d.
     known_solution : ndarray or None
         Minimizer of the sum, when available. Validated for stationarity.
+    prox_bank : object or None
+        The components' ``stack`` when all share one class, else None.
     """
 
     components: tuple
@@ -67,6 +76,7 @@ class FiniteSumProblem:
     L: float
     dim: int
     known_solution: np.ndarray | None = field(default=None)
+    prox_bank: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.components) == 0:
@@ -87,6 +97,10 @@ class FiniteSumProblem:
                 raise InvalidKnownSolution(
                     f"||sum grad f_i(x*)|| = {norm:.3e} exceeds n*{TOL_STAR:g}"
                 )
+        kinds = {type(c) for c in self.components}
+        stack = getattr(kinds.pop(), "stack", None) if len(kinds) == 1 else None
+        if stack is not None:
+            object.__setattr__(self, "prox_bank", stack(self.components))
 
     @property
     def n(self):

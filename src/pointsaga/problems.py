@@ -28,7 +28,8 @@ class QuadraticComponent(ComponentFunction):
 
     The prox solves (I + gamma A) x = z + gamma A c through the
     eigendecomposition, so it works in any float dtype (including
-    longdouble) and costs one cached d-by-d matvec per call.
+    longdouble) and costs one cached d-by-d matvec per call. The cache for
+    the last gamma is one tuple, replaced by a single attribute write.
     """
 
     analytic = True
@@ -39,8 +40,7 @@ class QuadraticComponent(ComponentFunction):
         self.c = np.asarray(c)
         self.A = (self.Q * self.eig) @ self.Q.T
         self._Ac = self.A @ self.c
-        self._cache_gamma = None
-        self._cache_M = None
+        self._cache = (None, None, None)
 
     def value(self, x):
         d = x - self.c
@@ -54,16 +54,60 @@ class QuadraticComponent(ComponentFunction):
         return self.A, self._Ac
 
     def _resolvent(self, gamma):
-        if self._cache_gamma != gamma:
-            self._cache_M = (self.Q * (1.0 / (1.0 + gamma * self.eig))) @ self.Q.T
-            self._cache_gamma = gamma
-        return self._cache_M
+        """(I + gamma A)^{-1} and gamma A c for this gamma, cached."""
+        cache = self._cache
+        if cache[0] != gamma:
+            M = (self.Q * (1.0 / (1.0 + gamma * self.eig))) @ self.Q.T
+            cache = self._cache = (gamma, M, gamma * self._Ac)
+        return cache[1], cache[2]
 
     def prox(self, gamma, z):
-        M = self._resolvent(gamma)
-        x = M @ (z + gamma * self._Ac)
+        M, g_Ac = self._resolvent(gamma)
+        x = M @ (z + g_Ac)
         defect = x + gamma * (self.A @ x - self._Ac) - z
         return ProxResult(x, np.sqrt(defect @ defect))
+
+    @classmethod
+    def stack(cls, components):
+        if cls.prox is not QuadraticComponent.prox:
+            return None  # a subclass with its own prox is proxed through it
+        kinds = {(c.A.shape, c.A.dtype, c._Ac.dtype, c.Q.dtype, c.eig.dtype)
+                 for c in components}
+        return QuadraticBank(components) if len(kinds) == 1 else None
+
+
+class QuadraticBank:
+    """Quadratic components of one shape and dtype, stacked so that one call
+    proxes a whole subset. Row k of the result is bitwise what
+    ``components[idx[k]].prox`` returns: the same operations in the same
+    order, with the matvecs batched through matmul's per-matrix loop.
+    """
+
+    def __init__(self, components):
+        self.components = components
+        self.A = np.stack([c.A for c in components])
+        self.Ac = np.stack([c._Ac for c in components])
+        self._cache = (None, None, None)
+
+    def _resolvent(self, gamma):
+        cache = self._cache
+        if cache[0] != gamma:
+            pairs = [c._resolvent(gamma) for c in self.components]
+            M = np.stack([m for m, _ in pairs])
+            cache = self._cache = (gamma, M, np.stack([g for _, g in pairs]))
+        return cache[1], cache[2]
+
+    def prox(self, gamma, idx, Z):
+        """(P, residuals): row k is the prox of component idx[k] at Z[k]."""
+        M, g_Ac = self._resolvent(gamma)
+        P = _matvecs(M[idx], Z + g_Ac[idx])
+        D = P + gamma * (_matvecs(self.A[idx], P) - self.Ac[idx]) - Z
+        return P, np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+
+
+def _matvecs(M, V):
+    """Row k is M[k] @ V[k]."""
+    return (M @ V[:, :, None])[:, :, 0]
 
 
 class RankOneRidgeComponent(ComponentFunction):

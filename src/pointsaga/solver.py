@@ -17,6 +17,8 @@ and returns a fresh state. run owns the state that initialize builds for it
 and advances it, table included, in place, so one of its iterations costs
 O(s*d) whatever n is. Its Lyapunov value and table drift are O(n*d) passes
 made once per trace record, so trace_every sets the cost of diagnostics.
+A problem with a prox_bank proxes the whole subset in one call; otherwise
+each sampled component is proxed in turn.
 """
 
 import time
@@ -133,13 +135,22 @@ def _advance(state, problem, gamma, idx, tol_prox, table):
     x_old, g_avg = state.x, state.g_avg
 
     z = x_old[None, :] + gamma * (table[idx] - g_avg[None, :])
-    z_norm = np.sqrt((z * z).sum(axis=1))
-    outs = np.empty_like(z)
-    for k in range(s):
-        result = problem.components[idx[k]].prox(gamma, z[k])
-        if not result.residual <= tol_prox * (1 + z_norm[k]):
-            raise ProxFailure(int(idx[k]) + 1, float(result.residual))
-        outs[k] = result.point
+    bound = tol_prox * (1 + np.sqrt((z * z).sum(axis=1)))
+    if problem.prox_bank is not None:
+        outs, residual = problem.prox_bank.prox(gamma, idx, z)
+        outs = outs.astype(z.dtype, copy=False)
+        ok = residual <= bound
+        if not ok.all():
+            k = int(np.argmin(ok))  # the first failing row
+            raise ProxFailure(int(idx[k]) + 1, float(residual[k]))
+    else:
+        outs = np.empty_like(z)
+        components = problem.components
+        for k, i in enumerate(idx.tolist()):
+            result = components[i].prox(gamma, z[k])
+            if not result.residual <= bound[k]:
+                raise ProxFailure(i + 1, float(result.residual))
+            outs[k] = result.point
 
     table[idx] = (z - outs) / gamma
     x_new = outs.mean(axis=0)  # idx is sorted: ascending-index reduction

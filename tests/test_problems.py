@@ -4,6 +4,8 @@ import pytest
 from pointsaga import (
     Dataset,
     GeneratorSpec,
+    QuadraticComponent,
+    assemble_problem,
     check_coercivity,
     full_gradient,
     gen_logistic_ridge,
@@ -18,6 +20,7 @@ from pointsaga.errors import (
     InvalidSpec,
     ParseError,
 )
+from pointsaga.problems import QuadraticBank
 
 
 # --- GeneratorSpec ---------------------------------------------------------------
@@ -83,6 +86,46 @@ def test_quadratic_longdouble_matches_float64_draws():
     for c64, cld in zip(p64.components, pld.components):
         assert np.array_equal(c64.Q, cld.Q.astype(np.float64))
         assert np.array_equal(c64.c, cld.c.astype(np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_quadratic_bank_rows_match_component_prox(dtype):
+    problem = gen_quadratic(GeneratorSpec("quadratic", 9, 5, 1.0, 10.0, seed=6), dtype=dtype)
+    bank = problem.prox_bank
+    assert isinstance(bank, QuadraticBank)
+    rng = np.random.default_rng(8)
+    for gamma in (0.03, 0.7, 0.03, 25.0):
+        for s in (1, 4, 9):
+            idx = np.sort(rng.choice(9, size=s, replace=False))
+            Z = (rng.normal(size=(s, 5)) * 10.0).astype(dtype)
+            P, residual = bank.prox(gamma, idx, Z)
+            assert P.dtype == dtype and residual.shape == (s,)
+            for k, i in enumerate(idx):
+                one = problem.components[i].prox(gamma, Z[k])
+                assert np.array_equal(P[k], one.point)
+                assert residual[k] == one.residual
+
+
+def test_prox_bank_needs_one_quadratic_shape_and_dtype():
+    def quad(d, dtype=np.float64):
+        return QuadraticComponent(np.eye(d, dtype=dtype), np.ones(d, dtype=dtype),
+                                  np.zeros(d, dtype=dtype))
+
+    assert isinstance(assemble_problem([quad(2), quad(2)], 1.0, 1.0, 2).prox_bank,
+                      QuadraticBank)
+    assert assemble_problem([quad(2), quad(2, np.longdouble)], 1.0, 1.0, 2).prox_bank is None
+    assert assemble_problem([quad(2), quad(3)], 1.0, 1.0, 2).prox_bank is None
+    ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 3, 2, 0.1, 1.0, seed=1))
+    assert ridge.prox_bank is None
+    mixed = assemble_problem([quad(2), ridge.components[0]], 0.1, 1.0, 2)
+    assert mixed.prox_bank is None
+
+    class OwnProx(QuadraticComponent):
+        def prox(self, gamma, z):
+            return super().prox(gamma, z)
+
+    own = OwnProx(np.eye(2), np.ones(2), np.zeros(2))
+    assert assemble_problem([own, own], 1.0, 1.0, 2).prox_bank is None
 
 
 # --- ridge generator -----------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,31 @@ def test_prox_failure_names_component():
     with pytest.raises(ProxFailure) as err:
         run(problem, cfg, np.ones(4) * 100)
     assert 1 <= err.value.index <= 10
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_run_through_prox_bank_matches_per_component_prox(dtype):
+    problem = gen_quadratic(GeneratorSpec("quadratic", 12, 4, 1.0, 10.0, seed=3), dtype=dtype)
+    assert problem.prox_bank is not None
+    unbanked = replace(problem)
+    object.__setattr__(unbanked, "prox_bank", None)  # force the one-by-one path
+    x0 = (problem.known_solution + 5.0).astype(dtype)
+    for s in (1, 5, 12):
+        cfg = SolverConfig(s=s, gamma="auto", max_iters=40, seed=s, trace_every=3)
+        a, rec_a = run(problem, cfg, x0)
+        b, rec_b = run(unbanked, cfg, x0)
+        for field in ("x", "grad_table", "g_avg"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert [(r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in rec_a] == [
+            (r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in rec_b
+        ]
+    cfg = SolverConfig(s=5, gamma=0.1, max_iters=5, seed=2, tol_prox=1e-30)
+    errors = []
+    for p in (problem, unbanked):
+        with pytest.raises(ProxFailure) as err:
+            run(p, cfg, x0)
+        errors.append((err.value.index, str(err.value)))
+    assert errors[0] == errors[1]
 
 
 def test_invalid_batch_size_rejected():
