@@ -39,7 +39,6 @@ from .prox import (
     TOL_PROX,
     prox_generic,
     prox_logistic_ridge,
-    prox_quadratic,
     prox_rank_one_quadratic,
     prox_residual,
 )

@@ -33,11 +33,19 @@ from .model import full_gradient
 from .sampling import enumerate_k_subsets
 
 
+def _finite(value):
+    """True for a finite real number; False for inf, NaN and non-numbers."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def _check_constants(mu, L, gamma=None, s=None, n=None):
-    if not (0 < mu <= L):
-        raise InvalidConstants(f"need 0 < mu <= L, got mu={mu}, L={L}")
-    if gamma is not None and not gamma > 0:
-        raise InvalidConstants(f"gamma must be > 0, got {gamma}")
+    if not (_finite(mu) and _finite(L) and 0 < mu <= L):
+        raise InvalidConstants(f"need finite 0 < mu <= L, got mu={mu}, L={L}")
+    if gamma is not None and not (_finite(gamma) and gamma > 0):
+        raise InvalidConstants(f"gamma must be finite and > 0, got {gamma}")
     if n is not None and n < 1:
         raise InvalidConstants(f"n must be >= 1, got {n}")
     if s is not None and not 1 <= s <= (n if n is not None else s):

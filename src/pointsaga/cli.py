@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 failed verification, 2 configuration error,
 3 I/O or data-file error, 4 solver failure.
 
 Trace files are CSV with header ``t,dist_sq,lyapunov,table_drift,wall_ns``;
-floats carry 17 significant digits so they round-trip. Fields that need a
-known solution are empty strings when it is unavailable.
+floats carry 17 significant digits so they round-trip. Every problem gets a
+known solution (``reference_solution`` computes one when the generator or
+file does not plant it), so no field is empty.
 """
 
 import argparse
@@ -118,20 +119,30 @@ def _check_repeats(args):
 
 
 def _build_problem(args):
+    """The problem the flags name, with its minimizer attached."""
     if args.problem.startswith("file:"):
         _, problem = load_libsvm(args.problem[5:], args.mu)
-        return problem
-    family = {"quad": "quadratic", "ridge": "ridge_regression",
-              "logistic": "logistic_ridge"}.get(args.problem)
-    if family is None:
-        raise PointSagaError(f"unknown problem kind {args.problem!r}")
-    spec = GeneratorSpec(family, n=args.n, dim=args.dim, mu=args.mu, L=args.L,
-                         seed=args.seed)
-    if family == "quadratic":
-        return gen_quadratic(spec)
-    if family == "ridge_regression":
-        return gen_ridge_regression(spec)
-    return gen_logistic_ridge(spec)
+    else:
+        family, generate = {
+            "quad": ("quadratic", gen_quadratic),
+            "ridge": ("ridge_regression", gen_ridge_regression),
+            "logistic": ("logistic_ridge", gen_logistic_ridge),
+        }.get(args.problem, (None, None))
+        if family is None:
+            raise PointSagaError(f"unknown problem kind {args.problem!r}")
+        problem = generate(GeneratorSpec(family, n=args.n, dim=args.dim, mu=args.mu,
+                                         L=args.L, seed=args.seed))
+    if problem.known_solution is None:
+        x_star, _ = reference_solution(problem, tol=1e-12)
+        problem = replace(problem, known_solution=x_star)
+    return problem
+
+
+def _stepsize(problem, args, s, gamma_spec):
+    """Validate one (s, gamma) pair of the flags and resolve its stepsize."""
+    probe = SolverConfig(s=s, gamma=gamma_spec, max_iters=args.iters)
+    probe.validate(problem.n)
+    return probe.resolve_gamma(problem)
 
 
 def _fmt(value):
@@ -150,8 +161,7 @@ def _write_trace(path, records):
 
 def _empirical_contraction(records, burn_in=10):
     """Per-iteration geometric-mean Psi ratio after the burn-in."""
-    pts = [(r.t, r.lyapunov) for r in records
-           if r.t >= burn_in and r.lyapunov is not None]
+    pts = [(r.t, r.lyapunov) for r in records if r.t >= burn_in]
     if len(pts) < 2:
         return None
     (t0, p0), (t1, p1) = pts[0], pts[-1]
@@ -160,8 +170,14 @@ def _empirical_contraction(records, burn_in=10):
     return float(np.exp((np.log(p1) - np.log(p0)) / (t1 - t0)))
 
 
-def _solve_cell(problem, args, gamma, s, threshold=None):
-    """Run `repeats` trajectories; aggregate the summary quantities."""
+def _solve_cell(problem, args, gamma, s, threshold=None, trace_dir=None):
+    """Run `repeats` trajectories; aggregate the summary quantities.
+
+    With a threshold (sweep) every iteration is recorded and prox calls are
+    counted up to the first record at or below threshold * Psi(0). Otherwise
+    records follow --trace-every, and each repeat's trace is written to
+    trace_dir, when given, as soon as that repeat finishes.
+    """
     x0 = np.zeros(problem.dim)
     contractions = []
     finals = []
@@ -174,27 +190,23 @@ def _solve_cell(problem, args, gamma, s, threshold=None):
             trace_every=args.trace_every if threshold is None else 1,
         )
         state, records = run(problem, config, x0)
+        if trace_dir is not None:
+            _write_trace(f"{trace_dir}/trace_seed{config.seed}.csv", records)
         contr = _empirical_contraction(records)
         if contr is not None:
             contractions.append(contr)
-        if records[-1].dist_sq is not None:
-            finals.append(float(records[-1].dist_sq))
+        finals.append(float(records[-1].dist_sq))
         wall += records[-1].wall_ns
+        hit = None
         if threshold is not None:
             psi0 = records[0].lyapunov
-            hit = next((r.t for r in records
-                        if r.lyapunov is not None and r.lyapunov <= threshold * psi0),
-                       None)
+            hit = next((r.t for r in records if r.lyapunov <= threshold * psi0), None)
             if hit is not None:
                 iters_hit.append(hit)
-                prox_calls += s * hit
-            else:
-                prox_calls += s * state.t
-        else:
-            prox_calls += s * state.t
+        prox_calls += s * (hit if hit is not None else state.t)
     summary = {
         "empirical_contraction": float(np.mean(contractions)) if contractions else None,
-        "final_dist_sq": float(np.mean(finals)) if finals else None,
+        "final_dist_sq": float(np.mean(finals)),
         "prox_calls": prox_calls,
         "wall_ns": wall,
     }
@@ -208,40 +220,10 @@ def _solve_cell(problem, args, gamma, s, threshold=None):
 def cmd_run(args):
     _check_repeats(args)
     problem = _build_problem(args)
-    if problem.known_solution is None:
-        x_star, _ = reference_solution(problem, tol=1e-12)
-        problem = replace(problem, known_solution=x_star)
-    probe = SolverConfig(s=args.s, gamma=args.gamma, max_iters=args.iters,
-                         trace_every=args.trace_every)
-    probe.validate(problem.n)
-    gamma = probe.resolve_gamma(problem)
+    gamma = _stepsize(problem, args, args.s, args.gamma)
     report = theoretical_rate(gamma, args.s, problem.n, problem.mu, problem.L)
-
-    x0 = np.zeros(problem.dim)
-    summary = {"gamma": gamma, **report.to_dict()}
-    contractions = []
-    finals = []
-    prox_calls = 0
-    wall = 0
-    for k in range(args.repeats):
-        config = SolverConfig(
-            s=args.s, gamma=gamma, max_iters=args.iters, seed=args.seed + k,
-            trace_every=args.trace_every,
-        )
-        state, records = run(problem, config, x0)
-        _write_trace(f"{args.out}/trace_seed{config.seed}.csv", records)
-        contr = _empirical_contraction(records)
-        if contr is not None:
-            contractions.append(contr)
-        finals.append(float(records[-1].dist_sq))
-        prox_calls += args.s * state.t
-        wall += records[-1].wall_ns
-    summary["empirical_contraction"] = (
-        float(np.mean(contractions)) if contractions else None
-    )
-    summary["final_dist_sq"] = float(np.mean(finals))
-    summary["prox_calls"] = prox_calls
-    summary["wall_ns"] = wall
+    summary = {"gamma": gamma, **report.to_dict(),
+               **_solve_cell(problem, args, gamma, args.s, trace_dir=args.out)}
     text = json.dumps(summary, indent=2, allow_nan=False)
     with open(f"{args.out}/summary.json", "w") as fh:
         fh.write(text + "\n")
@@ -257,28 +239,15 @@ def cmd_sweep(args):
     ss = args.ss if args.ss is not None else [args.s]
 
     problem = _build_problem(args)
-    if problem.known_solution is None:
-        x_star, _ = reference_solution(problem, tol=1e-12)
-        problem = replace(problem, known_solution=x_star)
-
     rows = []
     for s in ss:
         for gamma_spec in gammas:
-            probe = SolverConfig(s=s, gamma=gamma_spec, max_iters=args.iters)
-            probe.validate(problem.n)
-            gamma = probe.resolve_gamma(problem)
+            gamma = _stepsize(problem, args, s, gamma_spec)
             rho = theoretical_rate(gamma, s, problem.n, problem.mu, problem.L).rho
             t_begin = time.perf_counter_ns()
             cell = _solve_cell(problem, args, gamma, s, threshold=args.threshold)
-            rows.append({
-                "gamma": gamma,
-                "s": s,
-                "rho": rho,
-                "empirical_contraction": cell["empirical_contraction"],
-                "iters_to_threshold": cell["iters_to_threshold"],
-                "prox_calls": cell["prox_calls"],
-                "wall_ns": time.perf_counter_ns() - t_begin,
-            })
+            rows.append({"gamma": gamma, "s": s, "rho": rho, **cell,
+                         "wall_ns": time.perf_counter_ns() - t_begin})
 
     path = f"{args.out}/sweep.csv"
     with open(path, "w") as fh:

@@ -29,9 +29,6 @@ class ComponentFunction(ABC):
     ``f(x) + ||x - z||^2 / (2 gamma)``.
     """
 
-    #: True when the prox is a closed form, False for iterative solves.
-    analytic = False
-
     @abstractmethod
     def value(self, x):
         """Objective value f(x)."""

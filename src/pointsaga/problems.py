@@ -32,8 +32,6 @@ class QuadraticComponent(ComponentFunction):
     the last gamma is one tuple, replaced by a single attribute write.
     """
 
-    analytic = True
-
     def __init__(self, Q, eig, c):
         self.Q = np.asarray(Q)
         self.eig = np.asarray(eig)
@@ -113,8 +111,6 @@ def _matvecs(M, V):
 class RankOneRidgeComponent(ComponentFunction):
     """f(x) = (a'x - y)^2 / 2 + mu_reg ||x||^2 / 2; O(d) closed-form prox."""
 
-    analytic = True
-
     def __init__(self, a, y, mu_reg):
         self.a = np.asarray(a)
         self.y = y
@@ -139,8 +135,6 @@ class RankOneRidgeComponent(ComponentFunction):
 class LogisticRidgeComponent(ComponentFunction):
     """f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2, y in {-1, +1}."""
 
-    analytic = False
-
     def __init__(self, a, y, mu_reg, tol=1e-12):
         self.a = np.asarray(a, dtype=float)
         self.y = float(y)
@@ -161,8 +155,6 @@ class LogisticRidgeComponent(ComponentFunction):
 
 class GenericComponent(ComponentFunction):
     """Component from bare value/gradient callables; prox by inner descent."""
-
-    analytic = False
 
     def __init__(self, value_fn, grad_fn, mu, L, tol=1e-10):
         self._value = value_fn

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import solve
 from .errors import DimensionMismatch, MaxInnerIterations
 
 #: Default residual tolerance. Closed forms land far below this; iterative
@@ -35,23 +34,6 @@ def sigmoid(v):
         return 1.0 / (1.0 + np.exp(-v))
     e = np.exp(v)
     return e / (1.0 + e)
-
-
-def prox_quadratic(A, b, gamma, z):
-    """Prox of f(x) = x'Ax/2 + b'x: solves (I + gamma A) x = z - gamma b.
-
-    A must be positive semidefinite; an indefinite A can make the system
-    singular, which raises SingularSystem.
-    """
-    A = np.asarray(A)
-    z = np.asarray(z)
-    d = z.shape[0]
-    if A.shape != (d, d):
-        raise DimensionMismatch(f"A has shape {A.shape}, expected ({d}, {d})")
-    system = np.eye(d, dtype=A.dtype) + gamma * A
-    x = solve(system, z - gamma * b)
-    defect = x + gamma * (A @ x + b) - z
-    return ProxResult(x, np.sqrt(defect @ defect))
 
 
 def prox_rank_one_quadratic(a, y, mu_reg, gamma, z):

@@ -52,17 +52,16 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class SubsetSample:
-    """A sorted s-subset of {1..n} drawn at iteration t (1-based indices)."""
+    """A sorted s-subset of {1..n} (1-based indices)."""
 
     indices: tuple = field(default=())
-    iteration: int = 0
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError("indices must be strictly increasing")
 
 
-def sample_k_subset(rng, n, s, iteration=0):
+def sample_k_subset(rng, n, s):
     """Draw one of the C(n, s) subsets uniformly at random.
 
     Partial Fisher-Yates over [1..n]: the first s entries after s swap steps
@@ -78,7 +77,7 @@ def sample_k_subset(rng, n, s, iteration=0):
         j = i + rng.next_below(n - i)
         picked.append(displaced.get(j, j + 1))
         displaced[j] = displaced.get(i, i + 1)
-    return SubsetSample(tuple(sorted(picked)), iteration)
+    return SubsetSample(tuple(sorted(picked)))
 
 
 def enumerate_k_subsets(n, s, cap=ENUMERATION_CAP):

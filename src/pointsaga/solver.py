@@ -58,10 +58,14 @@ class SolverConfig:
     tol_prox: float = TOL_PROX
 
     def validate(self, n):
+        from .analysis import _finite
+
         if not 1 <= self.s <= n:
             raise InvalidBatchSize(f"need 1 <= s <= n, got s={self.s}, n={n}")
-        if self.gamma != "auto" and not self.gamma > 0:
-            raise InvalidConstants(f"gamma must be > 0 or 'auto', got {self.gamma}")
+        if self.gamma != "auto" and not (_finite(self.gamma) and self.gamma > 0):
+            raise InvalidConstants(
+                f"gamma must be finite and > 0 or 'auto', got {self.gamma!r}"
+            )
         if self.max_iters < 0:
             raise InvalidConstants("max_iters must be >= 0")
         if self.trace_every < 1:
@@ -178,7 +182,7 @@ def apply_subset_step(state, problem, gamma, indices0, tol_prox=TOL_PROX):
 def _step(state, problem, config, rng, gamma, table):
     """Sample, advance and maybe refresh, writing into ``table`` (a copy of
     state.grad_table, or run's own table); returns (x_new, g_new)."""
-    sub = sample_k_subset(rng, problem.n, config.s, iteration=state.t)
+    sub = sample_k_subset(rng, problem.n, config.s)
     idx0 = np.asarray(sub.indices, dtype=int) - 1
     x_new, g_new = _advance(state, problem, gamma, idx0, config.tol_prox, table)
     if config.refresh_every is not None and (state.t + 1) % config.refresh_every == 0:

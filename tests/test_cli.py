@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from pointsaga import cli, theoretical_rate
 import pointsaga.solver
 import pointsaga.verify
@@ -38,6 +40,15 @@ def test_rates_invalid_constants(capsys):
     code = cli.main(["rates", "--gamma", "1", "--s", "1", "--n", "1",
                      "--mu", "2", "--L", "1"])
     assert code == 2
+
+
+def test_rates_infinite_L_exits_2(capsys):
+    code = cli.main(["rates", "--gamma", "0.1", "--s", "1", "--n", "10",
+                     "--mu", "1", "--L", "inf"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InvalidConstants" in captured.err
 
 
 # --- run -------------------------------------------------------------------------
@@ -101,6 +112,14 @@ def test_run_batch_larger_than_n_exits_2(tmp_path, capsys):
     assert "InvalidBatchSize" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("gamma", "inf"), ("trace-every", "0")])
+def test_run_invalid_constant_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
+    code = cli.main(run_args(tmp_path, **{flag: value}))
+    assert code == 2
+    assert "InvalidConstants" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_missing_data_file_exits_3(tmp_path):
     code = cli.main(run_args(tmp_path, problem="file:/does/not/exist"))
     assert code == 3
@@ -127,15 +146,20 @@ def test_run_on_tiny_libsvm_file(tmp_path):
 # --- sweep -----------------------------------------------------------------------
 
 
-def test_sweep_single_cell_matches_run(tmp_path):
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_sweep_single_cell_matches_run(tmp_path, repeats):
     out_run = tmp_path / "run"
     out_run.mkdir()
-    assert cli.main(run_args(tmp_path, out=str(out_run), **{"trace-every": "1"})) == 0
+    over = {"trace-every": "1", "repeats": str(repeats)}
+    assert cli.main(run_args(tmp_path, out=str(out_run), **over)) == 0
     summary = json.loads((out_run / "summary.json").read_text())
+    assert sorted(p.name for p in out_run.glob("trace_seed*.csv")) == [
+        f"trace_seed{42 + k}.csv" for k in range(repeats)
+    ]
 
     out_sweep = tmp_path / "sweep"
     out_sweep.mkdir()
-    argv = run_args(tmp_path, out=str(out_sweep), **{"trace-every": "1"})
+    argv = run_args(tmp_path, out=str(out_sweep), **over)
     argv[0] = "sweep"
     argv += ["--ss", "4"]
     assert cli.main(argv) == 0
@@ -146,7 +170,7 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert abs(float(cells[0]) - summary["gamma"]) <= 1e-15
     assert int(cells[1]) == 4
     assert abs(float(cells[2]) - summary["rho"]) <= 1e-12
-    assert abs(float(cells[3]) - summary["empirical_contraction"]) <= 1e-9
+    assert float(cells[3]) == summary["empirical_contraction"]
 
 
 def test_sweep_requires_an_axis(tmp_path, capsys):

@@ -10,10 +10,10 @@ from pointsaga import (
     gen_quadratic,
     prox_generic,
     prox_logistic_ridge,
-    prox_quadratic,
     prox_rank_one_quadratic,
     prox_residual,
 )
+from pointsaga._linalg import solve
 from pointsaga.errors import MaxInnerIterations, SingularSystem
 from pointsaga.prox import TOL_PROX, sigmoid
 
@@ -25,45 +25,24 @@ def random_psd(rng, d, mu=1.0, L=10.0):
     return (Q * eig) @ Q.T
 
 
-# --- prox_quadratic -----------------------------------------------------------
+# --- _linalg.solve -------------------------------------------------------------
 
 
-def test_prox_quadratic_identity():
-    r = prox_quadratic(np.eye(2), np.zeros(2), 1.0, np.array([2.0, 0.0]))
-    assert np.allclose(r.point, [1.0, 0.0], rtol=0, atol=1e-14)
-    assert r.residual <= TOL_PROX
-
-
-def test_prox_quadratic_zero_function():
-    z = np.array([3.0, -1.0])
-    r = prox_quadratic(np.zeros((2, 2)), np.zeros(2), 7.3, z)
-    assert np.array_equal(r.point, z)
-
-
-def test_prox_quadratic_diagonal_hand_solve():
-    # Oracle: (I + 0.5 diag(1,3)) x = z - 0.5 b solved coordinate-wise by hand:
-    # x = ((2 - 0.5) / 1.5, 2 / 2.5) = (1.0, 0.8).
-    r = prox_quadratic(np.diag([1.0, 3.0]), np.array([1.0, 0.0]), 0.5,
-                       np.array([2.0, 2.0]))
-    assert np.allclose(r.point, [1.0, 0.8], rtol=0, atol=1e-14)
-
-
-def test_prox_quadratic_matches_dense_solve_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        A = random_psd(rng, 4)
-        b = rng.normal(size=4)
-        gamma = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e2))))
-        z = rng.normal(size=4) * 3
-        expect = np.linalg.solve(np.eye(4) + gamma * A, z - gamma * b)
-        got = prox_quadratic(A, b, gamma, z)
-        assert np.allclose(got.point, expect, rtol=1e-12, atol=1e-12)
-        assert got.residual <= TOL_PROX
-
-
-def test_prox_quadratic_singular_system():
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_linalg_solve_singular_raises(dtype):
     with pytest.raises(SingularSystem):
-        prox_quadratic(-np.eye(2), np.zeros(2), 1.0, np.ones(2))
+        solve(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=dtype), np.ones(2, dtype=dtype))
+    with pytest.raises(SingularSystem):
+        solve(np.zeros((2, 2), dtype=dtype), np.ones(2, dtype=dtype))
+
+
+def test_linalg_solve_longdouble_matches_lapack():
+    rng = np.random.default_rng(11)
+    A = np.eye(6) + random_psd(rng, 6)
+    b = rng.normal(size=6)
+    x = solve(A.astype(np.longdouble), b.astype(np.longdouble))
+    assert x.dtype == np.longdouble
+    assert np.allclose(x.astype(float), np.linalg.solve(A, b), rtol=1e-12, atol=1e-12)
 
 
 # --- prox_rank_one_quadratic --------------------------------------------------

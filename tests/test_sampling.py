@@ -103,7 +103,7 @@ def test_enumeration_cap():
 
 def test_subset_sample_rejects_disorder():
     with pytest.raises(ValueError):
-        SubsetSample((2, 1), 0)
+        SubsetSample((2, 1))
 
 
 def dense_sample_k_subset(rng, n, s):
@@ -123,8 +123,8 @@ def dense_sample_k_subset(rng, n, s):
 )
 def test_sparse_sampler_matches_dense_stream(n, s, seed):
     sparse, dense = SplitMix64(seed), SplitMix64(seed)
-    for t in range(30):
-        assert sample_k_subset(sparse, n, s, t).indices == dense_sample_k_subset(
+    for _ in range(30):
+        assert sample_k_subset(sparse, n, s).indices == dense_sample_k_subset(
             dense, n, s
         )
         assert sparse.state == dense.state

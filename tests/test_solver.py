@@ -19,6 +19,7 @@ from pointsaga import (
 from pointsaga.errors import (
     DimensionMismatch,
     InvalidBatchSize,
+    InvalidConstants,
     MissingProvidedGradients,
     ProxFailure,
 )
@@ -372,3 +373,9 @@ def test_invalid_batch_size_rejected():
     problem = quad_problem()
     with pytest.raises(InvalidBatchSize):
         run(problem, SolverConfig(s=11, gamma=0.1, max_iters=1), np.zeros(4))
+
+
+@pytest.mark.parametrize("gamma", ["fast", float("inf"), float("nan"), 0.0])
+def test_non_finite_or_non_numeric_gamma_rejected(gamma):
+    with pytest.raises(InvalidConstants):
+        SolverConfig(gamma=gamma).validate(10)
