@@ -86,7 +86,12 @@ class LyapunovWeights:
     def from_constants(cls, gamma, s, mu, L):
         _check_constants(mu, L, gamma=gamma)
         w_x = (1.0 + 2.0 * gamma * mu * L / (L + mu)) * s
-        w_g = (1.0 + 2.0 / (gamma * (L + mu))) * gamma**2
+        try:
+            w_g = (1.0 + 2.0 / (gamma * (L + mu))) * gamma**2
+        except OverflowError:  # float ** raises where float * returns inf
+            w_g = math.inf
+        if not (_finite(w_x) and _finite(w_g)):
+            raise InvalidConstants(f"Lyapunov weights overflow at gamma={gamma}")
         return cls(w_x, w_g)
 
 
@@ -154,7 +159,7 @@ def lyapunov(state, problem, x_star, grad_star, gamma, s):
     return w.w_x * (d @ d) + w.w_g * (e * e).sum()
 
 
-def reference_solution(problem, tol=1e-12, max_iters=None):
+def reference_solution(problem, tol=1e-12):
     """Minimizer of the sum plus the component gradients there.
 
     All-quadratic problems (every component exposes ``quadratic_terms``) are
@@ -178,9 +183,7 @@ def reference_solution(problem, tol=1e-12, max_iters=None):
     x = np.zeros(problem.dim)
     g = full_gradient(problem, x)
     g_norm = float(np.sqrt(g @ g))
-    if max_iters is None:
-        kappa = L / mu
-        max_iters = int(10 * kappa * (math.log(max(g_norm / tol, math.e)))) + 100
+    max_iters = int(10 * (L / mu) * (math.log(max(g_norm / tol, math.e)))) + 100
     step_size = 1.0 / (n * L)
     for _ in range(max_iters):
         if g_norm <= tol:

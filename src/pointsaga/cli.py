@@ -140,7 +140,8 @@ def _build_problem(args):
 
 def _stepsize(problem, args, s, gamma_spec):
     """Validate one (s, gamma) pair of the flags and resolve its stepsize."""
-    probe = SolverConfig(s=s, gamma=gamma_spec, max_iters=args.iters)
+    probe = SolverConfig(s=s, gamma=gamma_spec, max_iters=args.iters,
+                         trace_every=args.trace_every)
     probe.validate(problem.n)
     return probe.resolve_gamma(problem)
 

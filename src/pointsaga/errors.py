@@ -41,10 +41,6 @@ class EnumerationTooLarge(PointSagaError, ValueError):
     """C(n, s) exceeds the subset-enumeration cap."""
 
 
-class MissingProvidedGradients(PointSagaError, ValueError):
-    """init_gradients='provided' requires an explicit n-by-d table."""
-
-
 class ProxFailure(PointSagaError, RuntimeError):
     """A component prox returned a point with an excessive resolvent residual."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import reference_solution
+from .analysis import _finite, reference_solution
 from .errors import EmptyFile, InconsistentDimension, InvalidSpec, ParseError
 from .model import ComponentFunction, assemble_problem
 from .prox import (
@@ -189,8 +189,8 @@ class GeneratorSpec:
             raise InvalidSpec(f"unknown family {self.family!r}")
         if self.n < 1 or self.dim < 1:
             raise InvalidSpec(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
-        if not (0 < self.mu <= self.L):
-            raise InvalidSpec(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
+        if not (_finite(self.mu) and _finite(self.L) and 0 < self.mu <= self.L):
+            raise InvalidSpec(f"need finite 0 < mu <= L, got mu={self.mu}, L={self.L}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,17 +299,23 @@ def gen_logistic_ridge(spec):
 def load_libsvm(path, mu):
     """Read sparse "label idx:val ..." lines into a logistic-ridge problem.
 
-    Indices are 1-based and must increase strictly within each line; '#'
-    starts a comment; labels must be +-1. Rows keep their scale, so the
-    smoothness constant is the conservative mu + max_i ||a_i||^2 / 4.
+    The file is UTF-8. Indices are 1-based and must increase strictly within
+    each line; '#' starts a comment; labels must be +-1; every row's squared
+    norm must be finite. Rows keep their scale, so the smoothness constant is
+    the conservative mu + max_i ||a_i||^2 / 4.
     """
-    if not mu > 0:
-        raise InvalidSpec(f"mu must be > 0, got {mu}")
+    if not (_finite(mu) and mu > 0):
+        raise InvalidSpec(f"mu must be finite and > 0, got {mu}")
     sparse_rows = []
     labels = []
     max_idx = 0
-    with open(path) as fh:
+    # surrogateescape keeps undecodable bytes, so a bad line can be named.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(line_no, "not valid UTF-8") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -342,7 +348,7 @@ def load_libsvm(path, mu):
                 vals.append(val)
                 prev = idx
             max_idx = max(max_idx, prev)
-            sparse_rows.append((idxs, vals))
+            sparse_rows.append((line_no, idxs, vals))
             labels.append(label)
     if not sparse_rows:
         raise EmptyFile(f"{path}: no data lines")
@@ -350,12 +356,17 @@ def load_libsvm(path, mu):
         raise EmptyFile(f"{path}: rows carry no features")
 
     rows = np.zeros((len(sparse_rows), max_idx))
-    for i, (idxs, vals) in enumerate(sparse_rows):
+    for i, (_, idxs, vals) in enumerate(sparse_rows):
         rows[i, np.asarray(idxs, dtype=int) - 1] = vals
     labels = np.asarray(labels)
     dataset = Dataset(rows, labels)
 
-    L = mu + 0.25 * float((rows * rows).sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        sq_norms = (rows * rows).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(sq_norms))
+    if bad.size:
+        raise ParseError(sparse_rows[bad[0]][0], "squared row norm overflows")
+    L = mu + 0.25 * float(sq_norms.max())
     comps = [
         LogisticRidgeComponent(rows[i], labels[i], mu) for i in range(rows.shape[0])
     ]

@@ -22,7 +22,7 @@ from .errors import EnumerationTooLarge, InvalidBatchSize
 
 _MASK64 = (1 << 64) - 1
 
-#: Default cap on C(n, s) for exhaustive enumeration.
+#: Cap on C(n, s) for exhaustive enumeration.
 ENUMERATION_CAP = 10**6
 
 
@@ -80,13 +80,13 @@ def sample_k_subset(rng, n, s):
     return SubsetSample(tuple(sorted(picked)))
 
 
-def enumerate_k_subsets(n, s, cap=ENUMERATION_CAP):
+def enumerate_k_subsets(n, s):
     """All C(n, s) subsets exactly once, in lexicographic order."""
     if not 1 <= s <= n:
         raise InvalidBatchSize(f"need 1 <= s <= n, got s={s}, n={n}")
     total = math.comb(n, s)
-    if total > cap:
-        raise EnumerationTooLarge(f"C({n}, {s}) = {total} exceeds cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"C({n}, {s}) = {total} exceeds cap {ENUMERATION_CAP}")
     return [
         SubsetSample(combo) for combo in itertools.combinations(range(1, n + 1), s)
     ]

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidBatchSize,
-    InvalidConstants,
-    MissingProvidedGradients,
-    ProxFailure,
-)
+from .errors import InvalidBatchSize, InvalidConstants, ProxFailure
 from .prox import TOL_PROX
 from .sampling import SplitMix64, sample_k_subset
 
@@ -42,20 +36,19 @@ class SolverConfig:
     """Run parameters.
 
     gamma may be the string "auto", which resolves to the balanced stepsize
-    sqrt(s / (L mu n)) at run time. refresh_every=None disables the periodic
-    exact recomputation of the table average. init_gradients picks the
-    initial table: component gradients at x0, all zeros, or a user table.
+    sqrt(s / (L mu n)) at run time. run always takes max_iters iterations.
+    refresh_every=None disables the periodic exact recomputation of the table
+    average. init_gradients picks the initial table: "at_x0" (component
+    gradients at x0) or "zeros".
     """
 
     s: int = 1
     gamma: float | str = "auto"
     max_iters: int = 1000
     seed: int = 0
-    stop_dist_sq: float = 0.0
     trace_every: int = 1
     refresh_every: int | None = 1000
     init_gradients: str = "at_x0"
-    tol_prox: float = TOL_PROX
 
     def validate(self, n):
         from .analysis import _finite
@@ -72,7 +65,7 @@ class SolverConfig:
             raise InvalidConstants("trace_every must be >= 1")
         if self.refresh_every is not None and self.refresh_every < 1:
             raise InvalidConstants("refresh_every must be >= 1 or None")
-        if self.init_gradients not in ("at_x0", "zeros", "provided"):
+        if self.init_gradients not in ("at_x0", "zeros"):
             raise InvalidConstants(f"unknown init_gradients {self.init_gradients!r}")
 
     def resolve_gamma(self, problem):
@@ -104,22 +97,15 @@ class TraceRecord:
     wall_ns: int
 
 
-def initialize(problem, config, x0, g0=None):
+def initialize(problem, config, x0):
     """Build the t=0 state: iterate x0, gradient table per init_gradients."""
     x0 = problem.check_point(x0)
-    n, d = problem.n, problem.dim
     if config.init_gradients == "at_x0":
         table = np.stack([comp.gradient(x0) for comp in problem.components])
     elif config.init_gradients == "zeros":
-        table = np.zeros((n, d), dtype=x0.dtype)
+        table = np.zeros((problem.n, problem.dim), dtype=x0.dtype)
     else:
-        if g0 is None:
-            raise MissingProvidedGradients("init_gradients='provided' needs g0")
-        table = np.array(g0, dtype=x0.dtype)
-        if table.shape != (n, d):
-            raise DimensionMismatch(
-                f"g0 has shape {table.shape}, expected ({n}, {d})"
-            )
+        raise InvalidConstants(f"unknown init_gradients {config.init_gradients!r}")
     return SolverState(t=0, x=x0.copy(), grad_table=table, g_avg=table.mean(axis=0))
 
 
@@ -130,7 +116,7 @@ def _prop1_coeffs(n, s):
     return n - s, s
 
 
-def _advance(state, problem, gamma, idx, tol_prox, table):
+def _advance(state, problem, gamma, idx, table):
     """The iteration's arithmetic: writes the s new rows into ``table`` and
     returns (x_new, g_new). ``table`` is either state.grad_table itself or a
     copy of it; the subset rows are read before any row is written."""
@@ -139,7 +125,7 @@ def _advance(state, problem, gamma, idx, tol_prox, table):
     x_old, g_avg = state.x, state.g_avg
 
     z = x_old[None, :] + gamma * (table[idx] - g_avg[None, :])
-    bound = tol_prox * (1 + np.sqrt((z * z).sum(axis=1)))
+    bound = TOL_PROX * (1 + np.sqrt((z * z).sum(axis=1)))
     if problem.prox_bank is not None:
         outs, residual = problem.prox_bank.prox(gamma, idx, z)
         outs = outs.astype(z.dtype, copy=False)
@@ -166,16 +152,16 @@ def _advance(state, problem, gamma, idx, tol_prox, table):
     return x_new, g_new
 
 
-def apply_subset_step(state, problem, gamma, indices0, tol_prox=TOL_PROX):
+def apply_subset_step(state, problem, gamma, indices0):
     """One deterministic iteration given the 0-based subset to activate.
 
     Pure: returns a fresh state, leaving the input untouched. The residual of
-    every prox output is checked against tol_prox * (1 + ||z_i||); a breach
+    every prox output is checked against TOL_PROX * (1 + ||z_i||); a breach
     raises ProxFailure naming the component.
     """
     table = state.grad_table.copy()
     idx = np.asarray(indices0, dtype=int)
-    x_new, g_new = _advance(state, problem, gamma, idx, tol_prox, table)
+    x_new, g_new = _advance(state, problem, gamma, idx, table)
     return SolverState(t=state.t + 1, x=x_new, grad_table=table, g_avg=g_new)
 
 
@@ -184,7 +170,7 @@ def _step(state, problem, config, rng, gamma, table):
     state.grad_table, or run's own table); returns (x_new, g_new)."""
     sub = sample_k_subset(rng, problem.n, config.s)
     idx0 = np.asarray(sub.indices, dtype=int) - 1
-    x_new, g_new = _advance(state, problem, gamma, idx0, config.tol_prox, table)
+    x_new, g_new = _advance(state, problem, gamma, idx0, table)
     if config.refresh_every is not None and (state.t + 1) % config.refresh_every == 0:
         g_new = table.mean(axis=0)
     return x_new, g_new
@@ -208,8 +194,8 @@ def table_drift(state):
     return np.sqrt(diff @ diff)
 
 
-def run(problem, config, x0, g0=None):
-    """Iterate from x0 until max_iters or the distance threshold.
+def run(problem, config, x0):
+    """Iterate from x0 for config.max_iters iterations.
 
     run advances the state that initialize builds for it, table included, in
     place: an iteration costs O(s*d) whatever n is. The Lyapunov value and the
@@ -223,8 +209,6 @@ def run(problem, config, x0, g0=None):
         config.s, stepsize, budget, seed, trace cadence.
     x0 : ndarray
         Starting point; its dtype sets the working precision of the run.
-    g0 : ndarray, optional
-        n-by-d initial gradient table for init_gradients="provided".
 
     Returns
     -------
@@ -236,7 +220,7 @@ def run(problem, config, x0, g0=None):
     config.validate(problem.n)
     gamma = config.resolve_gamma(problem)
     rng = SplitMix64(config.seed)
-    state = initialize(problem, config, x0, g0)
+    state = initialize(problem, config, x0)
 
     x_star = problem.known_solution
     if x_star is not None:
@@ -246,44 +230,24 @@ def run(problem, config, x0, g0=None):
         grad_star = np.stack([c.gradient(x_star) for c in problem.components])
         weights = LyapunovWeights.from_constants(gamma, config.s, problem.mu, problem.L)
 
-    def distance(st):
-        if x_star is None:
-            return None
-        d = st.x - x_star
-        return d @ d
-
     t_begin = time.perf_counter_ns()
 
-    def record(st, dist_sq):
-        lyap = None
+    def record(st):
+        dist_sq = lyap = None
         if x_star is not None:
+            d = st.x - x_star
             e = st.grad_table - grad_star
+            dist_sq = d @ d
             lyap = weights.w_x * dist_sq + weights.w_g * (e * e).sum()
-        records.append(
-            TraceRecord(
-                t=st.t,
-                dist_sq=dist_sq,
-                lyapunov=lyap,
-                table_drift=table_drift(st),
-                wall_ns=time.perf_counter_ns() - t_begin,
-            )
-        )
+        records.append(TraceRecord(t=st.t, dist_sq=dist_sq, lyapunov=lyap,
+                                   table_drift=table_drift(st),
+                                   wall_ns=time.perf_counter_ns() - t_begin))
 
     records = []
-    record(state, distance(state))
+    record(state)
     while state.t < config.max_iters:
-        state.x, state.g_avg = _step(
-            state, problem, config, rng, gamma, state.grad_table
-        )
+        state.x, state.g_avg = _step(state, problem, config, rng, gamma, state.grad_table)
         state.t += 1
-        dist_sq = distance(state)
-        stop = (
-            x_star is not None
-            and config.stop_dist_sq > 0
-            and dist_sq <= config.stop_dist_sq
-        )
-        if state.t % config.trace_every == 0 or state.t == config.max_iters or stop:
-            record(state, dist_sq)
-        if stop:
-            break
+        if state.t % config.trace_every == 0 or state.t == config.max_iters:
+            record(state)
     return state, records

@@ -179,6 +179,13 @@ def test_lyapunov_dimension_checks():
         lyapunov(state, problem, np.zeros(1), np.zeros((2, 1)), 1.0, 1)
 
 
+@pytest.mark.parametrize("gamma,mu,L", [(1e300, 1.0, 10.0), (1e150, 1e200, 1e200)])
+def test_lyapunov_weights_reject_overflow(gamma, mu, L):
+    # The first overflows gamma**2 in w_g, the second gamma*mu*L in w_x.
+    with pytest.raises(InvalidConstants):
+        LyapunovWeights.from_constants(gamma, 1, mu, L)
+
+
 # --- reference solutions -----------------------------------------------------------
 
 

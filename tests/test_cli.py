@@ -120,6 +120,16 @@ def test_run_invalid_constant_exits_2_and_writes_nothing(tmp_path, capsys, flag,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("over,error", [
+    ({"mu": "inf", "L": "inf"}, "InvalidSpec"),
+    ({"gamma": "1e300"}, "InvalidConstants"),
+], ids=["mu-L-inf", "gamma-1e300"])
+def test_run_overflowing_constants_exit_2_and_write_nothing(tmp_path, capsys, over, error):
+    assert cli.main(run_args(tmp_path, **over)) == 2
+    assert error in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_missing_data_file_exits_3(tmp_path):
     code = cli.main(run_args(tmp_path, problem="file:/does/not/exist"))
     assert code == 3
@@ -131,6 +141,18 @@ def test_run_malformed_data_file_exits_3(tmp_path, capsys):
     code = cli.main(run_args(tmp_path, problem=f"file:{bad}"))
     assert code == 3
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"+1 1:1\n\xff\xfe 1:1\n", b"+1 1:1\n1 1:1e308 2:1e308\n"],
+                         ids=["non-utf8", "row-norm-overflow"])
+def test_run_undecodable_or_overflowing_data_file_exits_3(tmp_path, capsys, content):
+    data = tmp_path / "data.txt"
+    data.write_bytes(content)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(run_args(out, problem=f"file:{data}")) == 3
+    assert "line 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_run_on_tiny_libsvm_file(tmp_path):
@@ -184,6 +206,15 @@ def test_sweep_empty_axis_exits_2(tmp_path):
     argv[0] = "sweep"
     argv += ["--ss", ""]
     assert cli.main(argv) == 2
+
+
+def test_sweep_trace_every_zero_exits_2_and_writes_nothing(tmp_path, capsys):
+    argv = run_args(tmp_path, **{"trace-every": "0"})
+    argv[0] = "sweep"
+    argv += ["--ss", "4"]
+    assert cli.main(argv) == 2
+    assert "InvalidConstants" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_grid_shape(tmp_path):

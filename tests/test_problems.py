@@ -1,5 +1,10 @@
+import math
+import tempfile
+
+import hypothesis.configuration
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointsaga import (
     Dataset,
@@ -19,8 +24,15 @@ from pointsaga.errors import (
     InconsistentDimension,
     InvalidSpec,
     ParseError,
+    PointSagaError,
 )
 from pointsaga.problems import QuadraticBank
+
+# Hypothesis caches unicode tables and source constants in its home directory,
+# ./.hypothesis by default. Its pytest plugin fills that cache while collecting,
+# so point the home at a directory that is removed when the test run ends.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 # --- GeneratorSpec ---------------------------------------------------------------
@@ -33,6 +45,14 @@ def test_spec_validation():
         GeneratorSpec("quadratic", 0, 1, 1.0, 1.0)
     with pytest.raises(InvalidSpec):
         GeneratorSpec("quadratic", 1, 1, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_spec_rejects_non_finite_constants(bad):
+    with pytest.raises(InvalidSpec):
+        GeneratorSpec("quadratic", 2, 2, 1.0, bad)
+    with pytest.raises(InvalidSpec):
+        GeneratorSpec("quadratic", 2, 2, bad, bad)
 
 
 # --- quadratic generator -----------------------------------------------------------
@@ -281,6 +301,65 @@ def test_load_rejects_non_binary_label(tmp_path):
     path.write_text("2 1:1.0\n")
     with pytest.raises(ParseError):
         load_libsvm(path, mu=1.0)
+
+
+@pytest.mark.parametrize("mu", [float("inf"), float("nan"), 0.0])
+def test_load_rejects_bad_mu(tmp_path, mu):
+    path = tmp_path / "tiny.txt"
+    path.write_text("+1 1:1.0\n")
+    with pytest.raises(InvalidSpec):
+        load_libsvm(path, mu=mu)
+
+
+def test_load_rejects_non_utf8_line(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"+1 1:1.0\n\xff\xfe 1:1.0\n")
+    with pytest.raises(ParseError, match="UTF-8") as err:
+        load_libsvm(path, mu=1.0)
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("row", ["1 1:1e308 2:1e308", "1 1:1.2e154 2:1.2e154"],
+                         ids=["square-overflows", "sum-overflows"])
+def test_load_rejects_overflowing_row_norm(tmp_path, row):
+    # The second row has finite squares whose sum overflows.
+    path = tmp_path / "huge.txt"
+    path.write_text(f"+1 1:1.0\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_libsvm(path, mu=1.0)
+    assert err.value.line_no == 2
+
+
+# Indices stay small, and junk text has no digits to form one, so that no
+# example allocates a wide dense matrix.
+_label = st.sampled_from(["+1", "-1", "1", "-1.0"])
+_row = st.builds(
+    lambda label, feats: " ".join([label] + [f"{i}:{v!r}" for i, v in sorted(feats.items())]),
+    _label,
+    st.dictionaries(st.integers(1, 40), st.floats(allow_nan=False), max_size=6),
+)
+_junk = st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=8)
+_junk_row = st.builds(
+    lambda label, tokens: " ".join([label, *tokens]),
+    _label | st.sampled_from(["0", "2", "nan"]) | _junk,
+    st.lists(st.builds("{}:{!r}".format, st.integers(-2, 40), st.floats()) | _junk, max_size=4),
+)
+
+
+def _lines_file(line):
+    return st.lists(line, max_size=6).map(lambda lines: "\n".join(lines).encode("utf-8"))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.binary(max_size=200) | _lines_file(_row) | _lines_file(_row | _junk_row))
+def test_load_libsvm_raises_typed_error_or_has_finite_L(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_bytes(data)
+    try:
+        _, problem = load_libsvm(path, mu=0.1)
+    except PointSagaError:
+        return
+    assert math.isfinite(problem.L)
 
 
 def test_dataset_validation():

@@ -8,6 +8,7 @@ from pointsaga import (
     QuadraticComponent,
     FiniteSumProblem,
     SolverConfig,
+    SolverState,
     apply_subset_step,
     gen_quadratic,
     initialize,
@@ -16,13 +17,9 @@ from pointsaga import (
     step,
     table_drift,
 )
-from pointsaga.errors import (
-    DimensionMismatch,
-    InvalidBatchSize,
-    InvalidConstants,
-    MissingProvidedGradients,
-    ProxFailure,
-)
+import pointsaga.solver as solver
+from pointsaga.errors import InvalidBatchSize, InvalidConstants, ProxFailure
+from pointsaga.prox import TOL_PROX
 from pointsaga.sampling import SplitMix64
 
 
@@ -53,32 +50,6 @@ def test_initialize_zeros():
     state = initialize(problem, cfg, np.ones(4))
     assert np.array_equal(state.g_avg, np.zeros(4))
     assert np.array_equal(state.grad_table, np.zeros((10, 4)))
-
-
-def test_initialize_provided_zeros_matches_zeros_mode():
-    problem = quad_problem()
-    a = initialize(problem, SolverConfig(s=2, init_gradients="zeros"), np.ones(4))
-    b = initialize(
-        problem,
-        SolverConfig(s=2, init_gradients="provided"),
-        np.ones(4),
-        g0=np.zeros((10, 4)),
-    )
-    assert np.array_equal(a.grad_table, b.grad_table)
-    assert np.array_equal(a.g_avg, b.g_avg)
-
-
-def test_initialize_provided_requires_table():
-    problem = quad_problem()
-    with pytest.raises(MissingProvidedGradients):
-        initialize(problem, SolverConfig(s=1, init_gradients="provided"), np.ones(4))
-    with pytest.raises(DimensionMismatch):
-        initialize(
-            problem,
-            SolverConfig(s=1, init_gradients="provided"),
-            np.ones(4),
-            g0=np.zeros((3, 4)),
-        )
 
 
 # --- hand-traced steps ----------------------------------------------------------
@@ -126,21 +97,6 @@ def test_run_geometric_trajectory():
     expect = 4.0 * 0.5**60
     assert records[-1].t == 30
     assert abs(records[-1].dist_sq - expect) <= 1e-12 * expect
-
-
-def test_run_stop_threshold():
-    # Oracle: first t with 4 * 4^-t <= 1e-16, found by direct scan.
-    t_expect = 0
-    while 4.0 * 4.0 ** (-t_expect) > 1e-16:
-        t_expect += 1
-    assert t_expect == 28
-    problem = one_dim_problem()
-    cfg = SolverConfig(
-        s=1, gamma=1.0, max_iters=100, stop_dist_sq=1e-16, init_gradients="zeros"
-    )
-    state, records = run(problem, cfg, np.array([2.0]))
-    assert state.t == t_expect
-    assert records[-1].dist_sq <= 1e-16
 
 
 def test_trace_cadence():
@@ -199,7 +155,7 @@ def test_table_drift_zero_at_refresh_boundary():
 
 
 def test_gradient_identity_for_updated_entries():
-    # Updated table rows equal grad f_i at the prox output, to tol_prox/gamma;
+    # Updated table rows equal grad f_i at the prox output, to TOL_PROX/gamma;
     # the prox output is recovered from x_i = z_i - gamma * g_i.
     problem = quad_problem()
     gamma = 0.25
@@ -217,16 +173,14 @@ def test_gradient_identity_for_updated_entries():
             z_i = before.x + gamma * (before.grad_table[i] - before.g_avg)
             x_i = z_i - gamma * state.grad_table[i]
             g_err = state.grad_table[i] - problem.components[i].gradient(x_i)
-            assert np.linalg.norm(g_err) <= cfg.tol_prox / gamma
+            assert np.linalg.norm(g_err) <= TOL_PROX / gamma
 
 
 def test_fixed_point_is_stationary():
     problem = quad_problem()
     x_star = problem.known_solution
     table = np.stack([c.gradient(x_star) for c in problem.components])
-    state = initialize(
-        problem, SolverConfig(s=10, init_gradients="provided"), x_star, g0=table
-    )
+    state = SolverState(0, x_star.copy(), table, table.mean(axis=0))
     nxt = apply_subset_step(state, problem, 0.3, np.arange(10))
     assert np.linalg.norm(nxt.x - x_star) <= 1e-10
     assert np.abs(nxt.grad_table - table).max() <= 1e-9
@@ -265,16 +219,6 @@ def test_step_and_apply_subset_step_leave_input_unchanged():
     assert_state_equals(state, snap)
     assert_disjoint(state, nxt)
     assert not np.array_equal(nxt.grad_table, state.grad_table)
-
-
-def test_run_leaves_provided_table_untouched():
-    problem = quad_problem()
-    g0 = np.random.default_rng(8).normal(size=(10, 4))
-    before = g0.copy()
-    cfg = SolverConfig(s=2, gamma=0.1, max_iters=40, init_gradients="provided")
-    state, _ = run(problem, cfg, np.zeros(4), g0=g0)
-    assert np.array_equal(g0, before)
-    assert not np.shares_memory(state.grad_table, g0)
 
 
 def test_runs_from_one_x0_array_agree_and_leave_it_unchanged():
@@ -325,27 +269,17 @@ def test_run_matches_loop_of_pure_steps():
         check_record(r, states[r.t], problem, gamma, cfg.s, grad_star)
 
 
-def test_early_stop_between_trace_points_records_lyapunov():
-    problem = one_dim_problem()
-    cfg = SolverConfig(s=1, gamma=1.0, max_iters=100, stop_dist_sq=1e-16,
-                       trace_every=1000, init_gradients="zeros")
-    state, records = run(problem, cfg, np.array([2.0]))
-    assert [r.t for r in records] == [0, 28]
-    grad_star = np.stack([c.gradient(np.zeros(1)) for c in problem.components])
-    check_record(records[-1], state, problem, 1.0, 1, grad_star)
-    assert records[-1].lyapunov > 0
-
-
-def test_prox_failure_names_component():
+def test_prox_failure_names_component(monkeypatch):
+    monkeypatch.setattr(solver, "TOL_PROX", 1e-30)
     problem = quad_problem()
-    cfg = SolverConfig(s=2, gamma=0.1, max_iters=5, seed=2, tol_prox=1e-30)
+    cfg = SolverConfig(s=2, gamma=0.1, max_iters=5, seed=2)
     with pytest.raises(ProxFailure) as err:
         run(problem, cfg, np.ones(4) * 100)
     assert 1 <= err.value.index <= 10
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_run_through_prox_bank_matches_per_component_prox(dtype):
+def test_run_through_prox_bank_matches_per_component_prox(dtype, monkeypatch):
     problem = gen_quadratic(GeneratorSpec("quadratic", 12, 4, 1.0, 10.0, seed=3), dtype=dtype)
     assert problem.prox_bank is not None
     unbanked = replace(problem)
@@ -360,7 +294,8 @@ def test_run_through_prox_bank_matches_per_component_prox(dtype):
         assert [(r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in rec_a] == [
             (r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in rec_b
         ]
-    cfg = SolverConfig(s=5, gamma=0.1, max_iters=5, seed=2, tol_prox=1e-30)
+    monkeypatch.setattr(solver, "TOL_PROX", 1e-30)
+    cfg = SolverConfig(s=5, gamma=0.1, max_iters=5, seed=2)
     errors = []
     for p in (problem, unbanked):
         with pytest.raises(ProxFailure) as err:
