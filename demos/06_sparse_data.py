@@ -36,7 +36,7 @@ try:
     print(f"loaded {problem.n} rows, {problem.dim} features; mu={problem.mu}, "
           f"L={problem.L:.4f} (from max row norm)")
 
-    x_star, _ = reference_solution(problem, tol=1e-12)
+    x_star = reference_solution(problem, tol=1e-12)
     problem = replace(problem, known_solution=x_star)
     print("reference minimizer:", np.round(x_star, 6))
 

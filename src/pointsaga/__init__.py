@@ -42,7 +42,7 @@ from .prox import (
     prox_rank_one_quadratic,
     prox_residual,
 )
-from .sampling import SplitMix64, SubsetSample, enumerate_k_subsets, sample_k_subset
+from .sampling import SplitMix64, enumerate_k_subsets, sample_k_subset
 from .solver import (
     SolverConfig,
     SolverState,

@@ -94,6 +94,14 @@ class LyapunovWeights:
             raise InvalidConstants(f"Lyapunov weights overflow at gamma={gamma}")
         return cls(w_x, w_g)
 
+    def psi(self, state, x_star, grad_star):
+        """Psi of the state's iterate and gradient table about the solution
+        x_star, whose component gradients are the rows of grad_star. Shapes
+        are not checked; lyapunov checks them."""
+        d = state.x - x_star
+        e = state.grad_table - grad_star
+        return self.w_x * (d @ d) + self.w_g * (e * e).sum()
+
 
 def theoretical_rate(gamma, s, n, mu, L):
     """Per-iteration contraction factor of E[Psi], as a RateReport."""
@@ -154,18 +162,18 @@ def lyapunov(state, problem, x_star, grad_star, gamma, s):
             f"expected ({problem.n}, {problem.dim})"
         )
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
-    d = state.x - x_star
-    e = state.grad_table - grad_star
-    return w.w_x * (d @ d) + w.w_g * (e * e).sum()
+    return w.psi(state, x_star, grad_star)
 
 
 def reference_solution(problem, tol=1e-12):
-    """Minimizer of the sum plus the component gradients there.
+    """Minimizer x of the sum, as an array of shape (dim,).
 
     All-quadratic problems (every component exposes ``quadratic_terms``) are
     solved directly through the stacked normal equations; anything else runs
     deterministic full-gradient descent with step 1/(nL) until the gradient
-    norm reaches tol.
+    norm reaches tol, within a budget that grows with L/mu. A condition
+    number L/mu that overflows raises InvalidConstants; a budget spent first
+    raises MaxIterations.
     """
     comps = problem.components
     if all(hasattr(c, "quadratic_terms") for c in comps):
@@ -175,11 +183,11 @@ def reference_solution(problem, tol=1e-12):
             Hc, rc = c.quadratic_terms()
             H += Hc
             r += rc
-        x = solve(H, r)
-        grad_star = np.stack([c.gradient(x) for c in comps])
-        return x, grad_star
+        return solve(H, r)
 
     n, L, mu = problem.n, problem.L, problem.mu
+    if not _finite(L / mu):
+        raise InvalidConstants(f"condition number L/mu overflows: mu={mu}, L={L}")
     x = np.zeros(problem.dim)
     g = full_gradient(problem, x)
     g_norm = float(np.sqrt(g @ g))
@@ -197,8 +205,7 @@ def reference_solution(problem, tol=1e-12):
                 f"reference solve: ||grad|| = {g_norm:.3e} > {tol:g} "
                 f"after {max_iters} iterations"
             )
-    grad_star = np.stack([c.gradient(x) for c in comps])
-    return x, grad_star
+    return x
 
 
 def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
@@ -213,13 +220,14 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
 
     rho = theoretical_rate(gamma, s, problem.n, problem.mu, problem.L).rho
     subsets = enumerate_k_subsets(problem.n, s)
+    # lyapunov checks the shapes once; each outcome is then scored with w.psi.
+    rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
+    w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
     total = 0.0
     for sub in subsets:
-        idx0 = np.asarray(sub.indices, dtype=int) - 1
-        nxt = apply_subset_step(state, problem, gamma, idx0)
-        total += lyapunov(nxt, problem, x_star, grad_star, gamma, s)
+        nxt = apply_subset_step(state, problem, gamma, np.asarray(sub, dtype=int) - 1)
+        total += w.psi(nxt, x_star, grad_star)
     lhs = total / len(subsets)
-    rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
     ok = bool(lhs <= rhs + 1e-9 * (1.0 + rhs))
     return lhs, rhs, ok
 

@@ -133,8 +133,7 @@ def _build_problem(args):
         problem = generate(GeneratorSpec(family, n=args.n, dim=args.dim, mu=args.mu,
                                          L=args.L, seed=args.seed))
     if problem.known_solution is None:
-        x_star, _ = reference_solution(problem, tol=1e-12)
-        problem = replace(problem, known_solution=x_star)
+        problem = replace(problem, known_solution=reference_solution(problem, tol=1e-12))
     return problem
 
 

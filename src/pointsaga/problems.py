@@ -22,6 +22,10 @@ from .prox import (
     ProxResult,
 )
 
+#: Cap on rows times features of a dense matrix built by load_libsvm
+#: (10**8 float64 entries are 800 MB).
+MAX_DENSE_ENTRIES = 10**8
+
 
 class QuadraticComponent(ComponentFunction):
     """f(x) = (x - c)' A (x - c) / 2 with A = Q diag(eig) Q'.
@@ -210,10 +214,6 @@ class Dataset:
             raise InconsistentDimension("rows contain non-finite entries")
 
 
-def _attach_solution(problem, x_star):
-    return replace(problem, known_solution=x_star)
-
-
 def gen_quadratic(spec, dtype=np.float64):
     """Random-rotation quadratics: f_i(x) = (x - c_i)' A_i (x - c_i) / 2.
 
@@ -244,8 +244,7 @@ def gen_quadratic(spec, dtype=np.float64):
             QuadraticComponent(Q.astype(dtype), eig.astype(dtype), c.astype(dtype))
         )
     problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
-    x_star, _ = reference_solution(problem)
-    return _attach_solution(problem, x_star)
+    return replace(problem, known_solution=reference_solution(problem))
 
 
 def gen_ridge_regression(spec, dtype=np.float64):
@@ -268,8 +267,7 @@ def gen_ridge_regression(spec, dtype=np.float64):
         for i in range(spec.n)
     ]
     problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
-    x_star, _ = reference_solution(problem)
-    return _attach_solution(problem, x_star)
+    return replace(problem, known_solution=reference_solution(problem))
 
 
 def gen_logistic_ridge(spec):
@@ -292,8 +290,7 @@ def gen_logistic_ridge(spec):
         LogisticRidgeComponent(rows[i], labels[i], spec.mu) for i in range(spec.n)
     ]
     problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
-    x_star, _ = reference_solution(problem, tol=1e-12)
-    return _attach_solution(problem, x_star)
+    return replace(problem, known_solution=reference_solution(problem, tol=1e-12))
 
 
 def load_libsvm(path, mu):
@@ -301,14 +298,15 @@ def load_libsvm(path, mu):
 
     The file is UTF-8. Indices are 1-based and must increase strictly within
     each line; '#' starts a comment; labels must be +-1; every row's squared
-    norm must be finite. Rows keep their scale, so the smoothness constant is
-    the conservative mu + max_i ||a_i||^2 / 4.
+    norm must be finite. Rows are stored dense, so rows times the largest
+    index may not exceed MAX_DENSE_ENTRIES. Rows keep their scale, so the
+    smoothness constant is the conservative mu + max_i ||a_i||^2 / 4.
     """
     if not (_finite(mu) and mu > 0):
         raise InvalidSpec(f"mu must be finite and > 0, got {mu}")
     sparse_rows = []
     labels = []
-    max_idx = 0
+    max_idx = max_line = 0
     # surrogateescape keeps undecodable bytes, so a bad line can be named.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -347,13 +345,20 @@ def load_libsvm(path, mu):
                 idxs.append(idx)
                 vals.append(val)
                 prev = idx
-            max_idx = max(max_idx, prev)
+            if prev > max_idx:
+                max_idx, max_line = prev, line_no
             sparse_rows.append((line_no, idxs, vals))
             labels.append(label)
     if not sparse_rows:
         raise EmptyFile(f"{path}: no data lines")
     if max_idx == 0:
         raise EmptyFile(f"{path}: rows carry no features")
+    if len(sparse_rows) * max_idx > MAX_DENSE_ENTRIES:
+        raise ParseError(
+            max_line,
+            f"{len(sparse_rows)} rows of width {max_idx} exceed "
+            f"{MAX_DENSE_ENTRIES} dense entries",
+        )
 
     rows = np.zeros((len(sparse_rows), max_idx))
     for i, (_, idxs, vals) in enumerate(sparse_rows):

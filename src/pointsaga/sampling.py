@@ -16,7 +16,6 @@ a partial Fisher-Yates shuffle, so every s-subset is exactly equiprobable.
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import EnumerationTooLarge, InvalidBatchSize
 
@@ -50,19 +49,9 @@ class SplitMix64:
                 return u % k
 
 
-@dataclass(frozen=True)
-class SubsetSample:
-    """A sorted s-subset of {1..n} (1-based indices)."""
-
-    indices: tuple = field(default=())
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("indices must be strictly increasing")
-
-
 def sample_k_subset(rng, n, s):
-    """Draw one of the C(n, s) subsets uniformly at random.
+    """Draw one of the C(n, s) subsets uniformly at random, as a strictly
+    increasing tuple of 1-based indices.
 
     Partial Fisher-Yates over [1..n]: the first s entries after s swap steps
     are a uniform s-permutation; sorting forgets order, leaving a uniform
@@ -77,16 +66,15 @@ def sample_k_subset(rng, n, s):
         j = i + rng.next_below(n - i)
         picked.append(displaced.get(j, j + 1))
         displaced[j] = displaced.get(i, i + 1)
-    return SubsetSample(tuple(sorted(picked)))
+    return tuple(sorted(picked))
 
 
 def enumerate_k_subsets(n, s):
-    """All C(n, s) subsets exactly once, in lexicographic order."""
+    """All C(n, s) subsets exactly once, in lexicographic order, each a
+    strictly increasing tuple of 1-based indices."""
     if not 1 <= s <= n:
         raise InvalidBatchSize(f"need 1 <= s <= n, got s={s}, n={n}")
     total = math.comb(n, s)
     if total > ENUMERATION_CAP:
         raise EnumerationTooLarge(f"C({n}, {s}) = {total} exceeds cap {ENUMERATION_CAP}")
-    return [
-        SubsetSample(combo) for combo in itertools.combinations(range(1, n + 1), s)
-    ]
+    return list(itertools.combinations(range(1, n + 1), s))

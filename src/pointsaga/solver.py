@@ -168,21 +168,21 @@ def apply_subset_step(state, problem, gamma, indices0):
 def _step(state, problem, config, rng, gamma, table):
     """Sample, advance and maybe refresh, writing into ``table`` (a copy of
     state.grad_table, or run's own table); returns (x_new, g_new)."""
-    sub = sample_k_subset(rng, problem.n, config.s)
-    idx0 = np.asarray(sub.indices, dtype=int) - 1
+    idx0 = np.asarray(sample_k_subset(rng, problem.n, config.s), dtype=int) - 1
     x_new, g_new = _advance(state, problem, gamma, idx0, table)
     if config.refresh_every is not None and (state.t + 1) % config.refresh_every == 0:
         g_new = table.mean(axis=0)
     return x_new, g_new
 
 
-def step(state, problem, config, rng, gamma=None):
-    """Draw the iteration's subset, run one step, and maybe refresh g_avg.
+def step(state, problem, config, rng, gamma):
+    """Draw the iteration's subset, run one step at stepsize gamma, and maybe
+    refresh g_avg.
 
-    Pure, like apply_subset_step: the input state is left untouched.
+    gamma is the resolved stepsize (see SolverConfig.resolve_gamma); config
+    supplies s and the refresh cadence. Pure, like apply_subset_step: the
+    input state is left untouched.
     """
-    if gamma is None:
-        gamma = config.resolve_gamma(problem)
     table = state.grad_table.copy()
     x_new, g_new = _step(state, problem, config, rng, gamma, table)
     return SolverState(t=state.t + 1, x=x_new, grad_table=table, g_avg=g_new)
@@ -236,9 +236,8 @@ def run(problem, config, x0):
         dist_sq = lyap = None
         if x_star is not None:
             d = st.x - x_star
-            e = st.grad_table - grad_star
             dist_sq = d @ d
-            lyap = weights.w_x * dist_sq + weights.w_g * (e * e).sum()
+            lyap = weights.psi(st, x_star, grad_star)
         records.append(TraceRecord(t=st.t, dist_sq=dist_sq, lyapunov=lyap,
                                    table_drift=table_drift(st),
                                    wall_ns=time.perf_counter_ns() - t_begin))

@@ -4,6 +4,7 @@ import pytest
 from pointsaga import (
     FiniteSumProblem,
     GeneratorSpec,
+    LogisticRidgeComponent,
     LyapunovWeights,
     QuadraticComponent,
     SolverConfig,
@@ -12,6 +13,7 @@ from pointsaga import (
     consensus_dr_run,
     defazio_rate,
     dr_rate,
+    full_gradient,
     gen_logistic_ridge,
     gen_quadratic,
     initialize,
@@ -191,23 +193,30 @@ def test_lyapunov_weights_reject_overflow(gamma, mu, L):
 
 def test_reference_solution_trivial():
     problem = one_dim_problem()
-    x, grad = reference_solution(problem)
+    x = reference_solution(problem)
     assert abs(x[0]) <= 1e-14
-    assert abs(grad[0, 0]) <= 1e-14
+    assert abs(problem.components[0].gradient(x)[0]) <= 1e-14
 
 
 def test_reference_solution_recovers_planted_minimizer():
     problem = gen_quadratic(GeneratorSpec("quadratic", 6, 4, 1.0, 10.0, seed=8))
-    x, _ = reference_solution(problem)
+    x = reference_solution(problem)
     assert np.linalg.norm(x - problem.known_solution) <= 1e-10
 
 
 def test_reference_solution_logistic_self_certifying():
     problem = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 4, 2, 1.0, 5.0, seed=4))
     bare = FiniteSumProblem(problem.components, problem.mu, problem.L, problem.dim)
-    x, grad = reference_solution(bare, tol=1e-10)
-    total = grad.sum(axis=0)
-    assert np.linalg.norm(total) <= 1e-10
+    x = reference_solution(bare, tol=1e-10)
+    assert np.linalg.norm(full_gradient(bare, x)) <= 1e-10
+
+
+def test_reference_solution_rejects_overflowing_condition_number():
+    # L/mu = inf would make the descent budget int(inf); raise before that.
+    comps = (LogisticRidgeComponent(np.array([1.0, 0.5]), 1.0, 1e-310),)
+    bare = FiniteSumProblem(comps, 1e-310, 1.0, 2)
+    with pytest.raises(InvalidConstants):
+        reference_solution(bare)
 
 
 # --- one-step contraction -----------------------------------------------------------

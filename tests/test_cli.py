@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pointsaga import cli, theoretical_rate
@@ -152,6 +153,36 @@ def test_run_undecodable_or_overflowing_data_file_exits_3(tmp_path, capsys, cont
     out.mkdir()
     assert cli.main(run_args(out, problem=f"file:{data}")) == 3
     assert "line 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("problem", ["logistic", "file"])
+def test_run_subnormal_mu_exits_2_and_writes_nothing(tmp_path, capsys, problem):
+    # L/mu overflows, so the reference solve has no finite iteration budget.
+    if problem == "file":
+        data = tmp_path / "data.txt"
+        data.write_text("+1 1:1.0 2:0.5\n-1 1:-0.4 2:1.0\n")
+        problem = f"file:{data}"
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(run_args(out, problem=problem, mu="1e-310", L="1")) == 2
+    assert "InvalidConstants" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_run_wide_index_data_file_exits_3(tmp_path, capsys, monkeypatch):
+    # A dense row of width 10**12 would be 8 TB; np.zeros raises here, so a
+    # missing width check fails the test instead of allocating.
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("dense matrix allocated")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    data = tmp_path / "data.txt"
+    data.write_text("+1 1000000000000:1\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(run_args(out, problem=f"file:{data}")) == 3
+    assert "line 1" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

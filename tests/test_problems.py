@@ -1,5 +1,7 @@
 import math
+import sys
 import tempfile
+import threading
 
 import hypothesis.configuration
 import numpy as np
@@ -26,7 +28,7 @@ from pointsaga.errors import (
     ParseError,
     PointSagaError,
 )
-from pointsaga.problems import QuadraticBank
+from pointsaga.problems import MAX_DENSE_ENTRIES, QuadraticBank
 
 # Hypothesis caches unicode tables and source constants in its home directory,
 # ./.hypothesis by default. Its pytest plugin fills that cache while collecting,
@@ -124,6 +126,49 @@ def test_quadratic_bank_rows_match_component_prox(dtype):
                 one = problem.components[i].prox(gamma, Z[k])
                 assert np.array_equal(P[k], one.point)
                 assert residual[k] == one.residual
+
+
+def test_shared_quadratic_prox_is_thread_safe():
+    # Each object caches the resolvent of its last gamma; four threads cycling
+    # through three gammas keep replacing that cache under one another.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 4, 1.0, 10.0, seed=12))
+    comp, bank = problem.components[2], problem.prox_bank
+    gammas = (0.05, 0.8, 12.0)
+    idx = np.array([0, 2, 5])
+    Z = np.random.default_rng(13).normal(size=(3, 4)) * 5.0
+
+    def prox_both(gamma):
+        one = comp.prox(gamma, Z[0])
+        P, residual = bank.prox(gamma, idx, Z)
+        return one.point, one.residual, P, residual
+
+    serial = {gamma: prox_both(gamma) for gamma in gammas}
+    results = [[] for _ in range(4)]
+    start = threading.Barrier(4, timeout=30)
+
+    def worker(out, offset):
+        start.wait()
+        for k in range(200):
+            gamma = gammas[(k + offset) % 3]
+            out.append((gamma, prox_both(gamma)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=worker, args=(results[i], i))
+                   for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(th.is_alive() for th in threads)
+    assert [len(out) for out in results] == [200] * 4
+    for out in results:
+        for gamma, got in out:
+            assert all(np.array_equal(a, b) for a, b in zip(got, serial[gamma]))
 
 
 def test_prox_bank_needs_one_quadratic_shape_and_dtype():
@@ -225,11 +270,11 @@ def test_logistic_label_row_negation_invariance():
         problem.L,
         problem.dim,
     )
-    x_orig, _ = reference_solution(
+    x_orig = reference_solution(
         FiniteSumProblem(problem.components, problem.mu, problem.L, problem.dim),
         tol=1e-12,
     )
-    x_flip, _ = reference_solution(flipped, tol=1e-12)
+    x_flip = reference_solution(flipped, tol=1e-12)
     assert np.array_equal(x_orig, x_flip)
 
 
@@ -328,6 +373,21 @@ def test_load_rejects_overflowing_row_norm(tmp_path, row):
     with pytest.raises(ParseError) as err:
         load_libsvm(path, mu=1.0)
     assert err.value.line_no == 2
+
+
+def test_load_rejects_wide_index_before_allocating(tmp_path, monkeypatch):
+    # One row of width 10**12 would be 8 TB dense. np.zeros raises here, so a
+    # missing check fails the test instead of allocating.
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("dense matrix allocated")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    path = tmp_path / "wide.txt"
+    path.write_text("+1 1:1.0\n-1 3:1.0 1000000000000:1.0\n+1 2:1.0\n")
+    with pytest.raises(ParseError) as err:
+        load_libsvm(path, mu=1.0)
+    assert err.value.line_no == 2
+    assert str(MAX_DENSE_ENTRIES) in str(err.value)
 
 
 # Indices stay small, and junk text has no digits to form one, so that no

@@ -6,7 +6,6 @@ import pytest
 from pointsaga.errors import EnumerationTooLarge, InvalidBatchSize
 from pointsaga.sampling import (
     SplitMix64,
-    SubsetSample,
     enumerate_k_subsets,
     sample_k_subset,
 )
@@ -15,7 +14,7 @@ from pointsaga.sampling import (
 def test_full_batch_is_the_only_subset():
     rng = SplitMix64(99)
     for _ in range(20):
-        assert sample_k_subset(rng, 5, 5).indices == (1, 2, 3, 4, 5)
+        assert sample_k_subset(rng, 5, 5) == (1, 2, 3, 4, 5)
 
 
 def test_pair_frequencies_are_uniform():
@@ -24,7 +23,7 @@ def test_pair_frequencies_are_uniform():
     draws = 300_000
     for _ in range(draws):
         s = sample_k_subset(rng, 3, 2)
-        counts[s.indices] = counts.get(s.indices, 0) + 1
+        counts[s] = counts.get(s, 0) + 1
     assert set(counts) == {(1, 2), (1, 3), (2, 3)}
     for c in counts.values():
         assert abs(c / draws - 1 / 3) <= 0.005
@@ -35,7 +34,7 @@ def test_singleton_frequencies_are_uniform():
     counts = np.zeros(5, dtype=int)
     draws = 500_000
     for _ in range(draws):
-        counts[sample_k_subset(rng, 5, 1).indices[0] - 1] += 1
+        counts[sample_k_subset(rng, 5, 1)[0] - 1] += 1
     assert np.all(np.abs(counts / draws - 0.2) <= 0.003)
 
 
@@ -45,7 +44,7 @@ def test_inclusion_probability_band():
     rng = SplitMix64(123)
     included = np.zeros(n, dtype=int)
     for _ in range(draws):
-        for i in sample_k_subset(rng, n, s).indices:
+        for i in sample_k_subset(rng, n, s):
             included[i - 1] += 1
     p = s / n
     sigma = math.sqrt(p * (1 - p) / draws)
@@ -56,7 +55,7 @@ def test_stream_determinism():
     a = SplitMix64(42)
     b = SplitMix64(42)
     for _ in range(200):
-        assert sample_k_subset(a, 17, 4).indices == sample_k_subset(b, 17, 4).indices
+        assert sample_k_subset(a, 17, 4) == sample_k_subset(b, 17, 4)
 
 
 def test_known_stream_head():
@@ -81,29 +80,24 @@ def test_invalid_batch_sizes():
 
 def test_enumerate_pairs_of_three():
     subs = enumerate_k_subsets(3, 2)
-    assert [s.indices for s in subs] == [(1, 2), (1, 3), (2, 3)]
+    assert subs == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_enumerate_singletons():
     subs = enumerate_k_subsets(4, 1)
-    assert [s.indices for s in subs] == [(1,), (2,), (3,), (4,)]
+    assert subs == [(1,), (2,), (3,), (4,)]
 
 
 def test_enumerate_six_choose_three():
     subs = enumerate_k_subsets(6, 3)
     assert len(subs) == math.comb(6, 3) == 20
-    assert len({s.indices for s in subs}) == 20
-    assert [s.indices for s in subs] == sorted(s.indices for s in subs)
+    assert len(set(subs)) == 20
+    assert subs == sorted(subs)
 
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationTooLarge):
         enumerate_k_subsets(30, 15)
-
-
-def test_subset_sample_rejects_disorder():
-    with pytest.raises(ValueError):
-        SubsetSample((2, 1))
 
 
 def dense_sample_k_subset(rng, n, s):
@@ -124,7 +118,7 @@ def dense_sample_k_subset(rng, n, s):
 def test_sparse_sampler_matches_dense_stream(n, s, seed):
     sparse, dense = SplitMix64(seed), SplitMix64(seed)
     for _ in range(30):
-        assert sample_k_subset(sparse, n, s).indices == dense_sample_k_subset(
+        assert sample_k_subset(sparse, n, s) == dense_sample_k_subset(
             dense, n, s
         )
         assert sparse.state == dense.state
