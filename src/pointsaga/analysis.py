@@ -32,6 +32,9 @@ from .errors import (
 from .model import full_gradient
 from .sampling import enumerate_k_subsets
 
+#: Cap on the full-gradient passes reference_solution's descent may budget.
+MAX_REFERENCE_PASSES = 10**8
+
 
 def _finite(value):
     """True for a finite real number; False for inf, NaN and non-numbers."""
@@ -107,6 +110,8 @@ def theoretical_rate(gamma, s, n, mu, L):
     """Per-iteration contraction factor of E[Psi], as a RateReport."""
     _check_constants(mu, L, gamma=gamma, s=s, n=n)
     rho_prox = 1.0 - 2.0 * gamma * mu * L / (L + mu + 2.0 * gamma * mu * L)
+    if not _finite(rho_prox):  # 2 gamma mu L overflows: inf / inf
+        raise InvalidConstants(f"rate overflows at gamma={gamma}, mu={mu}, L={L}")
     rho_sample = 1.0 - 2.0 / (gamma * (L + mu) + 2.0) * s / n
     report = RateReport(rho_prox, rho_sample, max(rho_prox, rho_sample))
     if s == 1:
@@ -119,7 +124,13 @@ def theoretical_rate(gamma, s, n, mu, L):
 def optimal_stepsize(s, n, mu, L):
     """Stepsize sqrt(s / (L mu n)) balancing the two rate terms."""
     _check_constants(mu, L, s=s, n=n)
-    return math.sqrt(s / (L * mu * n))
+    try:
+        gamma = math.sqrt(s / (L * mu * n))
+    except ZeroDivisionError:  # L * mu * n underflows to 0
+        gamma = math.inf
+    if not _finite(gamma):
+        raise InvalidConstants(f"balanced stepsize overflows: mu={mu}, L={L}, n={n}")
+    return gamma
 
 
 def iteration_complexity(gamma, s, n, mu, L, psi0, eps):
@@ -172,8 +183,8 @@ def reference_solution(problem, tol=1e-12):
     solved directly through the stacked normal equations; anything else runs
     deterministic full-gradient descent with step 1/(nL) until the gradient
     norm reaches tol, within a budget that grows with L/mu. A condition
-    number L/mu that overflows raises InvalidConstants; a budget spent first
-    raises MaxIterations.
+    number L/mu that overflows raises InvalidConstants; a budget over
+    MAX_REFERENCE_PASSES, or one spent first, raises MaxIterations.
     """
     comps = problem.components
     if all(hasattr(c, "quadratic_terms") for c in comps):
@@ -191,7 +202,11 @@ def reference_solution(problem, tol=1e-12):
     x = np.zeros(problem.dim)
     g = full_gradient(problem, x)
     g_norm = float(np.sqrt(g @ g))
-    max_iters = int(10 * (L / mu) * (math.log(max(g_norm / tol, math.e)))) + 100
+    budget = 10 * (L / mu) * (math.log(max(g_norm / tol, math.e)))
+    if budget + 100 > MAX_REFERENCE_PASSES:
+        raise MaxIterations(f"reference solve: a budget of {budget + 100:.3g} "
+                            f"passes exceeds {MAX_REFERENCE_PASSES}")
+    max_iters = int(budget) + 100
     step_size = 1.0 / (n * L)
     for _ in range(max_iters):
         if g_norm <= tol:

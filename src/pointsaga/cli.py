@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import reference_solution, theoretical_rate
+from .analysis import _finite, reference_solution, theoretical_rate
 from .errors import (
     EmptyFile,
     InconsistentDimension,
@@ -112,10 +112,14 @@ def build_parser():
     return parser
 
 
-def _check_repeats(args):
+def _check_flags(args):
+    """Reject flag values no problem can use, before any problem is built."""
     # With no repeats there is nothing to average: the summary would hold NaN.
     if args.repeats < 1:
         raise PointSagaError(f"--repeats must be >= 1, got {args.repeats}")
+    # A file: problem never seeds numpy, so the generators' check misses it.
+    if args.seed < 0:
+        raise PointSagaError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _build_problem(args):
@@ -159,9 +163,9 @@ def _write_trace(path, records):
             )
 
 
-def _empirical_contraction(records, burn_in=10):
-    """Per-iteration geometric-mean Psi ratio after the burn-in."""
-    pts = [(r.t, r.lyapunov) for r in records if r.t >= burn_in]
+def _empirical_contraction(records):
+    """Per-iteration geometric-mean Psi ratio from iteration 10 on."""
+    pts = [(r.t, r.lyapunov) for r in records if r.t >= 10]
     if len(pts) < 2:
         return None
     (t0, p0), (t1, p1) = pts[0], pts[-1]
@@ -218,7 +222,7 @@ def _solve_cell(problem, args, gamma, s, threshold=None, trace_dir=None):
 
 
 def cmd_run(args):
-    _check_repeats(args)
+    _check_flags(args)
     problem = _build_problem(args)
     gamma = _stepsize(problem, args, args.s, args.gamma)
     report = theoretical_rate(gamma, args.s, problem.n, problem.mu, problem.L)
@@ -234,7 +238,9 @@ def cmd_run(args):
 def cmd_sweep(args):
     if args.gammas is None and args.ss is None:
         raise PointSagaError("sweep needs --gammas and/or --ss")
-    _check_repeats(args)
+    _check_flags(args)
+    if not (_finite(args.threshold) and args.threshold > 0):
+        raise PointSagaError(f"--threshold must be finite and > 0, got {args.threshold}")
     gammas = args.gammas if args.gammas is not None else [args.gamma]
     ss = args.ss if args.ss is not None else [args.s]
 

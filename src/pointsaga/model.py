@@ -43,10 +43,32 @@ class ComponentFunction(ABC):
 
     @classmethod
     def stack(cls, components):
-        """A bank whose ``prox(gamma, idx, Z)`` returns the prox points of
-        components[idx[k]] at Z[k] and their resolvent defects in one call,
-        or None to prox the components one at a time."""
-        return None
+        """The bank through which the solver evaluates these components, all
+        of class cls; a family may override it to batch them."""
+        return ComponentBank(components)
+
+
+class ComponentBank:
+    """The components of a problem, evaluated one at a time. A family's
+    ``stack`` may return a subclass that batches them to the same results."""
+
+    def __init__(self, components):
+        self.components = components
+
+    def gradients(self, x):
+        """n-by-d array whose row i is components[i].gradient(x)."""
+        return np.stack([c.gradient(x) for c in self.components])
+
+    def prox(self, gamma, idx, Z):
+        """(P, residuals): row k of P, in Z's dtype, is the prox of component
+        idx[k] at Z[k], and residuals[k] is its resolvent defect."""
+        P = np.empty_like(Z)
+        residuals = []
+        for k, i in enumerate(idx.tolist()):
+            result = self.components[i].prox(gamma, Z[k])  # perfbench reads z as args[2]
+            P[k] = result.point
+            residuals.append(result.residual)
+        return P, np.array(residuals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +86,8 @@ class FiniteSumProblem:
         Ambient dimension d.
     known_solution : ndarray or None
         Minimizer of the sum, when available. Validated for stationarity.
-    prox_bank : object or None
-        The components' ``stack`` when all share one class, else None.
+    bank : ComponentBank
+        The components' ``stack`` when all share one class, else the default.
     """
 
     components: tuple
@@ -73,7 +95,7 @@ class FiniteSumProblem:
     L: float
     dim: int
     known_solution: np.ndarray | None = field(default=None)
-    prox_bank: object = field(default=None, init=False, repr=False)
+    bank: ComponentBank = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.components) == 0:
@@ -95,9 +117,8 @@ class FiniteSumProblem:
                     f"||sum grad f_i(x*)|| = {norm:.3e} exceeds n*{TOL_STAR:g}"
                 )
         kinds = {type(c) for c in self.components}
-        stack = getattr(kinds.pop(), "stack", None) if len(kinds) == 1 else None
-        if stack is not None:
-            object.__setattr__(self, "prox_bank", stack(self.components))
+        stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
+        object.__setattr__(self, "bank", stack(self.components))
 
     @property
     def n(self):

@@ -13,8 +13,9 @@ import numpy as np
 
 from .analysis import _finite, reference_solution
 from .errors import EmptyFile, InconsistentDimension, InvalidSpec, ParseError
-from .model import ComponentFunction, assemble_problem
+from .model import ComponentBank, ComponentFunction, assemble_problem
 from .prox import (
+    TOL_PROX,
     prox_generic,
     prox_logistic_ridge,
     prox_rank_one_quadratic,
@@ -22,7 +23,7 @@ from .prox import (
     ProxResult,
 )
 
-#: Cap on rows times features of a dense matrix built by load_libsvm
+#: Cap on the entries of the dense arrays a generator or load_libsvm builds
 #: (10**8 float64 entries are 800 MB).
 MAX_DENSE_ENTRIES = 10**8
 
@@ -71,14 +72,14 @@ class QuadraticComponent(ComponentFunction):
 
     @classmethod
     def stack(cls, components):
-        if cls.prox is not QuadraticComponent.prox:
-            return None  # a subclass with its own prox is proxed through it
         kinds = {(c.A.shape, c.A.dtype, c._Ac.dtype, c.Q.dtype, c.eig.dtype)
                  for c in components}
-        return QuadraticBank(components) if len(kinds) == 1 else None
+        if cls.prox is QuadraticComponent.prox and len(kinds) == 1:
+            return QuadraticBank(components)
+        return super().stack(components)  # calls a subclass's own prox
 
 
-class QuadraticBank:
+class QuadraticBank(ComponentBank):
     """Quadratic components of one shape and dtype, stacked so that one call
     proxes a whole subset. Row k of the result is bitwise what
     ``components[idx[k]].prox`` returns: the same operations in the same
@@ -86,7 +87,7 @@ class QuadraticBank:
     """
 
     def __init__(self, components):
-        self.components = components
+        super().__init__(components)
         self.A = np.stack([c.A for c in components])
         self.Ac = np.stack([c._Ac for c in components])
         self._cache = (None, None, None)
@@ -104,7 +105,7 @@ class QuadraticBank:
         M, g_Ac = self._resolvent(gamma)
         P = _matvecs(M[idx], Z + g_Ac[idx])
         D = P + gamma * (_matvecs(self.A[idx], P) - self.Ac[idx]) - Z
-        return P, np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+        return P.astype(Z.dtype, copy=False), np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
 
 
 def _matvecs(M, V):
@@ -139,11 +140,10 @@ class RankOneRidgeComponent(ComponentFunction):
 class LogisticRidgeComponent(ComponentFunction):
     """f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2, y in {-1, +1}."""
 
-    def __init__(self, a, y, mu_reg, tol=1e-12):
+    def __init__(self, a, y, mu_reg):
         self.a = np.asarray(a, dtype=float)
         self.y = float(y)
         self.mu_reg = mu_reg
-        self.tol = tol
 
     def value(self, x):
         margin = -self.y * (self.a @ x)
@@ -154,18 +154,17 @@ class LogisticRidgeComponent(ComponentFunction):
         return -self.y * s * self.a + self.mu_reg * x
 
     def prox(self, gamma, z):
-        return prox_logistic_ridge(self.a, self.y, self.mu_reg, gamma, z, self.tol)
+        return prox_logistic_ridge(self.a, self.y, self.mu_reg, gamma, z)
 
 
 class GenericComponent(ComponentFunction):
     """Component from bare value/gradient callables; prox by inner descent."""
 
-    def __init__(self, value_fn, grad_fn, mu, L, tol=1e-10):
+    def __init__(self, value_fn, grad_fn, mu, L):
         self._value = value_fn
         self._grad = grad_fn
         self.mu = mu
         self.L = L
-        self.tol = tol
 
     def value(self, x):
         return self._value(x)
@@ -174,7 +173,7 @@ class GenericComponent(ComponentFunction):
         return self._grad(x)
 
     def prox(self, gamma, z):
-        return prox_generic(self, gamma, z, self.tol, self.mu, self.L)
+        return prox_generic(self, gamma, z, TOL_PROX, self.mu, self.L)
 
 
 @dataclass(frozen=True)
@@ -195,6 +194,16 @@ class GeneratorSpec:
             raise InvalidSpec(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
         if not (_finite(self.mu) and _finite(self.L) and 0 < self.mu <= self.L):
             raise InvalidSpec(f"need finite 0 < mu <= L, got mu={self.mu}, L={self.L}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        # Quadratics hold n d-by-d matrices; ridge rows are n-by-d and its
+        # normal equations d-by-d; logistic rows are n-by-d.
+        n, d = self.n, self.dim
+        entries = {"quadratic": n * d * d, "ridge_regression": max(n * d, d * d),
+                   "logistic_ridge": n * d}[self.family]
+        if entries > MAX_DENSE_ENTRIES:
+            raise InvalidSpec(f"n={n}, dim={d} needs {entries} dense entries, "
+                              f"over {MAX_DENSE_ENTRIES}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,7 @@ and returns a fresh state. run owns the state that initialize builds for it
 and advances it, table included, in place, so one of its iterations costs
 O(s*d) whatever n is. Its Lyapunov value and table drift are O(n*d) passes
 made once per trace record, so trace_every sets the cost of diagnostics.
-A problem with a prox_bank proxes the whole subset in one call; otherwise
-each sampled component is proxed in turn.
+Components are reached only through the problem's bank (model.ComponentBank).
 """
 
 import time
@@ -101,7 +100,7 @@ def initialize(problem, config, x0):
     """Build the t=0 state: iterate x0, gradient table per init_gradients."""
     x0 = problem.check_point(x0)
     if config.init_gradients == "at_x0":
-        table = np.stack([comp.gradient(x0) for comp in problem.components])
+        table = problem.bank.gradients(x0)
     elif config.init_gradients == "zeros":
         table = np.zeros((problem.n, problem.dim), dtype=x0.dtype)
     else:
@@ -126,21 +125,11 @@ def _advance(state, problem, gamma, idx, table):
 
     z = x_old[None, :] + gamma * (table[idx] - g_avg[None, :])
     bound = TOL_PROX * (1 + np.sqrt((z * z).sum(axis=1)))
-    if problem.prox_bank is not None:
-        outs, residual = problem.prox_bank.prox(gamma, idx, z)
-        outs = outs.astype(z.dtype, copy=False)
-        ok = residual <= bound
-        if not ok.all():
-            k = int(np.argmin(ok))  # the first failing row
-            raise ProxFailure(int(idx[k]) + 1, float(residual[k]))
-    else:
-        outs = np.empty_like(z)
-        components = problem.components
-        for k, i in enumerate(idx.tolist()):
-            result = components[i].prox(gamma, z[k])
-            if not result.residual <= bound[k]:
-                raise ProxFailure(i + 1, float(result.residual))
-            outs[k] = result.point
+    outs, residual = problem.bank.prox(gamma, idx, z)
+    ok = residual <= bound
+    k = ok.argmin()  # the first failing row, if any row fails
+    if not ok[k]:
+        raise ProxFailure(int(idx[k]) + 1, float(residual[k]))
 
     table[idx] = (z - outs) / gamma
     x_new = outs.mean(axis=0)  # idx is sorted: ascending-index reduction
@@ -227,7 +216,7 @@ def run(problem, config, x0):
         from .analysis import LyapunovWeights
 
         x_star = np.asarray(x_star, dtype=state.x.dtype)
-        grad_star = np.stack([c.gradient(x_star) for c in problem.components])
+        grad_star = problem.bank.gradients(x_star)
         weights = LyapunovWeights.from_constants(gamma, config.s, problem.mu, problem.L)
 
     t_begin = time.perf_counter_ns()

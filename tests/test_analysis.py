@@ -24,7 +24,13 @@ from pointsaga import (
     theoretical_rate,
     verify_one_step_contraction,
 )
-from pointsaga.errors import DimensionMismatch, EpsNotBelowPsi0, InvalidConstants
+from pointsaga import analysis
+from pointsaga.errors import (
+    DimensionMismatch,
+    EpsNotBelowPsi0,
+    InvalidConstants,
+    MaxIterations,
+)
 from pointsaga.sampling import SplitMix64
 from pointsaga.solver import step
 
@@ -71,6 +77,8 @@ def test_rate_validates_constants():
         theoretical_rate(-1.0, 1, 1, 1.0, 1.0)
     with pytest.raises(InvalidConstants):
         theoretical_rate(1.0, 2, 1, 1.0, 1.0)
+    with pytest.raises(InvalidConstants, match="overflows"):  # was a NaN rho
+        theoretical_rate(1e300, 1, 1, 1e300, 1e300)
 
 
 def test_optimal_stepsize_values():
@@ -80,6 +88,13 @@ def test_optimal_stepsize_values():
     g1 = optimal_stepsize(3, 20, 1.0, 10.0)
     g2 = optimal_stepsize(3, 20, 2.0, 20.0)
     assert abs(g2 - g1 / 2) <= 1e-15
+
+
+@pytest.mark.parametrize("mu,n", [(5e-324, 50), (1e-160, 1)], ids=["product-0", "ratio-inf"])
+def test_optimal_stepsize_rejects_overflow(mu, n):
+    with pytest.raises(InvalidConstants, match="overflows"):
+        optimal_stepsize(1, n, mu, mu)
+
 
 
 def test_rho_below_one_at_optimal_stepsize():
@@ -216,6 +231,26 @@ def test_reference_solution_rejects_overflowing_condition_number():
     comps = (LogisticRidgeComponent(np.array([1.0, 0.5]), 1.0, 1e-310),)
     bare = FiniteSumProblem(comps, 1e-310, 1.0, 2)
     with pytest.raises(InvalidConstants):
+        reference_solution(bare)
+
+
+def test_reference_solution_rejects_oversized_budget_before_descending(monkeypatch):
+    # L/mu = 2e300 is finite, but its budget is about 10**302 passes. The
+    # patched gradient fails the test on the first descent pass instead of
+    # letting it run.
+    comps = tuple(LogisticRidgeComponent(np.array([1.0, k]), 1.0, 0.5) for k in range(3))
+    bare = FiniteSumProblem(comps, 0.5, 1e300, 2)
+    real = analysis.full_gradient
+    calls = []
+
+    def full_gradient_twice(problem, x):
+        calls.append(x)
+        if len(calls) > 2:
+            raise AssertionError("descent started")
+        return real(problem, x)
+
+    monkeypatch.setattr(analysis, "full_gradient", full_gradient_twice)
+    with pytest.raises(MaxIterations, match=str(analysis.MAX_REFERENCE_PASSES)):
         reference_solution(bare)
 
 

@@ -1,12 +1,21 @@
 import json
 import math
+import os
+import tempfile
 
+import hypothesis.configuration
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pointsaga import cli, theoretical_rate
 import pointsaga.solver
 import pointsaga.verify
+
+# Hypothesis caches unicode tables and source constants in its home directory,
+# ./.hypothesis by default; point it at a directory removed when the run ends.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def read_csv(path):
@@ -307,3 +316,96 @@ def test_zero_repeats_exit_2_and_write_nothing(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "--repeats must be >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("problem", ["quad", "file"])
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, problem):
+    # A file: problem never seeds numpy, so the flag itself is checked.
+    if problem == "file":
+        data = tmp_path / "data.txt"
+        data.write_text("+1 1:1.0 2:0.5\n-1 1:-0.4 2:1.0\n")
+        problem = f"file:{data}"
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = run_args(out, problem=problem, seed="-1", n="2", dim="2", s="1")
+    assert cli.main(argv) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    argv[0] = "sweep"
+    assert cli.main(argv + ["--ss", "1"]) == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_sweep_bad_threshold_exits_2_and_writes_nothing(tmp_path, capsys, threshold):
+    argv = run_args(tmp_path, iters="3")
+    argv[0] = "sweep"
+    assert cli.main(argv + ["--ss", "4", "--threshold", threshold]) == 2
+    assert "--threshold must be finite and > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# --- argv property test ----------------------------------------------------------
+
+# Flag values from edge sets: negative, zero, tiny, huge, nan, inf and
+# non-numeric. Huge sizes lie above every dense-entry cap, so they are rejected
+# before anything is allocated; --iters and --repeats stay at 3 or less.
+_INTS = ["-1", "0", "1", "2", "3", str(10**9), "1.5", "x"]
+_SMALL_INTS = ["-1", "0", "1", "3", "x"]
+_FLOATS = ["-1", "0", "5e-324", "1e-300", "0.5", "1", "10", "1e300", "nan", "inf",
+           "-inf", "x"]
+# Placeholders the test replaces with paths in its own temporary directory.
+_PROBLEMS = ["quad", "ridge", "logistic", "FILE", "NOFILE", "nope"]
+_OUTS = ["OUT", "MISSING", "NOTDIR"]
+
+
+def _flags(pairs, max_flags, min_flags=0):
+    """Between min_flags and max_flags of the flags, each given one value from
+    its edge set; the others keep their defaults."""
+    chosen = st.lists(st.sampled_from(pairs), unique_by=lambda p: p[0],
+                      min_size=min_flags, max_size=max_flags)
+    return chosen.flatmap(lambda ps: st.tuples(*[st.sampled_from(v) for _, v in ps]).map(
+        lambda vals: [tok for (flag, _), val in zip(ps, vals) for tok in (flag, val)]))
+
+
+_PROBLEM_FLAGS = [("--problem", _PROBLEMS), ("--n", _INTS), ("--dim", _INTS),
+                  ("--mu", _FLOATS), ("--L", _FLOATS), ("--s", _INTS),
+                  ("--gamma", _FLOATS + ["auto"]), ("--seed", _INTS),
+                  ("--repeats", _SMALL_INTS), ("--trace-every", _INTS),
+                  ("--out", _OUTS)]
+_AXES = [("--gammas", ["auto", "0.1,1e300", "nan", "x", ","]),
+         ("--ss", ["1", "1,2", "-1", "0", str(10**9), "x", ","])]
+_iters = st.sampled_from(_SMALL_INTS).map(lambda v: ["--iters", v])
+_run_argv = st.tuples(_flags(_PROBLEM_FLAGS, 3), _iters).map(lambda t: ["run", *t[0], *t[1]])
+_sweep_argv = st.tuples(_flags(_PROBLEM_FLAGS + [("--threshold", _FLOATS)], 3),
+                        _flags(_AXES, 2, min_flags=1), _iters).map(
+    lambda t: ["sweep", *t[0], *t[1], *t[2]])
+_rates_argv = _flags([("--gamma", _FLOATS), ("--s", _INTS), ("--n", _INTS),
+                      ("--mu", _FLOATS), ("--L", _FLOATS)], 5, min_flags=5).map(
+    lambda f: ["rates", *f])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argv=_run_argv | _sweep_argv | _rates_argv)
+@example(argv=["run", "--seed", "-1", "--iters", "3", "--out", "OUT"])
+@example(argv=["sweep", "--ss", "1", "--threshold", "nan", "--iters", "3", "--out", "OUT"])
+@example(argv=["run", "--problem", "logistic", "--n", "3", "--dim", "2", "--mu", "0.5",
+               "--L", "1e300", "--iters", "3", "--out", "OUT"])
+@example(argv=["run", "--dim", "100000", "--iters", "3", "--out", "OUT"])
+@example(argv=["run", "--mu", "5e-324", "--L", "5e-324", "--iters", "0", "--out", "OUT"])
+def test_cli_exits_with_a_documented_code(tmp_path_factory, argv):
+    base = tmp_path_factory.getbasetemp() / "cli-argv"
+    base.mkdir(exist_ok=True)
+    (base / "out").mkdir(exist_ok=True)
+    data = base / "data.txt"
+    data.write_text("+1 1:1.0 2:0.5\n-1 1:-0.4 2:1.0\n+1 2:-0.3\n")
+    places = {"OUT": str(base / "out"), "MISSING": str(base / "missing" / "out"),
+              "NOTDIR": str(data), "FILE": f"file:{data}",
+              "NOFILE": f"file:{base / 'missing.txt'}"}
+    argv = [places.get(tok, tok) for tok in argv]
+    cwd = os.getcwd()
+    os.chdir(base / "out")  # a run without --out writes here
+    try:
+        code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4), argv

@@ -4,6 +4,7 @@ import pytest
 from pointsaga import (
     FiniteSumProblem,
     GeneratorSpec,
+    GenericComponent,
     QuadraticComponent,
     assemble_problem,
     full_gradient,
@@ -17,7 +18,7 @@ from pointsaga.errors import (
     InvalidConstants,
     InvalidKnownSolution,
 )
-from pointsaga.model import TOL_STAR
+from pointsaga.model import TOL_STAR, ComponentBank
 
 
 def identity_quadratic(dim):
@@ -112,3 +113,48 @@ def test_component_oracle_inequalities(make):
             nx = dx @ dx
             assert inner >= problem.mu * nx - 1e-10 * (1 + nx)
             assert dg @ dg <= problem.L**2 * nx * (1 + 1e-10) + 1e-10
+
+
+# --- ComponentBank ------------------------------------------------------------------
+
+
+def bank_problem(kind):
+    """A 7-component, 3-dimensional problem whose bank is the default one."""
+    ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 7, 3, 0.5, 4.0, seed=2))
+    if kind == "ridge":
+        return ridge
+    logistic = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 7, 3, 0.5, 4.0, seed=3))
+    if kind == "logistic":
+        return logistic
+    if kind == "generic":
+        comps = [GenericComponent(c.value, c.gradient, 0.5, 4.0) for c in ridge.components]
+    else:
+        comps = [ridge.components[0], logistic.components[1], identity_quadratic(3),
+                 GenericComponent(ridge.components[3].value,
+                                  ridge.components[3].gradient, 0.5, 4.0),
+                 *ridge.components[4:6], logistic.components[6]]
+    return assemble_problem(comps, 0.5, 4.0, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("kind", ["ridge", "logistic", "generic", "mixed"])
+def test_component_bank_matches_per_component_calls(kind, dtype):
+    problem = bank_problem(kind)
+    bank = problem.bank
+    assert type(bank) is ComponentBank
+    rng = np.random.default_rng(4)
+    x = (rng.normal(size=3) * 3.0).astype(dtype)
+    G = bank.gradients(x)
+    assert G.shape == (7, 3)
+    for i, comp in enumerate(problem.components):
+        assert np.array_equal(G[i], comp.gradient(x))
+    for gamma in (0.05, 2.0):
+        for s in (1, 4, 7):
+            idx = np.sort(rng.choice(7, size=s, replace=False))
+            Z = (rng.normal(size=(s, 3)) * 5.0).astype(dtype)
+            P, residuals = bank.prox(gamma, idx, Z)
+            assert P.dtype == dtype and residuals.shape == (s,)
+            for k, i in enumerate(idx):
+                one = problem.components[i].prox(gamma, Z[k])
+                assert np.array_equal(P[k], one.point)
+                assert residuals[k] == one.residual

@@ -28,6 +28,7 @@ from pointsaga.errors import (
     ParseError,
     PointSagaError,
 )
+from pointsaga.model import ComponentBank
 from pointsaga.problems import MAX_DENSE_ENTRIES, QuadraticBank
 
 # Hypothesis caches unicode tables and source constants in its home directory,
@@ -55,6 +56,42 @@ def test_spec_rejects_non_finite_constants(bad):
         GeneratorSpec("quadratic", 2, 2, 1.0, bad)
     with pytest.raises(InvalidSpec):
         GeneratorSpec("quadratic", 2, 2, bad, bad)
+
+
+def test_spec_rejects_negative_seed():
+    with pytest.raises(InvalidSpec, match="seed"):
+        GeneratorSpec("quadratic", 2, 2, 1.0, 1.0, seed=-1)
+
+
+# Each family at its dense-entry cap, then one step over it: quadratics hold
+# n d-by-d matrices, ridge n-by-d rows and a d-by-d normal matrix, logistic
+# n-by-d rows.
+_AT_CAP = [("quadratic", 1, 10**4), ("ridge_regression", 10**8, 1),
+           ("ridge_regression", 1, 10**4), ("logistic_ridge", 10**7, 10)]
+_OVER_CAP = [("quadratic", 2, 10**4), ("ridge_regression", 10**8 + 1, 1),
+             ("ridge_regression", 1, 10**4 + 1), ("logistic_ridge", 10**7 + 1, 10)]
+
+
+@pytest.mark.parametrize("family,n,dim", _OVER_CAP,
+                         ids=["quad-n-d2", "ridge-n-d", "ridge-d2", "logistic-n-d"])
+def test_generators_reject_oversized_specs_before_allocating(monkeypatch, family, n, dim):
+    # default_rng starts every generator's draws; it fails the test here, so
+    # a missing size check fails instead of allocating.
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("generator allocated")
+
+    monkeypatch.setattr(np.random, "default_rng", no_alloc)
+    generate = {"quadratic": gen_quadratic, "ridge_regression": gen_ridge_regression,
+                "logistic_ridge": gen_logistic_ridge}[family]
+    with pytest.raises(InvalidSpec) as err:
+        generate(GeneratorSpec(family, n, dim, 0.5, 1.0))
+    assert str(MAX_DENSE_ENTRIES) in str(err.value)
+
+
+def test_spec_accepts_specs_at_the_dense_cap():
+    assert MAX_DENSE_ENTRIES == 10**8  # the sizes of _AT_CAP are set from it
+    for family, n, dim in _AT_CAP:
+        GeneratorSpec(family, n, dim, 0.5, 1.0)
 
 
 # --- quadratic generator -----------------------------------------------------------
@@ -113,7 +150,7 @@ def test_quadratic_longdouble_matches_float64_draws():
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_quadratic_bank_rows_match_component_prox(dtype):
     problem = gen_quadratic(GeneratorSpec("quadratic", 9, 5, 1.0, 10.0, seed=6), dtype=dtype)
-    bank = problem.prox_bank
+    bank = problem.bank
     assert isinstance(bank, QuadraticBank)
     rng = np.random.default_rng(8)
     for gamma in (0.03, 0.7, 0.03, 25.0):
@@ -132,7 +169,7 @@ def test_shared_quadratic_prox_is_thread_safe():
     # Each object caches the resolvent of its last gamma; four threads cycling
     # through three gammas keep replacing that cache under one another.
     problem = gen_quadratic(GeneratorSpec("quadratic", 6, 4, 1.0, 10.0, seed=12))
-    comp, bank = problem.components[2], problem.prox_bank
+    comp, bank = problem.components[2], problem.bank
     gammas = (0.05, 0.8, 12.0)
     idx = np.array([0, 2, 5])
     Z = np.random.default_rng(13).normal(size=(3, 4)) * 5.0
@@ -176,21 +213,22 @@ def test_prox_bank_needs_one_quadratic_shape_and_dtype():
         return QuadraticComponent(np.eye(d, dtype=dtype), np.ones(d, dtype=dtype),
                                   np.zeros(d, dtype=dtype))
 
-    assert isinstance(assemble_problem([quad(2), quad(2)], 1.0, 1.0, 2).prox_bank,
+    assert isinstance(assemble_problem([quad(2), quad(2)], 1.0, 1.0, 2).bank,
                       QuadraticBank)
-    assert assemble_problem([quad(2), quad(2, np.longdouble)], 1.0, 1.0, 2).prox_bank is None
-    assert assemble_problem([quad(2), quad(3)], 1.0, 1.0, 2).prox_bank is None
+    bank = assemble_problem([quad(2), quad(2, np.longdouble)], 1.0, 1.0, 2).bank
+    assert type(bank) is ComponentBank
+    assert type(assemble_problem([quad(2), quad(3)], 1.0, 1.0, 2).bank) is ComponentBank
     ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 3, 2, 0.1, 1.0, seed=1))
-    assert ridge.prox_bank is None
+    assert type(ridge.bank) is ComponentBank
     mixed = assemble_problem([quad(2), ridge.components[0]], 0.1, 1.0, 2)
-    assert mixed.prox_bank is None
+    assert type(mixed.bank) is ComponentBank
 
     class OwnProx(QuadraticComponent):
         def prox(self, gamma, z):
             return super().prox(gamma, z)
 
     own = OwnProx(np.eye(2), np.ones(2), np.zeros(2))
-    assert assemble_problem([own, own], 1.0, 1.0, 2).prox_bank is None
+    assert type(assemble_problem([own, own], 1.0, 1.0, 2).bank) is ComponentBank
 
 
 # --- ridge generator -----------------------------------------------------------------

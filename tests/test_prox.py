@@ -147,7 +147,6 @@ def quadratic_generic(dim=2):
         grad_fn=lambda x: x,
         mu=1.0,
         L=1.0,
-        tol=1e-10,
     )
 
 

@@ -18,6 +18,7 @@ from pointsaga import (
     table_drift,
 )
 import pointsaga.solver as solver
+from pointsaga.model import ComponentBank
 from pointsaga.errors import InvalidBatchSize, InvalidConstants, ProxFailure
 from pointsaga.prox import TOL_PROX
 from pointsaga.sampling import SplitMix64
@@ -281,9 +282,10 @@ def test_prox_failure_names_component(monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_run_through_prox_bank_matches_per_component_prox(dtype, monkeypatch):
     problem = gen_quadratic(GeneratorSpec("quadratic", 12, 4, 1.0, 10.0, seed=3), dtype=dtype)
-    assert problem.prox_bank is not None
+    assert type(problem.bank) is not ComponentBank
     unbanked = replace(problem)
-    object.__setattr__(unbanked, "prox_bank", None)  # force the one-by-one path
+    # force the one-by-one path
+    object.__setattr__(unbanked, "bank", ComponentBank(problem.components))
     x0 = (problem.known_solution + 5.0).astype(dtype)
     for s in (1, 5, 12):
         cfg = SolverConfig(s=s, gamma="auto", max_iters=40, seed=s, trace_every=3)
