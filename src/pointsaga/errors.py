@@ -42,14 +42,16 @@ class EnumerationTooLarge(PointSagaError, ValueError):
 
 
 class ProxFailure(PointSagaError, RuntimeError):
-    """A component prox returned a point with an excessive resolvent residual."""
+    """A component prox returned a point with an excessive resolvent residual
+    at iteration t (the t of the state it would have produced), stepsize gamma."""
 
-    def __init__(self, index, residual, message=""):
+    def __init__(self, index, residual, t, gamma):
         self.index = index
         self.residual = residual
-        super().__init__(
-            message or f"prox of component {index} failed (residual {residual:.3e})"
-        )
+        self.t = t
+        self.gamma = gamma
+        super().__init__(f"prox of component {index} failed at iteration {t}, "
+                         f"gamma={gamma:g} (residual {residual:.3e})")
 
 
 class InvalidSpec(PointSagaError, ValueError):

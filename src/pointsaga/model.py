@@ -2,6 +2,8 @@
 
 A problem is ``min_x sum_i f_i(x)`` over R^d where every component is
 mu-strongly convex with an L-Lipschitz gradient, sharing one (mu, L) pair.
+Its components are evaluated through its bank: the per-component
+ComponentBank, or a family's batched subclass with bitwise the same results.
 """
 
 from abc import ABC, abstractmethod
@@ -14,6 +16,7 @@ from .errors import (
     EmptyComponentList,
     InvalidConstants,
     InvalidKnownSolution,
+    MaxInnerIterations,
 )
 
 #: Absolute tolerance on ||sum_i grad f_i(x*)|| / n for declared minimizers.
@@ -50,7 +53,8 @@ class ComponentFunction(ABC):
 
 class ComponentBank:
     """The components of a problem, evaluated one at a time. A family's
-    ``stack`` may return a subclass that batches them to the same results."""
+    ``stack`` may return a subclass that batches them to the same results,
+    bit for bit."""
 
     def __init__(self, components):
         self.components = components
@@ -59,13 +63,24 @@ class ComponentBank:
         """n-by-d array whose row i is components[i].gradient(x)."""
         return np.stack([c.gradient(x) for c in self.components])
 
+    def gradient_sum(self, x):
+        """sum_i components[i].gradient(x), added in index order from zero."""
+        total = np.zeros_like(x)
+        for comp in self.components:
+            total = total + comp.gradient(x)
+        return total
+
     def prox(self, gamma, idx, Z):
         """(P, residuals): row k of P, in Z's dtype, is the prox of component
-        idx[k] at Z[k], and residuals[k] is its resolvent defect."""
+        idx[k] at Z[k], and residuals[k] is its resolvent defect. An inner
+        solve out of budget raises MaxInnerIterations naming its component."""
         P = np.empty_like(Z)
         residuals = []
         for k, i in enumerate(idx.tolist()):
-            result = self.components[i].prox(gamma, Z[k])  # perfbench reads z as args[2]
+            try:
+                result = self.components[i].prox(gamma, Z[k])  # perfbench reads z as args[2]
+            except MaxInnerIterations as exc:
+                raise MaxInnerIterations(f"prox of component {i + 1}: {exc}") from None
             P[k] = result.point
             residuals.append(result.residual)
         return P, np.array(residuals)
@@ -104,6 +119,9 @@ class FiniteSumProblem:
             raise InvalidConstants(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
         if self.dim < 1:
             raise InvalidConstants(f"dim must be >= 1, got {self.dim}")
+        kinds = {type(c) for c in self.components}
+        stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
+        object.__setattr__(self, "bank", stack(self.components))
         if self.known_solution is not None:
             xs = np.asarray(self.known_solution)
             if xs.shape != (self.dim,):
@@ -111,14 +129,12 @@ class FiniteSumProblem:
                     f"known_solution has shape {xs.shape}, expected ({self.dim},)"
                 )
             g = full_gradient(self, xs)
-            norm = float(np.sqrt(np.dot(g, g)))
+            with np.errstate(over="ignore"):  # an overflow reads inf and fails
+                norm = float(np.sqrt(np.dot(g, g)))
             if norm > self.n * TOL_STAR:
                 raise InvalidKnownSolution(
                     f"||sum grad f_i(x*)|| = {norm:.3e} exceeds n*{TOL_STAR:g}"
                 )
-        kinds = {type(c) for c in self.components}
-        stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
-        object.__setattr__(self, "bank", stack(self.components))
 
     @property
     def n(self):
@@ -141,8 +157,4 @@ def assemble_problem(components, mu, L, dim):
 
 def full_gradient(problem, x):
     """Gradient of the full objective, sum_i grad f_i(x)."""
-    x = problem.check_point(x)
-    total = np.zeros_like(x)
-    for comp in problem.components:
-        total = total + comp.gradient(x)
-    return total
+    return problem.bank.gradient_sum(problem.check_point(x))

@@ -12,9 +12,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import _finite, reference_solution
-from .errors import EmptyFile, InconsistentDimension, InvalidSpec, ParseError
+from .errors import (
+    EmptyFile,
+    InconsistentDimension,
+    InvalidConstants,
+    InvalidKnownSolution,
+    InvalidSpec,
+    MaxInnerIterations,
+    ParseError,
+)
 from .model import ComponentBank, ComponentFunction, assemble_problem
 from .prox import (
+    NEWTON_BUDGET,
+    TOL_LOGISTIC_ROOT,
     TOL_PROX,
     prox_generic,
     prox_logistic_ridge,
@@ -26,6 +36,11 @@ from .prox import (
 #: Cap on the entries of the dense arrays a generator or load_libsvm builds
 #: (10**8 float64 entries are 800 MB).
 MAX_DENSE_ENTRIES = 10**8
+
+#: Fewest rows LogisticBank proxes in one batched Newton; smaller subsets go
+#: one component at a time. The batch's fixed cost is about that of ten
+#: scalar solves (0.4 ms against 0.05 ms each on a 2-core x86 VM, numpy 2.4).
+NEWTON_BATCH_MIN = 10
 
 
 class QuadraticComponent(ComponentFunction):
@@ -105,12 +120,54 @@ class QuadraticBank(ComponentBank):
         M, g_Ac = self._resolvent(gamma)
         P = _matvecs(M[idx], Z + g_Ac[idx])
         D = P + gamma * (_matvecs(self.A[idx], P) - self.Ac[idx]) - Z
-        return P.astype(Z.dtype, copy=False), np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+        return P.astype(Z.dtype, copy=False), np.sqrt(_dots(D, D))
 
 
 def _matvecs(M, V):
     """Row k is M[k] @ V[k]."""
     return (M @ V[:, :, None])[:, :, 0]
+
+
+def _dots(A, B):
+    """Row k is A[k] @ B[k], or A[k] @ B for a vector B; each is bitwise the
+    1-d dot, which a matrix-vector product need not be."""
+    return (A[:, None, :] @ B[..., None])[:, 0, 0]
+
+
+def _sigmoids(v):
+    """prox.sigmoid of each entry, bitwise, without its branch: exp(-|v|) is
+    the exp(-v) it takes for v >= 0 and the exp(v) it takes below."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
+def _stack_rows(cls, family, bank, components):
+    """bank(components) when cls keeps family's oracles and the components
+    share one row shape and dtype, a label of that dtype and one mu_reg;
+    otherwise the default bank. The shared types make every batched operation
+    promote as the per-component one does."""
+    kinds = {(c.a.shape, c.a.dtype, type(c.y), type(c.mu_reg), c.mu_reg)
+             for c in components}
+    if (cls.gradient is family.gradient and cls.prox is family.prox and len(kinds) == 1
+            and np.asarray(components[0].y).dtype == components[0].a.dtype):
+        return bank(components)
+    return ComponentBank(components)
+
+
+class _RowBank(ComponentBank):
+    """Components f_i built on a data row a_i and label y_i, stacked into one
+    row matrix and label vector, with the mu_reg they share."""
+
+    def __init__(self, components):
+        super().__init__(components)
+        self.rows = np.stack([c.a for c in components])
+        self.labels = np.array([c.y for c in components], dtype=self.rows.dtype)
+        self.mu_reg = components[0].mu_reg
+
+    def gradient_sum(self, x):
+        G = self.gradients(x)
+        G[0] += 0.0  # the loop starts from +0.0, which turns a -0.0 into +0.0
+        return np.cumsum(G, axis=0)[-1]  # sequential, as the loop adds
 
 
 class RankOneRidgeComponent(ComponentFunction):
@@ -136,6 +193,18 @@ class RankOneRidgeComponent(ComponentFunction):
     def prox(self, gamma, z):
         return prox_rank_one_quadratic(self.a, self.y, self.mu_reg, gamma, z)
 
+    @classmethod
+    def stack(cls, components):
+        return _stack_rows(cls, RankOneRidgeComponent, RidgeBank, components)
+
+
+class RidgeBank(_RowBank):
+    """Rank-one ridge components as rows: the gradients come from one batched
+    pass; the O(d) closed-form prox stays per component."""
+
+    def gradients(self, x):
+        return self.rows * (_dots(self.rows, x) - self.labels)[:, None] + self.mu_reg * x
+
 
 class LogisticRidgeComponent(ComponentFunction):
     """f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2, y in {-1, +1}."""
@@ -155,6 +224,97 @@ class LogisticRidgeComponent(ComponentFunction):
 
     def prox(self, gamma, z):
         return prox_logistic_ridge(self.a, self.y, self.mu_reg, gamma, z)
+
+    @classmethod
+    def stack(cls, components):
+        return _stack_rows(cls, LogisticRidgeComponent, LogisticBank, components)
+
+
+class LogisticBank(_RowBank):
+    """Logistic-ridge components as rows. ``prox`` runs prox_logistic_ridge's
+    safeguarded Newton on all s scalar roots at once, dropping each root once
+    it converges, when s >= NEWTON_BATCH_MIN; every operation is the scalar
+    one applied elementwise, so row k is bitwise what
+    ``components[idx[k]].prox`` returns."""
+
+    def __init__(self, components):
+        super().__init__(components)
+        self.aa = _dots(self.rows, self.rows)
+
+    def _gradients(self, a, y, x):
+        """Row k is the gradient of the component on (a[k], y[k]) at x, or at
+        x[k] for a matrix x."""
+        return ((-y * _sigmoids(-y * _dots(a, x).astype(float, copy=False)))[:, None] * a
+                + self.mu_reg * x)
+
+    def gradients(self, x):
+        return self._gradients(self.rows, self.labels, x)
+
+    def prox(self, gamma, idx, Z):
+        """(P, residuals) as ComponentBank.prox; raises MaxInnerIterations
+        naming the first component whose root the budget does not reach."""
+        if len(idx) < NEWTON_BATCH_MIN:
+            return super().prox(gamma, idx, Z)
+        a, y, aa = self.rows[idx], self.labels[idx], self.aa[idx]
+        z = Z.astype(float, copy=False)
+        alpha = 1.0 + gamma * self.mu_reg
+        bound = (np.sqrt(aa) * np.sqrt(_dots(z, z)) + gamma * aa) / alpha + 1.0
+        # Column j of W holds the root u of row k[j], its bracket lo < u < hi
+        # and the terms of h(u) = alpha u - a'z - gamma y ||a||^2 sigmoid(-y u).
+        # A zero row has no root to find: only its ridge term acts.
+        k = np.flatnonzero(aa)
+        W = np.stack([bound, -bound, bound, _dots(a, z), gamma * y * aa, -y, gamma * aa])[:, k]
+        iters = np.zeros(k.size, dtype=int)
+
+        def h(u):
+            """(h(u), sigmoid(-y u)) for every column of W."""
+            _, _, _, az, gya, neg_y, _ = W
+            s = _sigmoids(neg_y * u)
+            return alpha * u - az - gya * s, s
+
+        # h(lo) <= 0 <= h(hi) by the bound's derivation; widen defensively.
+        for row, side in ((1, 1.0), (2, -1.0)):
+            out = (side * h(W[row])[0] > 0.0) & (iters <= NEWTON_BUDGET)
+            while out.any():
+                W[row, out] *= 2.0
+                iters[out] += 1
+                out &= (side * h(W[row])[0] > 0.0) & (iters <= NEWTON_BUDGET)
+        ok = iters <= NEWTON_BUDGET
+        failed = list(k[~ok])
+        k, W, iters = k[ok], W[:, ok], iters[ok]
+
+        sig = np.zeros_like(aa)  # sigmoid(-y u) at each row's root
+        W[0] = 0.5 * (W[1] + W[2])
+        while k.size:
+            hu, s = h(W[0])
+            sig[k] = s
+            go = np.abs(hu) > TOL_LOGISTIC_ROOT
+            iters += 1
+            over = go & (iters > NEWTON_BUDGET)
+            if over.any():
+                failed += list(k[over])
+                go &= ~over
+            if not go.all():
+                k, W, iters, hu, s = k[go], W[:, go], iters[go], hu[go], s[go]
+            u, lo, hi, _, _, _, gamma_aa = W
+            up = hu > 0.0
+            np.copyto(hi, u, where=up)
+            np.copyto(lo, u, where=~up)
+            u_new = u - hu / (alpha + gamma_aa * s * (1.0 - s))
+            bisect = ~((lo < u_new) & (u_new < hi))
+            if bisect.any():
+                u_new[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+            u[...] = u_new
+        if failed:
+            raise MaxInnerIterations(
+                f"prox of component {idx[min(failed)] + 1}: logistic prox: no root "
+                f"within {NEWTON_BUDGET} inner iterations"
+            )
+
+        x = np.where((aa != 0.0)[:, None],
+                     (z + (gamma * y * sig)[:, None] * a) / alpha, z / alpha)
+        D = x + gamma * self._gradients(a, y, x) - z
+        return x.astype(Z.dtype, copy=False), np.sqrt(_dots(D, D))
 
 
 class GenericComponent(ComponentFunction):
@@ -223,6 +383,20 @@ class Dataset:
             raise InconsistentDimension("rows contain non-finite entries")
 
 
+def _planted(problem, spec):
+    """problem with its reference minimizer attached. The stationarity check on
+    it is absolute, so when it fails the spec's scale has put rounding above
+    the bound: the constants are at fault, not the minimizer."""
+    x_star = reference_solution(problem)
+    try:
+        return replace(problem, known_solution=x_star)
+    except InvalidKnownSolution as exc:
+        raise InvalidConstants(
+            f"mu={spec.mu:g}, L={spec.L:g}: at this scale rounding keeps the planted "
+            f"minimizer from the stationarity bound ({exc})"
+        ) from None
+
+
 def gen_quadratic(spec, dtype=np.float64):
     """Random-rotation quadratics: f_i(x) = (x - c_i)' A_i (x - c_i) / 2.
 
@@ -253,7 +427,7 @@ def gen_quadratic(spec, dtype=np.float64):
             QuadraticComponent(Q.astype(dtype), eig.astype(dtype), c.astype(dtype))
         )
     problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
-    return replace(problem, known_solution=reference_solution(problem))
+    return _planted(problem, spec)
 
 
 def gen_ridge_regression(spec, dtype=np.float64):
@@ -276,7 +450,7 @@ def gen_ridge_regression(spec, dtype=np.float64):
         for i in range(spec.n)
     ]
     problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
-    return replace(problem, known_solution=reference_solution(problem))
+    return _planted(problem, spec)
 
 
 def gen_logistic_ridge(spec):
@@ -299,7 +473,7 @@ def gen_logistic_ridge(spec):
         LogisticRidgeComponent(rows[i], labels[i], spec.mu) for i in range(spec.n)
     ]
     problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
-    return replace(problem, known_solution=reference_solution(problem, tol=1e-12))
+    return _planted(problem, spec)
 
 
 def load_libsvm(path, mu):

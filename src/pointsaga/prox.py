@@ -18,6 +18,9 @@ TOL_PROX = 1e-10
 #: Iteration cap for the scalar Newton/bisection solve.
 NEWTON_BUDGET = 200
 
+#: |h(u)| at which the logistic prox's scalar root counts as found.
+TOL_LOGISTIC_ROOT = 1e-12
+
 
 @dataclass
 class ProxResult:
@@ -54,7 +57,7 @@ def prox_rank_one_quadratic(a, y, mu_reg, gamma, z):
     return ProxResult(x, np.sqrt(defect @ defect))
 
 
-def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=1e-12):
+def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=TOL_LOGISTIC_ROOT):
     """Prox of f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2.
 
     The optimality condition reduces to a scalar root-find in u = a'x:

@@ -17,7 +17,11 @@ and returns a fresh state. run owns the state that initialize builds for it
 and advances it, table included, in place, so one of its iterations costs
 O(s*d) whatever n is. Its Lyapunov value and table drift are O(n*d) passes
 made once per trace record, so trace_every sets the cost of diagnostics.
-Components are reached only through the problem's bank (model.ComponentBank).
+Components are reached only through the problem's bank (model.ComponentBank):
+the subset prox of each iteration, and the n-row gradient stacks of
+initialize and of run's grad_star, are one bank call each. The family banks
+batch them: problems.QuadraticBank the prox, RidgeBank the gradients and
+LogisticBank both.
 """
 
 import time
@@ -129,7 +133,7 @@ def _advance(state, problem, gamma, idx, table):
     ok = residual <= bound
     k = ok.argmin()  # the first failing row, if any row fails
     if not ok[k]:
-        raise ProxFailure(int(idx[k]) + 1, float(residual[k]))
+        raise ProxFailure(int(idx[k]) + 1, float(residual[k]), state.t + 1, gamma)
 
     table[idx] = (z - outs) / gamma
     x_new = outs.mean(axis=0)  # idx is sorted: ascending-index reduction
@@ -146,7 +150,7 @@ def apply_subset_step(state, problem, gamma, indices0):
 
     Pure: returns a fresh state, leaving the input untouched. The residual of
     every prox output is checked against TOL_PROX * (1 + ||z_i||); a breach
-    raises ProxFailure naming the component.
+    raises ProxFailure naming the component, the iteration and gamma.
     """
     table = state.grad_table.copy()
     idx = np.asarray(indices0, dtype=int)

@@ -133,7 +133,8 @@ def test_run_invalid_constant_exits_2_and_writes_nothing(tmp_path, capsys, flag,
 @pytest.mark.parametrize("over,error", [
     ({"mu": "inf", "L": "inf"}, "InvalidSpec"),
     ({"gamma": "1e300"}, "InvalidConstants"),
-], ids=["mu-L-inf", "gamma-1e300"])
+    ({"problem": "ridge", "L": "1e300", "iters": "1"}, "InvalidConstants: mu=1, L=1e+300"),
+], ids=["mu-L-inf", "gamma-1e300", "ridge-L-1e300"])
 def test_run_overflowing_constants_exit_2_and_write_nothing(tmp_path, capsys, over, error):
     assert cli.main(run_args(tmp_path, **over)) == 2
     assert error in capsys.readouterr().err

@@ -119,7 +119,7 @@ def test_component_oracle_inequalities(make):
 
 
 def bank_problem(kind):
-    """A 7-component, 3-dimensional problem whose bank is the default one."""
+    """A 7-component, 3-dimensional problem."""
     ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 7, 3, 0.5, 4.0, seed=2))
     if kind == "ridge":
         return ridge
@@ -140,8 +140,7 @@ def bank_problem(kind):
 @pytest.mark.parametrize("kind", ["ridge", "logistic", "generic", "mixed"])
 def test_component_bank_matches_per_component_calls(kind, dtype):
     problem = bank_problem(kind)
-    bank = problem.bank
-    assert type(bank) is ComponentBank
+    bank = ComponentBank(problem.components)
     rng = np.random.default_rng(4)
     x = (rng.normal(size=3) * 3.0).astype(dtype)
     G = bank.gradients(x)

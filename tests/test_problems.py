@@ -24,12 +24,24 @@ from pointsaga import (
 from pointsaga.errors import (
     EmptyFile,
     InconsistentDimension,
+    InvalidConstants,
     InvalidSpec,
+    MaxInnerIterations,
     ParseError,
     PointSagaError,
 )
+import pointsaga.problems as problems
+import pointsaga.prox as prox
 from pointsaga.model import ComponentBank
-from pointsaga.problems import MAX_DENSE_ENTRIES, QuadraticBank
+from pointsaga.problems import (
+    MAX_DENSE_ENTRIES,
+    LogisticBank,
+    LogisticRidgeComponent,
+    QuadraticBank,
+    RankOneRidgeComponent,
+    RidgeBank,
+)
+from pointsaga.prox import sigmoid
 
 # Hypothesis caches unicode tables and source constants in its home directory,
 # ./.hypothesis by default. Its pytest plugin fills that cache while collecting,
@@ -219,7 +231,7 @@ def test_prox_bank_needs_one_quadratic_shape_and_dtype():
     assert type(bank) is ComponentBank
     assert type(assemble_problem([quad(2), quad(3)], 1.0, 1.0, 2).bank) is ComponentBank
     ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 3, 2, 0.1, 1.0, seed=1))
-    assert type(ridge.bank) is ComponentBank
+    assert type(ridge.bank) is RidgeBank
     mixed = assemble_problem([quad(2), ridge.components[0]], 0.1, 1.0, 2)
     assert type(mixed.bank) is ComponentBank
 
@@ -229,6 +241,123 @@ def test_prox_bank_needs_one_quadratic_shape_and_dtype():
 
     own = OwnProx(np.eye(2), np.ones(2), np.zeros(2))
     assert type(assemble_problem([own, own], 1.0, 1.0, 2).bank) is ComponentBank
+
+
+def test_row_banks_need_one_row_shape_label_dtype_and_mu_reg():
+    def ridge(d=2, mu_reg=0.1, y=1.0, dtype=np.float64):
+        return RankOneRidgeComponent(np.ones(d, dtype=dtype), y, mu_reg)
+
+    def bank(*comps):
+        return assemble_problem(comps, 0.1, 10.0, comps[0].a.shape[0]).bank
+
+    assert type(bank(ridge(), ridge(y=-2.0))) is RidgeBank
+    assert type(bank(ridge(dtype=np.longdouble, y=np.longdouble(1.0)),
+                     ridge(dtype=np.longdouble, y=np.longdouble(3.0)))) is RidgeBank
+    logistic = LogisticRidgeComponent(np.ones(2), -1.0, 0.1)
+    assert type(bank(logistic, logistic)) is LogisticBank
+    assert type(bank(ridge(), ridge(mu_reg=0.2))) is ComponentBank
+    assert type(bank(ridge(), ridge(d=3))) is ComponentBank
+    assert type(bank(ridge(), ridge(dtype=np.longdouble))) is ComponentBank
+    assert type(bank(ridge(y=1), ridge(y=2))) is ComponentBank  # int labels
+    assert type(bank(ridge(dtype=np.longdouble), ridge(dtype=np.longdouble))) is ComponentBank
+
+    class OwnGradient(RankOneRidgeComponent):
+        def gradient(self, x):
+            return super().gradient(x)
+
+    own = OwnGradient(np.ones(2), 1.0, 0.1)
+    assert type(bank(own, own)) is ComponentBank
+
+
+def _row_problem(family, n, d, dtype):
+    if family == "ridge":
+        spec = GeneratorSpec("ridge_regression", n, d, 0.3, 5.0, seed=d)
+        return gen_ridge_regression(spec, dtype=dtype)
+    return gen_logistic_ridge(GeneratorSpec("logistic_ridge", n, d, 0.3, 5.0, seed=d))
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("family,dtype", [("ridge", np.float64), ("ridge", np.longdouble),
+                                          ("logistic", np.float64)])
+def test_row_bank_gradients_match_component_bank(family, dtype, d):
+    problem = _row_problem(family, 40, d, dtype)
+    bank, loop = problem.bank, ComponentBank(problem.components)
+    assert type(bank) is {"ridge": RidgeBank, "logistic": LogisticBank}[family]
+    rng = np.random.default_rng(d)
+    for x_dtype in (np.float64, np.longdouble, np.float32):
+        x = (rng.normal(size=d) * 3.0).astype(x_dtype)
+        G = bank.gradients(x)
+        assert G.dtype == loop.gradients(x).dtype
+        assert np.array_equal(G, loop.gradients(x))
+        assert np.array_equal(bank.gradient_sum(x), loop.gradient_sum(x))
+    assert np.array_equal(full_gradient(problem, np.zeros(d)),
+                          loop.gradient_sum(np.zeros(d)))
+
+
+def test_logistic_bank_prox_matches_component_prox(monkeypatch):
+    monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", 1)  # batch every subset
+    problem = _row_problem("logistic", 12, 4, np.float64)
+    bank, loop = problem.bank, ComponentBank(problem.components)
+    rng = np.random.default_rng(9)
+    for gamma in (0.01, 0.7, 25.0):
+        for s in (1, 5, 12):
+            idx = np.sort(rng.choice(12, size=s, replace=False))
+            for dtype in (np.float64, np.longdouble):
+                Z = (rng.normal(size=(s, 4)) * 10.0).astype(dtype)
+                P, residuals = bank.prox(gamma, idx, Z)
+                P_loop, residuals_loop = loop.prox(gamma, idx, Z)
+                assert P.dtype == dtype
+                assert np.array_equal(P, P_loop)
+                assert np.array_equal(residuals, residuals_loop)
+
+
+@pytest.mark.parametrize("case", ["zero-row-and-widened-bracket", "bisection-step"])
+def test_logistic_bank_prox_edge_rows(monkeypatch, case):
+    monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", 1)
+    if case == "zero-row-and-widened-bracket":
+        # Row 0 is zero, so only the ridge term acts. For row 1 at this z the
+        # derived bracket end falls short of the root by rounding (mu_reg is
+        # so small that alpha rounds to 1), so the bracket must be widened.
+        a, gamma, mu_reg = np.array([0.7, 0.2]), 0.1, 1e-17
+        comps = [LogisticRidgeComponent(np.zeros(2), -1.0, mu_reg),
+                 LogisticRidgeComponent(a, 1.0, mu_reg),
+                 LogisticRidgeComponent(np.array([1.0, -2.0]), -1.0, mu_reg)]
+        Z = np.array([[3.0, -4.0], 3e16 * a, [0.5, 0.25]])
+        aa, hi = a @ a, (np.sqrt(a @ a) * np.sqrt(Z[1] @ Z[1]) + gamma * (a @ a)) + 1.0
+        assert hi - a @ Z[1] - gamma * aa * sigmoid(-hi) < 0.0
+    else:
+        # A Newton step of row 0 leaves the bracket and is replaced by bisection.
+        gamma, mu_reg = 5977.658374308675, 0.754282451013271
+        comps = [LogisticRidgeComponent([0.9664366484476488, -1.3038888221819178], -1.0, mu_reg),
+                 LogisticRidgeComponent([1.0, 0.5], 1.0, mu_reg)]
+        Z = np.array([[27.54870417397664, 20.36601333764662], [0.3, -0.2]])
+    problem = assemble_problem(comps, mu_reg, 10.0, 2)
+    idx = np.arange(len(comps))
+    P, residuals = problem.bank.prox(gamma, idx, Z)
+    P_loop, residuals_loop = ComponentBank(comps).prox(gamma, idx, Z)
+    assert np.array_equal(P, P_loop)
+    assert np.array_equal(residuals, residuals_loop)
+    if case == "zero-row-and-widened-bracket":
+        assert np.array_equal(P[0], Z[0] / (1.0 + gamma * mu_reg))
+
+
+def test_logistic_bank_names_first_component_out_of_budget(monkeypatch):
+    monkeypatch.setattr(problems, "NEWTON_BUDGET", 4)
+    monkeypatch.setattr(prox, "NEWTON_BUDGET", 4)
+    problem = _row_problem("logistic", 12, 4, np.float64)
+    Z = np.random.default_rng(3).normal(size=(12, 4)) * 10.0
+    idx, gamma = np.arange(12), 1.0
+    fails = []
+    for k, i in enumerate(idx):
+        try:
+            problem.components[i].prox(gamma, Z[k])
+        except MaxInnerIterations:
+            fails.append(i + 1)
+    assert 1 < fails[0] and len(fails) < 12
+    for batch_min in (1, 13):  # batched, then one component at a time
+        monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", batch_min)
+        with pytest.raises(MaxInnerIterations, match=f"^prox of component {fails[0]}:"):
+            problem.bank.prox(gamma, idx, Z)
 
 
 # --- ridge generator -----------------------------------------------------------------
@@ -261,6 +390,11 @@ def test_ridge_planted_stationarity():
     )
     g = full_gradient(problem, problem.known_solution)
     assert np.linalg.norm(g) <= 1e-10
+
+
+def test_generator_blames_constants_whose_scale_defeats_the_stationarity_bound():
+    with pytest.raises(InvalidConstants, match=r"mu=1, L=1e\+300"):
+        gen_ridge_regression(GeneratorSpec("ridge_regression", 50, 10, 1.0, 1e300))
 
 
 def test_ridge_requires_strict_gap():

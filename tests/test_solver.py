@@ -10,15 +10,21 @@ from pointsaga import (
     SolverConfig,
     SolverState,
     apply_subset_step,
+    full_gradient,
+    gen_logistic_ridge,
     gen_quadratic,
+    gen_ridge_regression,
     initialize,
     lyapunov,
+    reference_solution,
     run,
     step,
     table_drift,
 )
+import pointsaga.problems as problems
 import pointsaga.solver as solver
 from pointsaga.model import ComponentBank
+from pointsaga.problems import LogisticRidgeComponent, RankOneRidgeComponent
 from pointsaga.errors import InvalidBatchSize, InvalidConstants, ProxFailure
 from pointsaga.prox import TOL_PROX
 from pointsaga.sampling import SplitMix64
@@ -277,12 +283,33 @@ def test_prox_failure_names_component(monkeypatch):
     with pytest.raises(ProxFailure) as err:
         run(problem, cfg, np.ones(4) * 100)
     assert 1 <= err.value.index <= 10
+    assert (err.value.t, err.value.gamma) == (1, 0.1)
+    assert "at iteration 1, gamma=0.1" in str(err.value)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_run_through_prox_bank_matches_per_component_prox(dtype, monkeypatch):
     problem = gen_quadratic(GeneratorSpec("quadratic", 12, 4, 1.0, 10.0, seed=3), dtype=dtype)
+    assert_run_matches_component_bank(problem, monkeypatch)
+
+
+@pytest.mark.parametrize("family,dtype", [("ridge", np.float64), ("ridge", np.longdouble),
+                                          ("logistic", np.float64)])
+def test_run_through_row_bank_matches_component_bank(family, dtype, monkeypatch):
+    monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", 1)  # batch every logistic subset
+    if family == "ridge":
+        spec = GeneratorSpec("ridge_regression", 12, 4, 1.0, 10.0, seed=3)
+        problem = gen_ridge_regression(spec, dtype=dtype)
+    else:
+        problem = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 12, 4, 1.0, 10.0, seed=3))
+    assert_run_matches_component_bank(problem, monkeypatch)
+
+
+def assert_run_matches_component_bank(problem, monkeypatch):
+    """run through the problem's own bank and through the one-by-one default
+    bank agree bitwise, failures included."""
     assert type(problem.bank) is not ComponentBank
+    dtype = problem.known_solution.dtype
     unbanked = replace(problem)
     # force the one-by-one path
     object.__setattr__(unbanked, "bank", ComponentBank(problem.components))
@@ -304,6 +331,25 @@ def test_run_through_prox_bank_matches_per_component_prox(dtype, monkeypatch):
             run(p, cfg, x0)
         errors.append((err.value.index, str(err.value)))
     assert errors[0] == errors[1]
+
+
+def test_banked_families_never_call_component_gradient(monkeypatch):
+    # Each call below is O(n) Python calls if a per-row loop creeps back in.
+    ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 30, 3, 0.5, 4.0, seed=1))
+    logistic = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 30, 3, 0.5, 4.0, seed=2))
+
+    def no_gradient(self, x):
+        raise AssertionError("per-component gradient called")
+
+    monkeypatch.setattr(RankOneRidgeComponent, "gradient", no_gradient)
+    monkeypatch.setattr(LogisticRidgeComponent, "gradient", no_gradient)
+    cfg = SolverConfig(s=4, max_iters=20, seed=5, trace_every=3)
+    for problem in (ridge, logistic):
+        x0 = np.ones(3)
+        run(problem, cfg, x0)
+        initialize(problem, cfg, x0)
+        full_gradient(problem, x0)
+        reference_solution(problem)
 
 
 def test_invalid_batch_size_rejected():
