@@ -18,7 +18,7 @@ exactly by enumeration.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .errors import (
 from .model import full_gradient
 from .sampling import enumerate_k_subsets
 
-#: Cap on the full-gradient passes reference_solution's descent may budget.
-MAX_REFERENCE_PASSES = 10**8
+#: Newton steps reference_solution takes before MaxIterations, and the step
+#: halvings after which it takes x to be at the rounding floor.
+NEWTON_STEPS, HALVINGS = 100, 60
 
 
 def _finite(value):
@@ -70,12 +71,7 @@ class RateReport:
     rho_dr: float | None = None
 
     def to_dict(self):
-        out = {"rho_prox": self.rho_prox, "rho_sample": self.rho_sample, "rho": self.rho}
-        if self.rho_defazio is not None:
-            out["rho_defazio"] = self.rho_defazio
-        if self.rho_dr is not None:
-            out["rho_dr"] = self.rho_dr
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -177,50 +173,37 @@ def lyapunov(state, problem, x_star, grad_star, gamma, s):
 
 
 def reference_solution(problem, tol=1e-12):
-    """Minimizer x of the sum, as an array of shape (dim,).
-
-    All-quadratic problems (every component exposes ``quadratic_terms``) are
-    solved directly through the stacked normal equations; anything else runs
-    deterministic full-gradient descent with step 1/(nL) until the gradient
-    norm reaches tol, within a budget that grows with L/mu. A condition
-    number L/mu that overflows raises InvalidConstants; a budget over
-    MAX_REFERENCE_PASSES, or one spent first, raises MaxIterations.
+    """Minimizer of the sum, shape (dim,), by damped Newton from 0 on the bank's
+    Hessian sum. The first step is taken whole: on a quadratic, the direct
+    solve. Later steps, while ||grad|| > tol, halve from length 1 until ||grad||
+    falls, or return x at the rounding floor after HALVINGS halvings. Raises
+    InvalidConstants when L/mu, the gradient or the Hessian overflows,
+    MaxIterations after NEWTON_STEPS steps, InvalidSpec for the default bank.
     """
-    comps = problem.components
-    if all(hasattr(c, "quadratic_terms") for c in comps):
-        H, r = comps[0].quadratic_terms()
-        H, r = H.copy(), r.copy()
-        for c in comps[1:]:
-            Hc, rc = c.quadratic_terms()
-            H += Hc
-            r += rc
-        return solve(H, r)
-
-    n, L, mu = problem.n, problem.L, problem.mu
+    mu, L = problem.mu, problem.L
     if not _finite(L / mu):
         raise InvalidConstants(f"condition number L/mu overflows: mu={mu}, L={L}")
-    x = np.zeros(problem.dim)
-    g = full_gradient(problem, x)
-    g_norm = float(np.sqrt(g @ g))
-    budget = 10 * (L / mu) * (math.log(max(g_norm / tol, math.e)))
-    if budget + 100 > MAX_REFERENCE_PASSES:
-        raise MaxIterations(f"reference solve: a budget of {budget + 100:.3g} "
-                            f"passes exceeds {MAX_REFERENCE_PASSES}")
-    max_iters = int(budget) + 100
-    step_size = 1.0 / (n * L)
-    for _ in range(max_iters):
-        if g_norm <= tol:
-            break
-        x = x - step_size * g
+    x, g_norm = np.zeros(problem.dim), np.inf  # inf: the first step is taken whole
+    with np.errstate(over="ignore", invalid="ignore"):
         g = full_gradient(problem, x)
-        g_norm = float(np.sqrt(g @ g))
-    else:
-        if g_norm > tol:
-            raise MaxIterations(
-                f"reference solve: ||grad|| = {g_norm:.3e} > {tol:g} "
-                f"after {max_iters} iterations"
-            )
-    return x
+        for _ in range(NEWTON_STEPS):
+            H = problem.bank.hessian_sum(x)
+            if not (np.isfinite(g).all() and np.isfinite(H).all()):
+                raise InvalidConstants(f"mu={mu:g}, L={L:g}: Hessian or gradient overflows")
+            p = solve(H, g)
+            for t in 0.5 ** np.arange(HALVINGS):
+                x_new = x - t * p
+                g_new = full_gradient(problem, x_new)
+                g_new_norm = np.sqrt(g_new @ g_new)
+                if g_new_norm < g_norm:
+                    break
+            else:
+                return x
+            x, g, g_norm = x_new, g_new, g_new_norm
+            if g_norm <= tol:
+                return x
+    raise MaxIterations(f"reference solve: ||grad|| = {g_norm:.3e} > {tol:g} "
+                        f"after {NEWTON_STEPS} Newton steps")
 
 
 def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):

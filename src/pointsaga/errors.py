@@ -30,7 +30,7 @@ class MaxInnerIterations(PointSagaError, RuntimeError):
 
 
 class MaxIterations(PointSagaError, RuntimeError):
-    """Reference solver exhausted its iteration budget."""
+    """The reference solve ran out of Newton steps."""
 
 
 class InvalidBatchSize(PointSagaError, ValueError):

@@ -4,6 +4,7 @@ A problem is ``min_x sum_i f_i(x)`` over R^d where every component is
 mu-strongly convex with an L-Lipschitz gradient, sharing one (mu, L) pair.
 Its components are evaluated through its bank: the per-component
 ComponentBank, or a family's batched subclass with bitwise the same results.
+Only family banks sum Hessians, so other problems must declare known_solution.
 """
 
 from abc import ABC, abstractmethod
@@ -16,6 +17,7 @@ from .errors import (
     EmptyComponentList,
     InvalidConstants,
     InvalidKnownSolution,
+    InvalidSpec,
     MaxInnerIterations,
 )
 
@@ -65,10 +67,14 @@ class ComponentBank:
 
     def gradient_sum(self, x):
         """sum_i components[i].gradient(x), added in index order from zero."""
-        total = np.zeros_like(x)
-        for comp in self.components:
-            total = total + comp.gradient(x)
-        return total
+        G = self.gradients(x)
+        G[0] += 0.0  # starting from +0.0 turns a -0.0 into +0.0
+        return np.cumsum(G, axis=0)[-1]  # sequential, in index order
+
+    def hessian_sum(self, x):
+        """sum_i of the components' Hessians at x; only family banks have it."""
+        names = ", ".join(sorted({type(c).__name__ for c in self.components}))
+        raise InvalidSpec(f"no Hessian sum for {names}: declare known_solution")
 
     def prox(self, gamma, idx, Z):
         """(P, residuals): row k of P, in Z's dtype, is the prox of component

@@ -24,8 +24,8 @@ from .errors import (
 from .model import ComponentBank, ComponentFunction, assemble_problem
 from .prox import (
     NEWTON_BUDGET,
-    TOL_LOGISTIC_ROOT,
     TOL_PROX,
+    logistic_root_tol,
     prox_generic,
     prox_logistic_ridge,
     prox_rank_one_quadratic,
@@ -67,10 +67,6 @@ class QuadraticComponent(ComponentFunction):
     def gradient(self, x):
         return self.A @ x - self._Ac
 
-    def quadratic_terms(self):
-        """(H, r) with grad f(x) = H x - r."""
-        return self.A, self._Ac
-
     def _resolvent(self, gamma):
         """(I + gamma A)^{-1} and gamma A c for this gamma, cached."""
         cache = self._cache
@@ -89,9 +85,9 @@ class QuadraticComponent(ComponentFunction):
     def stack(cls, components):
         kinds = {(c.A.shape, c.A.dtype, c._Ac.dtype, c.Q.dtype, c.eig.dtype)
                  for c in components}
-        if cls.prox is QuadraticComponent.prox and len(kinds) == 1:
+        if cls is QuadraticComponent and len(kinds) == 1:
             return QuadraticBank(components)
-        return super().stack(components)  # calls a subclass's own prox
+        return super().stack(components)  # a subclass may have its own oracles
 
 
 class QuadraticBank(ComponentBank):
@@ -106,6 +102,12 @@ class QuadraticBank(ComponentBank):
         self.A = np.stack([c.A for c in components])
         self.Ac = np.stack([c._Ac for c in components])
         self._cache = (None, None, None)
+
+    def gradients(self, x):
+        return self.A @ x - self.Ac
+
+    def hessian_sum(self, x):
+        return np.cumsum(self.A, axis=0)[-1]  # sum_i A_i, added in index order
 
     def _resolvent(self, gamma):
         cache = self._cache
@@ -142,13 +144,13 @@ def _sigmoids(v):
 
 
 def _stack_rows(cls, family, bank, components):
-    """bank(components) when cls keeps family's oracles and the components
-    share one row shape and dtype, a label of that dtype and one mu_reg;
-    otherwise the default bank. The shared types make every batched operation
-    promote as the per-component one does."""
+    """bank(components) when cls is family itself and the components share one
+    row shape and dtype, a label of that dtype and one mu_reg; otherwise the
+    default bank. The shared types make every batched operation promote as the
+    per-component one does."""
     kinds = {(c.a.shape, c.a.dtype, type(c.y), type(c.mu_reg), c.mu_reg)
              for c in components}
-    if (cls.gradient is family.gradient and cls.prox is family.prox and len(kinds) == 1
+    if (cls is family and len(kinds) == 1
             and np.asarray(components[0].y).dtype == components[0].a.dtype):
         return bank(components)
     return ComponentBank(components)
@@ -164,10 +166,10 @@ class _RowBank(ComponentBank):
         self.labels = np.array([c.y for c in components], dtype=self.rows.dtype)
         self.mu_reg = components[0].mu_reg
 
-    def gradient_sum(self, x):
-        G = self.gradients(x)
-        G[0] += 0.0  # the loop starts from +0.0, which turns a -0.0 into +0.0
-        return np.cumsum(G, axis=0)[-1]  # sequential, as the loop adds
+    def _hessian_sum(self, weighted_rows):
+        """weighted_rows' rows + n mu_reg I, row i weighted by f_i's curvature."""
+        n, d = self.rows.shape
+        return weighted_rows.T @ self.rows + n * self.mu_reg * np.eye(d, dtype=self.rows.dtype)
 
 
 class RankOneRidgeComponent(ComponentFunction):
@@ -185,11 +187,6 @@ class RankOneRidgeComponent(ComponentFunction):
     def gradient(self, x):
         return self.a * (self.a @ x - self.y) + self.mu_reg * x
 
-    def quadratic_terms(self):
-        d = self.a.shape[0]
-        H = np.outer(self.a, self.a) + self.mu_reg * np.eye(d, dtype=self.a.dtype)
-        return H, self.y * self.a
-
     def prox(self, gamma, z):
         return prox_rank_one_quadratic(self.a, self.y, self.mu_reg, gamma, z)
 
@@ -204,6 +201,9 @@ class RidgeBank(_RowBank):
 
     def gradients(self, x):
         return self.rows * (_dots(self.rows, x) - self.labels)[:, None] + self.mu_reg * x
+
+    def hessian_sum(self, x):
+        return self._hessian_sum(self.rows)
 
 
 class LogisticRidgeComponent(ComponentFunction):
@@ -250,6 +250,10 @@ class LogisticBank(_RowBank):
     def gradients(self, x):
         return self._gradients(self.rows, self.labels, x)
 
+    def hessian_sum(self, x):
+        s = _sigmoids(-self.labels * _dots(self.rows, x).astype(float, copy=False))
+        return self._hessian_sum(self.rows * (s * (1.0 - s))[:, None])
+
     def prox(self, gamma, idx, Z):
         """(P, residuals) as ComponentBank.prox; raises MaxInnerIterations
         naming the first component whose root the budget does not reach."""
@@ -288,7 +292,7 @@ class LogisticBank(_RowBank):
         while k.size:
             hu, s = h(W[0])
             sig[k] = s
-            go = np.abs(hu) > TOL_LOGISTIC_ROOT
+            go = np.abs(hu) > logistic_root_tol(alpha, W[0], W[3], W[6])
             iters += 1
             over = go & (iters > NEWTON_BUDGET)
             if over.any():
@@ -356,11 +360,10 @@ class GeneratorSpec:
             raise InvalidSpec(f"need finite 0 < mu <= L, got mu={self.mu}, L={self.L}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        # Quadratics hold n d-by-d matrices; ridge rows are n-by-d and its
-        # normal equations d-by-d; logistic rows are n-by-d.
+        # Quadratics hold n d-by-d matrices; ridge and logistic hold n-by-d
+        # rows and the reference solve's d-by-d Hessian.
         n, d = self.n, self.dim
-        entries = {"quadratic": n * d * d, "ridge_regression": max(n * d, d * d),
-                   "logistic_ridge": n * d}[self.family]
+        entries = n * d * d if self.family == "quadratic" else max(n, d) * d
         if entries > MAX_DENSE_ENTRIES:
             raise InvalidSpec(f"n={n}, dim={d} needs {entries} dense entries, "
                               f"over {MAX_DENSE_ENTRIES}")
@@ -481,9 +484,9 @@ def load_libsvm(path, mu):
 
     The file is UTF-8. Indices are 1-based and must increase strictly within
     each line; '#' starts a comment; labels must be +-1; every row's squared
-    norm must be finite. Rows are stored dense, so rows times the largest
-    index may not exceed MAX_DENSE_ENTRIES. Rows keep their scale, so the
-    smoothness constant is the conservative mu + max_i ||a_i||^2 / 4.
+    norm must be finite. Rows and the reference solve's Hessian are dense, so
+    max(rows, width) * width may not exceed MAX_DENSE_ENTRIES, width being the
+    largest index. Rows keep their scale, so L is mu + max_i ||a_i||^2 / 4.
     """
     if not (_finite(mu) and mu > 0):
         raise InvalidSpec(f"mu must be finite and > 0, got {mu}")
@@ -536,11 +539,11 @@ def load_libsvm(path, mu):
         raise EmptyFile(f"{path}: no data lines")
     if max_idx == 0:
         raise EmptyFile(f"{path}: rows carry no features")
-    if len(sparse_rows) * max_idx > MAX_DENSE_ENTRIES:
+    if max(len(sparse_rows), max_idx) * max_idx > MAX_DENSE_ENTRIES:
         raise ParseError(
             max_line,
-            f"{len(sparse_rows)} rows of width {max_idx} exceed "
-            f"{MAX_DENSE_ENTRIES} dense entries",
+            f"{len(sparse_rows)} rows of width {max_idx}, or their square Hessian, "
+            f"exceed {MAX_DENSE_ENTRIES} dense entries",
         )
 
     rows = np.zeros((len(sparse_rows), max_idx))

@@ -18,7 +18,7 @@ TOL_PROX = 1e-10
 #: Iteration cap for the scalar Newton/bisection solve.
 NEWTON_BUDGET = 200
 
-#: |h(u)| at which the logistic prox's scalar root counts as found.
+#: |h(u)| at which the logistic prox's root counts as found (logistic_root_tol).
 TOL_LOGISTIC_ROOT = 1e-12
 
 
@@ -57,7 +57,7 @@ def prox_rank_one_quadratic(a, y, mu_reg, gamma, z):
     return ProxResult(x, np.sqrt(defect @ defect))
 
 
-def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=TOL_LOGISTIC_ROOT):
+def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=None):
     """Prox of f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2.
 
     The optimality condition reduces to a scalar root-find in u = a'x:
@@ -66,7 +66,8 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=TOL_LOGISTIC_ROOT):
 
     h is strictly increasing, so Newton with a bisection safeguard on a
     bracket derived from |u| <= (||a|| ||z|| + gamma ||a||^2) / (1 + gamma mu_reg)
-    terminates. Raises MaxInnerIterations past the safeguard budget.
+    terminates once |h(u)| <= tol, by default logistic_root_tol. Raises
+    MaxInnerIterations past the safeguard budget.
     """
     a = np.asarray(a, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -85,29 +86,28 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=TOL_LOGISTIC_ROOT):
         return alpha * u - az - gamma * y * aa * sigmoid(-y * u)
 
     bound = (np.sqrt(aa) * float(np.sqrt(z @ z)) + gamma * aa) / alpha + 1.0
-    lo, hi = -bound, bound
+    ends = [-bound, bound]
     iters = 0
-    # h(-bound) <= 0 <= h(bound) by the bound's derivation; widen defensively.
-    while h(lo) > 0.0:
-        lo *= 2.0
-        iters += 1
-        if iters > NEWTON_BUDGET:
-            raise MaxInnerIterations("could not bracket logistic prox root")
-    while h(hi) < 0.0:
-        hi *= 2.0
-        iters += 1
-        if iters > NEWTON_BUDGET:
-            raise MaxInnerIterations("could not bracket logistic prox root")
+    # h(-bound) <= 0 <= h(bound) by the bound's derivation; widen defensively,
+    # the lower end first.
+    for k, side in ((0, -1.0), (1, 1.0)):
+        while side * h(ends[k]) < 0.0:
+            ends[k] *= 2.0
+            iters += 1
+            if iters > NEWTON_BUDGET:
+                raise MaxInnerIterations("could not bracket logistic prox root")
+    lo, hi = ends
 
     u = 0.5 * (lo + hi)
     while True:
         hu = h(u)
-        if abs(hu) <= tol:
+        hu_tol = logistic_root_tol(alpha, u, az, gamma * aa) if tol is None else tol
+        if abs(hu) <= hu_tol:
             break
         iters += 1
         if iters > NEWTON_BUDGET:
             raise MaxInnerIterations(
-                f"logistic prox: |h(u)| = {abs(hu):.3e} > tol = {tol:g} "
+                f"logistic prox: |h(u)| = {abs(hu):.3e} > tol = {hu_tol:.3g} "
                 f"after {NEWTON_BUDGET} iterations"
             )
         if hu > 0.0:
@@ -123,6 +123,13 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=TOL_LOGISTIC_ROOT):
 
     x = (z + gamma * y * sigmoid(-y * u) * a) / alpha
     return ProxResult(x, _logistic_defect(a, y, mu_reg, gamma, z, x), iters)
+
+
+def logistic_root_tol(alpha, u, az, gamma_aa):
+    """max(TOL_LOGISTIC_ROOT, 8 eps (alpha |u| + |a'z| + gamma ||a||^2)),
+    elementwise: |h(u)| at which the root counts as found, never below h's rounding."""
+    return np.maximum(TOL_LOGISTIC_ROOT,
+                      8.0 * np.finfo(float).eps * (alpha * abs(u) + abs(az) + gamma_aa))
 
 
 def _logistic_defect(a, y, mu_reg, gamma, z, x):

@@ -19,9 +19,9 @@ O(s*d) whatever n is. Its Lyapunov value and table drift are O(n*d) passes
 made once per trace record, so trace_every sets the cost of diagnostics.
 Components are reached only through the problem's bank (model.ComponentBank):
 the subset prox of each iteration, and the n-row gradient stacks of
-initialize and of run's grad_star, are one bank call each. The family banks
-batch them: problems.QuadraticBank the prox, RidgeBank the gradients and
-LogisticBank both.
+initialize and of run's grad_star, are one bank call each. Every family bank
+in problems batches the gradients, and QuadraticBank and LogisticBank the
+prox as well.
 """
 
 import time

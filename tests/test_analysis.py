@@ -4,9 +4,11 @@ import pytest
 from pointsaga import (
     FiniteSumProblem,
     GeneratorSpec,
+    GenericComponent,
     LogisticRidgeComponent,
     LyapunovWeights,
     QuadraticComponent,
+    RankOneRidgeComponent,
     SolverConfig,
     SolverState,
     check_coercivity,
@@ -29,6 +31,7 @@ from pointsaga.errors import (
     DimensionMismatch,
     EpsNotBelowPsi0,
     InvalidConstants,
+    InvalidSpec,
     MaxIterations,
 )
 from pointsaga.sampling import SplitMix64
@@ -234,23 +237,45 @@ def test_reference_solution_rejects_overflowing_condition_number():
         reference_solution(bare)
 
 
-def test_reference_solution_rejects_oversized_budget_before_descending(monkeypatch):
-    # L/mu = 2e300 is finite, but its budget is about 10**302 passes. The
-    # patched gradient fails the test on the first descent pass instead of
-    # letting it run.
+def test_reference_solution_solves_a_huge_declared_condition_number(monkeypatch):
+    # L/mu = 2e300 is finite. Newton's cost follows the curvature it meets,
+    # not the declared L, so this bare problem is solved to tol in few passes.
     comps = tuple(LogisticRidgeComponent(np.array([1.0, k]), 1.0, 0.5) for k in range(3))
     bare = FiniteSumProblem(comps, 0.5, 1e300, 2)
     real = analysis.full_gradient
     calls = []
 
-    def full_gradient_twice(problem, x):
+    def counted(problem, x):
         calls.append(x)
-        if len(calls) > 2:
-            raise AssertionError("descent started")
         return real(problem, x)
 
-    monkeypatch.setattr(analysis, "full_gradient", full_gradient_twice)
-    with pytest.raises(MaxIterations, match=str(analysis.MAX_REFERENCE_PASSES)):
+    monkeypatch.setattr(analysis, "full_gradient", counted)
+    x = reference_solution(bare)
+    assert np.linalg.norm(full_gradient(bare, x)) <= 1e-12
+    assert len(calls) <= 20
+
+
+def test_reference_solution_raises_after_its_newton_steps(monkeypatch):
+    problem = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 4, 2, 1.0, 5.0, seed=4))
+    bare = FiniteSumProblem(problem.components, problem.mu, problem.L, problem.dim)
+    monkeypatch.setattr(analysis, "NEWTON_STEPS", 1)
+    with pytest.raises(MaxIterations, match="after 1 Newton steps"):
+        reference_solution(bare)
+
+
+def test_reference_solution_needs_a_bank_with_a_hessian():
+    # A GenericComponent problem has the default bank, which has no Hessian.
+    comp = GenericComponent(lambda x: 0.5 * (x @ x), lambda x: x, 1.0, 1.0)
+    bare = FiniteSumProblem((comp, comp), 1.0, 1.0, 2)
+    with pytest.raises(InvalidSpec, match="GenericComponent"):
+        reference_solution(bare)
+
+
+def test_reference_solution_blames_mu_and_l_for_an_overflowing_hessian():
+    # Each a a' has entries 1e308, so the Hessian sum of three overflows.
+    comps = tuple(RankOneRidgeComponent(np.array([1e154, 1e154]), 1.0, 1.0) for _ in range(3))
+    bare = FiniteSumProblem(comps, 1.0, 1e308, 2)
+    with pytest.raises(InvalidConstants, match=r"mu=1, L=1e\+308"):
         reference_solution(bare)
 
 

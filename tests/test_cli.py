@@ -141,6 +141,25 @@ def test_run_overflowing_constants_exit_2_and_write_nothing(tmp_path, capsys, ov
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_ridge_whose_hessian_overflows_exits_2_naming_mu_and_l(tmp_path, capsys):
+    argv = ["run", "--problem", "ridge", "--L", "1e308", "--iters", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "InvalidConstants: mu=1, L=1e+308" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mu", "3e-5", "--L", "10"],
+    ["--n", "20", "--dim", "50", "--mu", "0.3", "--L", "5", "--gamma", "10000", "--iters", "50"],
+], ids=["L-over-mu-3e5", "gamma-1e4"])
+def test_run_logistic_at_extreme_constants_exits_0(tmp_path, flags):
+    # The first needs a reference solve at L/mu = 3.3e5; in the second the
+    # prox's root-finding meets rounding above TOL_LOGISTIC_ROOT.
+    assert cli.main(["run", "--problem", "logistic", *flags, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "summary.json").exists()
+
+
 def test_run_missing_data_file_exits_3(tmp_path):
     code = cli.main(run_args(tmp_path, problem="file:/does/not/exist"))
     assert code == 3
@@ -393,6 +412,9 @@ _rates_argv = _flags([("--gamma", _FLOATS), ("--s", _INTS), ("--n", _INTS),
                "--L", "1e300", "--iters", "3", "--out", "OUT"])
 @example(argv=["run", "--dim", "100000", "--iters", "3", "--out", "OUT"])
 @example(argv=["run", "--mu", "5e-324", "--L", "5e-324", "--iters", "0", "--out", "OUT"])
+@example(argv=["run", "--problem", "logistic", "--mu", "3e-5", "--L", "10", "--iters", "3",
+               "--out", "OUT"])
+@example(argv=["run", "--problem", "ridge", "--L", "1e308", "--iters", "1", "--out", "OUT"])
 def test_cli_exits_with_a_documented_code(tmp_path_factory, argv):
     base = tmp_path_factory.getbasetemp() / "cli-argv"
     base.mkdir(exist_ok=True)

@@ -136,6 +136,13 @@ def bank_problem(kind):
     return assemble_problem(comps, 0.5, 4.0, 3)
 
 
+def test_gradient_sum_starts_from_positive_zero():
+    # A loop from +0.0 turns a lone -0.0 gradient into +0.0; so must the bank.
+    comp = GenericComponent(lambda x: 0.5 * (x @ x), lambda x: x.copy(), 1.0, 1.0)
+    total = ComponentBank([comp]).gradient_sum(np.array([-0.0, 1.0]))
+    assert not np.signbit(total[0]) and total[1] == 1.0
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("kind", ["ridge", "logistic", "generic", "mixed"])
 def test_component_bank_matches_per_component_calls(kind, dtype):
@@ -145,8 +152,11 @@ def test_component_bank_matches_per_component_calls(kind, dtype):
     x = (rng.normal(size=3) * 3.0).astype(dtype)
     G = bank.gradients(x)
     assert G.shape == (7, 3)
+    total = np.zeros_like(x)
     for i, comp in enumerate(problem.components):
         assert np.array_equal(G[i], comp.gradient(x))
+        total = total + comp.gradient(x)
+    assert np.array_equal(bank.gradient_sum(x), total)
     for gamma in (0.05, 2.0):
         for s in (1, 4, 7):
             idx = np.sort(rng.choice(7, size=s, replace=False))

@@ -76,16 +76,18 @@ def test_spec_rejects_negative_seed():
 
 
 # Each family at its dense-entry cap, then one step over it: quadratics hold
-# n d-by-d matrices, ridge n-by-d rows and a d-by-d normal matrix, logistic
-# n-by-d rows.
+# n d-by-d matrices, ridge and logistic n-by-d rows and a d-by-d Hessian.
 _AT_CAP = [("quadratic", 1, 10**4), ("ridge_regression", 10**8, 1),
-           ("ridge_regression", 1, 10**4), ("logistic_ridge", 10**7, 10)]
+           ("ridge_regression", 1, 10**4), ("logistic_ridge", 10**7, 10),
+           ("logistic_ridge", 1, 10**4)]
 _OVER_CAP = [("quadratic", 2, 10**4), ("ridge_regression", 10**8 + 1, 1),
-             ("ridge_regression", 1, 10**4 + 1), ("logistic_ridge", 10**7 + 1, 10)]
+             ("ridge_regression", 1, 10**4 + 1), ("logistic_ridge", 10**7 + 1, 10),
+             ("logistic_ridge", 1, 10**4 + 1)]
 
 
 @pytest.mark.parametrize("family,n,dim", _OVER_CAP,
-                         ids=["quad-n-d2", "ridge-n-d", "ridge-d2", "logistic-n-d"])
+                         ids=["quad-n-d2", "ridge-n-d", "ridge-d2", "logistic-n-d",
+                              "logistic-d2"])
 def test_generators_reject_oversized_specs_before_allocating(monkeypatch, family, n, dim):
     # default_rng starts every generator's draws; it fails the test here, so
     # a missing size check fails instead of allocating.
@@ -294,6 +296,46 @@ def test_row_bank_gradients_match_component_bank(family, dtype, d):
                           loop.gradient_sum(np.zeros(d)))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_quadratic_bank_gradients_match_component_gradients(dtype):
+    problem = gen_quadratic(GeneratorSpec("quadratic", 9, 4, 1.0, 10.0, seed=3), dtype=dtype)
+    assert type(problem.bank) is QuadraticBank
+    rng = np.random.default_rng(5)
+    for x_dtype in (np.float64, np.longdouble, np.float32):
+        x = (rng.normal(size=4) * 3.0).astype(x_dtype)
+        G = problem.bank.gradients(x)
+        total = np.zeros_like(x)
+        for i, comp in enumerate(problem.components):
+            assert np.array_equal(G[i], comp.gradient(x))
+            total = total + comp.gradient(x)
+        assert np.array_equal(problem.bank.gradient_sum(x), total)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "ridge", "logistic"])
+def test_bank_hessian_sum_matches_central_differences(family):
+    if family == "quadratic":
+        problem = gen_quadratic(GeneratorSpec("quadratic", 9, 4, 1.0, 10.0, seed=3))
+    else:
+        problem = _row_problem(family, 30, 4, np.float64)
+    bank, h = problem.bank, 1e-5
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        x = rng.normal(size=4)
+        H = bank.hessian_sum(x)
+        assert H.shape == (4, 4)
+        E = np.eye(4) * h
+        diffs = np.stack([(bank.gradient_sum(x + e) - bank.gradient_sum(x - e)) / (2 * h)
+                          for e in E], axis=1)
+        assert np.allclose(H, diffs, rtol=0, atol=1e-6 * np.abs(H).max())
+
+
+def test_default_bank_has_no_hessian():
+    comps = [QuadraticComponent(np.eye(2), np.ones(2), np.zeros(2)),
+             RankOneRidgeComponent(np.ones(2), 1.0, 0.5)]
+    with pytest.raises(InvalidSpec, match="QuadraticComponent, RankOneRidgeComponent"):
+        ComponentBank(comps).hessian_sum(np.zeros(2))
+
+
 def test_logistic_bank_prox_matches_component_prox(monkeypatch):
     monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", 1)  # batch every subset
     problem = _row_problem("logistic", 12, 4, np.float64)
@@ -309,6 +351,22 @@ def test_logistic_bank_prox_matches_component_prox(monkeypatch):
                 assert P.dtype == dtype
                 assert np.array_equal(P, P_loop)
                 assert np.array_equal(residuals, residuals_loop)
+
+
+def test_logistic_bank_prox_matches_component_prox_at_large_gamma():
+    # At gamma = 1e4 rounding in h(u) exceeds TOL_LOGISTIC_ROOT, so both
+    # solves stop at the same rounding bound, bitwise alike and within budget.
+    problem = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 20, 50, 0.3, 5.0, seed=0))
+    bank, loop = problem.bank, ComponentBank(problem.components)
+    rng = np.random.default_rng(11)
+    idx = np.arange(20)
+    for _ in range(5):
+        Z = rng.normal(size=(20, 50)) * 10.0
+        P, residuals = bank.prox(1e4, idx, Z)
+        P_loop, residuals_loop = loop.prox(1e4, idx, Z)
+        assert np.array_equal(P, P_loop)
+        assert np.array_equal(residuals, residuals_loop)
+        assert np.all(residuals <= prox.TOL_PROX * (1.0 + np.sqrt((Z * Z).sum(axis=1))))
 
 
 @pytest.mark.parametrize("case", ["zero-row-and-widened-bracket", "bisection-step"])
@@ -377,8 +435,9 @@ def test_ridge_hessian_spectrum():
     problem = gen_ridge_regression(
         GeneratorSpec("ridge_regression", 3, 4, 1.0, 10.0, seed=5)
     )
+    x = np.array([0.5, -1.0, 2.0, 0.0])
     for comp in problem.components:
-        H, _ = comp.quadratic_terms()
+        H = RidgeBank([comp]).hessian_sum(x)
         eigs = np.sort(np.linalg.eigvalsh(H))
         assert np.allclose(eigs[:-1], 1.0, rtol=0, atol=1e-10)
         assert abs(eigs[-1] - 10.0) <= 1e-9
@@ -556,6 +615,18 @@ def test_load_rejects_wide_index_before_allocating(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "zeros", no_alloc)
     path = tmp_path / "wide.txt"
     path.write_text("+1 1:1.0\n-1 3:1.0 1000000000000:1.0\n+1 2:1.0\n")
+    with pytest.raises(ParseError) as err:
+        load_libsvm(path, mu=1.0)
+    assert err.value.line_no == 2
+    assert str(MAX_DENSE_ENTRIES) in str(err.value)
+
+
+def test_load_rejects_width_whose_hessian_is_over_the_cap(tmp_path, monkeypatch):
+    # Two rows of width 10**4 + 1 fit as rows, but not as the reference
+    # solve's square Hessian.
+    monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+    path = tmp_path / "wide.txt"
+    path.write_text("+1 1:1.0\n-1 10001:1.0\n")
     with pytest.raises(ParseError) as err:
         load_libsvm(path, mu=1.0)
     assert err.value.line_no == 2
