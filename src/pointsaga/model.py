@@ -26,17 +26,14 @@ TOL_STAR = 1e-8
 
 
 class ComponentFunction(ABC):
-    """Oracle bundle for one component f_i.
+    """Oracle bundle for one component f_i: its gradient and its prox, the
+    only oracles the method and its analysis use.
 
     Implementations must behave as pure functions of their inputs: problems
     are shared freely between threads after assembly. ``prox`` returns a
     :class:`~pointsaga.prox.ProxResult` whose ``point`` minimizes
     ``f(x) + ||x - z||^2 / (2 gamma)``.
     """
-
-    @abstractmethod
-    def value(self, x):
-        """Objective value f(x)."""
 
     @abstractmethod
     def gradient(self, x):

@@ -57,7 +57,7 @@ def prox_rank_one_quadratic(a, y, mu_reg, gamma, z):
     return ProxResult(x, np.sqrt(defect @ defect))
 
 
-def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=None):
+def prox_logistic_ridge(a, y, mu_reg, gamma, z):
     """Prox of f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2.
 
     The optimality condition reduces to a scalar root-find in u = a'x:
@@ -66,8 +66,8 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=None):
 
     h is strictly increasing, so Newton with a bisection safeguard on a
     bracket derived from |u| <= (||a|| ||z|| + gamma ||a||^2) / (1 + gamma mu_reg)
-    terminates once |h(u)| <= tol, by default logistic_root_tol. Raises
-    MaxInnerIterations past the safeguard budget.
+    terminates once |h(u)| <= logistic_root_tol. Raises MaxInnerIterations
+    past the safeguard budget.
     """
     a = np.asarray(a, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -101,7 +101,7 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z, tol=None):
     u = 0.5 * (lo + hi)
     while True:
         hu = h(u)
-        hu_tol = logistic_root_tol(alpha, u, az, gamma * aa) if tol is None else tol
+        hu_tol = logistic_root_tol(alpha, u, az, gamma * aa)
         if abs(hu) <= hu_tol:
             break
         iters += 1

@@ -265,7 +265,7 @@ def test_reference_solution_raises_after_its_newton_steps(monkeypatch):
 
 def test_reference_solution_needs_a_bank_with_a_hessian():
     # A GenericComponent problem has the default bank, which has no Hessian.
-    comp = GenericComponent(lambda x: 0.5 * (x @ x), lambda x: x, 1.0, 1.0)
+    comp = GenericComponent(lambda x: x, 1.0, 1.0)
     bare = FiniteSumProblem((comp, comp), 1.0, 1.0, 2)
     with pytest.raises(InvalidSpec, match="GenericComponent"):
         reference_solution(bare)

@@ -127,18 +127,17 @@ def bank_problem(kind):
     if kind == "logistic":
         return logistic
     if kind == "generic":
-        comps = [GenericComponent(c.value, c.gradient, 0.5, 4.0) for c in ridge.components]
+        comps = [GenericComponent(c.gradient, 0.5, 4.0) for c in ridge.components]
     else:
         comps = [ridge.components[0], logistic.components[1], identity_quadratic(3),
-                 GenericComponent(ridge.components[3].value,
-                                  ridge.components[3].gradient, 0.5, 4.0),
+                 GenericComponent(ridge.components[3].gradient, 0.5, 4.0),
                  *ridge.components[4:6], logistic.components[6]]
     return assemble_problem(comps, 0.5, 4.0, 3)
 
 
 def test_gradient_sum_starts_from_positive_zero():
     # A loop from +0.0 turns a lone -0.0 gradient into +0.0; so must the bank.
-    comp = GenericComponent(lambda x: 0.5 * (x @ x), lambda x: x.copy(), 1.0, 1.0)
+    comp = GenericComponent(lambda x: x.copy(), 1.0, 1.0)
     total = ComponentBank([comp]).gradient_sum(np.array([-0.0, 1.0]))
     assert not np.signbit(total[0]) and total[1] == 1.0
 

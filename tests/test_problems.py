@@ -369,7 +369,8 @@ def test_logistic_bank_prox_matches_component_prox_at_large_gamma():
         assert np.all(residuals <= prox.TOL_PROX * (1.0 + np.sqrt((Z * Z).sum(axis=1))))
 
 
-@pytest.mark.parametrize("case", ["zero-row-and-widened-bracket", "bisection-step"])
+@pytest.mark.parametrize("case", ["zero-row-and-widened-bracket", "bisection-step",
+                                  "all-zero-rows"])
 def test_logistic_bank_prox_edge_rows(monkeypatch, case):
     monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", 1)
     if case == "zero-row-and-widened-bracket":
@@ -383,6 +384,11 @@ def test_logistic_bank_prox_edge_rows(monkeypatch, case):
         Z = np.array([[3.0, -4.0], 3e16 * a, [0.5, 0.25]])
         aa, hi = a @ a, (np.sqrt(a @ a) * np.sqrt(Z[1] @ Z[1]) + gamma * (a @ a)) + 1.0
         assert hi - a @ Z[1] - gamma * aa * sigmoid(-hi) < 0.0
+    elif case == "all-zero-rows":
+        # No row has a root to find, so none is live from the start.
+        gamma, mu_reg = 0.7, 0.3
+        comps = [LogisticRidgeComponent(np.zeros(2), y, mu_reg) for y in (1.0, -1.0, 1.0)]
+        Z = np.array([[3.0, -4.0], [-1.5, 0.5], [1e-300, -2.5]])
     else:
         # A Newton step of row 0 leaves the bracket and is replaced by bisection.
         gamma, mu_reg = 5977.658374308675, 0.754282451013271
@@ -397,6 +403,19 @@ def test_logistic_bank_prox_edge_rows(monkeypatch, case):
     assert np.array_equal(residuals, residuals_loop)
     if case == "zero-row-and-widened-bracket":
         assert np.array_equal(P[0], Z[0] / (1.0 + gamma * mu_reg))
+    elif case == "all-zero-rows":
+        assert np.array_equal(P, Z / (1.0 + gamma * mu_reg))
+
+
+def test_logistic_bank_prox_raises_at_a_nan_point(monkeypatch):
+    # The scalar solve never accepts a NaN root, so neither may the batch.
+    monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", 1)
+    problem = _row_problem("logistic", 12, 4, np.float64)
+    Z = np.ones((12, 4))
+    Z[2, 1] = np.nan
+    for bank in (problem.bank, ComponentBank(problem.components)):
+        with pytest.raises(MaxInnerIterations, match="^prox of component 3:"):
+            bank.prox(1.0, np.arange(12), Z)
 
 
 def test_logistic_bank_names_first_component_out_of_budget(monkeypatch):
