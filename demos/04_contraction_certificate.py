@@ -20,7 +20,7 @@ from pointsaga import (
 
 problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=21))
 x_star = problem.known_solution
-grad_star = np.stack([c.gradient(x_star) for c in problem.components])
+grad_star = problem.bank.gradients(x_star)
 
 rng = np.random.default_rng(5)
 print("batch   gamma     worst lhs/rhs over 50 random states")

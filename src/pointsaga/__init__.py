@@ -40,7 +40,6 @@ from .prox import (
     prox_generic,
     prox_logistic_ridge,
     prox_rank_one_quadratic,
-    prox_residual,
 )
 from .sampling import SplitMix64, enumerate_k_subsets, sample_k_subset
 from .solver import (

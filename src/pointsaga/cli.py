@@ -6,15 +6,14 @@ Exit codes: 0 success, 1 failed verification, 2 configuration error,
 
 Trace files are CSV with header ``t,dist_sq,lyapunov,table_drift,wall_ns``;
 floats carry 17 significant digits so they round-trip. Every problem gets a
-known solution (``reference_solution`` computes one when the generator or
-file does not plant it), so no field is empty.
+known solution (generators plant one; ``reference_solution`` computes one for
+a file), so no field is empty.
 """
 
 import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -126,19 +125,16 @@ def _build_problem(args):
     """The problem the flags name, with its minimizer attached."""
     if args.problem.startswith("file:"):
         _, problem = load_libsvm(args.problem[5:], args.mu)
-    else:
-        family, generate = {
-            "quad": ("quadratic", gen_quadratic),
-            "ridge": ("ridge_regression", gen_ridge_regression),
-            "logistic": ("logistic_ridge", gen_logistic_ridge),
-        }.get(args.problem, (None, None))
-        if family is None:
-            raise PointSagaError(f"unknown problem kind {args.problem!r}")
-        problem = generate(GeneratorSpec(family, n=args.n, dim=args.dim, mu=args.mu,
-                                         L=args.L, seed=args.seed))
-    if problem.known_solution is None:
-        problem = replace(problem, known_solution=reference_solution(problem, tol=1e-12))
-    return problem
+        return problem._with_known_solution(reference_solution(problem, tol=1e-12))
+    family, generate = {
+        "quad": ("quadratic", gen_quadratic),
+        "ridge": ("ridge_regression", gen_ridge_regression),
+        "logistic": ("logistic_ridge", gen_logistic_ridge),
+    }.get(args.problem, (None, None))
+    if family is None:
+        raise PointSagaError(f"unknown problem kind {args.problem!r}")
+    return generate(GeneratorSpec(family, n=args.n, dim=args.dim, mu=args.mu,
+                                  L=args.L, seed=args.seed))
 
 
 def _stepsize(problem, args, s, gamma_spec):

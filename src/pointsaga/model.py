@@ -7,6 +7,7 @@ ComponentBank, or a family's batched subclass with bitwise the same results.
 Only family banks sum Hessians, so other problems must declare known_solution.
 """
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -126,18 +127,25 @@ class FiniteSumProblem:
         stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
         object.__setattr__(self, "bank", stack(self.components))
         if self.known_solution is not None:
-            xs = np.asarray(self.known_solution)
-            if xs.shape != (self.dim,):
-                raise DimensionMismatch(
-                    f"known_solution has shape {xs.shape}, expected ({self.dim},)"
-                )
-            g = full_gradient(self, xs)
-            with np.errstate(over="ignore"):  # an overflow reads inf and fails
-                norm = float(np.sqrt(np.dot(g, g)))
-            if norm > self.n * TOL_STAR:
-                raise InvalidKnownSolution(
-                    f"||sum grad f_i(x*)|| = {norm:.3e} exceeds n*{TOL_STAR:g}"
-                )
+            self._with_known_solution(self.known_solution)  # for its check; the copy is dropped
+
+    def _with_known_solution(self, x_star):
+        """A copy sharing this bank, with known_solution x_star; raises unless stationary."""
+        xs = np.asarray(x_star)
+        if xs.shape != (self.dim,):
+            raise DimensionMismatch(
+                f"known_solution has shape {xs.shape}, expected ({self.dim},)"
+            )
+        g = full_gradient(self, xs)
+        with np.errstate(over="ignore"):  # an overflow reads inf and fails
+            norm = float(np.sqrt(np.dot(g, g)))
+        if norm > self.n * TOL_STAR:
+            raise InvalidKnownSolution(
+                f"||sum grad f_i(x*)|| = {norm:.3e} exceeds n*{TOL_STAR:g}"
+            )
+        problem = copy.copy(self)
+        object.__setattr__(problem, "known_solution", x_star)
+        return problem
 
     @property
     def n(self):
@@ -153,7 +161,7 @@ class FiniteSumProblem:
 def assemble_problem(components, mu, L, dim):
     """Validate and pack components into a FiniteSumProblem.
 
-    The known solution is left unset; generators attach it separately.
+    The known solution is left unset; ``_with_known_solution`` attaches one.
     """
     return FiniteSumProblem(tuple(components), float(mu), float(L), int(dim))
 

@@ -7,7 +7,7 @@ All generators are deterministic functions of their spec (same seed, same
 problem to the last bit).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,8 @@ class QuadraticComponent(ComponentFunction):
     The prox solves (I + gamma A) x = z + gamma A c through the
     eigendecomposition, so it works in any float dtype (including
     longdouble) and costs one cached d-by-d matvec per call. The cache for
-    the last gamma is one tuple, replaced by a single attribute write.
+    the last gamma is one tuple, replaced by a single attribute write; a
+    QuadraticBank keeps its own cache and leaves this one unset.
     """
 
     def __init__(self, Q, eig, c):
@@ -91,11 +92,14 @@ class QuadraticBank(ComponentBank):
     """Quadratic components of one shape and dtype, stacked so that one call
     proxes a whole subset. Row k of the result is bitwise what
     ``components[idx[k]].prox`` returns: the same operations in the same
-    order, with the matvecs batched through matmul's per-matrix loop.
+    order, with the matmuls batched through matmul's per-matrix loop. One
+    cache holds the last gamma's n resolvents, each bitwise a component's.
     """
 
     def __init__(self, components):
         super().__init__(components)
+        self.Q = np.stack([c.Q for c in components])
+        self.eig = np.stack([c.eig for c in components])
         self.A = np.stack([c.A for c in components])
         self.Ac = np.stack([c._Ac for c in components])
         self._cache = (None, None, None)
@@ -109,9 +113,8 @@ class QuadraticBank(ComponentBank):
     def _resolvent(self, gamma):
         cache = self._cache
         if cache[0] != gamma:
-            pairs = [c._resolvent(gamma) for c in self.components]
-            M = np.stack([m for m, _ in pairs])
-            cache = self._cache = (gamma, M, np.stack([g for _, g in pairs]))
+            M = (self.Q * (1.0 / (1.0 + gamma * self.eig))[:, None, :]) @ self.Q.transpose(0, 2, 1)
+            cache = self._cache = (gamma, M, gamma * self.Ac)
         return cache[1], cache[2]
 
     def prox(self, gamma, idx, Z):
@@ -369,7 +372,7 @@ def _planted(problem, spec):
     the bound: the constants are at fault, not the minimizer."""
     x_star = reference_solution(problem)
     try:
-        return replace(problem, known_solution=x_star)
+        return problem._with_known_solution(x_star)
     except InvalidKnownSolution as exc:
         raise InvalidConstants(
             f"mu={spec.mu:g}, L={spec.L:g}: at this scale rounding keeps the planted "

@@ -162,12 +162,3 @@ def prox_generic(f, gamma, z, tol, mu, L):
         f"generic prox: residual {res:.3e} > tol {tol:g} after {budget} iterations"
     )
 
-
-def prox_residual(f, gamma, z, x):
-    """Resolvent defect ||x + gamma grad f(x) - z||; zero iff x is the prox."""
-    z = np.asarray(z)
-    x = np.asarray(x)
-    if x.shape != z.shape:
-        raise DimensionMismatch(f"x has shape {x.shape}, z has shape {z.shape}")
-    defect = x + gamma * f.gradient(x) - z
-    return np.sqrt(defect @ defect)

@@ -30,6 +30,7 @@ from pointsaga.errors import (
     ParseError,
     PointSagaError,
 )
+import pointsaga.cli as cli
 import pointsaga.problems as problems
 import pointsaga.prox as prox
 from pointsaga.model import ComponentBank
@@ -108,6 +109,27 @@ def test_spec_accepts_specs_at_the_dense_cap():
         GeneratorSpec(family, n, dim, 0.5, 1.0)
 
 
+def test_each_problem_builds_its_bank_once(monkeypatch, tmp_path):
+    # Attaching the minimizer keeps the bank the problem was built with.
+    built = []
+    init = ComponentBank.__init__
+
+    def counting_init(self, components):
+        built.append(type(self))
+        init(self, components)
+
+    monkeypatch.setattr(ComponentBank, "__init__", counting_init)
+    gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    gen_ridge_regression(GeneratorSpec("ridge_regression", 6, 3, 1.0, 10.0, seed=1))
+    gen_logistic_ridge(GeneratorSpec("logistic_ridge", 6, 3, 1.0, 10.0, seed=1))
+    path = tmp_path / "data.svm"
+    path.write_text("+1 1:0.5 2:-1\n-1 1:2 3:0.25\n+1 2:1.5\n")
+    args = cli.build_parser().parse_args(["run", "--problem", f"file:{path}"])
+    problem = cli._build_problem(args)
+    assert problem.known_solution is not None
+    assert built == [QuadraticBank, RidgeBank, LogisticBank, LogisticBank]
+
+
 # --- quadratic generator -----------------------------------------------------------
 
 
@@ -166,6 +188,9 @@ def test_quadratic_bank_rows_match_component_prox(dtype):
     problem = gen_quadratic(GeneratorSpec("quadratic", 9, 5, 1.0, 10.0, seed=6), dtype=dtype)
     bank = problem.bank
     assert isinstance(bank, QuadraticBank)
+    bank.prox(0.5, np.arange(9), np.ones((9, 5), dtype=dtype))
+    # The bank builds its resolvent stack without filling the components' caches.
+    assert all(c._cache[0] is None for c in problem.components)
     rng = np.random.default_rng(8)
     for gamma in (0.03, 0.7, 0.03, 25.0):
         for s in (1, 4, 9):
@@ -177,6 +202,11 @@ def test_quadratic_bank_rows_match_component_prox(dtype):
                 one = problem.components[i].prox(gamma, Z[k])
                 assert np.array_equal(P[k], one.point)
                 assert residual[k] == one.residual
+        M, g_Ac = bank._resolvent(gamma)
+        assert M.dtype == dtype and g_Ac.dtype == dtype
+        for i, comp in enumerate(problem.components):
+            M_i, g_Ac_i = comp._resolvent(gamma)
+            assert np.array_equal(M[i], M_i) and np.array_equal(g_Ac[i], g_Ac_i)
 
 
 def test_shared_quadratic_prox_is_thread_safe():
@@ -390,11 +420,17 @@ def test_logistic_bank_prox_edge_rows(monkeypatch, case):
         comps = [LogisticRidgeComponent(np.zeros(2), y, mu_reg) for y in (1.0, -1.0, 1.0)]
         Z = np.array([[3.0, -4.0], [-1.5, 0.5], [1e-300, -2.5]])
     else:
-        # A Newton step of row 0 leaves the bracket and is replaced by bisection.
-        gamma, mu_reg = 5977.658374308675, 0.754282451013271
-        comps = [LogisticRidgeComponent([0.9664366484476488, -1.3038888221819178], -1.0, mu_reg),
-                 LogisticRidgeComponent([1.0, 0.5], 1.0, mu_reg)]
-        Z = np.array([[27.54870417397664, 20.36601333764662], [0.3, -0.2]])
+        # Row 0's root is a'z = 1e17, where h vanishes, and the derived bracket
+        # end is a'z too: the bound's +1 margin rounds away. Newton closes in
+        # on the root from below, so its steps land on the bracket end and are
+        # bisected instead.
+        a, gamma, mu_reg = np.array([1e6, 0.0]), 1e-25, 1.0
+        comps = [LogisticRidgeComponent(a, 1.0, mu_reg),
+                 LogisticRidgeComponent(np.array([1.0, 0.5]), 1.0, mu_reg)]
+        Z = np.array([[1e11, 0.0], [0.3, -0.2]])
+        aa, az = a @ a, a @ Z[0]
+        hi = (np.sqrt(aa) * np.sqrt(Z[0] @ Z[0]) + gamma * aa) / (1.0 + gamma * mu_reg) + 1.0
+        assert hi == az and (1.0 + gamma * mu_reg) * az - az - gamma * aa * sigmoid(-az) == 0.0
     problem = assemble_problem(comps, mu_reg, 10.0, 2)
     idx = np.arange(len(comps))
     P, residuals = problem.bank.prox(gamma, idx, Z)
@@ -405,6 +441,14 @@ def test_logistic_bank_prox_edge_rows(monkeypatch, case):
         assert np.array_equal(P[0], Z[0] / (1.0 + gamma * mu_reg))
     elif case == "all-zero-rows":
         assert np.array_equal(P, Z / (1.0 + gamma * mu_reg))
+    else:
+        # Plain Newton would stop on the bracket end after two steps; the
+        # bisections the fallback takes instead cost more than that budget.
+        monkeypatch.setattr(problems, "NEWTON_BUDGET", 2)
+        monkeypatch.setattr(prox, "NEWTON_BUDGET", 2)
+        for bank in (problem.bank, ComponentBank(comps)):
+            with pytest.raises(MaxInnerIterations, match="^prox of component 1:"):
+                bank.prox(gamma, idx, Z)
 
 
 def test_logistic_bank_prox_raises_at_a_nan_point(monkeypatch):
