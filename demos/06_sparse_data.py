@@ -15,7 +15,6 @@ from pointsaga import (
     run,
     theoretical_rate,
 )
-from dataclasses import replace
 
 LINES = """\
 # toy two-feature classification set
@@ -37,7 +36,7 @@ try:
           f"L={problem.L:.4f} (from max row norm)")
 
     x_star = reference_solution(problem, tol=1e-12)
-    problem = replace(problem, known_solution=x_star)
+    problem = problem.with_known_solution(x_star)
     print("reference minimizer:", np.round(x_star, 6))
 
     s = 2

@@ -1,4 +1,4 @@
-"""Small dense solves that preserve extended-precision dtypes.
+"""Small dense solves that preserve extended-precision dtypes, and row dots.
 
 LAPACK-backed ``np.linalg.solve`` rejects ``np.longdouble``; the elimination
 fallback here keeps whatever dtype the caller works in.
@@ -7,6 +7,13 @@ fallback here keeps whatever dtype the caller works in.
 import numpy as np
 
 from .errors import SingularSystem
+
+
+def _dots(A, B):
+    """Row k is A[k] @ B[k], or A[k] @ B for a vector B; each is bitwise the
+    1-d dot, which a matrix-vector product need not be. So a row computed
+    alone equals the same row inside a pass over all rows."""
+    return (A[:, None, :] @ B[..., None])[:, 0, 0]
 
 
 def solve(A, b):

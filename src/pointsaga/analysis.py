@@ -12,6 +12,11 @@ and the certified quantity is the weighted energy
     w_x = (1 + 2 g mu L / (L + mu)) * s,
     w_g = (1 + 2 / (g (L + mu))) * g^2.
 
+The table term is summed in index order, i = 1..n, over the per-row squared
+errors r_i = ||g_i - grad f_i(x*)||^2, each a 1-d dot. So solver.run, which
+recomputes r_i only for the rows an iteration writes, scores every record
+bitwise as `lyapunov` scores the same state.
+
 Averaged over all C(n, s) equally likely subsets, one iteration maps Psi to
 at most rho * Psi; `verify_one_step_contraction` computes that average
 exactly by enumeration.
@@ -22,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._linalg import solve
+from ._linalg import _dots, solve
 from .errors import (
     DimensionMismatch,
     EpsNotBelowPsi0,
@@ -98,8 +103,13 @@ class LyapunovWeights:
         x_star, whose component gradients are the rows of grad_star. Shapes
         are not checked; lyapunov checks them."""
         d = state.x - x_star
-        e = state.grad_table - grad_star
-        return self.w_x * (d @ d) + self.w_g * (e * e).sum()
+        return self.w_x * (d @ d) + self.w_g * _row_errors(state.grad_table, grad_star).sum()
+
+
+def _row_errors(table, grad_star):
+    """The per-row squared errors ||table[i] - grad_star[i]||^2 of Psi."""
+    e = table - grad_star
+    return _dots(e, e)
 
 
 def theoretical_rate(gamma, s, n, mu, L):

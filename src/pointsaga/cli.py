@@ -12,6 +12,7 @@ a file), so no field is empty.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -119,13 +120,16 @@ def _check_flags(args):
     # A file: problem never seeds numpy, so the generators' check misses it.
     if args.seed < 0:
         raise PointSagaError(f"--seed must be >= 0, got {args.seed}")
+    # Fail before any solve, not at the first write after it (exit 3).
+    if not os.path.isdir(args.out):
+        raise NotADirectoryError(f"--out {args.out!r} is not an existing directory")
 
 
 def _build_problem(args):
     """The problem the flags name, with its minimizer attached."""
     if args.problem.startswith("file:"):
         _, problem = load_libsvm(args.problem[5:], args.mu)
-        return problem._with_known_solution(reference_solution(problem, tol=1e-12))
+        return problem.with_known_solution(reference_solution(problem, tol=1e-12))
     family, generate = {
         "quad": ("quadratic", gen_quadratic),
         "ridge": ("ridge_regression", gen_ridge_regression),

@@ -127,9 +127,9 @@ class FiniteSumProblem:
         stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
         object.__setattr__(self, "bank", stack(self.components))
         if self.known_solution is not None:
-            self._with_known_solution(self.known_solution)  # for its check; the copy is dropped
+            self.with_known_solution(self.known_solution)  # for its check; the copy is dropped
 
-    def _with_known_solution(self, x_star):
+    def with_known_solution(self, x_star):
         """A copy sharing this bank, with known_solution x_star; raises unless stationary."""
         xs = np.asarray(x_star)
         if xs.shape != (self.dim,):
@@ -161,7 +161,7 @@ class FiniteSumProblem:
 def assemble_problem(components, mu, L, dim):
     """Validate and pack components into a FiniteSumProblem.
 
-    The known solution is left unset; ``_with_known_solution`` attaches one.
+    The known solution is left unset; ``with_known_solution`` attaches one.
     """
     return FiniteSumProblem(tuple(components), float(mu), float(L), int(dim))
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import _dots
 from .analysis import _finite, reference_solution
 from .errors import (
     EmptyFile,
@@ -128,12 +129,6 @@ class QuadraticBank(ComponentBank):
 def _matvecs(M, V):
     """Row k is M[k] @ V[k]."""
     return (M @ V[:, :, None])[:, :, 0]
-
-
-def _dots(A, B):
-    """Row k is A[k] @ B[k], or A[k] @ B for a vector B; each is bitwise the
-    1-d dot, which a matrix-vector product need not be."""
-    return (A[:, None, :] @ B[..., None])[:, 0, 0]
 
 
 def _sigmoids(v):
@@ -372,7 +367,7 @@ def _planted(problem, spec):
     the bound: the constants are at fault, not the minimizer."""
     x_star = reference_solution(problem)
     try:
-        return problem._with_known_solution(x_star)
+        return problem.with_known_solution(x_star)
     except InvalidKnownSolution as exc:
         raise InvalidConstants(
             f"mu={spec.mu:g}, L={spec.L:g}: at this scale rounding keeps the planted "

@@ -15,8 +15,10 @@ recomputation bounds floating-point drift.
 The public step and apply_subset_step are pure: each copies the table once
 and returns a fresh state. run owns the state that initialize builds for it
 and advances it, table included, in place, so one of its iterations costs
-O(s*d) whatever n is. Its Lyapunov value and table drift are O(n*d) passes
-made once per trace record, so trace_every sets the cost of diagnostics.
+O(s*d) whatever n is. It keeps the Lyapunov value's per-row table errors
+current in O(s*d) per iteration, so a record scores Psi with an O(n) sum;
+the table drift is still an O(n*d) pass per record, so trace_every sets what
+that diagnostic costs.
 Components are reached only through the problem's bank (model.ComponentBank):
 the subset prox of each iteration, and the n-row gradient stacks of
 initialize and of run's grad_star, are one bank call each. Every family bank
@@ -160,12 +162,13 @@ def apply_subset_step(state, problem, gamma, indices0):
 
 def _step(state, problem, config, rng, gamma, table):
     """Sample, advance and maybe refresh, writing into ``table`` (a copy of
-    state.grad_table, or run's own table); returns (x_new, g_new)."""
+    state.grad_table, or run's own table); returns (x_new, g_new, idx0),
+    idx0 being the 0-based subset whose rows were written."""
     idx0 = np.asarray(sample_k_subset(rng, problem.n, config.s), dtype=int) - 1
     x_new, g_new = _advance(state, problem, gamma, idx0, table)
     if config.refresh_every is not None and (state.t + 1) % config.refresh_every == 0:
         g_new = table.mean(axis=0)
-    return x_new, g_new
+    return x_new, g_new, idx0
 
 
 def step(state, problem, config, rng, gamma):
@@ -177,7 +180,7 @@ def step(state, problem, config, rng, gamma):
     input state is left untouched.
     """
     table = state.grad_table.copy()
-    x_new, g_new = _step(state, problem, config, rng, gamma, table)
+    x_new, g_new, _ = _step(state, problem, config, rng, gamma, table)
     return SolverState(t=state.t + 1, x=x_new, grad_table=table, g_avg=g_new)
 
 
@@ -191,9 +194,11 @@ def run(problem, config, x0):
     """Iterate from x0 for config.max_iters iterations.
 
     run advances the state that initialize builds for it, table included, in
-    place: an iteration costs O(s*d) whatever n is. The Lyapunov value and the
-    table drift are O(n*d) passes made only when a record is written, so
-    trace_every sets the cost of the diagnostics.
+    place: an iteration costs O(s*d) whatever n is. The per-row table errors
+    of the Lyapunov value are recomputed for the s rows each iteration
+    writes, so a record scores Psi with an O(n) sum. The table drift is an
+    O(n*d) pass made only when a record is written, so trace_every sets what
+    it costs.
 
     Parameters
     ----------
@@ -217,11 +222,12 @@ def run(problem, config, x0):
 
     x_star = problem.known_solution
     if x_star is not None:
-        from .analysis import LyapunovWeights
+        from .analysis import LyapunovWeights, _row_errors
 
         x_star = np.asarray(x_star, dtype=state.x.dtype)
         grad_star = problem.bank.gradients(x_star)
         weights = LyapunovWeights.from_constants(gamma, config.s, problem.mu, problem.L)
+        row_errors = _row_errors(state.grad_table, grad_star)
 
     t_begin = time.perf_counter_ns()
 
@@ -230,16 +236,20 @@ def run(problem, config, x0):
         if x_star is not None:
             d = st.x - x_star
             dist_sq = d @ d
-            lyap = weights.psi(st, x_star, grad_star)
+            # LyapunovWeights.psi's formula, on the kept row errors.
+            lyap = weights.w_x * dist_sq + weights.w_g * row_errors.sum()
         records.append(TraceRecord(t=st.t, dist_sq=dist_sq, lyapunov=lyap,
                                    table_drift=table_drift(st),
                                    wall_ns=time.perf_counter_ns() - t_begin))
 
     records = []
     record(state)
+    table = state.grad_table
     while state.t < config.max_iters:
-        state.x, state.g_avg = _step(state, problem, config, rng, gamma, state.grad_table)
+        state.x, state.g_avg, idx = _step(state, problem, config, rng, gamma, table)
         state.t += 1
+        if x_star is not None:  # take: a cheaper gather than table[idx]
+            row_errors[idx] = _row_errors(table.take(idx, axis=0), grad_star.take(idx, axis=0))
         if state.t % config.trace_every == 0 or state.t == config.max_iters:
             record(state)
     return state, records

@@ -364,6 +364,22 @@ def test_sweep_bad_threshold_exits_2_and_writes_nothing(tmp_path, capsys, thresh
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("out", ["missing", "notdir"])
+def test_unusable_out_exits_3_before_any_problem_is_built(tmp_path, capsys, monkeypatch,
+                                                          command, out):
+    def no_build(args):
+        raise AssertionError("problem built before --out was checked")
+
+    monkeypatch.setattr(cli, "_build_problem", no_build)
+    (tmp_path / "notdir").write_text("")
+    argv = run_args(tmp_path / out / "deeper" if out == "missing" else tmp_path / out)
+    argv[0] = command
+    assert cli.main(argv + (["--ss", "1,4"] if command == "sweep" else [])) == 3
+    assert "is not an existing directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["notdir"]
+
+
 # --- argv property test ----------------------------------------------------------
 
 # Flag values from edge sets: negative, zero, tiny, huge, nan, inf and

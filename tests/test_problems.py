@@ -127,7 +127,10 @@ def test_each_problem_builds_its_bank_once(monkeypatch, tmp_path):
     args = cli.build_parser().parse_args(["run", "--problem", f"file:{path}"])
     problem = cli._build_problem(args)
     assert problem.known_solution is not None
-    assert built == [QuadraticBank, RidgeBank, LogisticBank, LogisticBank]
+    _, loaded = load_libsvm(str(path), mu=0.5)  # demo 06's path
+    problem = loaded.with_known_solution(reference_solution(loaded, tol=1e-12))
+    assert problem.bank is loaded.bank
+    assert built == [QuadraticBank, RidgeBank, LogisticBank, LogisticBank, LogisticBank]
 
 
 # --- quadratic generator -----------------------------------------------------------

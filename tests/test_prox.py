@@ -12,7 +12,7 @@ from pointsaga import (
     prox_logistic_ridge,
     prox_rank_one_quadratic,
 )
-from pointsaga._linalg import solve
+from pointsaga._linalg import _dots, solve
 from pointsaga.errors import MaxInnerIterations, SingularSystem
 import pointsaga.prox as prox
 from pointsaga.prox import TOL_PROX, sigmoid
@@ -43,6 +43,22 @@ def test_linalg_solve_longdouble_matches_lapack():
     x = solve(A.astype(np.longdouble), b.astype(np.longdouble))
     assert x.dtype == np.longdouble
     assert np.allclose(x.astype(float), np.linalg.solve(A, b), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 4, 50])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_row_dots_of_gathered_rows_match_the_full_pass(dtype, d):
+    # solver.run recomputes Psi's row errors for the rows a step writes and
+    # needs each to be bitwise the same row of a pass over every row.
+    rng = np.random.default_rng(d)
+    E = rng.standard_normal((40, d)).astype(dtype) * np.logspace(-8, 8, 40)[:, None]
+    full = _dots(E, E)
+    assert full.dtype == dtype
+    for idx in (np.array([0]), np.array([3, 17, 39]), np.arange(1, 40, 2), np.arange(40)):
+        rows = E[idx]
+        assert np.array_equal(_dots(rows, rows), full[idx])
+        for k, i in enumerate(idx):
+            assert _dots(rows, rows)[k] == E[i] @ E[i]
 
 
 # --- prox_rank_one_quadratic --------------------------------------------------

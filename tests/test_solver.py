@@ -255,14 +255,31 @@ def check_record(record, state, problem, gamma, s, grad_star):
     assert record.table_drift == table_drift(state)
 
 
-def test_run_matches_loop_of_pure_steps():
-    problem = quad_problem()
-    gamma = 0.2
-    cfg = SolverConfig(s=3, gamma=gamma, max_iters=60, seed=13, trace_every=7,
-                       refresh_every=10)
-    final, records = run(problem, cfg, np.zeros(4))
+PROBLEMS_10_BY_4 = {
+    "quad": lambda: quad_problem(),
+    "quad_longdouble": lambda: gen_quadratic(
+        GeneratorSpec("quadratic", 10, 4, 1.0, 10.0, seed=31), dtype=np.longdouble),
+    "ridge": lambda: gen_ridge_regression(
+        GeneratorSpec("ridge_regression", 10, 4, 1.0, 10.0, seed=31)),
+    "logistic": lambda: gen_logistic_ridge(
+        GeneratorSpec("logistic_ridge", 10, 4, 1.0, 10.0, seed=31)),
+}
 
-    state = initialize(problem, cfg, np.zeros(4))
+
+@pytest.mark.parametrize("refresh_every", [1, 10], ids=lambda r: f"refresh{r}")
+@pytest.mark.parametrize("s", [1, 3, 10], ids=lambda s: f"s{s}")
+@pytest.mark.parametrize("kind", list(PROBLEMS_10_BY_4))
+def test_run_matches_loop_of_pure_steps(kind, s, refresh_every):
+    # run keeps Psi's row errors and rescores only the rows a step writes;
+    # every record must still be lyapunov() of the pure loop's state, bitwise.
+    problem = PROBLEMS_10_BY_4[kind]()
+    x0 = np.zeros(4, dtype=problem.known_solution.dtype)
+    gamma = 0.2
+    cfg = SolverConfig(s=s, gamma=gamma, max_iters=60, seed=13, trace_every=7,
+                       refresh_every=refresh_every)
+    final, records = run(problem, cfg, x0)
+
+    state = initialize(problem, cfg, x0)
     rng = SplitMix64(cfg.seed)
     states = {0: state}
     while state.t < cfg.max_iters:
@@ -274,6 +291,30 @@ def test_run_matches_loop_of_pure_steps():
     assert [r.t for r in records] == [0, 7, 14, 21, 28, 35, 42, 49, 56, 60]
     for r in records:
         check_record(r, states[r.t], problem, gamma, cfg.s, grad_star)
+
+
+def test_run_rescores_only_the_rows_each_step_writes(monkeypatch):
+    # A full-table pass per record, the O(n*d) cost run no longer pays, shows
+    # as a row-dot call over n rows after the first or as a call of psi.
+    from pointsaga import analysis
+
+    seen = []
+    dots = analysis._dots
+
+    def counting_dots(A, B):
+        seen.append(A.shape[0])
+        return dots(A, B)
+
+    def no_psi(*args):
+        raise AssertionError("LyapunovWeights.psi called")
+
+    monkeypatch.setattr(analysis, "_dots", counting_dots)
+    monkeypatch.setattr(analysis.LyapunovWeights, "psi", no_psi)
+    problem = quad_problem(n=30)
+    cfg = SolverConfig(s=2, gamma=0.2, max_iters=25, seed=4, trace_every=1)
+    _, records = run(problem, cfg, np.zeros(4))
+    assert len(records) == 26
+    assert seen == [30] + [2] * 25
 
 
 def test_prox_failure_names_component(monkeypatch):
