@@ -373,7 +373,7 @@ def test_unusable_out_exits_3_before_any_problem_is_built(tmp_path, capsys, monk
 
     monkeypatch.setattr(cli, "_build_problem", no_build)
     (tmp_path / "notdir").write_text("")
-    argv = run_args(tmp_path / out / "deeper" if out == "missing" else tmp_path / out)
+    argv = run_args(tmp_path / out)
     argv[0] = command
     assert cli.main(argv + (["--ss", "1,4"] if command == "sweep" else [])) == 3
     assert "is not an existing directory" in capsys.readouterr().err

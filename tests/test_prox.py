@@ -56,9 +56,9 @@ def test_row_dots_of_gathered_rows_match_the_full_pass(dtype, d):
     assert full.dtype == dtype
     for idx in (np.array([0]), np.array([3, 17, 39]), np.arange(1, 40, 2), np.arange(40)):
         rows = E[idx]
-        assert np.array_equal(_dots(rows, rows), full[idx])
-        for k, i in enumerate(idx):
-            assert _dots(rows, rows)[k] == E[i] @ E[i]
+        part = _dots(rows, rows)
+        assert np.array_equal(part, full[idx])
+        assert all(part[k] == E[i] @ E[i] for k, i in enumerate(idx))
 
 
 # --- prox_rank_one_quadratic --------------------------------------------------

@@ -256,7 +256,7 @@ def check_record(record, state, problem, gamma, s, grad_star):
 
 
 PROBLEMS_10_BY_4 = {
-    "quad": lambda: quad_problem(),
+    "quad": quad_problem,
     "quad_longdouble": lambda: gen_quadratic(
         GeneratorSpec("quadratic", 10, 4, 1.0, 10.0, seed=31), dtype=np.longdouble),
     "ridge": lambda: gen_ridge_regression(
