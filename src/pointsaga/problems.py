@@ -19,12 +19,11 @@ from .errors import (
     InvalidConstants,
     InvalidKnownSolution,
     InvalidSpec,
-    MaxInnerIterations,
     ParseError,
 )
+from . import prox
 from .model import ComponentBank, ComponentFunction, assemble_problem
 from .prox import (
-    NEWTON_BUDGET,
     TOL_PROX,
     logistic_root_tol,
     prox_generic,
@@ -50,9 +49,8 @@ class QuadraticComponent(ComponentFunction):
 
     The prox solves (I + gamma A) x = z + gamma A c through the
     eigendecomposition, so it works in any float dtype (including
-    longdouble) and costs one cached d-by-d matvec per call. The cache for
-    the last gamma is one tuple, replaced by a single attribute write; a
-    QuadraticBank keeps its own cache and leaves this one unset.
+    longdouble). It builds the resolvent (I + gamma A)^{-1} on every call and
+    keeps no state; a QuadraticBank caches the stack of these resolvents.
     """
 
     def __init__(self, Q, eig, c):
@@ -61,18 +59,13 @@ class QuadraticComponent(ComponentFunction):
         self.c = np.asarray(c)
         self.A = (self.Q * self.eig) @ self.Q.T
         self._Ac = self.A @ self.c
-        self._cache = (None, None, None)
 
     def gradient(self, x):
         return self.A @ x - self._Ac
 
     def _resolvent(self, gamma):
-        """(I + gamma A)^{-1} and gamma A c for this gamma, cached."""
-        cache = self._cache
-        if cache[0] != gamma:
-            M = (self.Q * (1.0 / (1.0 + gamma * self.eig))) @ self.Q.T
-            cache = self._cache = (gamma, M, gamma * self._Ac)
-        return cache[1], cache[2]
+        """(I + gamma A)^{-1} and gamma A c for this gamma."""
+        return (self.Q * (1.0 / (1.0 + gamma * self.eig))) @ self.Q.T, gamma * self._Ac
 
     def prox(self, gamma, z):
         M, g_Ac = self._resolvent(gamma)
@@ -94,13 +87,11 @@ class QuadraticBank(ComponentBank):
     proxes a whole subset. Row k of the result is bitwise what
     ``components[idx[k]].prox`` returns: the same operations in the same
     order, with the matmuls batched through matmul's per-matrix loop. One
-    cache holds the last gamma's n resolvents, each bitwise a component's.
+    cache holds the last gamma's n resolvents, each a component's own.
     """
 
     def __init__(self, components):
         super().__init__(components)
-        self.Q = np.stack([c.Q for c in components])
-        self.eig = np.stack([c.eig for c in components])
         self.A = np.stack([c.A for c in components])
         self.Ac = np.stack([c._Ac for c in components])
         self._cache = (None, None, None)
@@ -114,15 +105,15 @@ class QuadraticBank(ComponentBank):
     def _resolvent(self, gamma):
         cache = self._cache
         if cache[0] != gamma:
-            M = (self.Q * (1.0 / (1.0 + gamma * self.eig))[:, None, :]) @ self.Q.transpose(0, 2, 1)
+            M = np.stack([c._resolvent(gamma)[0] for c in self.components])
             cache = self._cache = (gamma, M, gamma * self.Ac)
         return cache[1], cache[2]
 
     def prox(self, gamma, idx, Z):
         """(P, residuals): row k is the prox of component idx[k] at Z[k]."""
         M, g_Ac = self._resolvent(gamma)
-        P = _matvecs(M[idx], Z + g_Ac[idx])
-        D = P + gamma * (_matvecs(self.A[idx], P) - self.Ac[idx]) - Z
+        P = _matvecs(M.take(idx, axis=0), Z + g_Ac.take(idx, axis=0))
+        D = P + gamma * (_matvecs(self.A.take(idx, axis=0), P) - self.Ac.take(idx, axis=0)) - Z
         return P.astype(Z.dtype, copy=False), np.sqrt(_dots(D, D))
 
 
@@ -223,7 +214,9 @@ class LogisticBank(_RowBank):
     NEWTON_BATCH_MIN: each row keeps its root, bracket and iteration count in
     place, and a mask picks the rows whose root is still moving. Every
     operation is the scalar one applied elementwise, so row k is bitwise what
-    ``components[idx[k]].prox`` returns."""
+    ``components[idx[k]].prox`` returns. The batch does only that common
+    case; zero rows, rows whose derived bracket needs widening and rows out
+    of budget are left to the scalar solve."""
 
     def __init__(self, components):
         super().__init__(components)
@@ -243,14 +236,17 @@ class LogisticBank(_RowBank):
         return self._hessian_sum(self.rows * (s * (1.0 - s))[:, None])
 
     def prox(self, gamma, idx, Z):
-        """(P, residuals) as ComponentBank.prox; raises MaxInnerIterations
-        naming the first component whose root the budget does not reach."""
+        """(P, residuals) as ComponentBank.prox. Rows the batched Newton
+        cannot finish go through ComponentBank.prox, whose scalar solve
+        handles them and raises MaxInnerIterations naming the first
+        component whose root the budget does not reach."""
         if len(idx) < NEWTON_BATCH_MIN:
             return super().prox(gamma, idx, Z)
-        a, y, aa = self.rows[idx], self.labels[idx], self.aa[idx]
+        a, y, aa = self.rows.take(idx, axis=0), self.labels.take(idx), self.aa.take(idx)
         z = Z.astype(float, copy=False)
         alpha = 1.0 + gamma * self.mu_reg
         az, gamma_aa, gya, neg_y = _dots(a, z), gamma * aa, gamma * y * aa, -y
+        budget = prox.NEWTON_BUDGET
 
         def h(u):
             """(h(u), sigmoid(-y u)) row by row, for the scalar root-find
@@ -260,25 +256,19 @@ class LogisticBank(_RowBank):
 
         bound = (np.sqrt(aa) * np.sqrt(_dots(z, z)) + gamma_aa) / alpha + 1.0
         lo, hi = -bound, bound
+        # A zero row has no root to find, and h(lo) <= 0 <= h(hi) by the
+        # bound's derivation. Rows that are zero or fail the scalar's own test
+        # of that bracket are left to the scalar solve, which handles them.
+        scalar = (aa == 0.0) | (h(lo)[0] > 0.0) | (h(hi)[0] < 0.0)
+        live = ~scalar
         iters = np.zeros(len(idx), dtype=int)
-        live = aa != 0.0  # a zero row has no root to find: only its ridge term acts
-        # h(lo) <= 0 <= h(hi) by the bound's derivation; widen defensively,
-        # the lower end first.
-        for end, side in ((lo, 1.0), (hi, -1.0)):
-            out = live & (side * h(end)[0] > 0.0)
-            while out.any():
-                end[out] *= 2.0
-                iters[out] += 1
-                live &= iters <= NEWTON_BUDGET
-                out &= live & (side * h(end)[0] > 0.0)
-
         u = 0.5 * (lo + hi)
         while True:
             hu, s = h(u)  # s ends as each row's sigmoid(-y u) at its root
             # Negated as the scalar test is, so a NaN root runs out of budget.
             live &= ~(np.abs(hu) <= logistic_root_tol(alpha, u, az, gamma_aa))
             iters += live
-            live &= iters <= NEWTON_BUDGET
+            live &= iters <= budget
             if not live.any():
                 break
             up = hu > 0.0  # the bracket of a row that is not live no longer matters
@@ -287,17 +277,14 @@ class LogisticBank(_RowBank):
             step = u - hu / (alpha + gamma_aa * s * (1.0 - s))
             inside = (lo < step) & (step < hi)
             u = np.where(live, np.where(inside, step, 0.5 * (lo + hi)), u)
-        failed = np.flatnonzero(iters > NEWTON_BUDGET)
-        if failed.size:
-            raise MaxInnerIterations(
-                f"prox of component {idx[failed[0]] + 1}: logistic prox: no root "
-                f"within {NEWTON_BUDGET} inner iterations"
-            )
+        scalar |= iters > budget  # the scalar solve raises for these
 
-        x = np.where((aa != 0.0)[:, None],
-                     (z + (gamma * y * s)[:, None] * a) / alpha, z / alpha)
+        x = (z + (gamma * y * s)[:, None] * a) / alpha
         D = x + gamma * self._gradients(a, y, x) - z
-        return x.astype(Z.dtype, copy=False), np.sqrt(_dots(D, D))
+        P, residuals = x.astype(Z.dtype, copy=False), np.sqrt(_dots(D, D))
+        if scalar.any():
+            P[scalar], residuals[scalar] = super().prox(gamma, idx[scalar], Z[scalar])
+        return P, residuals
 
 
 class GenericComponent(ComponentFunction):

@@ -129,7 +129,7 @@ def _advance(state, problem, gamma, idx, table):
     n = problem.n
     x_old, g_avg = state.x, state.g_avg
 
-    z = x_old[None, :] + gamma * (table[idx] - g_avg[None, :])
+    z = x_old[None, :] + gamma * (table.take(idx, axis=0) - g_avg[None, :])
     bound = TOL_PROX * (1 + np.sqrt((z * z).sum(axis=1)))
     outs, residual = problem.bank.prox(gamma, idx, z)
     ok = residual <= bound

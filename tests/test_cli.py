@@ -134,7 +134,8 @@ def test_run_invalid_constant_exits_2_and_writes_nothing(tmp_path, capsys, flag,
     ({"mu": "inf", "L": "inf"}, "InvalidSpec"),
     ({"gamma": "1e300"}, "InvalidConstants"),
     ({"problem": "ridge", "L": "1e300", "iters": "1"}, "InvalidConstants: mu=1, L=1e+300"),
-], ids=["mu-L-inf", "gamma-1e300", "ridge-L-1e300"])
+    ({"problem": "nope"}, "unknown problem kind 'nope'"),
+], ids=["mu-L-inf", "gamma-1e300", "ridge-L-1e300", "problem-nope"])
 def test_run_overflowing_constants_exit_2_and_write_nothing(tmp_path, capsys, over, error):
     assert cli.main(run_args(tmp_path, **over)) == 2
     assert error in capsys.readouterr().err
@@ -320,6 +321,17 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_whose_psi_underflows_writes_null_contraction(tmp_path):
+    # With n = 1 and mu = L, Psi reaches 0 before the first record it is
+    # measured from, so there is no ratio to report.
+    argv = ["run", "--problem", "quad", "--n", "1", "--dim", "1", "--mu", "1", "--L", "1",
+            "--iters", "2000", "--trace-every", "100", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert "empirical_contraction" in summary and summary["empirical_contraction"] is None
+
+
 def test_summary_is_strict_json(tmp_path):
     assert cli.main(run_args(tmp_path, iters="20")) == 0
     text = (tmp_path / "summary.json").read_text()
@@ -431,6 +443,7 @@ _rates_argv = _flags([("--gamma", _FLOATS), ("--s", _INTS), ("--n", _INTS),
 @example(argv=["run", "--problem", "logistic", "--mu", "3e-5", "--L", "10", "--iters", "3",
                "--out", "OUT"])
 @example(argv=["run", "--problem", "ridge", "--L", "1e308", "--iters", "1", "--out", "OUT"])
+@example(argv=["run", "--problem", "nope", "--iters", "1", "--out", "OUT"])
 def test_cli_exits_with_a_documented_code(tmp_path_factory, argv):
     base = tmp_path_factory.getbasetemp() / "cli-argv"
     base.mkdir(exist_ok=True)

@@ -103,6 +103,25 @@ def test_generators_reject_oversized_specs_before_allocating(monkeypatch, family
     assert str(MAX_DENSE_ENTRIES) in str(err.value)
 
 
+# Each generator given another family's spec. The last spec passes the ridge
+# cap, but a quadratic of that size would need 10**12 dense entries.
+_FOREIGN = [(gen_quadratic, "logistic_ridge", 2, 2), (gen_ridge_regression, "quadratic", 2, 2),
+            (gen_logistic_ridge, "ridge_regression", 2, 2),
+            (gen_quadratic, "ridge_regression", 10**4, 10**4)]
+
+
+@pytest.mark.parametrize("generate,family,n,dim", _FOREIGN,
+                         ids=["quad", "ridge", "logistic", "quad-of-ridge-cap"])
+def test_generators_reject_another_familys_spec_before_allocating(monkeypatch, generate,
+                                                                   family, n, dim):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("generator allocated")
+
+    monkeypatch.setattr(np.random, "default_rng", no_alloc)
+    with pytest.raises(InvalidSpec, match=f"expected family .*, got '{family}'"):
+        generate(GeneratorSpec(family, n, dim, 0.5, 1.0))
+
+
 def test_spec_accepts_specs_at_the_dense_cap():
     assert MAX_DENSE_ENTRIES == 10**8  # the sizes of _AT_CAP are set from it
     for family, n, dim in _AT_CAP:
@@ -192,8 +211,6 @@ def test_quadratic_bank_rows_match_component_prox(dtype):
     bank = problem.bank
     assert isinstance(bank, QuadraticBank)
     bank.prox(0.5, np.arange(9), np.ones((9, 5), dtype=dtype))
-    # The bank builds its resolvent stack without filling the components' caches.
-    assert all(c._cache[0] is None for c in problem.components)
     rng = np.random.default_rng(8)
     for gamma in (0.03, 0.7, 0.03, 25.0):
         for s in (1, 4, 9):
@@ -213,8 +230,9 @@ def test_quadratic_bank_rows_match_component_prox(dtype):
 
 
 def test_shared_quadratic_prox_is_thread_safe():
-    # Each object caches the resolvent of its last gamma; four threads cycling
-    # through three gammas keep replacing that cache under one another.
+    # The bank caches the resolvents of its last gamma, and the component
+    # builds its own on each call; four threads cycling through three gammas
+    # keep replacing the bank's cache under one another.
     problem = gen_quadratic(GeneratorSpec("quadratic", 6, 4, 1.0, 10.0, seed=12))
     comp, bank = problem.components[2], problem.bank
     gammas = (0.05, 0.8, 12.0)
@@ -403,7 +421,7 @@ def test_logistic_bank_prox_matches_component_prox_at_large_gamma():
 
 
 @pytest.mark.parametrize("case", ["zero-row-and-widened-bracket", "bisection-step",
-                                  "all-zero-rows"])
+                                  "all-zero-rows", "signed-zero-row"])
 def test_logistic_bank_prox_edge_rows(monkeypatch, case):
     monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", 1)
     if case == "zero-row-and-widened-bracket":
@@ -422,6 +440,15 @@ def test_logistic_bank_prox_edge_rows(monkeypatch, case):
         gamma, mu_reg = 0.7, 0.3
         comps = [LogisticRidgeComponent(np.zeros(2), y, mu_reg) for y in (1.0, -1.0, 1.0)]
         Z = np.array([[3.0, -4.0], [-1.5, 0.5], [1e-300, -2.5]])
+    elif case == "signed-zero-row":
+        # Row 1 is zero with y = +1, and its z holds a -0.0. The scalar solve
+        # returns z / alpha and keeps that sign; Newton's formula
+        # (z + gamma y s a) / alpha would add +0.0 to it and lose it.
+        gamma, mu_reg = 0.7, 0.3
+        comps = [LogisticRidgeComponent(np.array([1.0, -2.0]), -1.0, mu_reg),
+                 LogisticRidgeComponent(np.zeros(2), 1.0, mu_reg),
+                 LogisticRidgeComponent(np.array([0.5, 0.25]), 1.0, mu_reg)]
+        Z = np.array([[0.5, 0.25], [-0.0, 2.0], [3.0, -4.0]])
     else:
         # Row 0's root is a'z = 1e17, where h vanishes, and the derived bracket
         # end is a'z too: the bound's +1 margin rounds away. Newton closes in
@@ -444,10 +471,12 @@ def test_logistic_bank_prox_edge_rows(monkeypatch, case):
         assert np.array_equal(P[0], Z[0] / (1.0 + gamma * mu_reg))
     elif case == "all-zero-rows":
         assert np.array_equal(P, Z / (1.0 + gamma * mu_reg))
+    elif case == "signed-zero-row":
+        # array_equal counts -0.0 equal to +0.0, so the sign bits are compared.
+        assert np.signbit(P[1, 0]) and np.array_equal(np.signbit(P), np.signbit(P_loop))
     else:
         # Plain Newton would stop on the bracket end after two steps; the
         # bisections the fallback takes instead cost more than that budget.
-        monkeypatch.setattr(problems, "NEWTON_BUDGET", 2)
         monkeypatch.setattr(prox, "NEWTON_BUDGET", 2)
         for bank in (problem.bank, ComponentBank(comps)):
             with pytest.raises(MaxInnerIterations, match="^prox of component 1:"):
@@ -466,7 +495,6 @@ def test_logistic_bank_prox_raises_at_a_nan_point(monkeypatch):
 
 
 def test_logistic_bank_names_first_component_out_of_budget(monkeypatch):
-    monkeypatch.setattr(problems, "NEWTON_BUDGET", 4)
     monkeypatch.setattr(prox, "NEWTON_BUDGET", 4)
     problem = _row_problem("logistic", 12, 4, np.float64)
     Z = np.random.default_rng(3).normal(size=(12, 4)) * 10.0
@@ -522,9 +550,12 @@ def test_generator_blames_constants_whose_scale_defeats_the_stationarity_bound()
         gen_ridge_regression(GeneratorSpec("ridge_regression", 50, 10, 1.0, 1e300))
 
 
-def test_ridge_requires_strict_gap():
-    with pytest.raises(InvalidSpec):
-        gen_ridge_regression(GeneratorSpec("ridge_regression", 2, 2, 1.0, 1.0, seed=0))
+@pytest.mark.parametrize("family,generate", [("ridge_regression", gen_ridge_regression),
+                                             ("logistic_ridge", gen_logistic_ridge)],
+                         ids=["ridge", "logistic"])
+def test_ridge_requires_strict_gap(family, generate):
+    with pytest.raises(InvalidSpec, match="mu < L"):
+        generate(GeneratorSpec(family, 2, 2, 1.0, 1.0, seed=0))
 
 
 # --- logistic generator ----------------------------------------------------------------
@@ -621,10 +652,12 @@ def test_load_empty_file(tmp_path):
 
 def test_load_malformed_token_reports_line(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("+1 1:abc\n")
-    with pytest.raises(ParseError) as err:
-        load_libsvm(path, mu=1.0)
-    assert err.value.line_no == 1
+    for text, match in (("+1 1:abc\n", "bad feature token"),
+                        ("+1 0:1.0\n", "index must be >= 1")):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match) as err:
+            load_libsvm(path, mu=1.0)
+        assert err.value.line_no == 1
 
 
 def test_load_rejects_non_increasing_indices(tmp_path):

@@ -403,3 +403,15 @@ def test_invalid_batch_size_rejected():
 def test_non_finite_or_non_numeric_gamma_rejected(gamma):
     with pytest.raises(InvalidConstants):
         SolverConfig(gamma=gamma).validate(10)
+
+
+@pytest.mark.parametrize("field", [{"refresh_every": 0}, {"init_gradients": "ones"}],
+                         ids=["refresh_every-0", "init_gradients-ones"])
+def test_out_of_range_config_rejected(field):
+    with pytest.raises(InvalidConstants):
+        SolverConfig(**field).validate(10)
+
+
+def test_initialize_rejects_unknown_init_gradients():
+    with pytest.raises(InvalidConstants, match="'ones'"):
+        initialize(quad_problem(), SolverConfig(init_gradients="ones"), np.zeros(4))
