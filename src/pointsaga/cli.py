@@ -120,6 +120,10 @@ def _check_flags(args):
     # A file: problem never seeds numpy, so the generators' check misses it.
     if args.seed < 0:
         raise PointSagaError(f"--seed must be >= 0, got {args.seed}")
+    # Repeat k runs seed --seed + k, and SplitMix64 seeds are 64-bit.
+    if args.seed + args.repeats - 1 >= 1 << 64:
+        raise PointSagaError(
+            f"--seed + --repeats - 1 must be < 2^64, got {args.seed + args.repeats - 1}")
     # Fail before any solve, not at the first write after it (exit 3).
     if not os.path.isdir(args.out):
         raise NotADirectoryError(f"--out {args.out!r} is not an existing directory")

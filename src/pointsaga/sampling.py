@@ -12,14 +12,25 @@ from the same seed:
 
 Bounded draws use rejection sampling (no modulo bias), and subsets come from
 a partial Fisher-Yates shuffle, so every s-subset is exactly equiprobable.
+
+Output k from a state is mix(state + k * increment), so SplitMix64.block
+computes many outputs in one vector pass. sample_k_subset draws one subset at
+a time; sample_subsets draws the next k subsets of the same stream from
+blocks, and falls back to sample_k_subset for an iteration that holds a
+rejected draw, so both leave the same subsets and the same final state.
 """
 
 import itertools
 import math
 
+import numpy as np
+
 from .errors import EnumerationTooLarge, InvalidBatchSize
 
 _MASK64 = (1 << 64) - 1
+_INC = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 #: Cap on C(n, s) for exhaustive enumeration.
 ENUMERATION_CAP = 10**6
@@ -34,11 +45,28 @@ class SplitMix64:
         self.state = int(seed) & _MASK64
 
     def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _INC) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
         return z ^ (z >> 31)
+
+    def block(self, k):
+        """The next k outputs as a uint64 array; advances state by k.
+
+        uint64 arrays wrap modulo 2^64 silently, as the mix needs (numpy
+        scalars would warn on overflow).
+        """
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= np.uint64(_INC)
+        z += np.uint64(self.state)
+        self.state = (self.state + k * _INC) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MUL1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MUL2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def next_below(self, k):
         """Uniform integer in [0, k) via rejection (exactly unbiased)."""
@@ -55,18 +83,71 @@ def sample_k_subset(rng, n, s):
 
     Partial Fisher-Yates over [1..n]: the first s entries after s swap steps
     are a uniform s-permutation; sorting forgets order, leaving a uniform
-    subset. Only displaced slots are stored (slot j holds j+1 otherwise), so
-    a draw costs O(s), not O(n).
+    subset. A draw costs O(s), not O(n).
     """
-    if not 1 <= s <= n:
-        raise InvalidBatchSize(f"need 1 <= s <= n, got s={s}, n={n}")
+    _check_sizes(n, s, 1 << 64)  # next_below takes no draw for a bound above 2^64
+    return tuple(_partial_shuffle([i + rng.next_below(n - i) for i in range(s)], 1))
+
+
+def _partial_shuffle(targets, base):
+    """The sorted first len(targets) slots of [base, base + 1, ...] after
+    swapping slot i with slot targets[i] >= i, for each i in turn. Only
+    displaced slots are stored (slot j holds j + base otherwise), so this
+    costs O(s)."""
     displaced = {}
     picked = []
-    for i in range(s):
-        j = i + rng.next_below(n - i)
-        picked.append(displaced.get(j, j + 1))
-        displaced[j] = displaced.get(i, i + 1)
-    return tuple(sorted(picked))
+    for i, j in enumerate(targets):
+        picked.append(displaced.get(j, j + base))
+        displaced[j] = displaced.get(i, i + base)
+    picked.sort()
+    return picked
+
+
+def sample_subsets(rng, n, s, k):
+    """The next k subsets of sample_k_subset's stream from rng, as a (k, s)
+    array whose row r is the r-th call's subset minus 1 (sorted 0-based
+    indices); rng is left where k calls would leave it.
+
+    The draws come from SplitMix64.block, and every draw is checked against
+    its rejection limit in one vector operation. The first iteration that
+    holds a rejected draw is drawn again by sample_k_subset from its starting
+    state, and the next block starts after it. The rows are int64 for
+    n <= 2^63 and uint64 above, up to n = 2^64 - 1.
+    """
+    _check_sizes(n, s, _MASK64)  # the bounds n - i must fit uint64
+    offsets = np.arange(s, dtype=np.uint64)
+    bounds = np.uint64(n) - offsets
+    # A draw u below bound b is rejected iff u > 2^64 - 1 - (2^64 mod b).
+    tops = np.array([_MASK64 - (_MASK64 + 1) % (n - i) for i in range(s)], dtype=np.uint64)
+    parts = [np.empty((0, s), dtype=np.uint64)]
+    done = 0
+    while done < k:
+        start = rng.state
+        u = rng.block((k - done) * s).reshape(-1, s)
+        bad = (u > tops).any(axis=1)
+        ok = int(bad.argmax()) if bad.any() else len(u)
+        targets = u[:ok] % bounds + offsets
+        if s == 1:
+            parts.append(targets)
+        elif s == n:  # the whole shuffle: every index, whatever the draws
+            parts.append(np.broadcast_to(offsets, targets.shape))
+        else:
+            rows = [_partial_shuffle(row, 0) for row in targets.tolist()]
+            parts.append(np.array(rows, dtype=np.uint64).reshape(ok, s))
+        done += ok
+        if ok < len(u):
+            rng.state = (start + ok * s * _INC) & _MASK64
+            parts.append(np.array([sample_k_subset(rng, n, s)], dtype=np.uint64) - np.uint64(1))
+            done += 1
+    out = np.concatenate(parts)
+    return out.view(np.int64) if n <= 1 << 63 else out
+
+
+def _check_sizes(n, s, n_max):
+    if not 1 <= s <= n:
+        raise InvalidBatchSize(f"need 1 <= s <= n, got s={s}, n={n}")
+    if n > n_max:
+        raise InvalidBatchSize(f"n must be at most {n_max}, got {n}")
 
 
 def enumerate_k_subsets(n, s):

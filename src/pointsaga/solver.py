@@ -17,8 +17,11 @@ and returns a fresh state. run owns the state that initialize builds for it
 and advances it, table included, in place, so one of its iterations costs
 O(s*d) whatever n is. It keeps the Lyapunov value's per-row table errors
 current in O(s*d) per iteration, so a record scores Psi with an O(n) sum;
-the table drift is still an O(n*d) pass per record, so trace_every sets what
-that diagnostic costs.
+the table drift is still an O(n*d) pass per record (none where a refresh has
+just made g_avg the table mean), so trace_every sets what that diagnostic
+costs. step and run draw the same SplitMix64 subset stream: step one subset
+at a time with sampling.sample_k_subset, run many iterations' subsets at once
+with sampling.sample_subsets.
 Components are reached only through the problem's bank (model.ComponentBank):
 the subset prox of each iteration, and the n-row gradient stacks of
 initialize and of run's grad_star, are one bank call each. Every family bank
@@ -33,7 +36,11 @@ import numpy as np
 
 from .errors import InvalidBatchSize, InvalidConstants, ProxFailure
 from .prox import TOL_PROX
-from .sampling import SplitMix64, sample_k_subset
+from .sampling import SplitMix64, sample_k_subset, sample_subsets
+
+#: Most subset draws run takes from one sample_subsets call (read at call
+#: time), so the drawn subsets take memory independent of max_iters * s.
+SUBSET_BLOCK = 4096
 
 
 @dataclass
@@ -72,6 +79,9 @@ class SolverConfig:
             raise InvalidConstants("refresh_every must be >= 1 or None")
         if self.init_gradients not in ("at_x0", "zeros"):
             raise InvalidConstants(f"unknown init_gradients {self.init_gradients!r}")
+        # SplitMix64 keeps 64 bits: any other seed would run another seed's stream.
+        if not 0 <= self.seed < 1 << 64:
+            raise InvalidConstants(f"seed must be in [0, 2^64), got {self.seed}")
 
     def resolve_gamma(self, problem):
         if self.gamma == "auto":
@@ -160,27 +170,30 @@ def apply_subset_step(state, problem, gamma, indices0):
     return SolverState(t=state.t + 1, x=x_new, grad_table=table, g_avg=g_new)
 
 
-def _step(state, problem, config, rng, gamma, table):
-    """Sample, advance and maybe refresh, writing into ``table`` (a copy of
-    state.grad_table, or run's own table); returns (x_new, g_new, idx0),
-    idx0 being the 0-based subset whose rows were written."""
-    idx0 = np.asarray(sample_k_subset(rng, problem.n, config.s), dtype=int) - 1
+def _step(state, problem, config, gamma, idx0, table):
+    """Advance on the 0-based subset idx0 and maybe refresh, writing into
+    ``table`` (a copy of state.grad_table, or run's own table); returns
+    (x_new, g_new, refreshed), refreshed telling whether g_new is the table
+    mean."""
     x_new, g_new = _advance(state, problem, gamma, idx0, table)
-    if config.refresh_every is not None and (state.t + 1) % config.refresh_every == 0:
+    refreshed = config.refresh_every is not None and (state.t + 1) % config.refresh_every == 0
+    if refreshed:
         g_new = table.mean(axis=0)
-    return x_new, g_new, idx0
+    return x_new, g_new, refreshed
 
 
 def step(state, problem, config, rng, gamma):
     """Draw the iteration's subset, run one step at stepsize gamma, and maybe
-    refresh g_avg.
+    refresh g_avg. Draws one subset with sample_k_subset, the same stream run
+    draws in blocks.
 
     gamma is the resolved stepsize (see SolverConfig.resolve_gamma); config
     supplies s and the refresh cadence. Pure, like apply_subset_step: the
     input state is left untouched.
     """
     table = state.grad_table.copy()
-    x_new, g_new, _ = _step(state, problem, config, rng, gamma, table)
+    idx0 = np.asarray(sample_k_subset(rng, problem.n, config.s), dtype=int) - 1
+    x_new, g_new, _ = _step(state, problem, config, gamma, idx0, table)
     return SolverState(t=state.t + 1, x=x_new, grad_table=table, g_avg=g_new)
 
 
@@ -197,8 +210,10 @@ def run(problem, config, x0):
     place: an iteration costs O(s*d) whatever n is. The per-row table errors
     of the Lyapunov value are recomputed for the s rows each iteration
     writes, so a record scores Psi with an O(n) sum. The table drift is an
-    O(n*d) pass made only when a record is written, so trace_every sets what
-    it costs.
+    O(n*d) pass made only when a record is written, and skipped where a
+    refresh has just made g_avg the table mean, so trace_every sets what it
+    costs. The subsets are the stream step draws, taken from SplitMix64 in
+    blocks of at most SUBSET_BLOCK draws by sampling.sample_subsets.
 
     Parameters
     ----------
@@ -231,25 +246,36 @@ def run(problem, config, x0):
 
     t_begin = time.perf_counter_ns()
 
-    def record(st):
+    def record(st, is_mean):
         dist_sq = lyap = None
         if x_star is not None:
             d = st.x - x_star
             dist_sq = d @ d
             # LyapunovWeights.psi's formula, on the kept row errors.
             lyap = weights.w_x * dist_sq + weights.w_g * row_errors.sum()
+        # Where g_avg is this very table mean, the drift pass would subtract
+        # equal arrays: +0.0 unless the mean is not finite.
+        if is_mean and np.isfinite(st.g_avg).all():
+            drift = st.g_avg.dtype.type(0.0)
+        else:
+            drift = table_drift(st)
         records.append(TraceRecord(t=st.t, dist_sq=dist_sq, lyapunov=lyap,
-                                   table_drift=table_drift(st),
+                                   table_drift=drift,
                                    wall_ns=time.perf_counter_ns() - t_begin))
 
     records = []
-    record(state)
+    record(state, True)  # initialize sets g_avg to the table mean
     table = state.grad_table
+    per_block = max(1, SUBSET_BLOCK // config.s)
     while state.t < config.max_iters:
-        state.x, state.g_avg, idx = _step(state, problem, config, rng, gamma, table)
-        state.t += 1
-        if x_star is not None:  # take: a cheaper gather than table[idx]
-            row_errors[idx] = _row_errors(table.take(idx, axis=0), grad_star.take(idx, axis=0))
-        if state.t % config.trace_every == 0 or state.t == config.max_iters:
-            record(state)
+        block = sample_subsets(rng, problem.n, config.s,
+                               min(per_block, config.max_iters - state.t))
+        for idx in block:
+            state.x, state.g_avg, refreshed = _step(state, problem, config, gamma, idx, table)
+            state.t += 1
+            if x_star is not None:  # take: a cheaper gather than table[idx]
+                row_errors[idx] = _row_errors(table.take(idx, axis=0),
+                                              grad_star.take(idx, axis=0))
+            if state.t % config.trace_every == 0 or state.t == config.max_iters:
+                record(state, refreshed)
     return state, records

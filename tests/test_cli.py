@@ -367,6 +367,23 @@ def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, problem):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed,repeats", [(2**64, 1), (2**64 - 2, 3)])
+def test_seed_beyond_64_bits_exits_2_and_writes_nothing(tmp_path, capsys, seed, repeats):
+    # SplitMix64 keeps 64 bits of its seed, so seed 2^64 would rerun seed 0's stream.
+    argv = run_args(tmp_path, seed=str(seed), repeats=str(repeats), iters="3")
+    assert cli.main(argv) == 2
+    assert "--seed + --repeats - 1 must be < 2^64" in capsys.readouterr().err
+    argv[0] = "sweep"
+    assert cli.main(argv + ["--ss", "4"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_largest_seed_runs(tmp_path):
+    assert cli.main(run_args(tmp_path, seed=str(2**64 - 2), repeats="2", iters="3")) == 0
+    assert sorted(p.name for p in tmp_path.glob("trace_seed*.csv")) == [
+        f"trace_seed{2**64 - 2}.csv", f"trace_seed{2**64 - 1}.csv"]
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
 def test_sweep_bad_threshold_exits_2_and_writes_nothing(tmp_path, capsys, threshold):
     argv = run_args(tmp_path, iters="3")
@@ -395,9 +412,11 @@ def test_unusable_out_exits_3_before_any_problem_is_built(tmp_path, capsys, monk
 # --- argv property test ----------------------------------------------------------
 
 # Flag values from edge sets: negative, zero, tiny, huge, nan, inf and
-# non-numeric. Huge sizes lie above every dense-entry cap, so they are rejected
-# before anything is allocated; --iters and --repeats stay at 3 or less.
+# non-numeric; seeds also at the 64-bit edge. Huge sizes lie above every
+# dense-entry cap, so they are rejected before anything is allocated; --iters
+# and --repeats stay at 3 or less.
 _INTS = ["-1", "0", "1", "2", "3", str(10**9), "1.5", "x"]
+_SEEDS = _INTS + [str(2**64 - 1), str(2**64)]
 _SMALL_INTS = ["-1", "0", "1", "3", "x"]
 _FLOATS = ["-1", "0", "5e-324", "1e-300", "0.5", "1", "10", "1e300", "nan", "inf",
            "-inf", "x"]
@@ -417,7 +436,7 @@ def _flags(pairs, max_flags, min_flags=0):
 
 _PROBLEM_FLAGS = [("--problem", _PROBLEMS), ("--n", _INTS), ("--dim", _INTS),
                   ("--mu", _FLOATS), ("--L", _FLOATS), ("--s", _INTS),
-                  ("--gamma", _FLOATS + ["auto"]), ("--seed", _INTS),
+                  ("--gamma", _FLOATS + ["auto"]), ("--seed", _SEEDS),
                   ("--repeats", _SMALL_INTS), ("--trace-every", _INTS),
                   ("--out", _OUTS)]
 _AXES = [("--gammas", ["auto", "0.1,1e300", "nan", "x", ","]),
@@ -444,6 +463,8 @@ _rates_argv = _flags([("--gamma", _FLOATS), ("--s", _INTS), ("--n", _INTS),
                "--out", "OUT"])
 @example(argv=["run", "--problem", "ridge", "--L", "1e308", "--iters", "1", "--out", "OUT"])
 @example(argv=["run", "--problem", "nope", "--iters", "1", "--out", "OUT"])
+@example(argv=["run", "--seed", str(2**64), "--iters", "1", "--out", "OUT"])
+@example(argv=["run", "--seed", str(2**64 - 1), "--repeats", "2", "--iters", "1", "--out", "OUT"])
 def test_cli_exits_with_a_documented_code(tmp_path_factory, argv):
     base = tmp_path_factory.getbasetemp() / "cli-argv"
     base.mkdir(exist_ok=True)

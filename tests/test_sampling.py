@@ -8,6 +8,7 @@ from pointsaga.sampling import (
     SplitMix64,
     enumerate_k_subsets,
     sample_k_subset,
+    sample_subsets,
 )
 
 
@@ -122,3 +123,73 @@ def test_sparse_sampler_matches_dense_stream(n, s, seed):
             dense, n, s
         )
         assert sparse.state == dense.state
+
+
+def test_block_is_the_next_outputs():
+    block, scalar = SplitMix64(0), SplitMix64(0)
+    assert block.block(0).dtype == np.uint64 and block.state == 0
+    for k in (1, 3, 50):
+        assert block.block(k).tolist() == [scalar.next_u64() for _ in range(k)]
+        assert block.state == scalar.state
+
+
+def assert_block_matches_scalar(n, s, seed, k):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    rows = sample_subsets(block, n, s, k)
+    assert rows.shape == (k, s)
+    assert [tuple(v + 1 for v in row) for row in rows.tolist()] == [
+        sample_k_subset(scalar, n, s) for _ in range(k)]
+    assert block.state == scalar.state
+    return rows
+
+
+@pytest.mark.parametrize(  # test_sparse_sampler_matches_dense_stream's grid
+    "n,s,seed",
+    [(1, 1, 0), (2, 1, 5), (2, 2, 6), (7, 1, 1), (7, 3, 2), (7, 7, 3),
+     (64, 32, 4), (100, 99, 5), (1000, 10, 6), (20000, 1, 7), (20000, 50, 8)],
+)
+def test_block_sampler_matches_scalar_stream(n, s, seed):
+    rows = assert_block_matches_scalar(n, s, seed, 30)
+    assert rows.dtype == np.int64
+
+
+class CountingSplitMix64(SplitMix64):
+    """Counts the draws made one at a time: the rewound iterations' draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.scalar_draws = 0
+
+    def next_u64(self):
+        self.scalar_draws += 1
+        return super().next_u64()
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_block_sampler_rewinds_past_rejected_draws(s):
+    # At n = 2^63 + 1 about half of all draws are rejected, and index 2^63
+    # does not fit int64: the rows must hold the exact values.
+    n = 2**63 + 1
+    rng = CountingSplitMix64(5)
+    rows = sample_subsets(rng, n, s, 40)
+    assert rows.dtype == np.uint64
+    assert rng.scalar_draws > 40  # many iterations were drawn again
+    assert_block_matches_scalar(n, s, 5, 40)
+
+
+def test_block_sampler_edges():
+    rng = SplitMix64(3)
+    assert sample_subsets(rng, 5, 2, 0).shape == (0, 2) and rng.state == 3
+    assert_block_matches_scalar(2**63, 2, 1, 10)  # 2^63 - 1 fits int64
+    assert_block_matches_scalar(2**64 - 1, 2, 1, 10)  # the largest block n
+    with pytest.raises(InvalidBatchSize):
+        sample_subsets(rng, 2**64, 1, 1)
+    with pytest.raises(InvalidBatchSize):
+        sample_subsets(rng, 5, 6, 1)
+
+
+def test_scalar_sampler_rejects_bounds_beyond_64_bits():
+    # No 64-bit draw lies below the rejection limit of a bound above 2^64.
+    assert len(sample_k_subset(SplitMix64(1), 2**64, 2)) == 2
+    with pytest.raises(InvalidBatchSize):
+        sample_k_subset(SplitMix64(1), 2**64 + 1, 1)

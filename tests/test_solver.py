@@ -27,7 +27,7 @@ from pointsaga.model import ComponentBank
 from pointsaga.problems import LogisticRidgeComponent, RankOneRidgeComponent
 from pointsaga.errors import InvalidBatchSize, InvalidConstants, ProxFailure
 from pointsaga.prox import TOL_PROX
-from pointsaga.sampling import SplitMix64
+from pointsaga.sampling import SplitMix64, sample_k_subset
 
 
 def one_dim_problem():
@@ -252,7 +252,8 @@ def check_record(record, state, problem, gamma, s, grad_star):
     assert record.t == state.t
     assert record.dist_sq == d @ d
     assert record.lyapunov == lyapunov(state, problem, x_star, grad_star, gamma, s)
-    assert record.table_drift == table_drift(state)
+    drift = table_drift(state)
+    assert record.table_drift == drift and type(record.table_drift) is type(drift)
 
 
 PROBLEMS_10_BY_4 = {
@@ -269,9 +270,11 @@ PROBLEMS_10_BY_4 = {
 @pytest.mark.parametrize("refresh_every", [1, 10], ids=lambda r: f"refresh{r}")
 @pytest.mark.parametrize("s", [1, 3, 10], ids=lambda s: f"s{s}")
 @pytest.mark.parametrize("kind", list(PROBLEMS_10_BY_4))
-def test_run_matches_loop_of_pure_steps(kind, s, refresh_every):
-    # run keeps Psi's row errors and rescores only the rows a step writes;
-    # every record must still be lyapunov() of the pure loop's state, bitwise.
+def test_run_matches_loop_of_pure_steps(kind, s, refresh_every, monkeypatch):
+    # run keeps Psi's row errors and rescores only the rows a step writes,
+    # and draws its subsets in blocks (of 20, 6 and 2 iterations here); every
+    # record must still be lyapunov() of the pure loop's state, bitwise.
+    monkeypatch.setattr(solver, "SUBSET_BLOCK", 20)
     problem = PROBLEMS_10_BY_4[kind]()
     x0 = np.zeros(4, dtype=problem.known_solution.dtype)
     gamma = 0.2
@@ -326,6 +329,53 @@ def test_prox_failure_names_component(monkeypatch):
     assert 1 <= err.value.index <= 10
     assert (err.value.t, err.value.gamma) == (1, 0.1)
     assert "at iteration 1, gamma=0.1" in str(err.value)
+
+
+def test_prox_failure_mid_block_names_its_iteration(monkeypatch):
+    # Blocks of 4 iterations; the prox fails at iteration 6, inside the second.
+    monkeypatch.setattr(solver, "SUBSET_BLOCK", 8)
+    problem = quad_problem()
+    prox = problem.bank.prox
+    calls = []
+
+    def failing_sixth(gamma, idx, Z):
+        calls.append(idx)
+        P, residuals = prox(gamma, idx, Z)
+        return P, residuals + (np.inf if len(calls) == 6 else 0.0)
+
+    monkeypatch.setattr(problem.bank, "prox", failing_sixth)
+    cfg = SolverConfig(s=2, gamma=0.1, max_iters=20, seed=2)
+    with pytest.raises(ProxFailure) as err:
+        run(problem, cfg, np.ones(4))
+    rng = SplitMix64(cfg.seed)
+    subsets = [sample_k_subset(rng, problem.n, cfg.s) for _ in range(6)]
+    assert [tuple(i + 1 for i in idx.tolist()) for idx in calls] == subsets
+    assert (err.value.t, err.value.index) == (6, subsets[5][0])
+
+
+def test_run_skips_the_drift_pass_only_where_it_is_zero(monkeypatch):
+    # A refresh sets g_avg to the table mean, so those records need no pass;
+    # with refresh_every=3 and trace_every=2, the records at t = 2, 4, 8 do.
+    drifts = []
+
+    def counting_drift(state):
+        drifts.append(state.t)
+        return table_drift(state)
+
+    monkeypatch.setattr(solver, "table_drift", counting_drift)
+    cfg = SolverConfig(s=2, gamma=0.2, max_iters=10, seed=1, trace_every=2, refresh_every=3)
+    _, records = run(quad_problem(), cfg, np.ones(4))
+    assert [r.t for r in records] == [0, 2, 4, 6, 8, 10]
+    assert drifts == [2, 4, 8, 10]
+    assert records[3].table_drift == 0.0 and type(records[3].table_drift) is np.float64
+
+
+def test_run_computes_the_drift_of_a_non_finite_mean():
+    # Where the table mean overflows, inf - inf gives a NaN drift, not +0.0.
+    problem = quad_problem()
+    with np.errstate(all="ignore"):
+        _, records = run(problem, SolverConfig(max_iters=0), np.full(4, 1e308))
+    assert np.isnan(records[0].table_drift)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -405,8 +455,9 @@ def test_non_finite_or_non_numeric_gamma_rejected(gamma):
         SolverConfig(gamma=gamma).validate(10)
 
 
-@pytest.mark.parametrize("field", [{"refresh_every": 0}, {"init_gradients": "ones"}],
-                         ids=["refresh_every-0", "init_gradients-ones"])
+@pytest.mark.parametrize("field", [{"refresh_every": 0}, {"init_gradients": "ones"},
+                                   {"seed": -1}, {"seed": 2**64}],
+                         ids=["refresh_every-0", "init_gradients-ones", "seed--1", "seed-2^64"])
 def test_out_of_range_config_rejected(field):
     with pytest.raises(InvalidConstants):
         SolverConfig(**field).validate(10)
