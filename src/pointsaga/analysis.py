@@ -23,6 +23,7 @@ exactly by enumeration.
 """
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,6 +49,15 @@ def _finite(value):
         return math.isfinite(value)
     except TypeError:
         return False
+
+
+def _integral(value):
+    """True for a Python or numpy integer; False for floats and non-numbers."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _check_constants(mu, L, gamma=None, s=None, n=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _dots
-from .analysis import _finite, reference_solution
+from .analysis import _finite, _integral, reference_solution
 from .errors import (
     EmptyFile,
     InconsistentDimension,
@@ -316,6 +316,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in ("quadratic", "ridge_regression", "logistic_ridge"):
             raise InvalidSpec(f"unknown family {self.family!r}")
+        for name in ("n", "dim", "seed"):
+            if not _integral(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.dim < 1:
             raise InvalidSpec(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
         if not (_finite(self.mu) and _finite(self.L) and 0 < self.mu <= self.L):
@@ -324,7 +327,7 @@ class GeneratorSpec:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         # Quadratics hold n d-by-d matrices; ridge and logistic hold n-by-d
         # rows and the reference solve's d-by-d Hessian.
-        n, d = self.n, self.dim
+        n, d = int(self.n), int(self.dim)  # Python ints: no numpy wraparound
         entries = n * d * d if self.family == "quadratic" else max(n, d) * d
         if entries > MAX_DENSE_ENTRIES:
             raise InvalidSpec(f"n={n}, dim={d} needs {entries} dense entries, "

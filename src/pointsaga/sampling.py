@@ -18,10 +18,14 @@ computes many outputs in one vector pass. sample_k_subset draws one subset at
 a time; sample_subsets draws the next k subsets of the same stream from
 blocks, and falls back to sample_k_subset for an iteration that holds a
 rejected draw, so both leave the same subsets and the same final state.
+Both samplers and enumerate_k_subsets take integer sizes (numpy integers
+too) with 1 <= s <= n <= 2^63, so every 0-based index fits int64:
+sample_subsets returns int64 rows.
 """
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -57,6 +61,7 @@ class SplitMix64:
         uint64 arrays wrap modulo 2^64 silently, as the mix needs (numpy
         scalars would warn on overflow).
         """
+        k = operator.index(k)
         z = np.arange(1, k + 1, dtype=np.uint64)
         z *= np.uint64(_INC)
         z += np.uint64(self.state)
@@ -85,7 +90,7 @@ def sample_k_subset(rng, n, s):
     are a uniform s-permutation; sorting forgets order, leaving a uniform
     subset. A draw costs O(s), not O(n).
     """
-    _check_sizes(n, s, 1 << 64)  # next_below takes no draw for a bound above 2^64
+    n, s = _check_sizes(n, s)
     return tuple(_partial_shuffle([i + rng.next_below(n - i) for i in range(s)], 1))
 
 
@@ -111,10 +116,10 @@ def sample_subsets(rng, n, s, k):
     The draws come from SplitMix64.block, and every draw is checked against
     its rejection limit in one vector operation. The first iteration that
     holds a rejected draw is drawn again by sample_k_subset from its starting
-    state, and the next block starts after it. The rows are int64 for
-    n <= 2^63 and uint64 above, up to n = 2^64 - 1.
+    state, and the next block starts after it.
     """
-    _check_sizes(n, s, _MASK64)  # the bounds n - i must fit uint64
+    n, s = _check_sizes(n, s)
+    k = operator.index(k)
     offsets = np.arange(s, dtype=np.uint64)
     bounds = np.uint64(n) - offsets
     # A draw u below bound b is rejected iff u > 2^64 - 1 - (2^64 mod b).
@@ -139,22 +144,22 @@ def sample_subsets(rng, n, s, k):
             rng.state = (start + ok * s * _INC) & _MASK64
             parts.append(np.array([sample_k_subset(rng, n, s)], dtype=np.uint64) - np.uint64(1))
             done += 1
-    out = np.concatenate(parts)
-    return out.view(np.int64) if n <= 1 << 63 else out
+    return np.concatenate(parts).view(np.int64)
 
 
-def _check_sizes(n, s, n_max):
-    if not 1 <= s <= n:
-        raise InvalidBatchSize(f"need 1 <= s <= n, got s={s}, n={n}")
-    if n > n_max:
-        raise InvalidBatchSize(f"n must be at most {n_max}, got {n}")
+def _check_sizes(n, s):
+    """n and s as Python ints, once 1 <= s <= n <= 2^63 holds (so every
+    0-based index fits int64; a problem's n is a tuple's length, far below)."""
+    n, s = operator.index(n), operator.index(s)
+    if not 1 <= s <= n <= 1 << 63:
+        raise InvalidBatchSize(f"need 1 <= s <= n <= 2^63, got s={s}, n={n}")
+    return n, s
 
 
 def enumerate_k_subsets(n, s):
     """All C(n, s) subsets exactly once, in lexicographic order, each a
     strictly increasing tuple of 1-based indices."""
-    if not 1 <= s <= n:
-        raise InvalidBatchSize(f"need 1 <= s <= n, got s={s}, n={n}")
+    n, s = _check_sizes(n, s)
     total = math.comb(n, s)
     if total > ENUMERATION_CAP:
         raise EnumerationTooLarge(f"C({n}, {s}) = {total} exceeds cap {ENUMERATION_CAP}")

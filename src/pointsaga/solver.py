@@ -12,16 +12,18 @@ two-term recurrence
 which equals the true table mean in exact arithmetic; a periodic exact
 recomputation bounds floating-point drift.
 
-The public step and apply_subset_step are pure: each copies the table once
-and returns a fresh state. run owns the state that initialize builds for it
-and advances it, table included, in place, so one of its iterations costs
-O(s*d) whatever n is. It keeps the Lyapunov value's per-row table errors
-current in O(s*d) per iteration, so a record scores Psi with an O(n) sum;
-the table drift is still an O(n*d) pass per record (none where a refresh has
-just made g_avg the table mean), so trace_every sets what that diagnostic
-costs. step and run draw the same SplitMix64 subset stream: step one subset
-at a time with sampling.sample_k_subset, run many iterations' subsets at once
-with sampling.sample_subsets.
+There is one iteration, _advance, which advances a state in place: it writes
+the s new table rows, rebinds x and g_avg, and moves t on by one. run
+advances the state that initialize (which also validates the config) builds
+for it, so one of its iterations costs O(s*d) whatever n is. The public step
+and apply_subset_step are pure: each advances a copy that has its own table
+and returns it. run keeps the Lyapunov value's per-row table errors current
+in O(s*d) per iteration, so a record scores Psi with an O(n) sum; the table
+drift is still an O(n*d) pass per record (none where a refresh has just made
+g_avg the table mean), so trace_every sets what that diagnostic costs. step
+and run draw the same SplitMix64 subset stream: step one subset at a time
+with sampling.sample_k_subset, run many iterations' subsets at once with
+sampling.sample_subsets, whose rows are int64 (n is capped at 2^63).
 Components are reached only through the problem's bank (model.ComponentBank):
 the subset prox of each iteration, and the n-row gradient stacks of
 initialize and of run's grad_star, are one bank call each. Every family bank
@@ -51,7 +53,8 @@ class SolverConfig:
     sqrt(s / (L mu n)) at run time. run always takes max_iters iterations.
     refresh_every=None disables the periodic exact recomputation of the table
     average. init_gradients picks the initial table: "at_x0" (component
-    gradients at x0) or "zeros".
+    gradients at x0) or "zeros". The sizes s, max_iters, seed, trace_every
+    and refresh_every are integers (numpy integers too).
     """
 
     s: int = 1
@@ -63,8 +66,12 @@ class SolverConfig:
     init_gradients: str = "at_x0"
 
     def validate(self, n):
-        from .analysis import _finite
+        from .analysis import _finite, _integral
 
+        for name in ("s", "max_iters", "trace_every", "refresh_every", "seed"):
+            value = getattr(self, name)
+            if not (_integral(value) or (name == "refresh_every" and value is None)):
+                raise InvalidConstants(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.s <= n:
             raise InvalidBatchSize(f"need 1 <= s <= n, got s={self.s}, n={n}")
         if self.gamma != "auto" and not (_finite(self.gamma) and self.gamma > 0):
@@ -113,14 +120,14 @@ class TraceRecord:
 
 
 def initialize(problem, config, x0):
-    """Build the t=0 state: iterate x0, gradient table per init_gradients."""
+    """Validate config and build the t=0 state: iterate x0, gradient table
+    per config.init_gradients, g_avg its mean."""
+    config.validate(problem.n)
     x0 = problem.check_point(x0)
     if config.init_gradients == "at_x0":
         table = problem.bank.gradients(x0)
-    elif config.init_gradients == "zeros":
-        table = np.zeros((problem.n, problem.dim), dtype=x0.dtype)
     else:
-        raise InvalidConstants(f"unknown init_gradients {config.init_gradients!r}")
+        table = np.zeros((problem.n, problem.dim), dtype=x0.dtype)
     return SolverState(t=0, x=x0.copy(), grad_table=table, g_avg=table.mean(axis=0))
 
 
@@ -131,13 +138,18 @@ def _prop1_coeffs(n, s):
     return n - s, s
 
 
-def _advance(state, problem, gamma, idx, table):
-    """The iteration's arithmetic: writes the s new rows into ``table`` and
-    returns (x_new, g_new). ``table`` is either state.grad_table itself or a
-    copy of it; the subset rows are read before any row is written."""
-    s = idx.shape[0]
-    n = problem.n
-    x_old, g_avg = state.x, state.g_avg
+def _refreshes(t, refresh_every):
+    """Whether iteration t ends with g_avg recomputed as the table mean."""
+    return refresh_every is not None and t % refresh_every == 0
+
+
+def _advance(state, problem, gamma, idx, refresh_every=None):
+    """One iteration on the sorted 0-based subset idx, in place: writes the s
+    new table rows, rebinds x and g_avg (a copy may share them) and moves t on.
+    A prox residual above TOL_PROX * (1 + ||z_i||) raises ProxFailure, naming
+    the component, the iteration and gamma, and leaves the state untouched."""
+    n, s = problem.n, idx.shape[0]
+    x_old, g_avg, table = state.x, state.g_avg, state.grad_table
 
     z = x_old[None, :] + gamma * (table.take(idx, axis=0) - g_avg[None, :])
     bound = TOL_PROX * (1 + np.sqrt((z * z).sum(axis=1)))
@@ -148,38 +160,27 @@ def _advance(state, problem, gamma, idx, table):
         raise ProxFailure(int(idx[k]) + 1, float(residual[k]), state.t + 1, gamma)
 
     table[idx] = (z - outs) / gamma
-    x_new = outs.mean(axis=0)  # idx is sorted: ascending-index reduction
-    c_keep, c_move = _prop1_coeffs(n, s)
-    # Integer coefficients and divisions in the array dtype: pre-rounding
-    # s/(n*gamma) in float64 would freeze an absolute error at the iterate
-    # scale into g_avg (the recurrence conserves g_avg - mean(table)).
-    g_new = (c_keep * g_avg + c_move * ((x_old - x_new) / gamma)) / n
-    return x_new, g_new
+    state.x = outs.mean(axis=0)  # idx is sorted: ascending-index reduction
+    state.t += 1
+    if _refreshes(state.t, refresh_every):
+        state.g_avg = table.mean(axis=0)
+    else:
+        c_keep, c_move = _prop1_coeffs(n, s)
+        # Integer coefficients and divisions in the array dtype: pre-rounding
+        # s/(n*gamma) in float64 would freeze an absolute error at the iterate
+        # scale into g_avg (the recurrence conserves g_avg - mean(table)).
+        state.g_avg = (c_keep * g_avg + c_move * ((x_old - state.x) / gamma)) / n
 
 
 def apply_subset_step(state, problem, gamma, indices0):
     """One deterministic iteration given the 0-based subset to activate.
 
-    Pure: returns a fresh state, leaving the input untouched. The residual of
-    every prox output is checked against TOL_PROX * (1 + ||z_i||); a breach
-    raises ProxFailure naming the component, the iteration and gamma.
+    Pure: advances a copy (its own table, the input's x and g_avg, which
+    _advance only rebinds) and returns it, leaving the input untouched.
     """
-    table = state.grad_table.copy()
-    idx = np.asarray(indices0, dtype=int)
-    x_new, g_new = _advance(state, problem, gamma, idx, table)
-    return SolverState(t=state.t + 1, x=x_new, grad_table=table, g_avg=g_new)
-
-
-def _step(state, problem, config, gamma, idx0, table):
-    """Advance on the 0-based subset idx0 and maybe refresh, writing into
-    ``table`` (a copy of state.grad_table, or run's own table); returns
-    (x_new, g_new, refreshed), refreshed telling whether g_new is the table
-    mean."""
-    x_new, g_new = _advance(state, problem, gamma, idx0, table)
-    refreshed = config.refresh_every is not None and (state.t + 1) % config.refresh_every == 0
-    if refreshed:
-        g_new = table.mean(axis=0)
-    return x_new, g_new, refreshed
+    nxt = SolverState(state.t, state.x, state.grad_table.copy(), state.g_avg)
+    _advance(nxt, problem, gamma, np.asarray(indices0, dtype=int))
+    return nxt
 
 
 def step(state, problem, config, rng, gamma):
@@ -191,10 +192,10 @@ def step(state, problem, config, rng, gamma):
     supplies s and the refresh cadence. Pure, like apply_subset_step: the
     input state is left untouched.
     """
-    table = state.grad_table.copy()
     idx0 = np.asarray(sample_k_subset(rng, problem.n, config.s), dtype=int) - 1
-    x_new, g_new, _ = _step(state, problem, config, gamma, idx0, table)
-    return SolverState(t=state.t + 1, x=x_new, grad_table=table, g_avg=g_new)
+    nxt = SolverState(state.t, state.x, state.grad_table.copy(), state.g_avg)
+    _advance(nxt, problem, gamma, idx0, config.refresh_every)
+    return nxt
 
 
 def table_drift(state):
@@ -206,14 +207,18 @@ def table_drift(state):
 def run(problem, config, x0):
     """Iterate from x0 for config.max_iters iterations.
 
-    run advances the state that initialize builds for it, table included, in
-    place: an iteration costs O(s*d) whatever n is. The per-row table errors
+    initialize validates config and builds the state, and every iteration
+    advances it in place through _advance, the one iteration step and
+    apply_subset_step also run: an iteration costs O(s*d) whatever n is.
+    A gamma whose Lyapunov weights overflow a Psi(0) with finite terms raises
+    InvalidConstants before any iteration. The per-row table errors
     of the Lyapunov value are recomputed for the s rows each iteration
     writes, so a record scores Psi with an O(n) sum. The table drift is an
     O(n*d) pass made only when a record is written, and skipped where a
     refresh has just made g_avg the table mean, so trace_every sets what it
     costs. The subsets are the stream step draws, taken from SplitMix64 in
-    blocks of at most SUBSET_BLOCK draws by sampling.sample_subsets.
+    blocks of at most SUBSET_BLOCK draws by sampling.sample_subsets as int64
+    rows.
 
     Parameters
     ----------
@@ -230,10 +235,9 @@ def run(problem, config, x0):
         iterations, and the final iteration. dist_sq and lyapunov fields are
         filled only when the problem has a known solution.
     """
-    config.validate(problem.n)
+    state = initialize(problem, config, x0)
     gamma = config.resolve_gamma(problem)
     rng = SplitMix64(config.seed)
-    state = initialize(problem, config, x0)
 
     x_star = problem.known_solution
     if x_star is not None:
@@ -243,39 +247,47 @@ def run(problem, config, x0):
         grad_star = problem.bank.gradients(x_star)
         weights = LyapunovWeights.from_constants(gamma, config.s, problem.mu, problem.L)
         row_errors = _row_errors(state.grad_table, grad_star)
+        # Weights at this gamma that overflow Psi(0) although both its terms
+        # are finite would make every record inf; an x0 that overflows a term
+        # on its own is left to the records.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = state.x - x_star
+            terms = (d @ d, row_errors.sum())
+            psi0 = weights.w_x * terms[0] + weights.w_g * terms[1]
+        if np.isfinite(terms).all() and not np.isfinite(psi0):
+            raise InvalidConstants(f"Psi at t=0 overflows at gamma={gamma!r}")
 
     t_begin = time.perf_counter_ns()
 
-    def record(st, is_mean):
+    def record():
         dist_sq = lyap = None
         if x_star is not None:
-            d = st.x - x_star
+            d = state.x - x_star
             dist_sq = d @ d
             # LyapunovWeights.psi's formula, on the kept row errors.
             lyap = weights.w_x * dist_sq + weights.w_g * row_errors.sum()
-        # Where g_avg is this very table mean, the drift pass would subtract
-        # equal arrays: +0.0 unless the mean is not finite.
-        if is_mean and np.isfinite(st.g_avg).all():
-            drift = st.g_avg.dtype.type(0.0)
+        # Where g_avg is this very table mean (initialize's or a refresh's), the
+        # drift pass would subtract equal arrays: +0.0 unless it is not finite.
+        is_mean = state.t == 0 or _refreshes(state.t, config.refresh_every)
+        if is_mean and np.isfinite(state.g_avg).all():
+            drift = state.g_avg.dtype.type(0.0)
         else:
-            drift = table_drift(st)
-        records.append(TraceRecord(t=st.t, dist_sq=dist_sq, lyapunov=lyap,
+            drift = table_drift(state)
+        records.append(TraceRecord(t=state.t, dist_sq=dist_sq, lyapunov=lyap,
                                    table_drift=drift,
                                    wall_ns=time.perf_counter_ns() - t_begin))
 
     records = []
-    record(state, True)  # initialize sets g_avg to the table mean
-    table = state.grad_table
+    record()
     per_block = max(1, SUBSET_BLOCK // config.s)
     while state.t < config.max_iters:
         block = sample_subsets(rng, problem.n, config.s,
                                min(per_block, config.max_iters - state.t))
         for idx in block:
-            state.x, state.g_avg, refreshed = _step(state, problem, config, gamma, idx, table)
-            state.t += 1
+            _advance(state, problem, gamma, idx, config.refresh_every)
             if x_star is not None:  # take: a cheaper gather than table[idx]
-                row_errors[idx] = _row_errors(table.take(idx, axis=0),
+                row_errors[idx] = _row_errors(state.grad_table.take(idx, axis=0),
                                               grad_star.take(idx, axis=0))
             if state.t % config.trace_every == 0 or state.t == config.max_iters:
-                record(state, refreshed)
+                record()
     return state, records

@@ -349,6 +349,12 @@ def test_coercivity_identity_quadratic_equality():
         assert check_coercivity(comp, rng.normal(size=2), rng.normal(size=2), 1.0, 1.0)
 
 
+def test_coercivity_rejects_mismatched_shapes():
+    comp = QuadraticComponent(np.eye(2), np.ones(2), np.zeros(2))
+    with pytest.raises(DimensionMismatch, match=r"x has shape \(2,\), y has shape \(3,\)"):
+        check_coercivity(comp, np.zeros(2), np.zeros(3), 1.0, 1.0)
+
+
 def test_coercivity_same_point():
     comp = QuadraticComponent(np.eye(2), np.ones(2), np.zeros(2))
     x = np.array([1.0, -2.0])

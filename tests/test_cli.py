@@ -150,6 +150,17 @@ def test_run_ridge_whose_hessian_overflows_exits_2_naming_mu_and_l(tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--gamma", "1e153", "--L", "1e3", "--n", "20", "--dim", "4", "--iters", "30"],
+    ["sweep", "--gammas", "1e153,0.1", "--L", "1e3", "--n", "20", "--dim", "4", "--iters", "30"],
+    ["run", "--gamma", "1e153", "--iters", "3"],
+], ids=["run-L-1e3", "sweep-L-1e3", "run-defaults"])
+def test_psi_overflowing_at_t0_exits_2_naming_gamma_and_writes_nothing(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert "InvalidConstants: Psi at t=0 overflows at gamma=1e+153" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [
     ["--mu", "3e-5", "--L", "10"],
     ["--n", "20", "--dim", "50", "--mu", "0.3", "--L", "5", "--gamma", "10000", "--iters", "50"],
@@ -418,8 +429,8 @@ def test_unusable_out_exits_3_before_any_problem_is_built(tmp_path, capsys, monk
 _INTS = ["-1", "0", "1", "2", "3", str(10**9), "1.5", "x"]
 _SEEDS = _INTS + [str(2**64 - 1), str(2**64)]
 _SMALL_INTS = ["-1", "0", "1", "3", "x"]
-_FLOATS = ["-1", "0", "5e-324", "1e-300", "0.5", "1", "10", "1e300", "nan", "inf",
-           "-inf", "x"]
+_FLOATS = ["-1", "0", "5e-324", "1e-300", "0.5", "1", "10", "1e153", "1e300", "nan",
+           "inf", "-inf", "x"]
 # Placeholders the test replaces with paths in its own temporary directory.
 _PROBLEMS = ["quad", "ridge", "logistic", "FILE", "NOFILE", "nope"]
 _OUTS = ["OUT", "MISSING", "NOTDIR"]
@@ -465,6 +476,11 @@ _rates_argv = _flags([("--gamma", _FLOATS), ("--s", _INTS), ("--n", _INTS),
 @example(argv=["run", "--problem", "nope", "--iters", "1", "--out", "OUT"])
 @example(argv=["run", "--seed", str(2**64), "--iters", "1", "--out", "OUT"])
 @example(argv=["run", "--seed", str(2**64 - 1), "--repeats", "2", "--iters", "1", "--out", "OUT"])
+@example(argv=["run", "--gamma", "1e153", "--L", "1e3", "--n", "20", "--dim", "4", "--iters", "30",
+               "--out", "OUT"])
+@example(argv=["sweep", "--gammas", "1e153,0.1", "--L", "1e3", "--n", "20", "--dim", "4",
+               "--iters", "30", "--out", "OUT"])
+@example(argv=["run", "--gamma", "1e153", "--iters", "3", "--out", "OUT"])
 def test_cli_exits_with_a_documented_code(tmp_path_factory, argv):
     base = tmp_path_factory.getbasetemp() / "cli-argv"
     base.mkdir(exist_ok=True)
@@ -482,3 +498,9 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, argv):
     finally:
         os.chdir(cwd)
     assert code in (0, 2, 3, 4), argv
+    if code == 0 and argv[0] == "run":
+        json.loads((base / "out" / "summary.json").read_text(),
+                   parse_constant=lambda c: pytest.fail(f"{c} in summary.json: {argv}"))
+    if code == 0 and argv[0] == "sweep":
+        text = (base / "out" / "sweep.csv").read_text().lower()
+        assert "nan" not in text and "inf" not in text, argv

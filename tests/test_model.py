@@ -75,6 +75,14 @@ def test_known_solution_validated():
         FiniteSumProblem((comp,), 1.0, 1.0, 2, known_solution=np.array([1.0, 0.0]))
 
 
+def test_problem_rejects_bad_dim_and_solution_shape():
+    comp = identity_quadratic(2)
+    with pytest.raises(InvalidConstants, match="dim must be >= 1"):
+        FiniteSumProblem((comp,), 1.0, 1.0, 0)
+    with pytest.raises(DimensionMismatch, match=r"known_solution has shape \(3,\)"):
+        FiniteSumProblem((comp,), 1.0, 1.0, 2, known_solution=np.zeros(3))
+
+
 def test_full_gradient_permutation_invariant():
     # Removing a component and re-adding it (any reorder) leaves the sum alone.
     problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=5))

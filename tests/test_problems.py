@@ -76,6 +76,24 @@ def test_spec_rejects_negative_seed():
         GeneratorSpec("quadratic", 2, 2, 1.0, 1.0, seed=-1)
 
 
+@pytest.mark.parametrize("field", [{"n": 2.5}, {"dim": 3.0}, {"seed": 1.5}],
+                         ids=["n-2.5", "dim-3.0", "seed-1.5"])
+def test_spec_rejects_non_integral_sizes(field):
+    name, value = next(iter(field.items()))
+    spec = {"family": "quadratic", "n": 3, "dim": 2, "mu": 1.0, "L": 2.0, **field}
+    with pytest.raises(InvalidSpec, match=f"{name} must be an integer, got {value}"):
+        GeneratorSpec(**spec)
+
+
+def test_spec_accepts_numpy_integer_sizes():
+    spec = GeneratorSpec("quadratic", np.int64(3), np.int32(2), 1.0, 2.0, seed=np.uint64(4))
+    python = gen_quadratic(GeneratorSpec("quadratic", 3, 2, 1.0, 2.0, seed=4))
+    assert np.array_equal(gen_quadratic(spec).known_solution, python.known_solution)
+    # n * d * d = 2^64 would wrap to 0 in int64 and slip under the cap.
+    with pytest.raises(InvalidSpec, match="dense entries"):
+        GeneratorSpec("quadratic", np.int64(2**32), np.int64(2**16), 1.0, 2.0)
+
+
 # Each family at its dense-entry cap, then one step over it: quadratics hold
 # n d-by-d matrices, ridge and logistic n-by-d rows and a d-by-d Hessian.
 _AT_CAP = [("quadratic", 1, 10**4), ("ridge_regression", 10**8, 1),
@@ -769,3 +787,8 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(InconsistentDimension):
         Dataset(np.array([[1.0, np.inf]]), np.zeros(1))
+
+
+def test_dataset_rejects_rows_that_are_not_2d():
+    with pytest.raises(InconsistentDimension, match="dense n-by-d matrix"):
+        Dataset(np.zeros(3), np.zeros(3))

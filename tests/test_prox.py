@@ -13,7 +13,7 @@ from pointsaga import (
     prox_rank_one_quadratic,
 )
 from pointsaga._linalg import _dots, solve
-from pointsaga.errors import MaxInnerIterations, SingularSystem
+from pointsaga.errors import DimensionMismatch, MaxInnerIterations, SingularSystem
 import pointsaga.prox as prox
 from pointsaga.prox import TOL_PROX, sigmoid
 
@@ -69,6 +69,12 @@ def test_rank_one_hand_solve():
     r = prox_rank_one_quadratic(np.array([1.0, 0.0]), 0.0, 0.0, 1.0,
                                 np.array([2.0, 3.0]))
     assert np.allclose(r.point, [1.0, 3.0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("prox_fn", [prox_rank_one_quadratic, prox_logistic_ridge])
+def test_row_prox_rejects_mismatched_shapes(prox_fn):
+    with pytest.raises(DimensionMismatch, match=r"a has shape \(2,\), z has shape \(3,\)"):
+        prox_fn(np.ones(2), 1.0, 0.1, 0.5, np.zeros(3))
 
 
 def test_rank_one_zero_row_reduces_to_ridge():

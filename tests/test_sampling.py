@@ -96,6 +96,12 @@ def test_enumerate_six_choose_three():
     assert subs == sorted(subs)
 
 
+@pytest.mark.parametrize("s", [0, 4])
+def test_enumeration_rejects_s_out_of_range(s):
+    with pytest.raises(InvalidBatchSize, match=f"need 1 <= s <= n <= 2\\^63, got s={s}, n=3"):
+        enumerate_k_subsets(3, s)
+
+
 def test_enumeration_cap():
     with pytest.raises(EnumerationTooLarge):
         enumerate_k_subsets(30, 15)
@@ -167,29 +173,41 @@ class CountingSplitMix64(SplitMix64):
 
 @pytest.mark.parametrize("s", [1, 3])
 def test_block_sampler_rewinds_past_rejected_draws(s):
-    # At n = 2^63 + 1 about half of all draws are rejected, and index 2^63
-    # does not fit int64: the rows must hold the exact values.
-    n = 2**63 + 1
+    # At n = 2^64 // 3 + 1 about a third of the slot-0 draws are rejected.
+    n = 2**64 // 3 + 1
     rng = CountingSplitMix64(5)
-    rows = sample_subsets(rng, n, s, 40)
-    assert rows.dtype == np.uint64
+    rows = sample_subsets(rng, n, s, 60)
+    assert rows.dtype == np.int64
     assert rng.scalar_draws > 40  # many iterations were drawn again
-    assert_block_matches_scalar(n, s, 5, 40)
+    assert_block_matches_scalar(n, s, 5, 60)
 
 
 def test_block_sampler_edges():
     rng = SplitMix64(3)
     assert sample_subsets(rng, 5, 2, 0).shape == (0, 2) and rng.state == 3
-    assert_block_matches_scalar(2**63, 2, 1, 10)  # 2^63 - 1 fits int64
-    assert_block_matches_scalar(2**64 - 1, 2, 1, 10)  # the largest block n
+    # The largest n: index 2^63 - 1 still fits int64.
+    assert assert_block_matches_scalar(2**63, 2, 1, 10).dtype == np.int64
     with pytest.raises(InvalidBatchSize):
-        sample_subsets(rng, 2**64, 1, 1)
+        sample_subsets(rng, 2**63 + 1, 1, 1)
     with pytest.raises(InvalidBatchSize):
         sample_subsets(rng, 5, 6, 1)
 
 
 def test_scalar_sampler_rejects_bounds_beyond_64_bits():
-    # No 64-bit draw lies below the rejection limit of a bound above 2^64.
-    assert len(sample_k_subset(SplitMix64(1), 2**64, 2)) == 2
+    # Both samplers take n up to 2^63, where every 0-based index fits int64.
+    assert len(sample_k_subset(SplitMix64(1), 2**63, 2)) == 2
     with pytest.raises(InvalidBatchSize):
-        sample_k_subset(SplitMix64(1), 2**64 + 1, 1)
+        sample_k_subset(SplitMix64(1), 2**63 + 1, 1)
+
+
+def test_samplers_accept_numpy_integers():
+    assert SplitMix64(0).block(np.int64(3)).tolist() == SplitMix64(0).block(3).tolist()
+    cases = [(np.int64(20), np.int64(3), np.int64(7)),
+             (np.int32(20), np.uint8(7), np.uint8(200))]  # k * s = 1400 would wrap in uint8
+    for n, s, k in cases:
+        numpy_rng, python_rng = SplitMix64(9), SplitMix64(9)
+        rows = sample_subsets(numpy_rng, n, s, k)
+        assert rows.tolist() == sample_subsets(python_rng, int(n), int(s), int(k)).tolist()
+        assert rows.dtype == np.int64 and numpy_rng.state == python_rng.state
+        assert sample_k_subset(numpy_rng, n, s) == sample_k_subset(python_rng, int(n), int(s))
+    assert enumerate_k_subsets(np.int64(4), np.int64(2)) == enumerate_k_subsets(4, 2)

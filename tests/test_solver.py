@@ -456,8 +456,12 @@ def test_non_finite_or_non_numeric_gamma_rejected(gamma):
 
 
 @pytest.mark.parametrize("field", [{"refresh_every": 0}, {"init_gradients": "ones"},
-                                   {"seed": -1}, {"seed": 2**64}],
-                         ids=["refresh_every-0", "init_gradients-ones", "seed--1", "seed-2^64"])
+                                   {"seed": -1}, {"seed": 2**64}, {"s": 2.0},
+                                   {"max_iters": 3.5}, {"trace_every": 2.5},
+                                   {"refresh_every": 2.0}, {"seed": 1.5}],
+                         ids=["refresh_every-0", "init_gradients-ones", "seed--1", "seed-2^64",
+                              "s-2.0", "max_iters-3.5", "trace_every-2.5", "refresh_every-2.0",
+                              "seed-1.5"])
 def test_out_of_range_config_rejected(field):
     with pytest.raises(InvalidConstants):
         SolverConfig(**field).validate(10)
@@ -466,3 +470,29 @@ def test_out_of_range_config_rejected(field):
 def test_initialize_rejects_unknown_init_gradients():
     with pytest.raises(InvalidConstants, match="'ones'"):
         initialize(quad_problem(), SolverConfig(init_gradients="ones"), np.zeros(4))
+
+
+def test_numpy_integer_config_runs_like_python_ints():
+    problem = quad_problem()
+    sizes = {"s": 2, "max_iters": 9, "seed": 5, "trace_every": 2, "refresh_every": 4}
+    numpy_sizes = {k: np.int64(v) for k, v in sizes.items()} | {"seed": np.uint64(5)}
+    runs = [run(problem, SolverConfig(gamma=0.2, **cfg), np.ones(4))
+            for cfg in (sizes, numpy_sizes)]
+    (a, rec_a), (b, rec_b) = runs
+    assert_state_equals(a, snapshot(b))
+    assert [(r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in rec_a] == [
+        (r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in rec_b]
+    assert [type(r.lyapunov) for r in rec_a] == [type(r.lyapunov) for r in rec_b]
+
+
+def test_run_rejects_a_gamma_whose_weights_overflow_psi0():
+    # Both terms of Psi(0) are finite, but w_g ~ gamma^2 overflows their sum.
+    problem = quad_problem()
+    cfg = SolverConfig(gamma=1e153, max_iters=3)
+    with pytest.raises(InvalidConstants, match=r"Psi at t=0 overflows at gamma=1e\+153"):
+        run(problem, cfg, np.ones(4))
+    # Longdouble holds the same Psi(0), near 1e309, as a finite number.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 10, 4, 1.0, 10.0, seed=31),
+                            dtype=np.longdouble)
+    _, records = run(problem, replace(cfg, max_iters=0), np.ones(4, dtype=np.longdouble))
+    assert np.finfo(np.float64).max < records[0].lyapunov < np.inf
