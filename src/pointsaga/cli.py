@@ -181,9 +181,10 @@ def _empirical_contraction(records):
 def _solve_cell(problem, args, gamma, s, threshold=None, trace_dir=None):
     """Run `repeats` trajectories; aggregate the summary quantities.
 
-    With a threshold (sweep) every iteration is recorded and prox calls are
-    counted up to the first record at or below threshold * Psi(0). Otherwise
-    records follow --trace-every, and each repeat's trace is written to
+    With a threshold (sweep) every iteration is recorded, without the table
+    drift that sweep.csv does not hold, and prox calls are counted up to the
+    first record at or below threshold * Psi(0). Otherwise records follow
+    --trace-every and carry the drift, and each repeat's trace is written to
     trace_dir, when given, as soon as that repeat finishes.
     """
     x0 = np.zeros(problem.dim)
@@ -197,7 +198,7 @@ def _solve_cell(problem, args, gamma, s, threshold=None, trace_dir=None):
             s=s, gamma=gamma, max_iters=args.iters, seed=args.seed + k,
             trace_every=args.trace_every if threshold is None else 1,
         )
-        state, records = run(problem, config, x0)
+        state, records = run(problem, config, x0, drift=threshold is None)
         if trace_dir is not None:
             _write_trace(f"{trace_dir}/trace_seed{config.seed}.csv", records)
         contr = _empirical_contraction(records)

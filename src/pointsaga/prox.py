@@ -21,6 +21,9 @@ NEWTON_BUDGET = 200
 #: |h(u)| at which the logistic prox's root counts as found (logistic_root_tol).
 TOL_LOGISTIC_ROOT = 1e-12
 
+#: logistic_root_tol's multiple of the float64 unit roundoff, looked up once.
+_ROOT_EPS = 8.0 * np.finfo(float).eps
+
 
 @dataclass
 class ProxResult:
@@ -129,7 +132,7 @@ def logistic_root_tol(alpha, u, az, gamma_aa):
     """max(TOL_LOGISTIC_ROOT, 8 eps (alpha |u| + |a'z| + gamma ||a||^2)),
     elementwise: |h(u)| at which the root counts as found, never below h's rounding."""
     return np.maximum(TOL_LOGISTIC_ROOT,
-                      8.0 * np.finfo(float).eps * (alpha * abs(u) + abs(az) + gamma_aa))
+                      _ROOT_EPS * (alpha * abs(u) + abs(az) + gamma_aa))
 
 
 def _logistic_defect(a, y, mu_reg, gamma, z, x):

@@ -148,9 +148,13 @@ def sample_subsets(rng, n, s, k):
 
 
 def _check_sizes(n, s):
-    """n and s as Python ints, once 1 <= s <= n <= 2^63 holds (so every
-    0-based index fits int64; a problem's n is a tuple's length, far below)."""
-    n, s = operator.index(n), operator.index(s)
+    """n and s as Python ints, once both are integers (numpy integers too)
+    and 1 <= s <= n <= 2^63 holds (so every 0-based index fits int64; a
+    problem's n is a tuple's length, far below)."""
+    try:
+        n, s = operator.index(n), operator.index(s)
+    except TypeError:
+        raise InvalidBatchSize(f"sizes must be integers, got s={s!r}, n={n!r}") from None
     if not 1 <= s <= n <= 1 << 63:
         raise InvalidBatchSize(f"need 1 <= s <= n <= 2^63, got s={s}, n={n}")
     return n, s

@@ -20,10 +20,11 @@ and apply_subset_step are pure: each advances a copy that has its own table
 and returns it. run keeps the Lyapunov value's per-row table errors current
 in O(s*d) per iteration, so a record scores Psi with an O(n) sum; the table
 drift is still an O(n*d) pass per record (none where a refresh has just made
-g_avg the table mean), so trace_every sets what that diagnostic costs. step
-and run draw the same SplitMix64 subset stream: step one subset at a time
-with sampling.sample_k_subset, run many iterations' subsets at once with
-sampling.sample_subsets, whose rows are int64 (n is capped at 2^63).
+g_avg the table mean, and none with run(..., drift=False)), so trace_every
+sets what that diagnostic costs. step and run draw the same SplitMix64 subset
+stream: step one subset at a time with sampling.sample_k_subset, run many
+iterations' subsets at once with sampling.sample_subsets, whose rows are
+int64 (n is capped at 2^63).
 Components are reached only through the problem's bank (model.ComponentBank):
 the subset prox of each iteration, and the n-row gradient stacks of
 initialize and of run's grad_star, are one bank call each. Every family bank
@@ -31,6 +32,7 @@ in problems batches the gradients, and QuadraticBank and LogisticBank the
 prox as well.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -110,12 +112,13 @@ class SolverState:
 
 @dataclass
 class TraceRecord:
-    """Per-iteration diagnostics: dist_sq and lyapunov need a known solution."""
+    """Per-iteration diagnostics: dist_sq and lyapunov need a known solution,
+    and table_drift is None where run was asked for no drift pass."""
 
     t: int
     dist_sq: float | None
     lyapunov: float | None
-    table_drift: float
+    table_drift: float | None
     wall_ns: int
 
 
@@ -143,16 +146,31 @@ def _refreshes(t, refresh_every):
     return refresh_every is not None and t % refresh_every == 0
 
 
+@functools.cache
+def _square_limit(dtype):
+    """A total of squares up to which no partial sum of them can overflow."""
+    return np.finfo(dtype).max / 2
+
+
 def _advance(state, problem, gamma, idx, refresh_every=None):
     """One iteration on the sorted 0-based subset idx, in place: writes the s
     new table rows, rebinds x and g_avg (a copy may share them) and moves t on.
     A prox residual above TOL_PROX * (1 + ||z_i||) raises ProxFailure, naming
-    the component, the iteration and gamma, and leaves the state untouched."""
+    the component, the iteration and gamma, and leaves the state untouched;
+    the norm is finite for every finite z."""
     n, s = problem.n, idx.shape[0]
     x_old, g_avg, table = state.x, state.g_avg, state.grad_table
 
     z = x_old[None, :] + gamma * (table.take(idx, axis=0) - g_avg[None, :])
-    bound = TOL_PROX * (1 + np.sqrt((z * z).sum(axis=1)))
+    # Past the limit a row's plain sum of squares could overflow to inf and
+    # pass any residual, so there the rows are normed scaled by z's largest
+    # entry. One vdot pass over z (an overflowing total reads inf) picks the
+    # path at less cost than the max-abs pass, which only the scaled path pays.
+    peak = abs(z).max() if np.vdot(z, z) > _square_limit(z.dtype) else np.inf
+    if peak < np.inf:
+        bound = TOL_PROX + TOL_PROX * peak * np.sqrt(((z / peak) ** 2).sum(axis=1))
+    else:  # no row can overflow, or z is not finite and no scale helps
+        bound = TOL_PROX * (1 + np.sqrt((z * z).sum(axis=1)))
     outs, residual = problem.bank.prox(gamma, idx, z)
     ok = residual <= bound
     k = ok.argmin()  # the first failing row, if any row fails
@@ -160,10 +178,12 @@ def _advance(state, problem, gamma, idx, refresh_every=None):
         raise ProxFailure(int(idx[k]) + 1, float(residual[k]), state.t + 1, gamma)
 
     table[idx] = (z - outs) / gamma
-    state.x = outs.mean(axis=0)  # idx is sorted: ascending-index reduction
+    # The means are mean(axis=0)'s own sum and division, without the wrapper
+    # whose checks cost more than the reduction on an iteration's few rows.
+    state.x = np.add.reduce(outs, axis=0) / s  # idx is sorted: ascending-index sum
     state.t += 1
     if _refreshes(state.t, refresh_every):
-        state.g_avg = table.mean(axis=0)
+        state.g_avg = np.add.reduce(table, axis=0) / n
     else:
         c_keep, c_move = _prop1_coeffs(n, s)
         # Integer coefficients and divisions in the array dtype: pre-rounding
@@ -204,7 +224,7 @@ def table_drift(state):
     return np.sqrt(diff @ diff)
 
 
-def run(problem, config, x0):
+def run(problem, config, x0, *, drift=True):
     """Iterate from x0 for config.max_iters iterations.
 
     initialize validates config and builds the state, and every iteration
@@ -216,9 +236,9 @@ def run(problem, config, x0):
     writes, so a record scores Psi with an O(n) sum. The table drift is an
     O(n*d) pass made only when a record is written, and skipped where a
     refresh has just made g_avg the table mean, so trace_every sets what it
-    costs. The subsets are the stream step draws, taken from SplitMix64 in
-    blocks of at most SUBSET_BLOCK draws by sampling.sample_subsets as int64
-    rows.
+    costs; with drift=False no record makes it. The subsets are the stream
+    step draws, taken from SplitMix64 in blocks of at most SUBSET_BLOCK draws
+    by sampling.sample_subsets as int64 rows.
 
     Parameters
     ----------
@@ -227,6 +247,9 @@ def run(problem, config, x0):
         config.s, stepsize, budget, seed, trace cadence.
     x0 : ndarray
         Starting point; its dtype sets the working precision of the run.
+    drift : bool, keyword-only
+        Whether records carry the table drift; without it every record's
+        table_drift is None and the run is otherwise the same.
 
     Returns
     -------
@@ -266,15 +289,17 @@ def run(problem, config, x0):
             dist_sq = d @ d
             # LyapunovWeights.psi's formula, on the kept row errors.
             lyap = weights.w_x * dist_sq + weights.w_g * row_errors.sum()
-        # Where g_avg is this very table mean (initialize's or a refresh's), the
-        # drift pass would subtract equal arrays: +0.0 unless it is not finite.
-        is_mean = state.t == 0 or _refreshes(state.t, config.refresh_every)
-        if is_mean and np.isfinite(state.g_avg).all():
-            drift = state.g_avg.dtype.type(0.0)
-        else:
-            drift = table_drift(state)
+        drift_norm = None
+        if drift:
+            # Where g_avg is this very table mean (initialize's or a refresh's),
+            # the pass would subtract equal arrays: +0.0 unless it is not finite.
+            is_mean = state.t == 0 or _refreshes(state.t, config.refresh_every)
+            if is_mean and np.isfinite(state.g_avg).all():
+                drift_norm = state.g_avg.dtype.type(0.0)
+            else:
+                drift_norm = table_drift(state)
         records.append(TraceRecord(t=state.t, dist_sq=dist_sq, lyapunov=lyap,
-                                   table_drift=drift,
+                                   table_drift=drift_norm,
                                    wall_ns=time.perf_counter_ns() - t_begin))
 
     records = []

@@ -267,6 +267,28 @@ def test_sweep_single_cell_matches_run(tmp_path, repeats):
     assert float(cells[3]) == summary["empirical_contraction"]
 
 
+def test_sweep_makes_no_drift_pass_and_run_still_writes_one(tmp_path, monkeypatch):
+    # sweep.csv has no drift column, so a sweep pays no O(n*d) drift pass;
+    # run's trace keeps a finite drift on every row.
+    calls = []
+    table_drift = pointsaga.solver.table_drift
+
+    def counting_drift(state):
+        calls.append(state.t)
+        return table_drift(state)
+
+    monkeypatch.setattr(pointsaga.solver, "table_drift", counting_drift)
+    argv = run_args(tmp_path, iters="50")
+    argv[0] = "sweep"
+    argv += ["--ss", "1,4"]
+    assert cli.main(argv) == 0
+    assert calls == []
+    assert cli.main(run_args(tmp_path)) == 0
+    assert calls == list(range(10, 301, 10))
+    _, rows = read_csv(tmp_path / "trace_seed42.csv")
+    assert all(math.isfinite(float(r.split(",")[3])) for r in rows)
+
+
 def test_sweep_requires_an_axis(tmp_path, capsys):
     argv = run_args(tmp_path)
     argv[0] = "sweep"

@@ -77,6 +77,12 @@ def test_invalid_batch_sizes():
         sample_k_subset(rng, 5, 0)
     with pytest.raises(InvalidBatchSize):
         sample_k_subset(rng, 5, 6)
+    # Non-integral sizes are typed errors too, not operator.index's TypeError.
+    for draw in (lambda: sample_k_subset(SplitMix64(0), 5.0, 2),
+                 lambda: enumerate_k_subsets(4, 2.0),
+                 lambda: sample_subsets(SplitMix64(0), 4, 2.0, 1)):
+        with pytest.raises(InvalidBatchSize, match="sizes must be integers"):
+            draw()
 
 
 def test_enumerate_pairs_of_three():

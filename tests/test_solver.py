@@ -353,6 +353,26 @@ def test_prox_failure_mid_block_names_its_iteration(monkeypatch):
     assert (err.value.t, err.value.index) == (6, subsets[5][0])
 
 
+def test_prox_check_holds_where_the_squared_norm_overflows(monkeypatch):
+    # At ||z|| ~ 1e200 a float64 sum of squares overflows to inf, which would
+    # pass every residual; the bound stays TOL_PROX * (1 + ||z||) instead.
+    problem = quad_problem()
+    state = initialize(problem, SolverConfig(), np.full(4, 1e200))
+    gamma, idx = 0.1, [0, 1]
+    z = (state.x + gamma * (state.grad_table[idx] - state.g_avg)).astype(np.longdouble)
+    bound = TOL_PROX * np.sqrt((z * z).sum(axis=1))
+    assert (1e190 < bound).all() and (bound < 1e200).all()
+
+    def injected(factor):
+        return lambda gamma, idx, Z: (Z.copy(), (factor * bound).astype(float))
+
+    monkeypatch.setattr(problem.bank, "prox", injected(1.01))
+    with pytest.raises(ProxFailure):
+        apply_subset_step(state, problem, gamma, idx)
+    monkeypatch.setattr(problem.bank, "prox", injected(0.99))
+    assert apply_subset_step(state, problem, gamma, idx).t == 1
+
+
 def test_run_skips_the_drift_pass_only_where_it_is_zero(monkeypatch):
     # A refresh sets g_avg to the table mean, so those records need no pass;
     # with refresh_every=3 and trace_every=2, the records at t = 2, 4, 8 do.
@@ -368,6 +388,23 @@ def test_run_skips_the_drift_pass_only_where_it_is_zero(monkeypatch):
     assert [r.t for r in records] == [0, 2, 4, 6, 8, 10]
     assert drifts == [2, 4, 8, 10]
     assert records[3].table_drift == 0.0 and type(records[3].table_drift) is np.float64
+
+
+@pytest.mark.parametrize("refresh_every", [3, None], ids=lambda r: f"refresh{r}")
+def test_run_without_drift_differs_only_in_the_drift(refresh_every, monkeypatch):
+    def no_drift(state):
+        raise AssertionError("table_drift called")
+
+    problem = quad_problem()
+    cfg = SolverConfig(s=2, gamma=0.2, max_iters=30, seed=5, trace_every=1,
+                       refresh_every=refresh_every)
+    final, records = run(problem, cfg, np.ones(4))
+    monkeypatch.setattr(solver, "table_drift", no_drift)
+    bare_final, bare = run(problem, cfg, np.ones(4), drift=False)
+    assert [(r.t, r.dist_sq, r.lyapunov) for r in bare] == [
+        (r.t, r.dist_sq, r.lyapunov) for r in records]
+    assert all(r.table_drift is None for r in bare)
+    assert_state_equals(bare_final, snapshot(final))
 
 
 def test_run_computes_the_drift_of_a_non_finite_mean():
