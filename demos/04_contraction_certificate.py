@@ -1,9 +1,12 @@
 """Certify the one-step contraction inequality exactly on a small problem.
 
-With n small we can enumerate every s-subset the sampler could draw, execute
-one deterministic iteration per subset, and average the resulting Lyapunov
-energies: that average is the *exact* conditional expectation, no Monte
-Carlo. The certificate checks it never exceeds rho times the current energy.
+With n small we can enumerate every s-subset the sampler could draw, score
+the Lyapunov energy that one deterministic iteration on each subset leaves,
+and average those energies: that average is the *exact* conditional
+expectation, no Monte Carlo. A component's prox from a fixed state is the
+same in every subset that holds it, so the certificate makes n proxes and
+then O(C(n, s) * (s * d + n)) vector arithmetic. It checks the average never
+exceeds rho times the current energy.
 """
 
 import numpy as np

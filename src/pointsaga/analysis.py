@@ -19,7 +19,10 @@ bitwise as `lyapunov` scores the same state.
 
 Averaged over all C(n, s) equally likely subsets, one iteration maps Psi to
 at most rho * Psi; `verify_one_step_contraction` computes that average
-exactly by enumeration.
+exactly by enumeration. A component's prox and new table row from a fixed
+state do not depend on the subset that holds it, so the certificate costs n
+proxes plus O(C(n, s) * (s * d + n)) vector arithmetic, not C(n, s)
+iterations.
 """
 
 import math
@@ -229,22 +232,54 @@ def reference_solution(problem, tol=1e-12):
 def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     """Exact subset-averaged Psi after one step versus rho * Psi(state).
 
-    Enumerates all C(n, s) subsets, runs one deterministic iteration per
-    subset, and averages Psi over the outcomes. Returns (lhs, rhs, ok) with
-    ok = lhs <= rhs + 1e-9 (1 + rhs); the slack absorbs prox residuals and
-    rounding in what is an exact inequality in exact arithmetic.
-    """
-    from .solver import apply_subset_step
+    From a fixed state, component i's shifted point, its prox and its new
+    table row are the same in every subset that holds i. So one copy of the
+    state is advanced through solver._advance on all n components, one bank
+    call of n proxes, and each of the C(n, s) subsets is scored from those
+    rows: its iterate is the ascending-index mean of its s proxes, and its
+    table keeps the input's rows outside it. Scored in blocks of at most
+    SUBSET_BLOCK // n subsets, the certificate costs n proxes plus
+    O(C(n, s) * (s * d + n)) vector arithmetic, and the average is still
+    exact by enumeration: Psi of every subset's outcome, bitwise what one
+    iteration on that subset gives, summed in lexicographic order. Returns
+    (lhs, rhs, ok) with ok = lhs <= rhs + 1e-9 (1 + rhs); the slack absorbs
+    prox residuals and rounding in what is an exact inequality in exact
+    arithmetic. The input state is left untouched.
 
-    rho = theoretical_rate(gamma, s, problem.n, problem.mu, problem.L).rho
-    subsets = enumerate_k_subsets(problem.n, s)
-    # lyapunov checks the shapes once; each outcome is then scored with w.psi.
+    Checks run in this order: the rate's constants, then the subset count
+    (InvalidBatchSize, EnumerationTooLarge), then the shapes of x_star and
+    grad_star and the Lyapunov weights, all before any prox. On the plain
+    path, where the squares of all n shifted points total under
+    solver._square_limit, a row's prox bound does not depend on the subset,
+    so ProxFailure names the lowest failing component, at iteration
+    state.t + 1, as the first enumerated subset that holds it would. Past
+    that limit (||z|| above about 1e154) the accept rule is _advance's
+    applied to all n rows at once. An error the bank raises for any row,
+    such as MaxInnerIterations, comes before a residual failure of another.
+    """
+    from .solver import SUBSET_BLOCK, SolverState, _advance
+
+    n = problem.n
+    rho = theoretical_rate(gamma, s, n, problem.mu, problem.L).rho
+    subsets = enumerate_k_subsets(n, s)
     rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
+    nxt = SolverState(state.t, state.x, state.grad_table.copy(), state.g_avg)
+    P = _advance(nxt, problem, gamma, np.arange(n))
+    kept = _row_errors(state.grad_table, grad_star)
+    moved = _row_errors(nxt.grad_table, grad_star)
+    per_block = max(1, SUBSET_BLOCK // n)
     total = 0.0
-    for sub in subsets:
-        nxt = apply_subset_step(state, problem, gamma, np.asarray(sub, dtype=int) - 1)
-        total += w.psi(nxt, x_star, grad_star)
+    for start in range(0, len(subsets), per_block):
+        S = np.array(subsets[start:start + per_block]) - 1
+        dx = np.add.reduce(P[S], axis=1) / S.shape[1] - x_star  # _advance's mean
+        errors = np.repeat(kept[None, :], len(S), axis=0)
+        np.put_along_axis(errors, S, moved[S], axis=1)
+        psi = w.w_x * _dots(dx, dx) + w.w_g * errors.sum(axis=1)
+        # Added on in enumeration order, in psi's dtype: accumulate is a
+        # sequential sum, so total is what adding one subset at a time gives.
+        psi[0] += total
+        total = np.add.accumulate(psi)[-1]
     lhs = total / len(subsets)
     ok = bool(lhs <= rhs + 1e-9 * (1.0 + rhs))
     return lhs, rhs, ok

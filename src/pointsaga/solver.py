@@ -155,9 +155,10 @@ def _square_limit(dtype):
 def _advance(state, problem, gamma, idx, refresh_every=None):
     """One iteration on the sorted 0-based subset idx, in place: writes the s
     new table rows, rebinds x and g_avg (a copy may share them) and moves t on.
-    A prox residual above TOL_PROX * (1 + ||z_i||) raises ProxFailure, naming
-    the component, the iteration and gamma, and leaves the state untouched;
-    the norm is finite for every finite z."""
+    Returns the s prox outputs, row k the prox of component idx[k], whose
+    mean is the new x. A prox residual above TOL_PROX * (1 + ||z_i||) raises
+    ProxFailure, naming the component, the iteration and gamma, and leaves the
+    state untouched; the norm is finite for every finite z."""
     n, s = problem.n, idx.shape[0]
     x_old, g_avg, table = state.x, state.g_avg, state.grad_table
 
@@ -190,6 +191,7 @@ def _advance(state, problem, gamma, idx, refresh_every=None):
         # s/(n*gamma) in float64 would freeze an absolute error at the iterate
         # scale into g_avg (the recurrence conserves g_avg - mean(table)).
         state.g_avg = (c_keep * g_avg + c_move * ((x_old - state.x) / gamma)) / n
+    return outs
 
 
 def apply_subset_step(state, problem, gamma, indices0):

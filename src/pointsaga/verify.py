@@ -111,6 +111,7 @@ def suite_contraction(scale="quick"):
     x_star = problem.known_solution
     grad_star = problem.bank.gradients(x_star)
     rng = np.random.default_rng(7)
+    worst = 0.0  # the largest lhs/rhs: how close the certificate came to failing
     for s in (1, 2, 3, 6):
         g_star = optimal_stepsize(s, 6, 1.0, 10.0)
         for gamma in (0.1 * g_star, g_star, 10.0 * g_star):
@@ -125,11 +126,13 @@ def suite_contraction(scale="quick"):
                 lhs, rhs, ok = verify_one_step_contraction(
                     state, problem, gamma, s, x_star, grad_star
                 )
+                worst = max(worst, lhs / rhs)
                 if not ok:
                     return False, (
-                        f"s={s} gamma={gamma:.4g} trial {k}: lhs {lhs:.6e} > rhs {rhs:.6e}"
+                        f"s={s} gamma={gamma:.4g} trial {k}: lhs {lhs:.6e} > rhs {rhs:.6e}, "
+                        f"max lhs/rhs {worst:.6f}"
                     )
-    return True, f"{trials} states per (s, gamma) cell"
+    return True, f"{trials} states per (s, gamma) cell, max lhs/rhs {worst:.6f}"
 
 
 def suite_rate_dominance(scale="quick"):

@@ -11,6 +11,7 @@ from pointsaga import (
     RankOneRidgeComponent,
     SolverConfig,
     SolverState,
+    apply_subset_step,
     check_coercivity,
     consensus_dr_run,
     defazio_rate,
@@ -18,6 +19,7 @@ from pointsaga import (
     full_gradient,
     gen_logistic_ridge,
     gen_quadratic,
+    gen_ridge_regression,
     initialize,
     iteration_complexity,
     lyapunov,
@@ -29,12 +31,16 @@ from pointsaga import (
 from pointsaga import analysis
 from pointsaga.errors import (
     DimensionMismatch,
+    EnumerationTooLarge,
     EpsNotBelowPsi0,
+    InvalidBatchSize,
     InvalidConstants,
     InvalidSpec,
+    MaxInnerIterations,
     MaxIterations,
+    ProxFailure,
 )
-from pointsaga.sampling import SplitMix64
+from pointsaga.sampling import SplitMix64, enumerate_k_subsets
 from pointsaga.solver import step
 
 
@@ -337,6 +343,152 @@ def test_contraction_random_states_all_batch_sizes():
                     state, problem, gamma, s, x_star, grad_star
                 )
                 assert ok, (s, gamma, lhs, rhs)
+
+
+def enumerated_certificate(state, problem, gamma, s, x_star, grad_star):
+    """The certificate as one iteration per subset, each scored by psi: the
+    exact average the verifier must return bitwise."""
+    rho = theoretical_rate(gamma, s, problem.n, problem.mu, problem.L).rho
+    rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
+    w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
+    subsets = enumerate_k_subsets(problem.n, s)
+    total = 0.0
+    for sub in subsets:
+        nxt = apply_subset_step(state, problem, gamma, np.asarray(sub, dtype=int) - 1)
+        total += w.psi(nxt, x_star, grad_star)
+    lhs = total / len(subsets)
+    return lhs, rhs, bool(lhs <= rhs + 1e-9 * (1.0 + rhs))
+
+
+_GENERATORS = {"quadratic": gen_quadratic, "ridge_regression": gen_ridge_regression,
+               "logistic_ridge": gen_logistic_ridge}
+
+
+@pytest.mark.parametrize("family,n,d,mu,L,dtype", [
+    ("quadratic", 12, 4, 1.0, 10.0, np.float64),
+    ("quadratic", 12, 4, 1.0, 10.0, np.longdouble),
+    ("quadratic", 6, 3, 1.0, 10.0, np.longdouble),
+    ("quadratic", 10, 5, 1.0, 10.0, np.float64),
+    ("quadratic", 10, 5, 1.0, 10.0, np.longdouble),
+    ("quadratic", 9, 1, 2.0, 2.0, np.float64),
+    ("ridge_regression", 10, 4, 0.5, 10.0, np.float64),
+    # n = 10 proxes at once take the batched Newton; subsets below
+    # NEWTON_BATCH_MIN took the per-component solve.
+    ("logistic_ridge", 10, 4, 0.5, 5.0, np.float64),
+], ids=["quad12-f64", "quad12-ld", "quad6-ld", "quad10-f64", "quad10-ld", "quad-d1",
+        "ridge", "logistic"])
+def test_contraction_equals_the_enumerated_iterations(family, n, d, mu, L, dtype):
+    problem = _GENERATORS[family](GeneratorSpec(family, n, d, mu, L, seed=n + d))
+    x_star = problem.known_solution
+    grad_star = problem.bank.gradients(x_star)
+    rng = np.random.default_rng(n * d)
+    for s in sorted({1, 2, 3, n // 2, n}):
+        g_star = optimal_stepsize(s, n, mu, L)
+        for gamma in (0.1 * g_star, g_star, 10 * g_star):
+            table = (rng.normal(size=(n, d)) * 2).astype(dtype)
+            state = SolverState(4, (rng.normal(size=d) * 2).astype(dtype), table,
+                                table.mean(axis=0))
+            before = (state.x.copy(), state.grad_table.copy(), state.g_avg.copy())
+            got = verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star)
+            assert got == enumerated_certificate(state, problem, gamma, s, x_star, grad_star)
+            assert type(got[0]) is type(got[1]) is np.dtype(dtype).type
+            for kept, now in zip(before, (state.x, state.grad_table, state.g_avg)):
+                assert np.array_equal(kept, now)
+            assert state.t == 4
+
+
+def test_contraction_sums_in_the_state_dtype():
+    # A float32 state and solution keep every Psi and their running sum in
+    # float32, as one iteration per subset does.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 8, 3, 1.0, 10.0, seed=5))
+    x_star = problem.known_solution.astype(np.float32)
+    grad_star = problem.bank.gradients(problem.known_solution).astype(np.float32)
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(8, 3)).astype(np.float32)
+    state = SolverState(0, rng.normal(size=3).astype(np.float32), table, table.mean(axis=0))
+    for s in (1, 3, 8):
+        got = verify_one_step_contraction(state, problem, 0.2, s, x_star, grad_star)
+        assert got == enumerated_certificate(state, problem, 0.2, s, x_star, grad_star)
+        assert type(got[0]) is np.float32
+
+
+def _counted_prox(monkeypatch, problem, add=None, raise_at=None):
+    """Record the rows of each bank.prox call; optionally add residuals to
+    some 0-based rows, or raise MaxInnerIterations for a call holding one."""
+    prox = problem.bank.prox
+    calls = []
+
+    def counted(gamma, idx, Z):
+        calls.append(idx.tolist())
+        if raise_at is not None and raise_at in idx:
+            raise MaxInnerIterations("injected")
+        P, residuals = prox(gamma, idx, Z)
+        for row, extra in (add or {}).items():
+            residuals = residuals + np.where(idx == row, extra, 0.0)
+        return P, residuals
+
+    monkeypatch.setattr(problem.bank, "prox", counted)
+    return calls
+
+
+def random_state(problem, t=0, seed=0):
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(problem.n, problem.dim))
+    return SolverState(t, rng.normal(size=problem.dim), table, table.mean(axis=0))
+
+
+@pytest.mark.parametrize("s", [1, 3, 6])
+def test_contraction_makes_one_prox_call_of_n_rows(monkeypatch, s):
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=21))
+    calls = _counted_prox(monkeypatch, problem)
+    x_star = problem.known_solution
+    verify_one_step_contraction(random_state(problem), problem, 0.3, s, x_star,
+                                problem.bank.gradients(x_star))
+    assert calls == [list(range(6))]
+
+
+def test_contraction_names_the_lowest_failing_component(monkeypatch):
+    # Components 3 and 5 fail their residual checks. The first enumerated
+    # subset holding either, (1, 3), reaches 3 first; so does the n-row pass.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=21))
+    _counted_prox(monkeypatch, problem, add={2: 1.0, 4: 2.0})
+    x_star = problem.known_solution
+    args = (random_state(problem, t=7), problem, 0.3, 2, x_star,
+            problem.bank.gradients(x_star))
+    with pytest.raises(ProxFailure) as err:
+        verify_one_step_contraction(*args)
+    with pytest.raises(ProxFailure) as enumerated:
+        enumerated_certificate(*args)
+    failure = (err.value.index, err.value.residual, err.value.t, err.value.gamma)
+    assert failure[0] == 3 and failure[2:] == (8, 0.3)
+    assert failure == (enumerated.value.index, enumerated.value.residual,
+                       enumerated.value.t, enumerated.value.gamma)
+
+
+def test_contraction_lets_a_bank_error_win_over_a_residual_failure(monkeypatch):
+    # Component 3 fails its residual check and component 5's prox runs out of
+    # inner iterations. All n rows are proxed at once, so the bank's error
+    # comes first, where one iteration per subset met component 3 first.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=21))
+    _counted_prox(monkeypatch, problem, add={2: 1.0}, raise_at=4)
+    x_star = problem.known_solution
+    with pytest.raises(MaxInnerIterations):
+        verify_one_step_contraction(random_state(problem), problem, 0.3, 2, x_star,
+                                    problem.bank.gradients(x_star))
+
+
+@pytest.mark.parametrize("n,s,error", [
+    (30, 15, EnumerationTooLarge),  # C(30, 15) is about 155 * ENUMERATION_CAP
+    (6, 2.0, InvalidBatchSize),
+], ids=["past-cap", "non-integral"])
+def test_contraction_checks_the_subsets_before_any_prox(monkeypatch, n, s, error):
+    problem = gen_quadratic(GeneratorSpec("quadratic", n, 2, 1.0, 10.0, seed=1))
+    calls = _counted_prox(monkeypatch, problem)
+    x_star = problem.known_solution
+    with pytest.raises(error):
+        verify_one_step_contraction(random_state(problem), problem, 0.3, s, x_star,
+                                    problem.bank.gradients(x_star))
+    assert calls == []
 
 
 # --- coercivity ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 
 import hypothesis.configuration
@@ -336,6 +337,14 @@ def test_verify_full_runs_stated_scales(capsys):
     assert "FAIL" not in out
     assert "10000 iterations" in out  # drift suite at full depth
     assert "100 states" in out  # contraction suite at full enumeration count
+
+
+def test_verify_reports_the_contraction_margin(capsys):
+    assert cli.main(["verify", "--scale", "quick"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if "one-step-contraction" in l)
+    margin = float(re.search(r"max lhs/rhs ([0-9.]+)$", line).group(1))
+    assert 0.0 < margin < 1.0
 
 
 def test_verify_detects_wrong_average_coefficient(monkeypatch, capsys):
