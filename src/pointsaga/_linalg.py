@@ -1,8 +1,11 @@
-"""Small dense solves that preserve extended-precision dtypes, and row dots.
+"""Small dense solves that preserve extended-precision dtypes, row dots and
+norms, and sums over a stack's leading axis in index order.
 
 LAPACK-backed ``np.linalg.solve`` rejects ``np.longdouble``; the elimination
 fallback here keeps whatever dtype the caller works in.
 """
+
+import functools
 
 import numpy as np
 
@@ -14,6 +17,44 @@ def _dots(A, B):
     1-d dot, which a matrix-vector product need not be. So a row computed
     alone equals the same row inside a pass over all rows."""
     return (A[:, None, :] @ B[..., None])[:, 0, 0]
+
+
+@functools.cache
+def _square_limit(dtype):
+    """A total of squares up to which no partial sum of them can overflow."""
+    return np.finfo(dtype).max / 2
+
+
+def _norms(D):
+    """Row k is the Euclidean norm of D[k]: sqrt(_dots(D, D)[k]), bitwise,
+    unless that square overflows although the row is finite; such a row is
+    normed scaled by its largest entry, so its norm stays finite. One vdot
+    over D (an overflowing total reads inf) shows whether any square can
+    overflow, so below the limit the norms cost one pass more than the dots."""
+    if not np.vdot(D, D) > _square_limit(D.dtype):  # a NaN total takes this path too
+        return np.sqrt(_dots(D, D))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(_dots(D, D))
+    big = np.isinf(norms) & np.isfinite(D).all(axis=1)
+    if big.any():
+        peak = abs(D[big]).max(axis=1)
+        B = D[big] / peak[:, None]
+        norms[big] = peak * np.sqrt(_dots(B, B))
+    return norms
+
+
+def _sum_rows(G):
+    """G[0] + G[1] + ... added in index order: bitwise np.cumsum(G, axis=0)[-1].
+
+    On a C-ordered stack whose rows hold two or more entries, np.add.reduce
+    over the leading axis adds whole rows one after another, so it gives the
+    same bits without cumsum's n partial sums. Where a row holds one entry
+    (or the stack is not C-ordered) numpy reduces along memory instead and
+    sums pairwise, which rounds differently, so there cumsum stays.
+    """
+    if G.flags.c_contiguous and G[0].size > 1:
+        return np.add.reduce(G, axis=0)
+    return np.cumsum(G, axis=0)[-1]
 
 
 def solve(A, b):

@@ -250,7 +250,7 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     (InvalidBatchSize, EnumerationTooLarge), then the shapes of x_star and
     grad_star and the Lyapunov weights, all before any prox. On the plain
     path, where the squares of all n shifted points total under
-    solver._square_limit, a row's prox bound does not depend on the subset,
+    _linalg._square_limit, a row's prox bound does not depend on the subset,
     so ProxFailure names the lowest failing component, at iteration
     state.t + 1, as the first enumerated subset that holds it would. Past
     that limit (||z|| above about 1e154) the accept rule is _advance's

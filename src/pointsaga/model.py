@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import _sum_rows
 from .errors import (
     DimensionMismatch,
     EmptyComponentList,
@@ -64,10 +65,15 @@ class ComponentBank:
         return np.stack([c.gradient(x) for c in self.components])
 
     def gradient_sum(self, x):
-        """sum_i components[i].gradient(x), added in index order from zero."""
+        """sum_i components[i].gradient(x), added in index order from zero.
+
+        The rows are added one after another by one reduction where a row
+        holds two or more entries. Where d = 1 a reduction would sum pairwise,
+        so there the sum is a cumulative one (_linalg._sum_rows): either way
+        the bits are those of the loop over i, whatever n is."""
         G = self.gradients(x)
         G[0] += 0.0  # starting from +0.0 turns a -0.0 into +0.0
-        return np.cumsum(G, axis=0)[-1]  # sequential, in index order
+        return _sum_rows(G)
 
     def hessian_sum(self, x):
         """sum_i of the components' Hessians at x; only family banks have it."""

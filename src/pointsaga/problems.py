@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _dots
+from ._linalg import _dots, _norms, _sum_rows
 from .analysis import _finite, _integral, reference_solution
 from .errors import (
     EmptyFile,
@@ -71,7 +71,7 @@ class QuadraticComponent(ComponentFunction):
         M, g_Ac = self._resolvent(gamma)
         x = M @ (z + g_Ac)
         defect = x + gamma * (self.A @ x - self._Ac) - z
-        return ProxResult(x, np.sqrt(defect @ defect))
+        return ProxResult(x, _norms(defect[None])[0])
 
     @classmethod
     def stack(cls, components):
@@ -100,7 +100,9 @@ class QuadraticBank(ComponentBank):
         return self.A @ x - self.Ac
 
     def hessian_sum(self, x):
-        return np.cumsum(self.A, axis=0)[-1]  # sum_i A_i, added in index order
+        """sum_i A_i, added in index order: one reduction over the stack, or a
+        cumulative sum where d = 1, as in ComponentBank.gradient_sum."""
+        return _sum_rows(self.A)
 
     def _resolvent(self, gamma):
         cache = self._cache
@@ -114,7 +116,7 @@ class QuadraticBank(ComponentBank):
         M, g_Ac = self._resolvent(gamma)
         P = _matvecs(M.take(idx, axis=0), Z + g_Ac.take(idx, axis=0))
         D = P + gamma * (_matvecs(self.A.take(idx, axis=0), P) - self.Ac.take(idx, axis=0)) - Z
-        return P.astype(Z.dtype, copy=False), np.sqrt(_dots(D, D))
+        return P.astype(Z.dtype, copy=False), _norms(D)
 
 
 def _matvecs(M, V):
@@ -148,7 +150,9 @@ class _RowBank(ComponentBank):
 
     def __init__(self, components):
         super().__init__(components)
-        self.rows = np.stack([c.a for c in components])
+        # _stack_rows has checked that the rows share one shape.
+        self.rows = np.concatenate([c.a for c in components]).reshape(
+            len(components), *components[0].a.shape)
         self.labels = np.array([c.y for c in components], dtype=self.rows.dtype)
         self.mu_reg = components[0].mu_reg
 
@@ -281,7 +285,7 @@ class LogisticBank(_RowBank):
 
         x = (z + (gamma * y * s)[:, None] * a) / alpha
         D = x + gamma * self._gradients(a, y, x) - z
-        P, residuals = x.astype(Z.dtype, copy=False), np.sqrt(_dots(D, D))
+        P, residuals = x.astype(Z.dtype, copy=False), _norms(D)
         if scalar.any():
             P[scalar], residuals[scalar] = super().prox(gamma, idx[scalar], Z[scalar])
         return P, residuals
@@ -412,11 +416,8 @@ def gen_ridge_regression(spec, dtype=np.float64):
     rows = rng.normal(size=(spec.n, spec.dim))
     norms = np.sqrt((rows * rows).sum(axis=1))
     rows = rows * (np.sqrt(spec.L - spec.mu) / norms)[:, None]
-    ys = rng.normal(size=spec.n)
-    comps = [
-        RankOneRidgeComponent(rows[i].astype(dtype), dtype(ys[i]), spec.mu)
-        for i in range(spec.n)
-    ]
+    rows, ys = rows.astype(dtype), rng.normal(size=spec.n).astype(dtype)
+    comps = [RankOneRidgeComponent(rows[i], ys[i], spec.mu) for i in range(spec.n)]
     problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
     return _planted(problem, spec)
 

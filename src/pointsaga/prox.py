@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import _norms
 from .errors import DimensionMismatch, MaxInnerIterations
 
 #: Default residual tolerance. Closed forms land far below this; iterative
@@ -57,7 +58,7 @@ def prox_rank_one_quadratic(a, y, mu_reg, gamma, z):
     aa = a @ a
     x = (w - (gamma * (a @ w) / (alpha + gamma * aa)) * a) / alpha
     defect = x + gamma * (a * (a @ x - y) + mu_reg * x) - z
-    return ProxResult(x, np.sqrt(defect @ defect))
+    return ProxResult(x, _norms(defect[None])[0])
 
 
 def prox_logistic_ridge(a, y, mu_reg, gamma, z):
@@ -138,7 +139,7 @@ def logistic_root_tol(alpha, u, az, gamma_aa):
 def _logistic_defect(a, y, mu_reg, gamma, z, x):
     grad = -y * sigmoid(-y * float(a @ x)) * a + mu_reg * x
     defect = x + gamma * grad - z
-    return float(np.sqrt(defect @ defect))
+    return float(_norms(defect[None])[0])
 
 
 def prox_generic(f, gamma, z, tol, mu, L):

@@ -32,12 +32,12 @@ in problems batches the gradients, and QuadraticBank and LogisticBank the
 prox as well.
 """
 
-import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import _square_limit
 from .errors import InvalidBatchSize, InvalidConstants, ProxFailure
 from .prox import TOL_PROX
 from .sampling import SplitMix64, sample_k_subset, sample_subsets
@@ -144,12 +144,6 @@ def _prop1_coeffs(n, s):
 def _refreshes(t, refresh_every):
     """Whether iteration t ends with g_avg recomputed as the table mean."""
     return refresh_every is not None and t % refresh_every == 0
-
-
-@functools.cache
-def _square_limit(dtype):
-    """A total of squares up to which no partial sum of them can overflow."""
-    return np.finfo(dtype).max / 2
 
 
 def _advance(state, problem, gamma, idx, refresh_every=None):
@@ -271,11 +265,11 @@ def run(problem, config, x0, *, drift=True):
         x_star = np.asarray(x_star, dtype=state.x.dtype)
         grad_star = problem.bank.gradients(x_star)
         weights = LyapunovWeights.from_constants(gamma, config.s, problem.mu, problem.L)
-        row_errors = _row_errors(state.grad_table, grad_star)
         # Weights at this gamma that overflow Psi(0) although both its terms
         # are finite would make every record inf; an x0 that overflows a term
         # on its own is left to the records.
         with np.errstate(over="ignore", invalid="ignore"):
+            row_errors = _row_errors(state.grad_table, grad_star)
             d = state.x - x_star
             terms = (d @ d, row_errors.sum())
             psi0 = weights.w_x * terms[0] + weights.w_g * terms[1]

@@ -19,6 +19,7 @@ from pointsaga.errors import (
     InvalidKnownSolution,
 )
 from pointsaga.model import TOL_STAR, ComponentBank
+from pointsaga.problems import QuadraticBank
 
 
 def identity_quadratic(dim):
@@ -148,6 +149,26 @@ def test_gradient_sum_starts_from_positive_zero():
     comp = GenericComponent(lambda x: x.copy(), 1.0, 1.0)
     total = ComponentBank([comp]).gradient_sum(np.array([-0.0, 1.0]))
     assert not np.signbit(total[0]) and total[1] == 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.float32])
+def test_sums_over_one_entry_rows_keep_index_order(dtype):
+    # Over a stack of one-entry rows numpy's reduction sums pairwise, which
+    # rounds differently from n = 16 on; the sums must stay the loop over i.
+    rng = np.random.default_rng(6)
+    comps = [QuadraticComponent(np.ones((1, 1), dtype), np.array([e], dtype), np.array([c], dtype))
+             for e, c in zip(rng.uniform(1.0, 10.0, 300), rng.normal(size=300))]
+    problem = assemble_problem(comps, 1.0, 10.0, 1)
+    assert type(problem.bank) is QuadraticBank
+    x = np.array([0.7], dtype)
+    total, hessian = np.zeros(1, dtype), np.zeros((1, 1), dtype)
+    for comp in comps:
+        total = total + comp.gradient(x)
+        hessian = hessian + comp.A
+    assert np.array_equal(problem.bank.gradient_sum(x), total)
+    assert np.array_equal(full_gradient(problem, x), total)
+    assert np.array_equal(ComponentBank(comps).gradient_sum(x), total)
+    assert np.array_equal(problem.bank.hessian_sum(x), hessian)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])

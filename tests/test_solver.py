@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -373,6 +374,27 @@ def test_prox_check_holds_where_the_squared_norm_overflows(monkeypatch):
     assert apply_subset_step(state, problem, gamma, idx).t == 1
 
 
+@pytest.mark.parametrize("family", ["quadratic", "ridge"])
+def test_residuals_stay_finite_where_their_squares_overflow(family):
+    # At ||x0|| ~ 1e170 the resolvent defects near 1e155, whose squares
+    # overflow float64; their norms are taken scaled, and the bank's rows
+    # stay bitwise the components' residuals.
+    if family == "quadratic":
+        problem = gen_quadratic(GeneratorSpec("quadratic", 10, 4, 1.0, 10.0))
+    else:
+        problem = gen_ridge_regression(GeneratorSpec("ridge_regression", 10, 4, 1.0, 10.0))
+    x0 = np.full(4, 1e170)
+    idx = np.array([0, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = problem.components[0].prox(0.1, x0)
+        _, residuals = problem.bank.prox(0.1, idx, np.stack([x0, x0]))
+        state = apply_subset_step(initialize(problem, SolverConfig(), x0), problem, 0.1, idx)
+    assert 0.0 < one.residual < np.inf
+    assert residuals[0] == one.residual and np.isfinite(residuals).all()
+    assert state.t == 1 and np.isfinite(state.x).all()
+
+
 def test_run_skips_the_drift_pass_only_where_it_is_zero(monkeypatch):
     # A refresh sets g_avg to the table mean, so those records need no pass;
     # with refresh_every=3 and trace_every=2, the records at t = 2, 4, 8 do.
@@ -413,6 +435,16 @@ def test_run_computes_the_drift_of_a_non_finite_mean():
     with np.errstate(all="ignore"):
         _, records = run(problem, SolverConfig(max_iters=0), np.full(4, 1e308))
     assert np.isnan(records[0].table_drift)
+
+
+def test_run_scores_an_overflowing_psi0_without_a_warning():
+    # The table errors overflow at this x0 while ||x0 - x*||^2 does not, so
+    # Psi(0) reads inf without tripping the check on the Lyapunov weights.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, records = run(problem, SolverConfig(s=2, max_iters=0, seed=1), np.full(3, 1.5e153))
+    assert np.isfinite(records[0].dist_sq) and records[0].lyapunov == np.inf
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
