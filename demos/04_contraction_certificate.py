@@ -22,8 +22,7 @@ from pointsaga import (
 )
 
 problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=21))
-x_star = problem.known_solution
-grad_star = problem.bank.gradients(x_star)
+x_star, grad_star = problem.known_solution, problem.grad_star
 
 rng = np.random.default_rng(5)
 print("batch   gamma     worst lhs/rhs over 50 random states")

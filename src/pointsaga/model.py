@@ -71,9 +71,7 @@ class ComponentBank:
         holds two or more entries. Where d = 1 a reduction would sum pairwise,
         so there the sum is a cumulative one (_linalg._sum_rows): either way
         the bits are those of the loop over i, whatever n is."""
-        G = self.gradients(x)
-        G[0] += 0.0  # starting from +0.0 turns a -0.0 into +0.0
-        return _sum_rows(G)
+        return _row_total(self.gradients(x))
 
     def hessian_sum(self, x):
         """sum_i of the components' Hessians at x; only family banks have it."""
@@ -113,6 +111,11 @@ class FiniteSumProblem:
         Minimizer of the sum, when available. Validated for stationarity.
     bank : ComponentBank
         The components' ``stack`` when all share one class, else the default.
+    grad_star : ndarray or None
+        Read-only n-by-d table whose row i is grad f_i(known_solution), in
+        the bank's dtype at known_solution's dtype; None without a known
+        solution. It is the gradient stack the stationarity check sums, kept
+        so that run need not build it again.
     """
 
     components: tuple
@@ -121,6 +124,7 @@ class FiniteSumProblem:
     dim: int
     known_solution: np.ndarray | None = field(default=None)
     bank: ComponentBank = field(default=None, init=False, repr=False)
+    grad_star: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.components) == 0:
@@ -133,25 +137,35 @@ class FiniteSumProblem:
         stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
         object.__setattr__(self, "bank", stack(self.components))
         if self.known_solution is not None:
-            self.with_known_solution(self.known_solution)  # for its check; the copy is dropped
+            object.__setattr__(self, "grad_star", self._stationary_gradients(self.known_solution))
 
     def with_known_solution(self, x_star):
-        """A copy sharing this bank, with known_solution x_star; raises unless stationary."""
+        """A copy sharing this bank, with known_solution x_star and its
+        grad_star; raises unless x_star is stationary."""
+        grad_star = self._stationary_gradients(x_star)
+        problem = copy.copy(self)
+        object.__setattr__(problem, "known_solution", x_star)
+        object.__setattr__(problem, "grad_star", grad_star)
+        return problem
+
+    def _stationary_gradients(self, x_star):
+        """The read-only stack of grad f_i(x_star), after checking its shape
+        and that its row total, full_gradient's bits, is within n*TOL_STAR of 0."""
         xs = np.asarray(x_star)
         if xs.shape != (self.dim,):
             raise DimensionMismatch(
                 f"known_solution has shape {xs.shape}, expected ({self.dim},)"
             )
-        g = full_gradient(self, xs)
+        G = self.bank.gradients(xs)
+        g = _row_total(G)
         with np.errstate(over="ignore"):  # an overflow reads inf and fails
             norm = float(np.sqrt(np.dot(g, g)))
         if norm > self.n * TOL_STAR:
             raise InvalidKnownSolution(
                 f"||sum grad f_i(x*)|| = {norm:.3e} exceeds n*{TOL_STAR:g}"
             )
-        problem = copy.copy(self)
-        object.__setattr__(problem, "known_solution", x_star)
-        return problem
+        G.flags.writeable = False
+        return G
 
     @property
     def n(self):
@@ -170,6 +184,13 @@ def assemble_problem(components, mu, L, dim):
     The known solution is left unset; ``with_known_solution`` attaches one.
     """
     return FiniteSumProblem(tuple(components), float(mu), float(L), int(dim))
+
+
+def _row_total(G):
+    """G's rows added in index order from +0.0: the in-order sum, plus +0.0,
+    which changes only a -0.0 total, the one a start from +0.0 cannot give.
+    G itself is left as it is."""
+    return _sum_rows(G) + 0.0
 
 
 def full_gradient(problem, x):

@@ -156,6 +156,16 @@ class _RowBank(ComponentBank):
         self.labels = np.array([c.y for c in components], dtype=self.rows.dtype)
         self.mu_reg = components[0].mu_reg
 
+    def _add_ridge(self, G, x):
+        """G + mu_reg * x, written into G where that sum keeps G's dtype, so
+        a gradient stack needs no second n-by-d array; otherwise (say float32
+        rows with a float64 mu_reg) a new array of the wider dtype."""
+        ridge = self.mu_reg * x
+        if np.result_type(G, ridge) != G.dtype:
+            return G + ridge
+        G += ridge
+        return G
+
     def _hessian_sum(self, weighted_rows):
         """weighted_rows' rows + n mu_reg I, row i weighted by f_i's curvature."""
         n, d = self.rows.shape
@@ -183,10 +193,11 @@ class RankOneRidgeComponent(ComponentFunction):
 
 class RidgeBank(_RowBank):
     """Rank-one ridge components as rows: the gradients come from one batched
-    pass; the O(d) closed-form prox stays per component."""
+    pass, written into the one n-by-d array they return; the O(d) closed-form
+    prox stays per component."""
 
     def gradients(self, x):
-        return self.rows * (_dots(self.rows, x) - self.labels)[:, None] + self.mu_reg * x
+        return self._add_ridge(self.rows * (_dots(self.rows, x) - self.labels)[:, None], x)
 
     def hessian_sum(self, x):
         return self._hessian_sum(self.rows)
@@ -229,8 +240,8 @@ class LogisticBank(_RowBank):
     def _gradients(self, a, y, x):
         """Row k is the gradient of the component on (a[k], y[k]) at x, or at
         x[k] for a matrix x."""
-        return ((-y * _sigmoids(-y * _dots(a, x).astype(float, copy=False)))[:, None] * a
-                + self.mu_reg * x)
+        return self._add_ridge(
+            (-y * _sigmoids(-y * _dots(a, x).astype(float, copy=False)))[:, None] * a, x)
 
     def gradients(self, x):
         return self._gradients(self.rows, self.labels, x)
@@ -258,7 +269,7 @@ class LogisticBank(_RowBank):
             s = _sigmoids(neg_y * u)
             return alpha * u - az - gya * s, s
 
-        bound = (np.sqrt(aa) * np.sqrt(_dots(z, z)) + gamma_aa) / alpha + 1.0
+        bound = (np.sqrt(aa) * _norms(z) + gamma_aa) / alpha + 1.0
         lo, hi = -bound, bound
         # A zero row has no root to find, and h(lo) <= 0 <= h(hi) by the
         # bound's derivation. Rows that are zero or fail the scalar's own test

@@ -89,7 +89,7 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z):
     def h(u):
         return alpha * u - az - gamma * y * aa * sigmoid(-y * u)
 
-    bound = (np.sqrt(aa) * float(np.sqrt(z @ z)) + gamma * aa) / alpha + 1.0
+    bound = (np.sqrt(aa) * float(_norms(z[None])[0]) + gamma * aa) / alpha + 1.0
     ends = [-bound, bound]
     iters = 0
     # h(-bound) <= 0 <= h(bound) by the bound's derivation; widen defensively,

@@ -26,10 +26,12 @@ stream: step one subset at a time with sampling.sample_k_subset, run many
 iterations' subsets at once with sampling.sample_subsets, whose rows are
 int64 (n is capped at 2^63).
 Components are reached only through the problem's bank (model.ComponentBank):
-the subset prox of each iteration, and the n-row gradient stacks of
-initialize and of run's grad_star, are one bank call each. Every family bank
-in problems batches the gradients, and QuadraticBank and LogisticBank the
-prox as well.
+the subset prox of each iteration and the n-row gradient stack of initialize
+are one bank call each. run reads the gradients at the known solution from
+the problem's grad_star, built once with the problem, and builds them again
+(one more bank call) only for an x0 of another dtype than the known
+solution's. Every family bank in problems batches the gradients, and the
+prox of a subset of the size its family sets.
 """
 
 import time
@@ -262,8 +264,12 @@ def run(problem, config, x0, *, drift=True):
     if x_star is not None:
         from .analysis import LyapunovWeights, _row_errors
 
-        x_star = np.asarray(x_star, dtype=state.x.dtype)
-        grad_star = problem.bank.gradients(x_star)
+        x_star = np.asarray(x_star)
+        if x_star.dtype == state.x.dtype:
+            grad_star = problem.grad_star
+        else:  # the kept table is at x*'s own dtype: build one at the run's
+            x_star = x_star.astype(state.x.dtype)
+            grad_star = problem.bank.gradients(x_star)
         weights = LyapunovWeights.from_constants(gamma, config.s, problem.mu, problem.L)
         # Weights at this gamma that overflow Psi(0) although both its terms
         # are finite would make every record inf; an x0 that overflows a term
@@ -279,21 +285,24 @@ def run(problem, config, x0, *, drift=True):
     t_begin = time.perf_counter_ns()
 
     def record():
-        dist_sq = lyap = None
-        if x_star is not None:
-            d = state.x - x_star
-            dist_sq = d @ d
-            # LyapunovWeights.psi's formula, on the kept row errors.
-            lyap = weights.w_x * dist_sq + weights.w_g * row_errors.sum()
-        drift_norm = None
-        if drift:
-            # Where g_avg is this very table mean (initialize's or a refresh's),
-            # the pass would subtract equal arrays: +0.0 unless it is not finite.
-            is_mean = state.t == 0 or _refreshes(state.t, config.refresh_every)
-            if is_mean and np.isfinite(state.g_avg).all():
-                drift_norm = state.g_avg.dtype.type(0.0)
-            else:
-                drift_norm = table_drift(state)
+        dist_sq = lyap = drift_norm = None
+        # A diagnostic past the dtype's range reads inf (or NaN), as a record
+        # of a diverging run should, rather than raising a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if x_star is not None:
+                d = state.x - x_star
+                dist_sq = d @ d
+                # LyapunovWeights.psi's formula, on the kept row errors.
+                lyap = weights.w_x * dist_sq + weights.w_g * row_errors.sum()
+            if drift:
+                # Where g_avg is this very table mean (initialize's or a
+                # refresh's), the pass would subtract equal arrays: +0.0
+                # unless it is not finite.
+                is_mean = state.t == 0 or _refreshes(state.t, config.refresh_every)
+                if is_mean and np.isfinite(state.g_avg).all():
+                    drift_norm = state.g_avg.dtype.type(0.0)
+                else:
+                    drift_norm = table_drift(state)
         records.append(TraceRecord(t=state.t, dist_sq=dist_sq, lyapunov=lyap,
                                    table_drift=drift_norm,
                                    wall_ns=time.perf_counter_ns() - t_begin))

@@ -108,8 +108,7 @@ def suite_contraction(scale="quick"):
     trials = 20 if scale == "quick" else 100
     spec = GeneratorSpec("quadratic", n=6, dim=3, mu=1.0, L=10.0, seed=21)
     problem = gen_quadratic(spec)
-    x_star = problem.known_solution
-    grad_star = problem.bank.gradients(x_star)
+    x_star, grad_star = problem.known_solution, problem.grad_star
     rng = np.random.default_rng(7)
     worst = 0.0  # the largest lhs/rhs: how close the certificate came to failing
     for s in (1, 2, 3, 6):

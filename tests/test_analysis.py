@@ -196,6 +196,23 @@ def test_lyapunov_quadratic_scaling():
     assert abs(p3 - 9 * p1) <= 1e-9 * p3
 
 
+@pytest.mark.parametrize("block_entries", [1, 7, 30])
+def test_row_errors_over_blocks_are_the_rowwise_dots(monkeypatch, block_entries):
+    # 1 and 7 entries are one and two rows of d = 3 a block, 30 ten rows
+    # with a short last block; each row's error is its own 1-d dot.
+    rng = np.random.default_rng(1)
+    for dtype in (np.float64, np.longdouble):
+        table, grad_star = (rng.normal(size=(2, 23, 3)) * 4.0).astype(dtype)
+        whole = analysis._row_errors(table, grad_star)
+        monkeypatch.setattr(analysis, "ROW_BLOCK_ENTRIES", block_entries)
+        blocked = analysis._row_errors(table, grad_star)
+        monkeypatch.undo()
+        assert blocked.dtype == dtype and blocked.shape == (23,)
+        assert np.array_equal(blocked, whole)
+        assert all(blocked[i] == (table[i] - grad_star[i]) @ (table[i] - grad_star[i])
+                   for i in range(23))
+
+
 def test_lyapunov_dimension_checks():
     problem = one_dim_problem()
     state = SolverState(0, np.zeros(1), np.zeros((1, 1)), np.zeros(1))

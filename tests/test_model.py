@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from pointsaga import (
     gen_logistic_ridge,
     gen_quadratic,
     gen_ridge_regression,
+    load_libsvm,
+    reference_solution,
 )
 from pointsaga.errors import (
     DimensionMismatch,
@@ -74,6 +78,50 @@ def test_known_solution_validated():
     comp = identity_quadratic(2)
     with pytest.raises(InvalidKnownSolution):
         FiniteSumProblem((comp,), 1.0, 1.0, 2, known_solution=np.array([1.0, 0.0]))
+
+
+def _solved_problem(kind, tmp_path):
+    if kind == "quadratic":
+        return gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=4))
+    if kind == "ridge":
+        return gen_ridge_regression(GeneratorSpec("ridge_regression", 6, 3, 1.0, 10.0, seed=4))
+    if kind == "logistic":
+        return gen_logistic_ridge(GeneratorSpec("logistic_ridge", 6, 3, 1.0, 10.0, seed=4))
+    if kind == "libsvm":
+        path = tmp_path / "data.svm"
+        path.write_text("+1 1:0.5 2:-1\n-1 1:2 3:0.25\n+1 2:1.5\n-1 3:-0.75\n")
+        _, loaded = load_libsvm(str(path), mu=0.5)
+        return loaded.with_known_solution(reference_solution(loaded))
+    # declared: the ridge minimizer handed to the constructor
+    planted = _solved_problem("ridge", tmp_path)
+    return FiniteSumProblem(planted.components, planted.mu, planted.L, planted.dim,
+                            known_solution=planted.known_solution.copy())
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "ridge", "logistic", "libsvm", "declared"])
+def test_grad_star_is_the_stack_of_component_gradients(kind, tmp_path):
+    problem = _solved_problem(kind, tmp_path)
+    x_star = problem.known_solution
+    oracle = np.stack([c.gradient(x_star) for c in problem.components])
+    G = problem.grad_star
+    assert G.dtype == oracle.dtype and G.shape == (problem.n, problem.dim)
+    assert np.array_equal(G, oracle) and np.array_equal(np.signbit(G), np.signbit(oracle))
+    assert not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 1.0
+    assert assemble_problem(problem.components, problem.mu, problem.L,
+                            problem.dim).grad_star is None
+
+
+def test_non_stationary_known_solution_keeps_its_message():
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=4))
+    x = problem.known_solution + 1.0
+    norm = float(np.linalg.norm(sum(c.gradient(x) for c in problem.components)))
+    message = f"||sum grad f_i(x*)|| = {norm:.3e} exceeds n*{TOL_STAR:g}"
+    with pytest.raises(InvalidKnownSolution, match=f"^{re.escape(message)}$"):
+        problem.with_known_solution(x)
+    with pytest.raises(InvalidKnownSolution, match=f"^{re.escape(message)}$"):
+        FiniteSumProblem(problem.components, 1.0, 10.0, 3, known_solution=x)
 
 
 def test_problem_rejects_bad_dim_and_solution_shape():
@@ -149,6 +197,9 @@ def test_gradient_sum_starts_from_positive_zero():
     comp = GenericComponent(lambda x: x.copy(), 1.0, 1.0)
     total = ComponentBank([comp]).gradient_sum(np.array([-0.0, 1.0]))
     assert not np.signbit(total[0]) and total[1] == 1.0
+    # The kept table is the gradients themselves: its -0.0 stays.
+    problem = FiniteSumProblem((comp,), 1.0, 1.0, 2, known_solution=np.array([-0.0, 0.0]))
+    assert np.signbit(problem.grad_star[0, 0]) and not np.signbit(problem.grad_star[0, 1])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.float32])

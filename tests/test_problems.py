@@ -2,6 +2,7 @@ import math
 import sys
 import tempfile
 import threading
+import warnings
 
 import hypothesis.configuration
 import numpy as np
@@ -528,6 +529,54 @@ def test_logistic_bank_names_first_component_out_of_budget(monkeypatch):
         monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", batch_min)
         with pytest.raises(MaxInnerIterations, match=f"^prox of component {fails[0]}:"):
             problem.bank.prox(gamma, idx, Z)
+
+
+def test_logistic_prox_brackets_a_huge_point_without_overflow():
+    # At ||z|| = 2e170 the bracket's ||z|| overflows as a plain sum of
+    # squares; normed by _norms it stays finite, and both solves return a
+    # point within the solver's residual bound.
+    problem = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 10, 4, 1.0, 10.0))
+    z = np.full(4, 1e170)
+    bound = prox.TOL_PROX * (1.0 + 2e170)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in (1e-3, 1.0, 1e3):
+            one = problem.components[0].prox(gamma, z)
+            assert np.isfinite(one.point).all() and one.residual <= bound
+            P, residuals = problem.bank.prox(gamma, np.arange(6), np.tile(z, (6, 1)))
+            assert np.isfinite(P).all() and np.all(residuals <= bound)
+            assert np.array_equal(P[0], one.point) and residuals[0] == one.residual
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("family", ["ridge", "logistic"])
+def test_row_bank_gradients_keep_the_component_dtype(family):
+    # float32 rows with a float64 mu_reg give float64 gradients, and a
+    # longdouble x longdouble ones: an in-place sum must not narrow either.
+    rng = np.random.default_rng(2)
+    rows, ys = rng.normal(size=(6, 3)), rng.normal(size=6)
+    if family == "ridge":
+        rows, ys = rows.astype(np.float32), ys.astype(np.float32)
+        comps = [RankOneRidgeComponent(rows[i], ys[i], np.float64(0.5)) for i in range(6)]
+    else:
+        comps = [LogisticRidgeComponent(rows[i], np.sign(ys[i]), np.float64(0.5))
+                 for i in range(6)]
+    problem = assemble_problem(comps, 0.5, 10.0, 3)
+    bank, loop = problem.bank, ComponentBank(comps)
+    assert type(bank) is {"ridge": RidgeBank, "logistic": LogisticBank}[family]
+    for x_dtype, expected in ((np.float32, np.float64), (np.float64, np.float64),
+                              (np.longdouble, np.longdouble)):
+        x = rng.normal(size=3).astype(x_dtype)
+        G = bank.gradients(x)
+        assert G.dtype == expected
+        assert_bitwise(G, loop.gradients(x))
+        assert_bitwise(bank.gradient_sum(x), loop.gradient_sum(x))
 
 
 # --- ridge generator -----------------------------------------------------------------

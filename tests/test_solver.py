@@ -447,6 +447,48 @@ def test_run_scores_an_overflowing_psi0_without_a_warning():
     assert np.isfinite(records[0].dist_sq) and records[0].lyapunov == np.inf
 
 
+def test_records_past_the_float_range_read_inf_without_a_warning():
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0))
+    bare = FiniteSumProblem(problem.components, 1.0, 10.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The table errors overflow Psi at every record.
+        _, records = run(problem, SolverConfig(s=2, max_iters=2, seed=1), np.full(3, 1.5e153))
+        assert [r.lyapunov for r in records] == [np.inf] * 3
+        # ||x0 - x*||^2 overflows.
+        _, records = run(problem, SolverConfig(max_iters=0), np.full(3, 1e155))
+        assert records[0].dist_sq == np.inf and records[0].lyapunov == np.inf
+        # The drift's square overflows once the recurrence has moved g_avg.
+        cfg = SolverConfig(s=2, gamma=0.1, max_iters=6, seed=1, refresh_every=None)
+        _, records = run(bare, cfg, np.full(3, 1e170))
+    assert records[0].table_drift == 0.0 and records[-1].table_drift == np.inf
+
+
+def test_run_reads_the_kept_gradients_at_the_solution(monkeypatch):
+    # One gradient stack per run (initialize's) where x0 has the known
+    # solution's dtype; another dtype builds the stack at x* again, in its own.
+    problem = gen_ridge_regression(GeneratorSpec("ridge_regression", 9, 3, 0.5, 4.0, seed=2))
+    x_star = problem.known_solution
+    calls = []
+    gradients = problems.RidgeBank.gradients
+    monkeypatch.setattr(problems.RidgeBank, "gradients",
+                        lambda self, x: calls.append(x.dtype) or gradients(self, x))
+    cfg = SolverConfig(s=2, max_iters=25, seed=4, trace_every=4, refresh_every=10)
+    for dtype, expected in ((np.float64, [np.float64]),
+                            (np.float32, [np.float32, np.float32])):
+        calls.clear()
+        final, records = run(problem, cfg, (x_star + 1.0).astype(dtype))
+        assert calls == expected
+        # Psi of the last record is lyapunov's on a per-component oracle.
+        xs = x_star.astype(dtype)
+        oracle = np.stack([c.gradient(xs) for c in problem.components])
+        gamma = cfg.resolve_gamma(problem)
+        psi = lyapunov(final, problem, xs, oracle, gamma, cfg.s)
+        assert records[-1].t == final.t and records[-1].lyapunov == psi
+        d = final.x - xs
+        assert records[-1].dist_sq == d @ d
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_run_through_prox_bank_matches_per_component_prox(dtype, monkeypatch):
     problem = gen_quadratic(GeneratorSpec("quadratic", 12, 4, 1.0, 10.0, seed=3), dtype=dtype)
