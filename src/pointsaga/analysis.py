@@ -261,14 +261,11 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
 
     Checks run in this order: the rate's constants, then the subset count
     (InvalidBatchSize, EnumerationTooLarge), then the shapes of x_star and
-    grad_star and the Lyapunov weights, all before any prox. On the plain
-    path, where the squares of all n shifted points total under
-    _linalg._square_limit, a row's prox bound does not depend on the subset,
-    so ProxFailure names the lowest failing component, at iteration
-    state.t + 1, as the first enumerated subset that holds it would. Past
-    that limit (||z|| above about 1e154) the accept rule is _advance's
-    applied to all n rows at once. An error the bank raises for any row,
-    such as MaxInnerIterations, comes before a residual failure of another.
+    grad_star and the Lyapunov weights, all before any prox. A row's prox
+    bound depends on that row alone, so ProxFailure names the lowest failing
+    component, at iteration state.t + 1, as the first enumerated subset that
+    holds it would. An error the bank raises for any row, such as
+    MaxInnerIterations, comes before a residual failure of another.
     """
     from .solver import SUBSET_BLOCK, SolverState, _advance
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import _sum_rows
+from ._linalg import _norms, _sum_rows
 from .errors import (
     DimensionMismatch,
     EmptyComponentList,
@@ -63,15 +63,6 @@ class ComponentBank:
     def gradients(self, x):
         """n-by-d array whose row i is components[i].gradient(x)."""
         return np.stack([c.gradient(x) for c in self.components])
-
-    def gradient_sum(self, x):
-        """sum_i components[i].gradient(x), added in index order from zero.
-
-        The rows are added one after another by one reduction where a row
-        holds two or more entries. Where d = 1 a reduction would sum pairwise,
-        so there the sum is a cumulative one (_linalg._sum_rows): either way
-        the bits are those of the loop over i, whatever n is."""
-        return _row_total(self.gradients(x))
 
     def hessian_sum(self, x):
         """sum_i of the components' Hessians at x; only family banks have it."""
@@ -158,9 +149,8 @@ class FiniteSumProblem:
             )
         G = self.bank.gradients(xs)
         g = _row_total(G)
-        with np.errstate(over="ignore"):  # an overflow reads inf and fails
-            norm = float(np.sqrt(np.dot(g, g)))
-        if norm > self.n * TOL_STAR:
+        norm = float(_norms(g[None])[0])
+        if not norm <= self.n * TOL_STAR:  # a NaN norm fails too
             raise InvalidKnownSolution(
                 f"||sum grad f_i(x*)|| = {norm:.3e} exceeds n*{TOL_STAR:g}"
             )
@@ -194,5 +184,5 @@ def _row_total(G):
 
 
 def full_gradient(problem, x):
-    """Gradient of the full objective, sum_i grad f_i(x)."""
-    return problem.bank.gradient_sum(problem.check_point(x))
+    """Gradient of the full objective, sum_i grad f_i(x), added in index order."""
+    return _row_total(problem.bank.gradients(problem.check_point(x)))

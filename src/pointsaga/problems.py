@@ -100,8 +100,8 @@ class QuadraticBank(ComponentBank):
         return self.A @ x - self.Ac
 
     def hessian_sum(self, x):
-        """sum_i A_i, added in index order: one reduction over the stack, or a
-        cumulative sum where d = 1, as in ComponentBank.gradient_sum."""
+        """sum_i A_i, added in index order by _linalg._sum_rows, as
+        model.full_gradient adds the gradient rows."""
         return _sum_rows(self.A)
 
     def _resolvent(self, gamma):
@@ -255,6 +255,7 @@ class LogisticBank(_RowBank):
         cannot finish go through ComponentBank.prox, whose scalar solve
         handles them and raises MaxInnerIterations naming the first
         component whose root the budget does not reach."""
+        gamma = float(gamma)  # as the scalar solve, which works in float64
         if len(idx) < NEWTON_BATCH_MIN:
             return super().prox(gamma, idx, Z)
         a, y, aa = self.rows.take(idx, axis=0), self.labels.take(idx), self.aa.take(idx)

@@ -71,8 +71,9 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z):
     h is strictly increasing, so Newton with a bisection safeguard on a
     bracket derived from |u| <= (||a|| ||z|| + gamma ||a||^2) / (1 + gamma mu_reg)
     terminates once |h(u)| <= logistic_root_tol. Raises MaxInnerIterations
-    past the safeguard budget.
+    past the safeguard budget. It works in float64, gamma included.
     """
+    gamma = float(gamma)
     a = np.asarray(a, dtype=float)
     z = np.asarray(z, dtype=float)
     if a.shape != z.shape:
@@ -158,7 +159,7 @@ def prox_generic(f, gamma, z, tol, mu, L):
     for it in range(budget + 1):
         g = f.gradient(x)
         defect = x + gamma * g - z
-        res = np.sqrt(defect @ defect)
+        res = _norms(defect[None])[0]
         if res <= tol:
             return ProxResult(x, res, it)
         x = x - step * (g + (x - z) / gamma)

@@ -25,6 +25,9 @@ sets what that diagnostic costs. step and run draw the same SplitMix64 subset
 stream: step one subset at a time with sampling.sample_k_subset, run many
 iterations' subsets at once with sampling.sample_subsets, whose rows are
 int64 (n is capped at 2^63).
+Each prox row is accepted on its own residual bound, TOL_PROX * (1 + ||z_i||)
+with the norm from _linalg._norms, so whether a component's prox passes does
+not depend on the other rows of its subset.
 Components are reached only through the problem's bank (model.ComponentBank):
 the subset prox of each iteration and the n-row gradient stack of initialize
 are one bank call each. run reads the gradients at the known solution from
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _square_limit
+from ._linalg import _norms
 from .errors import InvalidBatchSize, InvalidConstants, ProxFailure
 from .prox import TOL_PROX
 from .sampling import SplitMix64, sample_k_subset, sample_subsets
@@ -153,23 +156,15 @@ def _advance(state, problem, gamma, idx, refresh_every=None):
     new table rows, rebinds x and g_avg (a copy may share them) and moves t on.
     Returns the s prox outputs, row k the prox of component idx[k], whose
     mean is the new x. A prox residual above TOL_PROX * (1 + ||z_i||) raises
-    ProxFailure, naming the component, the iteration and gamma, and leaves the
-    state untouched; the norm is finite for every finite z."""
+    ProxFailure, naming the first such component, the iteration and gamma,
+    and leaves the state untouched. The norms are _linalg._norms': finite for
+    every finite z_i, so a row's bound depends on its own z_i alone."""
     n, s = problem.n, idx.shape[0]
     x_old, g_avg, table = state.x, state.g_avg, state.grad_table
 
     z = x_old[None, :] + gamma * (table.take(idx, axis=0) - g_avg[None, :])
-    # Past the limit a row's plain sum of squares could overflow to inf and
-    # pass any residual, so there the rows are normed scaled by z's largest
-    # entry. One vdot pass over z (an overflowing total reads inf) picks the
-    # path at less cost than the max-abs pass, which only the scaled path pays.
-    peak = abs(z).max() if np.vdot(z, z) > _square_limit(z.dtype) else np.inf
-    if peak < np.inf:
-        bound = TOL_PROX + TOL_PROX * peak * np.sqrt(((z / peak) ** 2).sum(axis=1))
-    else:  # no row can overflow, or z is not finite and no scale helps
-        bound = TOL_PROX * (1 + np.sqrt((z * z).sum(axis=1)))
     outs, residual = problem.bank.prox(gamma, idx, z)
-    ok = residual <= bound
+    ok = residual <= TOL_PROX * (1 + _norms(z))
     k = ok.argmin()  # the first failing row, if any row fails
     if not ok[k]:
         raise ProxFailure(int(idx[k]) + 1, float(residual[k]), state.t + 1, gamma)
@@ -234,9 +229,11 @@ def run(problem, config, x0, *, drift=True):
     writes, so a record scores Psi with an O(n) sum. The table drift is an
     O(n*d) pass made only when a record is written, and skipped where a
     refresh has just made g_avg the table mean, so trace_every sets what it
-    costs; with drift=False no record makes it. The subsets are the stream
-    step draws, taken from SplitMix64 in blocks of at most SUBSET_BLOCK draws
-    by sampling.sample_subsets as int64 rows.
+    costs; with drift=False no record makes it. The row errors and the
+    records are taken under one overflow scope per iteration, so a
+    diagnostic past the dtype's range reads inf or NaN, without a warning.
+    The subsets are the stream step draws, taken from SplitMix64 in blocks of
+    at most SUBSET_BLOCK draws by sampling.sample_subsets as int64 rows.
 
     Parameters
     ----------
@@ -271,53 +268,53 @@ def run(problem, config, x0, *, drift=True):
             x_star = x_star.astype(state.x.dtype)
             grad_star = problem.bank.gradients(x_star)
         weights = LyapunovWeights.from_constants(gamma, config.s, problem.mu, problem.L)
-        # Weights at this gamma that overflow Psi(0) although both its terms
-        # are finite would make every record inf; an x0 that overflows a term
-        # on its own is left to the records.
-        with np.errstate(over="ignore", invalid="ignore"):
-            row_errors = _row_errors(state.grad_table, grad_star)
-            d = state.x - x_star
-            terms = (d @ d, row_errors.sum())
-            psi0 = weights.w_x * terms[0] + weights.w_g * terms[1]
-        if np.isfinite(terms).all() and not np.isfinite(psi0):
-            raise InvalidConstants(f"Psi at t=0 overflows at gamma={gamma!r}")
-
-    t_begin = time.perf_counter_ns()
 
     def record():
         dist_sq = lyap = drift_norm = None
-        # A diagnostic past the dtype's range reads inf (or NaN), as a record
-        # of a diverging run should, rather than raising a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if x_star is not None:
-                d = state.x - x_star
-                dist_sq = d @ d
-                # LyapunovWeights.psi's formula, on the kept row errors.
-                lyap = weights.w_x * dist_sq + weights.w_g * row_errors.sum()
-            if drift:
-                # Where g_avg is this very table mean (initialize's or a
-                # refresh's), the pass would subtract equal arrays: +0.0
-                # unless it is not finite.
-                is_mean = state.t == 0 or _refreshes(state.t, config.refresh_every)
-                if is_mean and np.isfinite(state.g_avg).all():
-                    drift_norm = state.g_avg.dtype.type(0.0)
-                else:
-                    drift_norm = table_drift(state)
+        if x_star is not None:
+            d = state.x - x_star
+            dist_sq = d @ d
+            # LyapunovWeights.psi's formula, on the kept row errors.
+            lyap = weights.w_x * dist_sq + weights.w_g * row_errors.sum()
+        if drift:
+            # Where g_avg is this very table mean (initialize's or a
+            # refresh's), the pass would subtract equal arrays: +0.0
+            # unless it is not finite.
+            is_mean = state.t == 0 or _refreshes(state.t, config.refresh_every)
+            if is_mean and np.isfinite(state.g_avg).all():
+                drift_norm = state.g_avg.dtype.type(0.0)
+            else:
+                drift_norm = table_drift(state)
         records.append(TraceRecord(t=state.t, dist_sq=dist_sq, lyapunov=lyap,
                                    table_drift=drift_norm,
                                    wall_ns=time.perf_counter_ns() - t_begin))
 
     records = []
-    record()
+    # The row errors and the records are taken under one overflow scope per
+    # iteration: a diagnostic past the dtype's range reads inf (or NaN), as a
+    # record of a diverging run should, rather than raising a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x_star is not None:
+            row_errors = _row_errors(state.grad_table, grad_star)
+        t_begin = time.perf_counter_ns()
+        record()
+        # Weights at this gamma that overflow Psi(0) although both its terms
+        # are finite would make every record inf; an x0 that overflows a term
+        # on its own is left to the records.
+        first = records[0]
+        if (x_star is not None and not np.isfinite(first.lyapunov)
+                and np.isfinite((first.dist_sq, row_errors.sum())).all()):
+            raise InvalidConstants(f"Psi at t=0 overflows at gamma={gamma!r}")
     per_block = max(1, SUBSET_BLOCK // config.s)
     while state.t < config.max_iters:
         block = sample_subsets(rng, problem.n, config.s,
                                min(per_block, config.max_iters - state.t))
         for idx in block:
             _advance(state, problem, gamma, idx, config.refresh_every)
-            if x_star is not None:  # take: a cheaper gather than table[idx]
-                row_errors[idx] = _row_errors(state.grad_table.take(idx, axis=0),
-                                              grad_star.take(idx, axis=0))
-            if state.t % config.trace_every == 0 or state.t == config.max_iters:
-                record()
+            with np.errstate(over="ignore", invalid="ignore"):
+                if x_star is not None:  # take: a cheaper gather than table[idx]
+                    row_errors[idx] = _row_errors(state.grad_table.take(idx, axis=0),
+                                                  grad_star.take(idx, axis=0))
+                if state.t % config.trace_every == 0 or state.t == config.max_iters:
+                    record()
     return state, records

@@ -2,9 +2,7 @@ import json
 import math
 import os
 import re
-import tempfile
 
-import hypothesis.configuration
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,11 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from pointsaga import cli, theoretical_rate
 import pointsaga.solver
 import pointsaga.verify
-
-# Hypothesis caches unicode tables and source constants in its home directory,
-# ./.hypothesis by default; point it at a directory removed when the run ends.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def read_csv(path):

@@ -22,7 +22,7 @@ from pointsaga.errors import (
     InvalidConstants,
     InvalidKnownSolution,
 )
-from pointsaga.model import TOL_STAR, ComponentBank
+from pointsaga.model import TOL_STAR, ComponentBank, _row_total
 from pointsaga.problems import QuadraticBank
 
 
@@ -78,6 +78,13 @@ def test_known_solution_validated():
     comp = identity_quadratic(2)
     with pytest.raises(InvalidKnownSolution):
         FiniteSumProblem((comp,), 1.0, 1.0, 2, known_solution=np.array([1.0, 0.0]))
+    # A NaN gradient total has a NaN norm, which no bound is greater than.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 5, 3, 1.0, 10.0))
+    x = np.full(3, np.nan)
+    with pytest.raises(InvalidKnownSolution, match="= nan exceeds"):
+        problem.with_known_solution(x)
+    with pytest.raises(InvalidKnownSolution, match="= nan exceeds"):
+        FiniteSumProblem(problem.components, 1.0, 10.0, 3, known_solution=x)
 
 
 def _solved_problem(kind, tmp_path):
@@ -195,7 +202,7 @@ def bank_problem(kind):
 def test_gradient_sum_starts_from_positive_zero():
     # A loop from +0.0 turns a lone -0.0 gradient into +0.0; so must the bank.
     comp = GenericComponent(lambda x: x.copy(), 1.0, 1.0)
-    total = ComponentBank([comp]).gradient_sum(np.array([-0.0, 1.0]))
+    total = _row_total(ComponentBank([comp]).gradients(np.array([-0.0, 1.0])))
     assert not np.signbit(total[0]) and total[1] == 1.0
     # The kept table is the gradients themselves: its -0.0 stays.
     problem = FiniteSumProblem((comp,), 1.0, 1.0, 2, known_solution=np.array([-0.0, 0.0]))
@@ -216,9 +223,9 @@ def test_sums_over_one_entry_rows_keep_index_order(dtype):
     for comp in comps:
         total = total + comp.gradient(x)
         hessian = hessian + comp.A
-    assert np.array_equal(problem.bank.gradient_sum(x), total)
+    assert np.array_equal(_row_total(problem.bank.gradients(x)), total)
     assert np.array_equal(full_gradient(problem, x), total)
-    assert np.array_equal(ComponentBank(comps).gradient_sum(x), total)
+    assert np.array_equal(_row_total(ComponentBank(comps).gradients(x)), total)
     assert np.array_equal(problem.bank.hessian_sum(x), hessian)
 
 
@@ -235,7 +242,7 @@ def test_component_bank_matches_per_component_calls(kind, dtype):
     for i, comp in enumerate(problem.components):
         assert np.array_equal(G[i], comp.gradient(x))
         total = total + comp.gradient(x)
-    assert np.array_equal(bank.gradient_sum(x), total)
+    assert np.array_equal(_row_total(bank.gradients(x)), total)
     for gamma in (0.05, 2.0):
         for s in (1, 4, 7):
             idx = np.sort(rng.choice(7, size=s, replace=False))

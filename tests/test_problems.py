@@ -1,10 +1,8 @@
 import math
 import sys
-import tempfile
 import threading
 import warnings
 
-import hypothesis.configuration
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +32,7 @@ from pointsaga.errors import (
 import pointsaga.cli as cli
 import pointsaga.problems as problems
 import pointsaga.prox as prox
-from pointsaga.model import ComponentBank
+from pointsaga.model import ComponentBank, _row_total
 from pointsaga.problems import (
     MAX_DENSE_ENTRIES,
     LogisticBank,
@@ -44,12 +42,6 @@ from pointsaga.problems import (
     RidgeBank,
 )
 from pointsaga.prox import sigmoid
-
-# Hypothesis caches unicode tables and source constants in its home directory,
-# ./.hypothesis by default. Its pytest plugin fills that cache while collecting,
-# so point the home at a directory that is removed when the test run ends.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-hypothesis.configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 # --- GeneratorSpec ---------------------------------------------------------------
@@ -361,9 +353,9 @@ def test_row_bank_gradients_match_component_bank(family, dtype, d):
         G = bank.gradients(x)
         assert G.dtype == loop.gradients(x).dtype
         assert np.array_equal(G, loop.gradients(x))
-        assert np.array_equal(bank.gradient_sum(x), loop.gradient_sum(x))
+        assert np.array_equal(full_gradient(problem, x), _row_total(loop.gradients(x)))
     assert np.array_equal(full_gradient(problem, np.zeros(d)),
-                          loop.gradient_sum(np.zeros(d)))
+                          _row_total(loop.gradients(np.zeros(d))))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -378,7 +370,7 @@ def test_quadratic_bank_gradients_match_component_gradients(dtype):
         for i, comp in enumerate(problem.components):
             assert np.array_equal(G[i], comp.gradient(x))
             total = total + comp.gradient(x)
-        assert np.array_equal(problem.bank.gradient_sum(x), total)
+        assert np.array_equal(full_gradient(problem, x), total)
 
 
 @pytest.mark.parametrize("family", ["quadratic", "ridge", "logistic"])
@@ -394,7 +386,7 @@ def test_bank_hessian_sum_matches_central_differences(family):
         H = bank.hessian_sum(x)
         assert H.shape == (4, 4)
         E = np.eye(4) * h
-        diffs = np.stack([(bank.gradient_sum(x + e) - bank.gradient_sum(x - e)) / (2 * h)
+        diffs = np.stack([(full_gradient(problem, x + e) - full_gradient(problem, x - e)) / (2 * h)
                           for e in E], axis=1)
         assert np.allclose(H, diffs, rtol=0, atol=1e-6 * np.abs(H).max())
 
@@ -421,6 +413,22 @@ def test_logistic_bank_prox_matches_component_prox(monkeypatch):
                 assert P.dtype == dtype
                 assert np.array_equal(P, P_loop)
                 assert np.array_equal(residuals, residuals_loop)
+
+
+@pytest.mark.parametrize("gamma_type", [float, np.float32, np.longdouble])
+def test_logistic_bank_prox_matches_component_prox_for_a_numpy_scalar_gamma(gamma_type):
+    # Both solves work in float64, so a gamma of another precision is taken
+    # as its float64 value by the batch and by the scalar solve alike.
+    problem = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 12, 4, 1.0, 10.0, seed=3))
+    bank, loop = problem.bank, ComponentBank(problem.components)
+    idx = np.array([0, 1, 3, 4, 6, 7, 9, 10])
+    assert len(idx) >= problems.NEWTON_BATCH_MIN
+    Z = np.random.default_rng(12).normal(size=(8, 4)) * 3.0
+    P, residuals = bank.prox(gamma_type(0.3), idx, Z)
+    P_loop, residuals_loop = loop.prox(gamma_type(0.3), idx, Z)
+    assert np.array_equal(P, P_loop)
+    assert np.array_equal(residuals, residuals_loop)
+    assert np.array_equal(P, bank.prox(float(gamma_type(0.3)), idx, Z)[0])
 
 
 def test_logistic_bank_prox_matches_component_prox_at_large_gamma():
@@ -576,7 +584,7 @@ def test_row_bank_gradients_keep_the_component_dtype(family):
         G = bank.gradients(x)
         assert G.dtype == expected
         assert_bitwise(G, loop.gradients(x))
-        assert_bitwise(bank.gradient_sum(x), loop.gradient_sum(x))
+        assert_bitwise(full_gradient(problem, x), _row_total(loop.gradients(x)))
 
 
 # --- ridge generator -----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,16 @@ def test_generic_budget_survives_large_gamma():
     kappa = (1 + gamma * L) / (1 + gamma * mu_reg)
     budget = 10 * int(np.ceil(kappa * np.log(1e12)))
     assert r.inner_iters <= budget
+
+
+def test_generic_residual_stays_finite_where_its_square_overflows():
+    # The first defect is z itself, ~1e160, whose square overflows float64;
+    # its norm is taken scaled, and the second step lands on the root.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = quadratic_generic().prox(1.0, np.full(3, 1e160))
+    assert r.residual == 0.0 and r.inner_iters == 1
+    assert np.array_equal(r.point, np.full(3, 5e159))
 
 
 def test_generic_unreachable_tolerance_raises():

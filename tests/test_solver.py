@@ -1,8 +1,10 @@
+import itertools
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointsaga import (
     GeneratorSpec,
@@ -374,6 +376,50 @@ def test_prox_check_holds_where_the_squared_norm_overflows(monkeypatch):
     assert apply_subset_step(state, problem, gamma, idx).t == 1
 
 
+def _prox_decision(state, problem, gamma, idx):
+    """The component apply_subset_step fails on (1-based), or None."""
+    try:
+        apply_subset_step(state, problem, gamma, idx)
+    except ProxFailure as err:
+        return err.index
+    return None
+
+
+def test_prox_row_decision_ignores_a_huge_row_beside_it(monkeypatch):
+    # Rows 1 and 3 shift to +-1e200, whose squares overflow; row 2 shifts to
+    # (1, 1, 1), so its bound is TOL_PROX * (1 + sqrt(3)) in every subset.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 4, 3, 1.0, 10.0, seed=1))
+    table = np.array([1e201, 0.0, -1e201, 0.0])[:, None] * np.ones(3)
+    state = SolverState(0, np.ones(3), table, table.mean(axis=0))
+    assert np.array_equal(state.g_avg, np.zeros(3))
+    for residual, expected in ((2e-10, None), (3e-10, 2)):
+        monkeypatch.setattr(problem.bank, "prox", lambda gamma, idx, Z: (
+            Z.copy(), np.where(idx == 1, residual, 0.0)))
+        for idx in ([1], [0, 1], [1, 3], [0, 1, 2]):
+            assert _prox_decision(state, problem, 0.1, idx) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.floats(-3.0, 300.0), st.floats(0.0, 2.0)),
+                min_size=2, max_size=5))
+def test_prox_row_decisions_do_not_depend_on_the_subset(rows):
+    # Row i shifts to 10^e_i * (1, -0.5, 0.25) and reports a residual of
+    # f_i * TOL_PROX * (1 + 10^e_i). Each subset fails on its lowest
+    # component that fails alone, or on none.
+    problem = gen_quadratic(GeneratorSpec("quadratic", len(rows), 3, 1.0, 10.0))
+    scales = np.array([10.0 ** e for e, _ in rows])
+    residuals = np.array([f for _, f in rows]) * TOL_PROX * (1.0 + scales)
+    problem.bank.prox = lambda gamma, idx, Z: (Z.copy(), residuals[idx])
+    # x = g_avg = 0 and gamma = 1: the shifted points are the table rows.
+    state = SolverState(0, np.zeros(3), np.outer(scales, [1.0, -0.5, 0.25]), np.zeros(3))
+    alone = [_prox_decision(state, problem, 1.0, [i]) for i in range(len(rows))]
+    for size in range(2, len(rows) + 1):
+        for subset in itertools.combinations(range(len(rows)), size):
+            failing = [alone[i] for i in subset if alone[i] is not None]
+            expected = failing[0] if failing else None
+            assert _prox_decision(state, problem, 1.0, list(subset)) == expected
+
+
 @pytest.mark.parametrize("family", ["quadratic", "ridge"])
 def test_residuals_stay_finite_where_their_squares_overflow(family):
     # At ||x0|| ~ 1e170 the resolvent defects near 1e155, whose squares
@@ -458,6 +504,10 @@ def test_records_past_the_float_range_read_inf_without_a_warning():
         # ||x0 - x*||^2 overflows.
         _, records = run(problem, SolverConfig(max_iters=0), np.full(3, 1e155))
         assert records[0].dist_sq == np.inf and records[0].lyapunov == np.inf
+        # The written rows' Psi errors overflow between records too.
+        cfg = SolverConfig(s=2, max_iters=3, seed=1, refresh_every=None)
+        _, records = run(problem, cfg, np.full(3, 1e155))
+        assert [r.lyapunov for r in records] == [np.inf] * 4
         # The drift's square overflows once the recurrence has moved g_avg.
         cfg = SolverConfig(s=2, gamma=0.1, max_iters=6, seed=1, refresh_every=None)
         _, records = run(bare, cfg, np.full(3, 1e170))
