@@ -5,10 +5,13 @@ mu-strongly convex with an L-Lipschitz gradient, sharing one (mu, L) pair.
 Its components are evaluated through its bank: the per-component
 ComponentBank, or a family's batched subclass with bitwise the same results.
 Only family banks sum Hessians, so other problems must declare known_solution.
+A bank that holds its components as arrays hands them out as a ComponentView.
 """
 
 import copy
+import operator
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,14 +78,34 @@ class ComponentBank:
         solve out of budget raises MaxInnerIterations naming its component."""
         P = np.empty_like(Z)
         residuals = []
+        components = self.components
         for k, i in enumerate(idx.tolist()):
             try:
-                result = self.components[i].prox(gamma, Z[k])  # perfbench reads z as args[2]
+                result = components[i].prox(gamma, Z[k])  # perfbench reads z as args[2]
             except MaxInnerIterations as exc:
                 raise MaxInnerIterations(f"prox of component {i + 1}: {exc}") from None
             P[k] = result.point
             residuals.append(result.residual)
         return P, np.array(residuals)
+
+
+class ComponentView(Sequence):
+    """The n components of a bank that holds them as arrays, as a read-only
+    sequence: item i is ``bank.component(i)``, built on access, and a slice
+    is a tuple of them. A FiniteSumProblem given one evaluates through its
+    bank. The bank does not keep its view, so the two form no cycle."""
+
+    def __init__(self, bank, n):
+        self.bank = bank
+        self._n = n
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.bank.component, range(*i.indices(self._n))))
+        return self.bank.component(operator.index(i))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +114,9 @@ class FiniteSumProblem:
 
     Attributes
     ----------
-    components : tuple of ComponentFunction
+    components : sequence of ComponentFunction
+        A tuple, or a ComponentView whose items are built on access from
+        the arrays of a row family's bank.
     mu : float
         Strong-convexity modulus shared by every component, > 0.
     L : float
@@ -101,7 +126,8 @@ class FiniteSumProblem:
     known_solution : ndarray or None
         Minimizer of the sum, when available. Validated for stationarity.
     bank : ComponentBank
-        The components' ``stack`` when all share one class, else the default.
+        A ComponentView's own bank; otherwise the components' ``stack`` when
+        all share one class, else the default.
     grad_star : ndarray or None
         Read-only n-by-d table whose row i is grad f_i(known_solution), in
         the bank's dtype at known_solution's dtype; None without a known
@@ -109,7 +135,7 @@ class FiniteSumProblem:
         so that run need not build it again.
     """
 
-    components: tuple
+    components: Sequence
     mu: float
     L: float
     dim: int
@@ -124,9 +150,13 @@ class FiniteSumProblem:
             raise InvalidConstants(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
         if self.dim < 1:
             raise InvalidConstants(f"dim must be >= 1, got {self.dim}")
-        kinds = {type(c) for c in self.components}
-        stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
-        object.__setattr__(self, "bank", stack(self.components))
+        if isinstance(self.components, ComponentView):
+            bank = self.components.bank
+        else:
+            kinds = {type(c) for c in self.components}
+            stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
+            bank = stack(self.components)
+        object.__setattr__(self, "bank", bank)
         if self.known_solution is not None:
             object.__setattr__(self, "grad_star", self._stationary_gradients(self.known_solution))
 
@@ -171,9 +201,13 @@ class FiniteSumProblem:
 def assemble_problem(components, mu, L, dim):
     """Validate and pack components into a FiniteSumProblem.
 
-    The known solution is left unset; ``with_known_solution`` attaches one.
+    A ComponentView is kept as it is, with its bank; any other iterable is
+    packed into a tuple. The known solution is left unset;
+    ``with_known_solution`` attaches one.
     """
-    return FiniteSumProblem(tuple(components), float(mu), float(L), int(dim))
+    if not isinstance(components, ComponentView):
+        components = tuple(components)
+    return FiniteSumProblem(components, float(mu), float(L), int(dim))
 
 
 def _row_total(G):

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
 )
 from . import prox
-from .model import ComponentBank, ComponentFunction, assemble_problem
+from .model import ComponentBank, ComponentFunction, ComponentView, assemble_problem
 from .prox import (
     TOL_PROX,
     logistic_root_tol,
@@ -132,29 +132,37 @@ def _sigmoids(v):
 
 
 def _stack_rows(cls, family, bank, components):
-    """bank(components) when cls is family itself and the components share one
-    row shape and dtype, a label of that dtype and one mu_reg; otherwise the
-    default bank. The shared types make every batched operation promote as the
-    per-component one does."""
+    """A bank over copies of the components' rows and labels when cls is
+    family itself and the components share one row shape and dtype, a label
+    of that dtype and one mu_reg; otherwise the default bank. The shared types
+    make every batched operation promote as the per-component one does."""
     kinds = {(c.a.shape, c.a.dtype, type(c.y), type(c.mu_reg), c.mu_reg)
              for c in components}
-    if (cls is family and len(kinds) == 1
-            and np.asarray(components[0].y).dtype == components[0].a.dtype):
-        return bank(components)
+    first = components[0]
+    if cls is family and len(kinds) == 1 and np.asarray(first.y).dtype == first.a.dtype:
+        rows = np.concatenate([c.a for c in components]).reshape(len(components), *first.a.shape)
+        return bank(rows, np.array([c.y for c in components], dtype=rows.dtype), first.mu_reg)
     return ComponentBank(components)
 
 
 class _RowBank(ComponentBank):
-    """Components f_i built on a data row a_i and label y_i, stacked into one
-    row matrix and label vector, with the mu_reg they share."""
+    """Components f_i built on a data row a_i and label y_i, held as one n-by-d
+    row matrix, a label vector of its dtype and the mu_reg they share. The
+    bank owns both arrays and makes them read-only, so no component can
+    change under it. Its ``components`` is a ComponentView whose item i,
+    ``family(rows[i], labels[i], mu_reg)``, is built on access and reads
+    the bank's own row."""
 
-    def __init__(self, components):
-        super().__init__(components)
-        # _stack_rows has checked that the rows share one shape.
-        self.rows = np.concatenate([c.a for c in components]).reshape(
-            len(components), *components[0].a.shape)
-        self.labels = np.array([c.y for c in components], dtype=self.rows.dtype)
-        self.mu_reg = components[0].mu_reg
+    def __init__(self, rows, labels, mu_reg):
+        rows.flags.writeable = labels.flags.writeable = False
+        self.rows, self.labels, self.mu_reg = rows, labels, mu_reg
+
+    @property
+    def components(self):
+        return ComponentView(self, len(self.labels))
+
+    def component(self, i):
+        return self.family(self.rows[i], self.labels[i], self.mu_reg)
 
     def _add_ridge(self, G, x):
         """G + mu_reg * x, written into G where that sum keeps G's dtype, so
@@ -194,7 +202,9 @@ class RankOneRidgeComponent(ComponentFunction):
 class RidgeBank(_RowBank):
     """Rank-one ridge components as rows: the gradients come from one batched
     pass, written into the one n-by-d array they return; the O(d) closed-form
-    prox stays per component."""
+    prox stays per component, through RankOneRidgeComponent.prox on a view."""
+
+    family = RankOneRidgeComponent
 
     def gradients(self, x):
         return self._add_ridge(self.rows * (_dots(self.rows, x) - self.labels)[:, None], x)
@@ -231,11 +241,13 @@ class LogisticBank(_RowBank):
     operation is the scalar one applied elementwise, so row k is bitwise what
     ``components[idx[k]].prox`` returns. The batch does only that common
     case; zero rows, rows whose derived bracket needs widening and rows out
-    of budget are left to the scalar solve."""
+    of budget are left to the scalar solve, on a view of the row."""
 
-    def __init__(self, components):
-        super().__init__(components)
-        self.aa = _dots(self.rows, self.rows)
+    family = LogisticRidgeComponent
+
+    def __init__(self, rows, labels, mu_reg):
+        super().__init__(rows, labels, mu_reg)
+        self.aa = _dots(rows, rows)
 
     def _gradients(self, a, y, x):
         """Row k is the gradient of the component on (a[k], y[k]) at x, or at
@@ -352,7 +364,8 @@ class GeneratorSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Dense feature rows plus labels (+-1 for classification)."""
+    """Dense feature rows plus labels (+-1 for classification). load_libsvm's
+    dataset holds its bank's own read-only arrays."""
 
     rows: np.ndarray
     labels: np.ndarray
@@ -427,11 +440,10 @@ def gen_ridge_regression(spec, dtype=np.float64):
     rng = np.random.default_rng(spec.seed)
     rows = rng.normal(size=(spec.n, spec.dim))
     norms = np.sqrt((rows * rows).sum(axis=1))
-    rows = rows * (np.sqrt(spec.L - spec.mu) / norms)[:, None]
-    rows, ys = rows.astype(dtype), rng.normal(size=spec.n).astype(dtype)
-    comps = [RankOneRidgeComponent(rows[i], ys[i], spec.mu) for i in range(spec.n)]
-    problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
-    return _planted(problem, spec)
+    rows *= (np.sqrt(spec.L - spec.mu) / norms)[:, None]
+    rows, ys = rows.astype(dtype, copy=False), rng.normal(size=spec.n).astype(dtype, copy=False)
+    bank = RidgeBank(rows, ys, spec.mu)
+    return _planted(assemble_problem(bank.components, spec.mu, spec.L, spec.dim), spec)
 
 
 def gen_logistic_ridge(spec):
@@ -448,13 +460,9 @@ def gen_logistic_ridge(spec):
     rng = np.random.default_rng(spec.seed)
     rows = rng.normal(size=(spec.n, spec.dim))
     norms = np.sqrt((rows * rows).sum(axis=1))
-    rows = rows * (2.0 * np.sqrt(spec.L - spec.mu) / norms)[:, None]
-    labels = 2.0 * rng.integers(0, 2, size=spec.n) - 1.0
-    comps = [
-        LogisticRidgeComponent(rows[i], labels[i], spec.mu) for i in range(spec.n)
-    ]
-    problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
-    return _planted(problem, spec)
+    rows *= (2.0 * np.sqrt(spec.L - spec.mu) / norms)[:, None]
+    bank = LogisticBank(rows, 2.0 * rng.integers(0, 2, size=spec.n) - 1.0, spec.mu)
+    return _planted(assemble_problem(bank.components, spec.mu, spec.L, spec.dim), spec)
 
 
 def load_libsvm(path, mu):
@@ -527,8 +535,6 @@ def load_libsvm(path, mu):
     rows = np.zeros((len(sparse_rows), max_idx))
     for i, (_, idxs, vals) in enumerate(sparse_rows):
         rows[i, np.asarray(idxs, dtype=int) - 1] = vals
-    labels = np.asarray(labels)
-    dataset = Dataset(rows, labels)
 
     with np.errstate(over="ignore"):
         sq_norms = (rows * rows).sum(axis=1)
@@ -536,8 +542,6 @@ def load_libsvm(path, mu):
     if bad.size:
         raise ParseError(sparse_rows[bad[0]][0], "squared row norm overflows")
     L = mu + 0.25 * float(sq_norms.max())
-    comps = [
-        LogisticRidgeComponent(rows[i], labels[i], mu) for i in range(rows.shape[0])
-    ]
-    problem = assemble_problem(comps, mu, L, max_idx)
-    return dataset, problem
+    bank = LogisticBank(rows, np.asarray(labels), mu)
+    # The dataset holds the bank's own read-only arrays, not a copy.
+    return Dataset(bank.rows, bank.labels), assemble_problem(bank.components, mu, L, max_idx)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pointsaga import (
     Dataset,
+    FiniteSumProblem,
     GeneratorSpec,
     QuadraticComponent,
     assemble_problem,
@@ -140,15 +141,15 @@ def test_spec_accepts_specs_at_the_dense_cap():
 
 
 def test_each_problem_builds_its_bank_once(monkeypatch, tmp_path):
-    # Attaching the minimizer keeps the bank the problem was built with.
+    # Attaching the minimizer keeps the bank the problem was built with. Row
+    # banks are built from their arrays, not through ComponentBank.__init__.
     built = []
-    init = ComponentBank.__init__
+    for cls in (ComponentBank, problems._RowBank):
+        def counting_init(self, *args, init=cls.__init__):
+            built.append(type(self))
+            init(self, *args)
 
-    def counting_init(self, components):
-        built.append(type(self))
-        init(self, components)
-
-    monkeypatch.setattr(ComponentBank, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
     gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
     gen_ridge_regression(GeneratorSpec("ridge_regression", 6, 3, 1.0, 10.0, seed=1))
     gen_logistic_ridge(GeneratorSpec("logistic_ridge", 6, 3, 1.0, 10.0, seed=1))
@@ -587,6 +588,132 @@ def test_row_bank_gradients_keep_the_component_dtype(family):
         assert_bitwise(full_gradient(problem, x), _row_total(loop.gradients(x)))
 
 
+# --- row banks built from their arrays ------------------------------------------------
+
+_ROW_KINDS = ["ridge-float32", "ridge-float64", "ridge-longdouble", "logistic", "libsvm"]
+
+
+def _libsvm_problem(tmp_path):
+    """load_libsvm on a seeded 12-row file of width 6."""
+    rng = np.random.default_rng(4)
+    lines = []
+    for _ in range(12):
+        idx = np.sort(rng.choice(6, size=3, replace=False)) + 1
+        feats = " ".join(f"{i}:{float(v)!r}" for i, v in zip(idx, rng.normal(size=3)))
+        lines.append(f"{'+1' if rng.random() < 0.5 else '-1'} {feats}\n")
+    path = tmp_path / "rows.svm"
+    path.write_text("".join(lines))
+    return load_libsvm(path, mu=0.5)
+
+
+def _row_kind_problem(kind, tmp_path):
+    """A 12-row problem of the row family kind names."""
+    if kind == "libsvm":
+        return _libsvm_problem(tmp_path)[1]
+    if kind == "logistic":
+        return _row_problem("logistic", 12, 4, np.float64)
+    return _row_problem("ridge", 12, 4, getattr(np, kind.split("-")[1]))
+
+
+def test_generators_and_loader_build_no_component_objects(monkeypatch, tmp_path):
+    built = []
+    for cls in (RankOneRidgeComponent, LogisticRidgeComponent):
+        def counting_init(self, *args, init=cls.__init__):
+            built.append(type(self))
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 50, 4, 0.3, 5.0, seed=1))
+    logistic = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 50, 4, 0.3, 5.0, seed=1))
+    _, loaded = _libsvm_problem(tmp_path)
+    assert ridge.known_solution is not None and logistic.known_solution is not None
+    assert built == []
+    # A component is built when it is read, one per access.
+    ridge.components[3], logistic.components[-1], loaded.components[0]
+    assert built == [RankOneRidgeComponent, LogisticRidgeComponent, LogisticRidgeComponent]
+
+
+@pytest.mark.parametrize("kind", _ROW_KINDS)
+def test_row_components_are_a_view_over_the_bank(kind, tmp_path):
+    problem = _row_kind_problem(kind, tmp_path)
+    comps, bank = problem.components, problem.bank
+    assert len(comps) == problem.n == 12
+    for i in (0, 5, -1):
+        comp = comps[i]
+        assert type(comp) is bank.family
+        assert np.shares_memory(comp.a, bank.rows) and np.array_equal(comp.a, bank.rows[i])
+        assert comp.y == bank.labels[i] and comp.mu_reg is bank.mu_reg
+    part = comps[2:9:3]
+    assert type(part) is tuple and len(part) == 3
+    assert [c.y for c in part] == [comps[i].y for i in (2, 5, 8)]
+    assert [c.y for c in comps] == [comps[i].y for i in range(12)]
+    with pytest.raises(IndexError):
+        comps[12]
+    with pytest.raises(TypeError):
+        comps[1.0]
+    with pytest.raises(TypeError):
+        comps[0] = comps[1]
+    # Wrapping the view again shares the bank instead of stacking the rows.
+    assert FiniteSumProblem(comps, problem.mu, problem.L, problem.dim).bank is bank
+    assert assemble_problem(comps, problem.mu, problem.L, problem.dim).bank is bank
+
+
+@pytest.mark.parametrize("kind", _ROW_KINDS)
+def test_row_matrix_is_read_only(kind, tmp_path):
+    problem = _row_kind_problem(kind, tmp_path)
+    for array in (problem.bank.rows, problem.bank.labels, problem.components[0].a):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        problem.components[0].a[0] = 1.0
+    with pytest.raises(ValueError):
+        problem.bank.rows[0, 0] += 1.0
+
+
+def test_loaded_rows_cannot_go_stale(tmp_path):
+    # The dataset's rows were the components' rows but not the bank's, so a
+    # write into them changed the per-component oracles and left the batched
+    # ones as they were: subsets below and above NEWTON_BATCH_MIN then solved
+    # different problems. Now the dataset holds the bank's read-only arrays.
+    dataset, problem = _libsvm_problem(tmp_path)
+    assert dataset.rows is problem.bank.rows and dataset.labels is problem.bank.labels
+    with pytest.raises(ValueError):
+        dataset.rows[0, 0] += 1.0
+    with pytest.raises(ValueError):
+        dataset.labels[0] = -dataset.labels[0]
+    x = np.linspace(-1.0, 1.0, problem.dim)
+    assert np.array_equal(problem.components[0].gradient(x), problem.bank.gradients(x)[0])
+    idx = np.array([0, 1, 3, 4, 6, 7, 9, 10])
+    assert len(idx) >= problems.NEWTON_BATCH_MIN
+    Z = np.random.default_rng(12).normal(size=(8, problem.dim)) * 3.0
+    P, residuals = problem.bank.prox(0.3, idx, Z)
+    P_loop, residuals_loop = ComponentBank(problem.components).prox(0.3, idx, Z)
+    assert np.array_equal(P, P_loop) and np.array_equal(residuals, residuals_loop)
+
+
+@pytest.mark.parametrize("kind", _ROW_KINDS)
+def test_reassembled_row_components_give_the_same_bank(kind, tmp_path):
+    # A user's tuple of the same components takes _stack_rows' path, which
+    # copies the rows into a bank of its own: bitwise the bank built first.
+    problem = _row_kind_problem(kind, tmp_path)
+    bank = problem.bank
+    again = assemble_problem(list(problem.components), problem.mu, problem.L,
+                             problem.dim).bank
+    assert type(again) is type(bank) and again is not bank
+    assert not np.shares_memory(again.rows, bank.rows)
+    assert_bitwise(again.rows, bank.rows)
+    assert_bitwise(again.labels, bank.labels)
+    assert type(again.mu_reg) is type(bank.mu_reg) and again.mu_reg == bank.mu_reg
+    x = np.linspace(-1.0, 1.0, problem.dim).astype(bank.rows.dtype)
+    assert_bitwise(again.gradients(x), bank.gradients(x))
+    assert_bitwise(again.hessian_sum(x), bank.hessian_sum(x))
+    rng = np.random.default_rng(7)
+    for s in (1, 8):
+        idx = np.sort(rng.choice(problem.n, size=s, replace=False))
+        Z = (rng.normal(size=(s, problem.dim)) * 3.0).astype(bank.rows.dtype)
+        for got, want in zip(again.prox(0.3, idx, Z), bank.prox(0.3, idx, Z)):
+            assert_bitwise(got, want)
+
+
 # --- ridge generator -----------------------------------------------------------------
 
 
@@ -606,7 +733,7 @@ def test_ridge_hessian_spectrum():
     )
     x = np.array([0.5, -1.0, 2.0, 0.0])
     for comp in problem.components:
-        H = RidgeBank([comp]).hessian_sum(x)
+        H = assemble_problem([comp], 1.0, 10.0, 4).bank.hessian_sum(x)
         eigs = np.sort(np.linalg.eigvalsh(H))
         assert np.allclose(eigs[:-1], 1.0, rtol=0, atol=1e-10)
         assert abs(eigs[-1] - 10.0) <= 1e-9
