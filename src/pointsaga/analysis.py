@@ -25,6 +25,7 @@ proxes plus O(C(n, s) * (s * d + n)) vector arithmetic, not C(n, s)
 iterations.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -251,7 +252,7 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     call of n proxes, and each of the C(n, s) subsets is scored from those
     rows: its iterate is the ascending-index mean of its s proxes, and its
     table keeps the input's rows outside it. Scored in blocks of at most
-    SUBSET_BLOCK // n subsets, the certificate costs n proxes plus
+    SUBSET_BLOCK // n rows of one 0-based index array, it costs n proxes plus
     O(C(n, s) * (s * d + n)) vector arithmetic, and the average is still
     exact by enumeration: Psi of every subset's outcome, bitwise what one
     iteration on that subset gives, summed in lexicographic order. Returns
@@ -271,7 +272,8 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
 
     n = problem.n
     rho = theoretical_rate(gamma, s, n, problem.mu, problem.L).rho
-    subsets = enumerate_k_subsets(n, s)
+    subsets = np.fromiter(itertools.chain.from_iterable(enumerate_k_subsets(n, s)), np.intp)
+    subsets = subsets.reshape(-1, s) - 1
     rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
     nxt = SolverState(state.t, state.x, state.grad_table.copy(), state.g_avg)
@@ -281,7 +283,7 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     per_block = max(1, SUBSET_BLOCK // n)
     total = 0.0
     for start in range(0, len(subsets), per_block):
-        S = np.array(subsets[start:start + per_block]) - 1
+        S = subsets[start:start + per_block]
         dx = np.add.reduce(P[S], axis=1) / S.shape[1] - x_star  # _advance's mean
         errors = np.repeat(kept[None, :], len(S), axis=0)
         np.put_along_axis(errors, S, moved[S], axis=1)

@@ -7,6 +7,7 @@ All generators are deterministic functions of their spec (same seed, same
 problem to the last bit).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ class QuadraticComponent(ComponentFunction):
 
     def _resolvent(self, gamma):
         """(I + gamma A)^{-1} and gamma A c for this gamma."""
-        return (self.Q * (1.0 / (1.0 + gamma * self.eig))) @ self.Q.T, gamma * self._Ac
+        return _resolvents(self.Q, self.eig, gamma), gamma * self._Ac
 
     def prox(self, gamma, z):
         M, g_Ac = self._resolvent(gamma)
@@ -82,13 +83,18 @@ class QuadraticComponent(ComponentFunction):
         return super().stack(components)  # a subclass may have its own oracles
 
 
+def _resolvents(Q, eig, gamma):
+    """(I + gamma Q diag(eig) Q')^{-1}; on stacks, each matrix bitwise as if alone."""
+    return (Q * (1.0 / (1.0 + gamma * eig))[..., None, :]) @ np.swapaxes(Q, -1, -2)
+
+
 class QuadraticBank(ComponentBank):
     """Quadratic components of one shape and dtype, stacked so that one call
     proxes a whole subset. Row k of the result is bitwise what
     ``components[idx[k]].prox`` returns: the same operations in the same
     order, with the matmuls batched through matmul's per-matrix loop. One
-    cache holds the last gamma's n resolvents, each a component's own.
-    """
+    cache holds the last gamma's n resolvents, one product over the Q and eig
+    stacked at the first prox. The Hessian sum is built once."""
 
     def __init__(self, components):
         super().__init__(components)
@@ -101,14 +107,23 @@ class QuadraticBank(ComponentBank):
 
     def hessian_sum(self, x):
         """sum_i A_i, added in index order by _linalg._sum_rows, as
-        model.full_gradient adds the gradient rows."""
-        return _sum_rows(self.A)
+        model.full_gradient adds the gradient rows; read-only."""
+        return self._hessian
+
+    @functools.cached_property
+    def _hessian(self):
+        H = _sum_rows(self.A)
+        H.flags.writeable = False
+        return H
+
+    @functools.cached_property
+    def _spectra(self):
+        return np.stack([c.Q for c in self.components]), np.stack([c.eig for c in self.components])
 
     def _resolvent(self, gamma):
         cache = self._cache
         if cache[0] != gamma:
-            M = np.stack([c._resolvent(gamma)[0] for c in self.components])
-            cache = self._cache = (gamma, M, gamma * self.Ac)
+            cache = self._cache = (gamma, _resolvents(*self._spectra, gamma), gamma * self.Ac)
         return cache[1], cache[2]
 
     def prox(self, gamma, idx, Z):
@@ -210,7 +225,13 @@ class RidgeBank(_RowBank):
         return self._add_ridge(self.rows * (_dots(self.rows, x) - self.labels)[:, None], x)
 
     def hessian_sum(self, x):
-        return self._hessian_sum(self.rows)
+        return self._hessian
+
+    @functools.cached_property
+    def _hessian(self):
+        H = self._hessian_sum(self.rows)
+        H.flags.writeable = False
+        return H
 
 
 class LogisticRidgeComponent(ComponentFunction):
@@ -274,7 +295,7 @@ class LogisticBank(_RowBank):
         z = Z.astype(float, copy=False)
         alpha = 1.0 + gamma * self.mu_reg
         az, gamma_aa, gya, neg_y = _dots(a, z), gamma * aa, gamma * y * aa, -y
-        budget = prox.NEWTON_BUDGET
+        budget, abs_az = prox.NEWTON_BUDGET, np.abs(az)
 
         def h(u):
             """(h(u), sigmoid(-y u)) row by row, for the scalar root-find
@@ -284,20 +305,20 @@ class LogisticBank(_RowBank):
 
         bound = (np.sqrt(aa) * _norms(z) + gamma_aa) / alpha + 1.0
         lo, hi = -bound, bound
-        # A zero row has no root to find, and h(lo) <= 0 <= h(hi) by the
-        # bound's derivation. Rows that are zero or fail the scalar's own test
-        # of that bracket are left to the scalar solve, which handles them.
-        scalar = (aa == 0.0) | (h(lo)[0] > 0.0) | (h(hi)[0] < 0.0)
-        live = ~scalar
-        iters = np.zeros(len(idx), dtype=int)
         u = 0.5 * (lo + hi)
-        while True:
-            hu, s = h(u)  # s ends as each row's sigmoid(-y u) at its root
+        # h at both bracket ends and the first midpoint, in one call. h(lo) <= 0
+        # <= h(hi) by the bound's derivation; zero rows (no root to find) and rows
+        # that fail the scalar's own test of that are left to the scalar solve.
+        (h_lo, h_hi, hu), (_, _, s) = h(np.stack([lo, hi, u]))
+        scalar = (aa == 0.0) | (h_lo > 0.0) | (h_hi < 0.0)
+        live = ~scalar
+        iters, passes = np.zeros(len(idx), dtype=int), 0
+        while True:  # s ends as each row's sigmoid(-y u) at its root
             # Negated as the scalar test is, so a NaN root runs out of budget.
-            live &= ~(np.abs(hu) <= logistic_root_tol(alpha, u, az, gamma_aa))
+            live &= ~(np.abs(hu) <= logistic_root_tol(alpha, u, abs_az, gamma_aa))
             iters += live
-            live &= iters <= budget
-            if not live.any():
+            passes += 1  # a row still live has taken every pass
+            if passes > budget or not live.any():
                 break
             up = hu > 0.0  # the bracket of a row that is not live no longer matters
             hi = np.where(up, u, hi)
@@ -305,6 +326,7 @@ class LogisticBank(_RowBank):
             step = u - hu / (alpha + gamma_aa * s * (1.0 - s))
             inside = (lo < step) & (step < hi)
             u = np.where(live, np.where(inside, step, 0.5 * (lo + hi)), u)
+            hu, s = h(u)
         scalar |= iters > budget  # the scalar solve raises for these
 
         x = (z + (gamma * y * s)[:, None] * a) / alpha

@@ -106,7 +106,7 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z):
     u = 0.5 * (lo + hi)
     while True:
         hu = h(u)
-        hu_tol = logistic_root_tol(alpha, u, az, gamma * aa)
+        hu_tol = logistic_root_tol(alpha, u, abs(az), gamma * aa)
         if abs(hu) <= hu_tol:
             break
         iters += 1
@@ -130,11 +130,11 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z):
     return ProxResult(x, _logistic_defect(a, y, mu_reg, gamma, z, x), iters)
 
 
-def logistic_root_tol(alpha, u, az, gamma_aa):
-    """max(TOL_LOGISTIC_ROOT, 8 eps (alpha |u| + |a'z| + gamma ||a||^2)),
+def logistic_root_tol(alpha, u, abs_az, gamma_aa):
+    """max(TOL_LOGISTIC_ROOT, 8 eps (alpha |u| + abs_az + gamma ||a||^2)), abs_az = |a'z|,
     elementwise: |h(u)| at which the root counts as found, never below h's rounding."""
     return np.maximum(TOL_LOGISTIC_ROOT,
-                      _ROOT_EPS * (alpha * abs(u) + abs(az) + gamma_aa))
+                      _ROOT_EPS * (alpha * abs(u) + abs_az + gamma_aa))
 
 
 def _logistic_defect(a, y, mu_reg, gamma, z, x):

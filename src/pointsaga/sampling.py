@@ -15,8 +15,8 @@ a partial Fisher-Yates shuffle, so every s-subset is exactly equiprobable.
 
 Output k from a state is mix(state + k * increment), so SplitMix64.block
 computes many outputs in one vector pass. sample_k_subset draws one subset at
-a time; sample_subsets draws the next k subsets of the same stream from
-blocks, and falls back to sample_k_subset for an iteration that holds a
+a time; sample_subsets draws the next k in blocks, shuffled together one swap
+step per numpy pass, and falls back to sample_k_subset for an iteration with a
 rejected draw, so both leave the same subsets and the same final state.
 Both samplers and enumerate_k_subsets take integer sizes (numpy integers
 too) with 1 <= s <= n <= 2^63, so every 0-based index fits int64:
@@ -91,19 +91,19 @@ def sample_k_subset(rng, n, s):
     subset. A draw costs O(s), not O(n).
     """
     n, s = _check_sizes(n, s)
-    return tuple(_partial_shuffle([i + rng.next_below(n - i) for i in range(s)], 1))
+    return tuple(_partial_shuffle([i + rng.next_below(n - i) for i in range(s)]))
 
 
-def _partial_shuffle(targets, base):
-    """The sorted first len(targets) slots of [base, base + 1, ...] after
-    swapping slot i with slot targets[i] >= i, for each i in turn. Only
-    displaced slots are stored (slot j holds j + base otherwise), so this
-    costs O(s)."""
+def _partial_shuffle(targets):
+    """The sorted first len(targets) slots of [1, 2, ...] after swapping
+    slot i with slot targets[i] >= i, for each i in turn (slots count from
+    0). Only displaced slots are stored (slot j holds j + 1 otherwise), so
+    this costs O(s)."""
     displaced = {}
     picked = []
     for i, j in enumerate(targets):
-        picked.append(displaced.get(j, j + base))
-        displaced[j] = displaced.get(i, i + base)
+        picked.append(displaced.get(j, j + 1))
+        displaced[j] = displaced.get(i, i + 1)
     picked.sort()
     return picked
 
@@ -124,27 +124,43 @@ def sample_subsets(rng, n, s, k):
     bounds = np.uint64(n) - offsets
     # A draw u below bound b is rejected iff u > 2^64 - 1 - (2^64 mod b).
     tops = np.array([_MASK64 - (_MASK64 + 1) % (n - i) for i in range(s)], dtype=np.uint64)
-    parts = [np.empty((0, s), dtype=np.uint64)]
+    parts = [np.empty((0, s), dtype=np.int64)]
     done = 0
     while done < k:
         start = rng.state
         u = rng.block((k - done) * s).reshape(-1, s)
         bad = (u > tops).any(axis=1)
         ok = int(bad.argmax()) if bad.any() else len(u)
-        targets = u[:ok] % bounds + offsets
+        targets = (u[:ok] % bounds + offsets).view(np.int64)  # every target is below 2^63
         if s == 1:
             parts.append(targets)
         elif s == n:  # the whole shuffle: every index, whatever the draws
-            parts.append(np.broadcast_to(offsets, targets.shape))
+            parts.append(np.broadcast_to(np.arange(s), targets.shape))
         else:
-            rows = [_partial_shuffle(row, 0) for row in targets.tolist()]
-            parts.append(np.array(rows, dtype=np.uint64).reshape(ok, s))
+            parts.append(_shuffle_rows(targets))
         done += ok
         if ok < len(u):
             rng.state = (start + ok * s * _INC) & _MASK64
-            parts.append(np.array([sample_k_subset(rng, n, s)], dtype=np.uint64) - np.uint64(1))
+            parts.append(np.array([[i - 1 for i in sample_k_subset(rng, n, s)]], dtype=np.int64))
             done += 1
-    return np.concatenate(parts).view(np.int64)
+    return np.concatenate(parts)
+
+
+def _shuffle_rows(targets):
+    """Row r is _partial_shuffle(targets[r]) - 1, one swap step per pass over all k
+    rows. values holds slot i < s in column i, slot j >= s in s + j's rank in its row."""
+    k, s = targets.shape
+    order = targets.argsort(axis=1, kind="stable")
+    ordered = np.take_along_axis(targets, order, axis=1)
+    rank = s + np.cumsum(np.diff(ordered, axis=1, prepend=ordered[:, :1]) != 0, axis=1)
+    values = np.tile(np.arange(2 * s), (k, 1))
+    np.put_along_axis(values, rank, ordered, axis=1)  # slot j starts out holding j
+    cols = np.empty_like(order)  # the column of each step's target
+    np.put_along_axis(cols, order, np.where(ordered < s, ordered, rank), axis=1)
+    rows = np.arange(k)
+    for i, j in enumerate(cols.T):
+        values[rows, j], values[:, i] = values[:, i], values[rows, j]
+    return np.sort(values[:, :s], axis=1)
 
 
 def _check_sizes(n, s):

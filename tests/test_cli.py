@@ -486,7 +486,7 @@ _rates_argv = _flags([("--gamma", _FLOATS), ("--s", _INTS), ("--n", _INTS),
     lambda f: ["rates", *f])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(argv=_run_argv | _sweep_argv | _rates_argv)
 @example(argv=["run", "--seed", "-1", "--iters", "3", "--out", "OUT"])
 @example(argv=["sweep", "--ss", "1", "--threshold", "nan", "--iters", "3", "--out", "OUT"])

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from pointsaga import (
     Dataset,
@@ -217,28 +217,29 @@ def test_quadratic_longdouble_matches_float64_draws():
         assert np.array_equal(c64.c, cld.c.astype(np.float64))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
 def test_quadratic_bank_rows_match_component_prox(dtype):
-    problem = gen_quadratic(GeneratorSpec("quadratic", 9, 5, 1.0, 10.0, seed=6), dtype=dtype)
-    bank = problem.bank
-    assert isinstance(bank, QuadraticBank)
-    bank.prox(0.5, np.arange(9), np.ones((9, 5), dtype=dtype))
-    rng = np.random.default_rng(8)
-    for gamma in (0.03, 0.7, 0.03, 25.0):
-        for s in (1, 4, 9):
-            idx = np.sort(rng.choice(9, size=s, replace=False))
-            Z = (rng.normal(size=(s, 5)) * 10.0).astype(dtype)
-            P, residual = bank.prox(gamma, idx, Z)
-            assert P.dtype == dtype and residual.shape == (s,)
-            for k, i in enumerate(idx):
-                one = problem.components[i].prox(gamma, Z[k])
-                assert np.array_equal(P[k], one.point)
-                assert residual[k] == one.residual
-        M, g_Ac = bank._resolvent(gamma)
-        assert M.dtype == dtype and g_Ac.dtype == dtype
-        for i, comp in enumerate(problem.components):
-            M_i, g_Ac_i = comp._resolvent(gamma)
-            assert np.array_equal(M[i], M_i) and np.array_equal(g_Ac[i], g_Ac_i)
+    for d, mu in ((5, 1.0), (1, 10.0)):  # dim=1 needs mu = L
+        problem = gen_quadratic(GeneratorSpec("quadratic", 9, d, mu, 10.0, seed=6), dtype=dtype)
+        bank = problem.bank
+        assert isinstance(bank, QuadraticBank)
+        bank.prox(0.5, np.arange(9), np.ones((9, d), dtype=dtype))
+        rng = np.random.default_rng(8)
+        for gamma in (0.03, 0.7, 0.03, 25.0):
+            for s in (1, 4, 9):
+                idx = np.sort(rng.choice(9, size=s, replace=False))
+                Z = (rng.normal(size=(s, d)) * 10.0).astype(dtype)
+                P, residual = bank.prox(gamma, idx, Z)
+                assert P.dtype == dtype and residual.shape == (s,)
+                for k, i in enumerate(idx):
+                    one = problem.components[i].prox(gamma, Z[k])
+                    assert np.array_equal(P[k], one.point)
+                    assert residual[k] == one.residual
+            M, g_Ac = bank._resolvent(gamma)
+            assert M.dtype == dtype and g_Ac.dtype == dtype
+            for i, comp in enumerate(problem.components):
+                M_i, g_Ac_i = comp._resolvent(gamma)
+                assert np.array_equal(M[i], M_i) and np.array_equal(g_Ac[i], g_Ac_i)
 
 
 def test_shared_quadratic_prox_is_thread_safe():
@@ -390,6 +391,8 @@ def test_bank_hessian_sum_matches_central_differences(family):
         diffs = np.stack([(full_gradient(problem, x + e) - full_gradient(problem, x - e)) / (2 * h)
                           for e in E], axis=1)
         assert np.allclose(H, diffs, rtol=0, atol=1e-6 * np.abs(H).max())
+        if family != "logistic":  # constant in x, so built once and read-only
+            assert H is bank.hessian_sum(-x) and not H.flags.writeable
 
 
 def test_default_bank_has_no_hessian():
@@ -448,6 +451,20 @@ def test_logistic_bank_prox_matches_component_prox_at_large_gamma():
         assert np.all(residuals <= prox.TOL_PROX * (1.0 + np.sqrt((Z * Z).sum(axis=1))))
 
 
+def _spy_on_hand_off(monkeypatch):
+    """The idx lists a LogisticBank hands to ComponentBank.prox's scalar
+    solve, one per call, recorded as they are handed over."""
+    handed, scalar_prox = [], ComponentBank.prox
+
+    def spy(bank, gamma, idx, Z):
+        if isinstance(bank, LogisticBank):
+            handed.append(idx.tolist())
+        return scalar_prox(bank, gamma, idx, Z)
+
+    monkeypatch.setattr(ComponentBank, "prox", spy)
+    return handed
+
+
 @pytest.mark.parametrize("case", ["zero-row-and-widened-bracket", "bisection-step",
                                   "all-zero-rows", "signed-zero-row"])
 def test_logistic_bank_prox_edge_rows(monkeypatch, case):
@@ -491,7 +508,13 @@ def test_logistic_bank_prox_edge_rows(monkeypatch, case):
         assert hi == az and (1.0 + gamma * mu_reg) * az - az - gamma * aa * sigmoid(-az) == 0.0
     problem = assemble_problem(comps, mu_reg, 10.0, 2)
     idx = np.arange(len(comps))
+    handed = _spy_on_hand_off(monkeypatch)
     P, residuals = problem.bank.prox(gamma, idx, Z)
+    # Zero rows and rows whose derived bracket fails go to the scalar solve, in
+    # one call; the outputs alone cannot show this, as a batched Newton from a
+    # bracket that misses the root still converges to the same bits.
+    assert handed == {"zero-row-and-widened-bracket": [[0, 1]], "bisection-step": [],
+                      "all-zero-rows": [[0, 1, 2]], "signed-zero-row": [[1]]}[case]
     P_loop, residuals_loop = ComponentBank(comps).prox(gamma, idx, Z)
     assert np.array_equal(P, P_loop)
     assert np.array_equal(residuals, residuals_loop)
@@ -534,10 +557,14 @@ def test_logistic_bank_names_first_component_out_of_budget(monkeypatch):
         except MaxInnerIterations:
             fails.append(i + 1)
     assert 1 < fails[0] and len(fails) < 12
+    handed = _spy_on_hand_off(monkeypatch)
     for batch_min in (1, 13):  # batched, then one component at a time
         monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", batch_min)
         with pytest.raises(MaxInnerIterations, match=f"^prox of component {fails[0]}:"):
             problem.bank.prox(gamma, idx, Z)
+    # The batch hands over exactly the rows out of budget, whose scalar solve
+    # raises; below NEWTON_BATCH_MIN every row goes.
+    assert handed == [[i - 1 for i in fails], list(range(12))]
 
 
 def test_logistic_prox_brackets_a_huge_point_without_overflow():
@@ -954,7 +981,6 @@ def _lines_file(line):
     return st.lists(line, max_size=6).map(lambda lines: "\n".join(lines).encode("utf-8"))
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(data=st.binary(max_size=200) | _lines_file(_row) | _lines_file(_row | _junk_row))
 def test_load_libsvm_raises_typed_error_or_has_finite_L(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.txt"

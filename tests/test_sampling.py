@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointsaga.errors import EnumerationTooLarge, InvalidBatchSize
 from pointsaga.sampling import (
@@ -163,6 +164,39 @@ def assert_block_matches_scalar(n, s, seed, k):
 def test_block_sampler_matches_scalar_stream(n, s, seed):
     rows = assert_block_matches_scalar(n, s, seed, 30)
     assert rows.dtype == np.int64
+
+
+@settings(max_examples=200)
+@given(st.integers(3, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1))),
+       st.integers(0, 300), st.integers(0, 2**64 - 1))
+def test_block_shuffle_matches_repeated_scalar_draws(n_s, k, seed):
+    assert_block_matches_scalar(*n_s, seed, k)
+
+
+def swap_targets(seed, n, s, k):
+    """The slots sample_k_subset's next k calls from seed swap with."""
+    rng = SplitMix64(seed)
+    return [[i + rng.next_below(n - i) for i in range(s)] for _ in range(k)]
+
+
+@pytest.mark.parametrize("n,s,blocks", [
+    (1000, 100, (40, 40, 7)),  # run's blocks at s = 100: SUBSET_BLOCK // s rows
+    (2**64 // 3 + 1, 5, (60,)),  # about a third of the slot-0 draws are rejected
+    (2**63, 3, (60,)),
+], ids=["n1000-s100", "rejected-draws", "n2^63"])
+def test_block_shuffle_matches_scalar_stream_across_blocks(n, s, blocks):
+    block, scalar = SplitMix64(21), SplitMix64(21)
+    for k in blocks:
+        rows = sample_subsets(block, n, s, k)
+        assert [tuple(v + 1 for v in row) for row in rows.tolist()] == [
+            sample_k_subset(scalar, n, s) for _ in range(k)]
+        assert block.state == scalar.state
+    if n == 1000:
+        # Some draws swap two slots inside the first s, and some row draws one
+        # slot past them twice, whose two swaps must share that slot's value.
+        targets = swap_targets(21, n, s, sum(blocks))
+        assert any(i < j < s for row in targets for i, j in enumerate(row))
+        assert any(len({j for j in row if j >= s}) < sum(j >= s for j in row) for row in targets)
 
 
 class CountingSplitMix64(SplitMix64):

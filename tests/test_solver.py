@@ -399,7 +399,7 @@ def test_prox_row_decision_ignores_a_huge_row_beside_it(monkeypatch):
             assert _prox_decision(state, problem, 0.1, idx) == expected
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(st.floats(-3.0, 300.0), st.floats(0.0, 2.0)),
                 min_size=2, max_size=5))
 def test_prox_row_decisions_do_not_depend_on_the_subset(rows):
