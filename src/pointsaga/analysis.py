@@ -25,7 +25,6 @@ proxes plus O(C(n, s) * (s * d + n)) vector arithmetic, not C(n, s)
 iterations.
 """
 
-import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -40,16 +39,16 @@ from .errors import (
     MaxIterations,
 )
 from .model import full_gradient
-from .sampling import enumerate_k_subsets
+from .sampling import subset_rows
 
 #: Newton steps reference_solution takes before MaxIterations, and the step
 #: halvings after which it takes x to be at the rounding floor.
 NEWTON_STEPS, HALVINGS = 100, 60
 
-#: Most entries of the table difference _row_errors builds at once. A run
-#: keeps the problem's grad_star beside its table; one whole n-by-d
-#: difference on top of both raised the peak RSS of an n = 20000, d = 50
-#: ridge run from 88.1 to 94.8 MB (2-core x86 VM, numpy 2.4).
+#: Most entries of a block that _row_errors (a table difference) or
+#: gen_quadratic (a stacked QR) builds at once. A run keeps grad_star beside
+#: its table; a whole n-by-d difference on top of both raised the peak RSS of
+#: an n = 20000, d = 50 ridge run from 88.1 to 94.8 MB (2-core x86 VM, numpy 2.4).
 ROW_BLOCK_ENTRIES = 1 << 16
 
 
@@ -272,8 +271,7 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
 
     n = problem.n
     rho = theoretical_rate(gamma, s, n, problem.mu, problem.L).rho
-    subsets = np.fromiter(itertools.chain.from_iterable(enumerate_k_subsets(n, s)), np.intp)
-    subsets = subsets.reshape(-1, s) - 1
+    subsets = subset_rows(n, s)
     rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
     nxt = SolverState(state.t, state.x, state.grad_table.copy(), state.g_avg)

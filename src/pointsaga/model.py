@@ -116,7 +116,7 @@ class FiniteSumProblem:
     ----------
     components : sequence of ComponentFunction
         A tuple, or a ComponentView whose items are built on access from
-        the arrays of a row family's bank.
+        the arrays of a family's bank.
     mu : float
         Strong-convexity modulus shared by every component, > 0.
     L : float

@@ -4,16 +4,19 @@ and ingestion of sparse classification data.
 Generators rescale their data so the shared (mu, L) pair is tight for every
 component; ingested data keeps its scale and gets a conservative L instead.
 All generators are deterministic functions of their spec (same seed, same
-problem to the last bit).
+problem to the last bit). Generators and load_libsvm build each family's
+bank straight from its arrays, with no component object; the problem's
+components are then a view over that bank.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import _dots, _norms, _sum_rows
-from .analysis import _finite, _integral, reference_solution
+from .analysis import ROW_BLOCK_ENTRIES, _finite, _integral, reference_solution
 from .errors import (
     EmptyFile,
     InconsistentDimension,
@@ -48,18 +51,15 @@ NEWTON_BATCH_MIN = 6
 class QuadraticComponent(ComponentFunction):
     """f(x) = (x - c)' A (x - c) / 2 with A = Q diag(eig) Q'.
 
-    The prox solves (I + gamma A) x = z + gamma A c through the
-    eigendecomposition, so it works in any float dtype (including
-    longdouble). It builds the resolvent (I + gamma A)^{-1} on every call and
-    keeps no state; a QuadraticBank caches the stack of these resolvents.
+    A and A c come from the helper that QuadraticBank stacks; a bank's own
+    component reads the bank's. The prox solves (I + gamma A) x = z + gamma
+    A c through the eigendecomposition, in any float dtype (longdouble too),
+    building (I + gamma A)^{-1} on every call; a bank caches the stack of them.
     """
 
     def __init__(self, Q, eig, c):
-        self.Q = np.asarray(Q)
-        self.eig = np.asarray(eig)
-        self.c = np.asarray(c)
-        self.A = (self.Q * self.eig) @ self.Q.T
-        self._Ac = self.A @ self.c
+        self.Q, self.eig, self.c = np.asarray(Q), np.asarray(eig), np.asarray(c)
+        self.A, self._Ac = _hessians(self.Q, self.eig, self.c)
 
     def gradient(self, x):
         return self.A @ x - self._Ac
@@ -76,11 +76,17 @@ class QuadraticComponent(ComponentFunction):
 
     @classmethod
     def stack(cls, components):
-        kinds = {(c.A.shape, c.A.dtype, c._Ac.dtype, c.Q.dtype, c.eig.dtype)
-                 for c in components}
+        arrays = [(c.Q, c.eig, c.c) for c in components]  # what the bank stacks
+        kinds = {tuple((a.shape, a.dtype) for a in q) for q in arrays}
         if cls is QuadraticComponent and len(kinds) == 1:
-            return QuadraticBank(components)
+            return QuadraticBank(*map(np.stack, zip(*arrays)))
         return super().stack(components)  # a subclass may have its own oracles
+
+
+def _hessians(Q, eig, c):
+    """A = Q diag(eig) Q' and A c; on stacks, each bitwise as if alone."""
+    A = (Q * eig[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    return A, _matvecs(A, c)
 
 
 def _resolvents(Q, eig, gamma):
@@ -88,19 +94,39 @@ def _resolvents(Q, eig, gamma):
     return (Q * (1.0 / (1.0 + gamma * eig))[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
-class QuadraticBank(ComponentBank):
-    """Quadratic components of one shape and dtype, stacked so that one call
-    proxes a whole subset. Row k of the result is bitwise what
-    ``components[idx[k]].prox`` returns: the same operations in the same
-    order, with the matmuls batched through matmul's per-matrix loop. One
-    cache holds the last gamma's n resolvents, one product over the Q and eig
-    stacked at the first prox. The Hessian sum is built once."""
+class _ArrayBank(ComponentBank):
+    """A bank that owns its components' arrays, stacked on the first axis and
+    read-only, so no component can change under it. Its ``components`` is a
+    ComponentView: item i, ``component(i)``, reads the bank's own slices."""
 
-    def __init__(self, components):
-        super().__init__(components)
-        self.A = np.stack([c.A for c in components])
-        self.Ac = np.stack([c._Ac for c in components])
+    def __init__(self, *arrays):
+        for array in arrays:
+            array.flags.writeable = False
+        self._n = len(arrays[0])
+
+    @property
+    def components(self):
+        return ComponentView(self, self._n)
+
+
+class QuadraticBank(_ArrayBank):
+    """Quadratic components as stacks of Q, eig and c, with A and A c built in
+    one stacked product each by the component's own helper. One call proxes
+    a subset: row k is bitwise ``components[idx[k]].prox``, the same
+    operations in the same order, batched through matmul's per-matrix loop.
+    One cache holds the last gamma's n resolvents, one stacked product, and
+    the Hessian sum is built once. A view's component reads A and A c too."""
+
+    def __init__(self, Q, eig, c):
+        self.A, self.Ac = _hessians(Q, eig, c)
+        self.Q, self.eig, self.c = Q, eig, c
+        super().__init__(Q, eig, c, self.A, self.Ac)
         self._cache = (None, None, None)
+
+    def component(self, i):
+        comp = QuadraticComponent.__new__(QuadraticComponent)
+        vars(comp).update(Q=self.Q[i], eig=self.eig[i], c=self.c[i], A=self.A[i], _Ac=self.Ac[i])
+        return comp
 
     def gradients(self, x):
         return self.A @ x - self.Ac
@@ -116,14 +142,10 @@ class QuadraticBank(ComponentBank):
         H.flags.writeable = False
         return H
 
-    @functools.cached_property
-    def _spectra(self):
-        return np.stack([c.Q for c in self.components]), np.stack([c.eig for c in self.components])
-
     def _resolvent(self, gamma):
         cache = self._cache
         if cache[0] != gamma:
-            cache = self._cache = (gamma, _resolvents(*self._spectra, gamma), gamma * self.Ac)
+            cache = self._cache = (gamma, _resolvents(self.Q, self.eig, gamma), gamma * self.Ac)
         return cache[1], cache[2]
 
     def prox(self, gamma, idx, Z):
@@ -135,8 +157,8 @@ class QuadraticBank(ComponentBank):
 
 
 def _matvecs(M, V):
-    """Row k is M[k] @ V[k]."""
-    return (M @ V[:, :, None])[:, :, 0]
+    """Row k is M[k] @ V[k]; M @ V for one matrix and one vector."""
+    return (M @ V[..., None])[..., 0]
 
 
 def _sigmoids(v):
@@ -160,21 +182,14 @@ def _stack_rows(cls, family, bank, components):
     return ComponentBank(components)
 
 
-class _RowBank(ComponentBank):
+class _RowBank(_ArrayBank):
     """Components f_i built on a data row a_i and label y_i, held as one n-by-d
-    row matrix, a label vector of its dtype and the mu_reg they share. The
-    bank owns both arrays and makes them read-only, so no component can
-    change under it. Its ``components`` is a ComponentView whose item i,
-    ``family(rows[i], labels[i], mu_reg)``, is built on access and reads
-    the bank's own row."""
+    row matrix, a label vector of its dtype and the mu_reg they share. Item
+    i of its view is ``family(rows[i], labels[i], mu_reg)``."""
 
     def __init__(self, rows, labels, mu_reg):
-        rows.flags.writeable = labels.flags.writeable = False
         self.rows, self.labels, self.mu_reg = rows, labels, mu_reg
-
-    @property
-    def components(self):
-        return ComponentView(self, len(self.labels))
+        super().__init__(rows, labels)
 
     def component(self, i):
         return self.family(self.rows[i], self.labels[i], self.mu_reg)
@@ -429,24 +444,21 @@ def gen_quadratic(spec, dtype=np.float64):
         raise InvalidSpec(f"expected family 'quadratic', got {spec.family!r}")
     if spec.dim == 1 and spec.mu != spec.L:
         raise InvalidSpec("dim=1 cannot contain both spectrum endpoints unless mu == L")
-    rng = np.random.default_rng(spec.seed)
-    comps = []
-    for _ in range(spec.n):
-        G = rng.normal(size=(spec.dim, spec.dim))
-        Q, R = np.linalg.qr(G)
-        Q = Q * np.sign(np.diag(R))
-        if spec.dim == 1:
-            eig = np.array([spec.mu])
-        else:
-            eig = np.concatenate(
-                [[spec.mu, spec.L], rng.uniform(spec.mu, spec.L, size=spec.dim - 2)]
-            )
-        c = rng.normal(size=spec.dim)
-        comps.append(
-            QuadraticComponent(Q.astype(dtype), eig.astype(dtype), c.astype(dtype))
-        )
-    problem = assemble_problem(comps, spec.mu, spec.L, spec.dim)
-    return _planted(problem, spec)
+    n, d, rng = spec.n, spec.dim, np.random.default_rng(spec.seed)
+    Q, c = np.empty((n, d, d)), np.empty((n, d))
+    eig = np.empty((n, d), dtype=np.result_type(spec.mu, spec.L, np.float64))
+    eig[:, :2] = [spec.mu, spec.L][:d]
+    for i in range(n):  # component by component: the order the seed's stream is read in
+        Q[i] = rng.normal(size=(d, d))
+        eig[i, 2:] = rng.uniform(spec.mu, spec.L, size=max(d - 2, 0))
+        c[i] = rng.normal(size=d)
+    # QRs in blocks, which bound their temporaries; the factors overwrite the draws.
+    block = max(1, ROW_BLOCK_ENTRIES // (d * d))
+    for start in range(0, n, block):
+        q, R = np.linalg.qr(Q[start:start + block])
+        Q[start:start + block] = q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    Q, eig, c = (a.astype(dtype, copy=False) for a in (Q, eig, c))  # drops Q's draws before A
+    return _planted(assemble_problem(QuadraticBank(Q, eig, c).components, spec.mu, spec.L, d), spec)
 
 
 def gen_ridge_regression(spec, dtype=np.float64):
@@ -534,7 +546,7 @@ def load_libsvm(path, mu):
                     raise ParseError(
                         line_no, f"indices must increase strictly, got {idx} after {prev}"
                     )
-                if not np.isfinite(val):
+                if not math.isfinite(val):
                     raise ParseError(line_no, f"non-finite value {val_str!r}")
                 idxs.append(idx)
                 vals.append(val)

@@ -23,7 +23,6 @@ too) with 1 <= s <= n <= 2^63, so every 0-based index fits int64:
 sample_subsets returns int64 rows.
 """
 
-import itertools
 import math
 import operator
 
@@ -179,8 +178,19 @@ def _check_sizes(n, s):
 def enumerate_k_subsets(n, s):
     """All C(n, s) subsets exactly once, in lexicographic order, each a
     strictly increasing tuple of 1-based indices."""
+    return list(map(tuple, (subset_rows(n, s) + 1).tolist()))
+
+
+def subset_rows(n, s):
+    """enumerate_k_subsets(n, s) minus 1 as a (C(n, s), s) int array, one column
+    per pass until each prefix has one completion, which counts up from it."""
     n, s = _check_sizes(n, s)
     total = math.comb(n, s)
     if total > ENUMERATION_CAP:
         raise EnumerationTooLarge(f"C({n}, {s}) = {total} exceeds cap {ENUMERATION_CAP}")
-    return list(itertools.combinations(range(1, n + 1), s))
+    rows = np.arange(n - s + 1)[:, None]
+    while len(rows) < total:
+        counts = n - s + rows.shape[1] - rows[:, -1]  # entries last + 1 .. n - s + width
+        offsets = np.repeat(np.cumsum(counts) - counts - rows[:, -1] - 1, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), np.arange(len(offsets)) - offsets])
+    return np.hstack([rows, rows[:, -1:] + np.arange(1, s - rows.shape[1] + 1)])

@@ -141,10 +141,11 @@ def test_spec_accepts_specs_at_the_dense_cap():
 
 
 def test_each_problem_builds_its_bank_once(monkeypatch, tmp_path):
-    # Attaching the minimizer keeps the bank the problem was built with. Row
-    # banks are built from their arrays, not through ComponentBank.__init__.
+    # Attaching the minimizer keeps the bank the problem was built with.
+    # Quadratic and row banks are built from their arrays, not through
+    # ComponentBank.__init__.
     built = []
-    for cls in (ComponentBank, problems._RowBank):
+    for cls in (ComponentBank, QuadraticBank, problems._RowBank):
         def counting_init(self, *args, init=cls.__init__):
             built.append(type(self))
             init(self, *args)
@@ -205,6 +206,46 @@ def test_quadratic_deterministic_in_seed():
         assert np.array_equal(c1.A, c2.A)
         assert np.array_equal(c1.c, c2.c)
     assert np.array_equal(p1.known_solution, p2.known_solution)
+
+
+def _quadratic_one_at_a_time(spec, dtype):
+    """gen_quadratic's (Q, eig, c, A, A c) as built one component at a time,
+    with A and A c from the 2-d formulas."""
+    rng = np.random.default_rng(spec.seed)
+    out = []
+    for _ in range(spec.n):
+        G = rng.normal(size=(spec.dim, spec.dim))
+        Q, R = np.linalg.qr(G)
+        Q = Q * np.sign(np.diag(R))
+        if spec.dim == 1:
+            eig = np.array([spec.mu])
+        else:
+            eig = np.concatenate(
+                [[spec.mu, spec.L], rng.uniform(spec.mu, spec.L, size=spec.dim - 2)]
+            )
+        c = rng.normal(size=spec.dim)
+        Q, eig, c = Q.astype(dtype), eig.astype(dtype), c.astype(dtype)
+        A = (Q * eig) @ Q.T
+        out.append((Q, eig, c, A, A @ c))
+    return [np.stack(arrays) for arrays in zip(*out)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_quadratic_generator_matches_one_component_at_a_time(dtype, d):
+    spec = GeneratorSpec("quadratic", 9, d, 10.0 if d == 1 else 1.0, 10.0, seed=d)
+    problem = gen_quadratic(spec, dtype=dtype)
+    bank = problem.bank
+    Q, eig, c, A, Ac = _quadratic_one_at_a_time(spec, dtype)
+    for got, want in zip((bank.Q, bank.eig, bank.c, bank.A, bank.Ac), (Q, eig, c, A, Ac)):
+        assert_bitwise(got, want)
+    # The minimizer from the same Newton solve over the same arrays, and its
+    # gradients from the 2-d formula.
+    oracle = assemble_problem(
+        [QuadraticComponent(*arrays) for arrays in zip(Q, eig, c)], spec.mu, spec.L, d)
+    assert_bitwise(problem.known_solution, reference_solution(oracle))
+    assert_bitwise(problem.grad_star,
+                   np.stack([A_i @ problem.known_solution - Ac_i for A_i, Ac_i in zip(A, Ac)]))
 
 
 def test_quadratic_longdouble_matches_float64_draws():
@@ -296,6 +337,14 @@ def test_prox_bank_needs_one_quadratic_shape_and_dtype():
     bank = assemble_problem([quad(2), quad(2, np.longdouble)], 1.0, 1.0, 2).bank
     assert type(bank) is ComponentBank
     assert type(assemble_problem([quad(2), quad(3)], 1.0, 1.0, 2).bank) is ComponentBank
+    # A has one shape here, but Q and eig do not: the bank could not stack them.
+    thin = QuadraticComponent([[1.0], [0.0]], np.ones(1), np.zeros(2))
+    problem = assemble_problem([quad(2), thin], 0.5, 1.0, 2)
+    assert type(problem.bank) is ComponentBank
+    P, residuals = problem.bank.prox(0.5, np.arange(2), np.ones((2, 2)))
+    assert np.array_equal(P[1], thin.prox(0.5, np.ones(2)).point)
+    narrow_c = QuadraticComponent(np.eye(2), np.ones(2), np.zeros(2, dtype=np.float32))
+    assert type(assemble_problem([quad(2), narrow_c], 1.0, 1.0, 2).bank) is ComponentBank
     ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 3, 2, 0.1, 1.0, seed=1))
     assert type(ridge.bank) is RidgeBank
     mixed = assemble_problem([quad(2), ridge.components[0]], 0.1, 1.0, 2)
@@ -618,6 +667,12 @@ def test_row_bank_gradients_keep_the_component_dtype(family):
 # --- row banks built from their arrays ------------------------------------------------
 
 _ROW_KINDS = ["ridge-float32", "ridge-float64", "ridge-longdouble", "logistic", "libsvm"]
+_BANK_KINDS = _ROW_KINDS + ["quadratic-float32", "quadratic-longdouble"]
+
+#: Each bank's own arrays, by bank attribute, and the component attribute that
+#: holds the component's slice of each.
+_OWNED = {RidgeBank: {"rows": "a"}, LogisticBank: {"rows": "a"},
+          QuadraticBank: {"Q": "Q", "eig": "eig", "c": "c", "A": "A", "Ac": "_Ac"}}
 
 
 def _libsvm_problem(tmp_path):
@@ -634,7 +689,10 @@ def _libsvm_problem(tmp_path):
 
 
 def _row_kind_problem(kind, tmp_path):
-    """A 12-row problem of the row family kind names."""
+    """A 12-component problem of the family kind names."""
+    if kind.startswith("quadratic"):
+        spec = GeneratorSpec("quadratic", 12, 4, 1.0, 10.0, seed=2)
+        return gen_quadratic(spec, dtype=getattr(np, kind.split("-")[1]))
     if kind == "libsvm":
         return _libsvm_problem(tmp_path)[1]
     if kind == "logistic":
@@ -644,36 +702,55 @@ def _row_kind_problem(kind, tmp_path):
 
 def test_generators_and_loader_build_no_component_objects(monkeypatch, tmp_path):
     built = []
-    for cls in (RankOneRidgeComponent, LogisticRidgeComponent):
+    for cls in (RankOneRidgeComponent, LogisticRidgeComponent, QuadraticComponent):
         def counting_init(self, *args, init=cls.__init__):
             built.append(type(self))
             init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
+    hessians = []
+    monkeypatch.setattr(problems, "_hessians",
+                        lambda *a, f=problems._hessians: hessians.append(1) or f(*a))
     ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 50, 4, 0.3, 5.0, seed=1))
     logistic = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 50, 4, 0.3, 5.0, seed=1))
     _, loaded = _libsvm_problem(tmp_path)
+    quadratic = gen_quadratic(GeneratorSpec("quadratic", 50, 4, 0.3, 5.0, seed=1))
     assert ridge.known_solution is not None and logistic.known_solution is not None
-    assert built == []
+    assert quadratic.known_solution is not None
+    assert built == [] and hessians == [1]  # the quadratic bank's one stacked product
     # A component is built when it is read, one per access.
     ridge.components[3], logistic.components[-1], loaded.components[0]
     assert built == [RankOneRidgeComponent, LogisticRidgeComponent, LogisticRidgeComponent]
+    # A quadratic one takes the bank's A and A c rather than building its own.
+    first, again = quadratic.components[7], quadratic.components[7]
+    assert type(first) is QuadraticComponent and first is not again
+    assert np.shares_memory(first.A, quadratic.bank.A)
+    assert np.shares_memory(first._Ac, quadratic.bank.Ac)
+    assert len(built) == 3 and hessians == [1]
 
 
-@pytest.mark.parametrize("kind", _ROW_KINDS)
+@pytest.mark.parametrize("kind", _BANK_KINDS)
 def test_row_components_are_a_view_over_the_bank(kind, tmp_path):
     problem = _row_kind_problem(kind, tmp_path)
     comps, bank = problem.components, problem.bank
     assert len(comps) == problem.n == 12
+    owned = _OWNED[type(bank)]
     for i in (0, 5, -1):
         comp = comps[i]
-        assert type(comp) is bank.family
-        assert np.shares_memory(comp.a, bank.rows) and np.array_equal(comp.a, bank.rows[i])
-        assert comp.y == bank.labels[i] and comp.mu_reg is bank.mu_reg
+        assert type(comp) is getattr(bank, "family", QuadraticComponent)
+        for name, attr in owned.items():
+            array = getattr(bank, name)
+            assert np.shares_memory(getattr(comp, attr), array)
+            assert_bitwise(getattr(comp, attr), array[i])
+        if hasattr(bank, "labels"):
+            assert comp.y == bank.labels[i] and comp.mu_reg is bank.mu_reg
     part = comps[2:9:3]
     assert type(part) is tuple and len(part) == 3
-    assert [c.y for c in part] == [comps[i].y for i in (2, 5, 8)]
-    assert [c.y for c in comps] == [comps[i].y for i in range(12)]
+    first = next(iter(owned.values()))  # the rows, or Q
+    assert all(np.array_equal(getattr(c, first), getattr(comps[i], first))
+               for c, i in zip(part, (2, 5, 8)))
+    assert all(np.array_equal(getattr(c, first), getattr(comps[i], first))
+               for i, c in enumerate(comps))
     with pytest.raises(IndexError):
         comps[12]
     with pytest.raises(TypeError):
@@ -685,15 +762,17 @@ def test_row_components_are_a_view_over_the_bank(kind, tmp_path):
     assert assemble_problem(comps, problem.mu, problem.L, problem.dim).bank is bank
 
 
-@pytest.mark.parametrize("kind", _ROW_KINDS)
+@pytest.mark.parametrize("kind", _BANK_KINDS)
 def test_row_matrix_is_read_only(kind, tmp_path):
     problem = _row_kind_problem(kind, tmp_path)
-    for array in (problem.bank.rows, problem.bank.labels, problem.components[0].a):
-        assert not array.flags.writeable
-    with pytest.raises(ValueError):
-        problem.components[0].a[0] = 1.0
-    with pytest.raises(ValueError):
-        problem.bank.rows[0, 0] += 1.0
+    bank, comp = problem.bank, problem.components[0]
+    for name, attr in _OWNED[type(bank)].items():
+        for array in (getattr(bank, name), getattr(comp, attr)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] += 1.0
+    if hasattr(bank, "labels"):
+        assert not bank.labels.flags.writeable
 
 
 def test_loaded_rows_cannot_go_stale(tmp_path):
@@ -717,26 +796,30 @@ def test_loaded_rows_cannot_go_stale(tmp_path):
     assert np.array_equal(P, P_loop) and np.array_equal(residuals, residuals_loop)
 
 
-@pytest.mark.parametrize("kind", _ROW_KINDS)
+@pytest.mark.parametrize("kind", _BANK_KINDS)
 def test_reassembled_row_components_give_the_same_bank(kind, tmp_path):
-    # A user's tuple of the same components takes _stack_rows' path, which
-    # copies the rows into a bank of its own: bitwise the bank built first.
+    # A user's tuple of the same components takes the stack path, which
+    # copies their arrays into a bank of its own (and builds the quadratic
+    # bank's A and A c again): bitwise the bank built first.
     problem = _row_kind_problem(kind, tmp_path)
     bank = problem.bank
     again = assemble_problem(list(problem.components), problem.mu, problem.L,
                              problem.dim).bank
     assert type(again) is type(bank) and again is not bank
-    assert not np.shares_memory(again.rows, bank.rows)
-    assert_bitwise(again.rows, bank.rows)
-    assert_bitwise(again.labels, bank.labels)
-    assert type(again.mu_reg) is type(bank.mu_reg) and again.mu_reg == bank.mu_reg
-    x = np.linspace(-1.0, 1.0, problem.dim).astype(bank.rows.dtype)
+    for name in _OWNED[type(bank)]:
+        assert not np.shares_memory(getattr(again, name), getattr(bank, name))
+        assert_bitwise(getattr(again, name), getattr(bank, name))
+    if hasattr(bank, "labels"):
+        assert_bitwise(again.labels, bank.labels)
+        assert type(again.mu_reg) is type(bank.mu_reg) and again.mu_reg == bank.mu_reg
+    x = np.linspace(-1.0, 1.0, problem.dim).astype(bank.Q.dtype if hasattr(bank, "Q")
+                                                    else bank.rows.dtype)
     assert_bitwise(again.gradients(x), bank.gradients(x))
     assert_bitwise(again.hessian_sum(x), bank.hessian_sum(x))
     rng = np.random.default_rng(7)
     for s in (1, 8):
         idx = np.sort(rng.choice(problem.n, size=s, replace=False))
-        Z = (rng.normal(size=(s, problem.dim)) * 3.0).astype(bank.rows.dtype)
+        Z = (rng.normal(size=(s, problem.dim)) * 3.0).astype(x.dtype)
         for got, want in zip(again.prox(0.3, idx, Z), bank.prox(0.3, idx, Z)):
             assert_bitwise(got, want)
 

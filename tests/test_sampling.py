@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from pointsaga.sampling import (
     enumerate_k_subsets,
     sample_k_subset,
     sample_subsets,
+    subset_rows,
 )
 
 
@@ -110,8 +112,21 @@ def test_enumeration_rejects_s_out_of_range(s):
 
 
 def test_enumeration_cap():
-    with pytest.raises(EnumerationTooLarge):
-        enumerate_k_subsets(30, 15)
+    for enumerate_ in (enumerate_k_subsets, subset_rows):
+        with pytest.raises(EnumerationTooLarge):
+            enumerate_(30, 15)
+
+
+def test_subset_rows_are_the_lexicographic_combinations():
+    # itertools' combinations are the reference order; the array is built
+    # column by column, and its forced tail (s near n) all at once.
+    for n in range(1, 11):
+        for s in range(1, n + 1):
+            rows = subset_rows(n, s)
+            assert rows.dtype == np.intp and rows.shape == (math.comb(n, s), s)
+            assert rows.tolist() == [list(c) for c in itertools.combinations(range(n), s)]
+            assert enumerate_k_subsets(n, s) == [tuple(r + 1 for r in row) for row in rows.tolist()]
+    assert subset_rows(10**6, 1).ravel().tolist() == list(range(10**6))
 
 
 def dense_sample_k_subset(rng, n, s):
