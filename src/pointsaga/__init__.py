@@ -41,7 +41,7 @@ from .prox import (
     prox_logistic_ridge,
     prox_rank_one_quadratic,
 )
-from .sampling import SplitMix64, enumerate_k_subsets, sample_k_subset
+from .sampling import SplitMix64, sample_k_subset
 from .solver import (
     SolverConfig,
     SolverState,

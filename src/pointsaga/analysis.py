@@ -12,10 +12,10 @@ and the certified quantity is the weighted energy
     w_x = (1 + 2 g mu L / (L + mu)) * s,
     w_g = (1 + 2 / (g (L + mu))) * g^2.
 
-The table term is summed in index order, i = 1..n, over the per-row squared
-errors r_i = ||g_i - grad f_i(x*)||^2, each a 1-d dot. So solver.run, which
-recomputes r_i only for the rows an iteration writes, scores every record
-bitwise as `lyapunov` scores the same state.
+The table term is numpy's sum of the per-row squared errors
+r_i = ||g_i - grad f_i(x*)||^2, each a 1-d dot. LyapunovWeights.score is the
+one copy of the formula, so solver.run, which recomputes r_i only for the
+rows an iteration writes, scores every record bitwise as `lyapunov` does.
 
 Averaged over all C(n, s) equally likely subsets, one iteration maps Psi to
 at most rho * Psi; `verify_one_step_contraction` computes that average
@@ -26,7 +26,6 @@ iterations.
 """
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,6 +36,8 @@ from .errors import (
     EpsNotBelowPsi0,
     InvalidConstants,
     MaxIterations,
+    _check_constants,
+    _finite,
 )
 from .model import full_gradient
 from .sampling import subset_rows
@@ -50,34 +51,6 @@ NEWTON_STEPS, HALVINGS = 100, 60
 #: its table; a whole n-by-d difference on top of both raised the peak RSS of
 #: an n = 20000, d = 50 ridge run from 88.1 to 94.8 MB (2-core x86 VM, numpy 2.4).
 ROW_BLOCK_ENTRIES = 1 << 16
-
-
-def _finite(value):
-    """True for a finite real number; False for inf, NaN and non-numbers."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
-
-
-def _integral(value):
-    """True for a Python or numpy integer; False for floats and non-numbers."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
-
-
-def _check_constants(mu, L, gamma=None, s=None, n=None):
-    if not (_finite(mu) and _finite(L) and 0 < mu <= L):
-        raise InvalidConstants(f"need finite 0 < mu <= L, got mu={mu}, L={L}")
-    if gamma is not None and not (_finite(gamma) and gamma > 0):
-        raise InvalidConstants(f"gamma must be finite and > 0, got {gamma}")
-    if n is not None and n < 1:
-        raise InvalidConstants(f"n must be >= 1, got {n}")
-    if s is not None and not 1 <= s <= (n if n is not None else s):
-        raise InvalidConstants(f"need 1 <= s <= n, got s={s}, n={n}")
 
 
 @dataclass
@@ -117,12 +90,17 @@ class LyapunovWeights:
             raise InvalidConstants(f"Lyapunov weights overflow at gamma={gamma}")
         return cls(w_x, w_g)
 
+    def score(self, dist_sq, row_errors):
+        """Psi from ||x - x*||^2 and the per-row table errors, which are
+        summed over their last axis: a stack of states scores elementwise."""
+        return self.w_x * dist_sq + self.w_g * row_errors.sum(axis=-1)
+
     def psi(self, state, x_star, grad_star):
         """Psi of the state's iterate and gradient table about the solution
         x_star, whose component gradients are the rows of grad_star. Shapes
         are not checked; lyapunov checks them."""
         d = state.x - x_star
-        return self.w_x * (d @ d) + self.w_g * _row_errors(state.grad_table, grad_star).sum()
+        return self.score(d @ d, _row_errors(state.grad_table, grad_star))
 
 
 def _row_errors(table, grad_star):
@@ -285,7 +263,7 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
         dx = np.add.reduce(P[S], axis=1) / S.shape[1] - x_star  # _advance's mean
         errors = np.repeat(kept[None, :], len(S), axis=0)
         np.put_along_axis(errors, S, moved[S], axis=1)
-        psi = w.w_x * _dots(dx, dx) + w.w_g * errors.sum(axis=1)
+        psi = w.score(_dots(dx, dx), errors)
         # Added on in enumeration order, in psi's dtype: accumulate is a
         # sequential sum, so total is what adding one subset at a time gives.
         psi[0] += total
@@ -326,17 +304,17 @@ def consensus_dr_run(problem, gamma, x0, g0, iters):
         u_i <- u_i + v - w_i
 
     started from u_i = x0 + gamma (g0_i - mean(g0)). The reported iterate at
-    step t is mean_i w_i. Coded independently of the solver module as an
+    step t is mean_i w_i. An iteration's n proxes are one call of the
+    problem's bank. Coded independently of the solver module as an
     equivalence oracle for the s = n regime.
     """
     x0 = problem.check_point(x0)
     g0 = np.asarray(g0, dtype=x0.dtype)
     u = x0[None, :] + gamma * (g0 - g0.mean(axis=0)[None, :])
     out = [x0.copy()]
-    w = np.empty_like(u)
+    idx = np.arange(problem.n)
     for _ in range(iters):
-        for i, comp in enumerate(problem.components):
-            w[i] = comp.prox(gamma, u[i]).point
+        w = problem.bank.prox(gamma, idx, u)[0]
         v = (2.0 * w - u).mean(axis=0)
         u = u + v[None, :] - w
         out.append(w.mean(axis=0))

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .analysis import _finite, reference_solution, theoretical_rate
+from .analysis import reference_solution, theoretical_rate
 from .errors import (
     EmptyFile,
     InconsistentDimension,
@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     PointSagaError,
     ProxFailure,
+    _finite,
 )
 from .problems import GeneratorSpec, gen_logistic_ridge, gen_quadratic, gen_ridge_regression, load_libsvm
 from .solver import SolverConfig, run

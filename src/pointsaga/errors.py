@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the scalar checks behind them."""
+
+import math
+import operator
 
 
 class PointSagaError(Exception):
@@ -76,3 +79,31 @@ class InconsistentDimension(PointSagaError, ValueError):
 
 class EpsNotBelowPsi0(PointSagaError, ValueError):
     """Target accuracy must satisfy 0 < eps <= psi0."""
+
+
+def _finite(value):
+    """True for a finite real number; False for inf, NaN and non-numbers."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
+def _integral(value):
+    """True for a Python or numpy integer; False for floats and non-numbers."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _check_constants(mu, L, gamma=None, s=None, n=None):
+    if not (_finite(mu) and _finite(L) and 0 < mu <= L):
+        raise InvalidConstants(f"need finite 0 < mu <= L, got mu={mu}, L={L}")
+    if gamma is not None and not (_finite(gamma) and gamma > 0):
+        raise InvalidConstants(f"gamma must be finite and > 0, got {gamma}")
+    if n is not None and n < 1:
+        raise InvalidConstants(f"n must be >= 1, got {n}")
+    if s is not None and not 1 <= s <= (n if n is not None else s):
+        raise InvalidConstants(f"need 1 <= s <= n, got s={s}, n={n}")

@@ -5,7 +5,8 @@ mu-strongly convex with an L-Lipschitz gradient, sharing one (mu, L) pair.
 Its components are evaluated through its bank: the per-component
 ComponentBank, or a family's batched subclass with bitwise the same results.
 Only family banks sum Hessians, so other problems must declare known_solution.
-A bank that holds its components as arrays hands them out as a ComponentView.
+A family bank that owns its components' arrays is also their read-only
+sequence, and a problem built on one has that bank as its components.
 """
 
 import copy
@@ -24,6 +25,7 @@ from .errors import (
     InvalidKnownSolution,
     InvalidSpec,
     MaxInnerIterations,
+    _check_constants,
 )
 
 #: Absolute tolerance on ||sum_i grad f_i(x*)|| / n for declared minimizers.
@@ -89,23 +91,28 @@ class ComponentBank:
         return P, np.array(residuals)
 
 
-class ComponentView(Sequence):
-    """The n components of a bank that holds them as arrays, as a read-only
-    sequence: item i is ``bank.component(i)``, built on access, and a slice
-    is a tuple of them. A FiniteSumProblem given one evaluates through its
-    bank. The bank does not keep its view, so the two form no cycle."""
+class _ArrayBank(ComponentBank, Sequence):
+    """A bank that owns its components' arrays, stacked on the first axis and
+    read-only, so no component can change under it. It is the read-only
+    sequence of its components too: item i is ``component(i)``, built on
+    access from the bank's own slices, and a slice is a tuple of them."""
 
-    def __init__(self, bank, n):
-        self.bank = bank
-        self._n = n
+    def __init__(self, *arrays):
+        for array in arrays:
+            array.flags.writeable = False
+        self._n = len(arrays[0])
+
+    @property
+    def components(self):
+        return self
 
     def __len__(self):
         return self._n
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.bank.component, range(*i.indices(self._n))))
-        return self.bank.component(operator.index(i))
+            return tuple(map(self.component, range(*i.indices(self._n))))
+        return self.component(operator.index(i))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +122,8 @@ class FiniteSumProblem:
     Attributes
     ----------
     components : sequence of ComponentFunction
-        A tuple, or a ComponentView whose items are built on access from
-        the arrays of a family's bank.
+        A tuple, or a family bank that owns its components' arrays, whose
+        items are built on access from them.
     mu : float
         Strong-convexity modulus shared by every component, > 0.
     L : float
@@ -126,8 +133,8 @@ class FiniteSumProblem:
     known_solution : ndarray or None
         Minimizer of the sum, when available. Validated for stationarity.
     bank : ComponentBank
-        A ComponentView's own bank; otherwise the components' ``stack`` when
-        all share one class, else the default.
+        The components themselves when they are such a bank; otherwise the
+        components' ``stack`` when all share one class, else the default.
     grad_star : ndarray or None
         Read-only n-by-d table whose row i is grad f_i(known_solution), in
         the bank's dtype at known_solution's dtype; None without a known
@@ -146,12 +153,11 @@ class FiniteSumProblem:
     def __post_init__(self):
         if len(self.components) == 0:
             raise EmptyComponentList("need at least one component")
-        if not (0 < self.mu <= self.L):
-            raise InvalidConstants(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
+        _check_constants(self.mu, self.L)
         if self.dim < 1:
             raise InvalidConstants(f"dim must be >= 1, got {self.dim}")
-        if isinstance(self.components, ComponentView):
-            bank = self.components.bank
+        if isinstance(self.components, _ArrayBank):
+            bank = self.components
         else:
             kinds = {type(c) for c in self.components}
             stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
@@ -201,11 +207,11 @@ class FiniteSumProblem:
 def assemble_problem(components, mu, L, dim):
     """Validate and pack components into a FiniteSumProblem.
 
-    A ComponentView is kept as it is, with its bank; any other iterable is
-    packed into a tuple. The known solution is left unset;
+    A family bank that owns its components' arrays is kept as it is; any
+    other iterable is packed into a tuple. The known solution is left unset;
     ``with_known_solution`` attaches one.
     """
-    if not isinstance(components, ComponentView):
+    if not isinstance(components, _ArrayBank):
         components = tuple(components)
     return FiniteSumProblem(components, float(mu), float(L), int(dim))
 

@@ -5,8 +5,8 @@ Generators rescale their data so the shared (mu, L) pair is tight for every
 component; ingested data keeps its scale and gets a conservative L instead.
 All generators are deterministic functions of their spec (same seed, same
 problem to the last bit). Generators and load_libsvm build each family's
-bank straight from its arrays, with no component object; the problem's
-components are then a view over that bank.
+bank straight from its arrays, with no component object, and the bank is
+the problem's components: item i is built only when it is read.
 """
 
 import functools
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _dots, _norms, _sum_rows
-from .analysis import ROW_BLOCK_ENTRIES, _finite, _integral, reference_solution
+from .analysis import ROW_BLOCK_ENTRIES, reference_solution
 from .errors import (
     EmptyFile,
     InconsistentDimension,
@@ -24,9 +24,11 @@ from .errors import (
     InvalidKnownSolution,
     InvalidSpec,
     ParseError,
+    _finite,
+    _integral,
 )
 from . import prox
-from .model import ComponentBank, ComponentFunction, ComponentView, assemble_problem
+from .model import ComponentBank, ComponentFunction, _ArrayBank, assemble_problem
 from .prox import (
     TOL_PROX,
     logistic_root_tol,
@@ -94,28 +96,13 @@ def _resolvents(Q, eig, gamma):
     return (Q * (1.0 / (1.0 + gamma * eig))[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
-class _ArrayBank(ComponentBank):
-    """A bank that owns its components' arrays, stacked on the first axis and
-    read-only, so no component can change under it. Its ``components`` is a
-    ComponentView: item i, ``component(i)``, reads the bank's own slices."""
-
-    def __init__(self, *arrays):
-        for array in arrays:
-            array.flags.writeable = False
-        self._n = len(arrays[0])
-
-    @property
-    def components(self):
-        return ComponentView(self, self._n)
-
-
 class QuadraticBank(_ArrayBank):
     """Quadratic components as stacks of Q, eig and c, with A and A c built in
     one stacked product each by the component's own helper. One call proxes
     a subset: row k is bitwise ``components[idx[k]].prox``, the same
     operations in the same order, batched through matmul's per-matrix loop.
     One cache holds the last gamma's n resolvents, one stacked product, and
-    the Hessian sum is built once. A view's component reads A and A c too."""
+    the Hessian sum is built once. Its item i reads the bank's A and A c too."""
 
     def __init__(self, Q, eig, c):
         self.A, self.Ac = _hessians(Q, eig, c)
@@ -184,8 +171,8 @@ def _stack_rows(cls, family, bank, components):
 
 class _RowBank(_ArrayBank):
     """Components f_i built on a data row a_i and label y_i, held as one n-by-d
-    row matrix, a label vector of its dtype and the mu_reg they share. Item
-    i of its view is ``family(rows[i], labels[i], mu_reg)``."""
+    row matrix, a label vector of its dtype and the mu_reg they share. Its
+    item i is ``family(rows[i], labels[i], mu_reg)``."""
 
     def __init__(self, rows, labels, mu_reg):
         self.rows, self.labels, self.mu_reg = rows, labels, mu_reg
@@ -232,7 +219,7 @@ class RankOneRidgeComponent(ComponentFunction):
 class RidgeBank(_RowBank):
     """Rank-one ridge components as rows: the gradients come from one batched
     pass, written into the one n-by-d array they return; the O(d) closed-form
-    prox stays per component, through RankOneRidgeComponent.prox on a view."""
+    prox stays per component, through RankOneRidgeComponent.prox on its item."""
 
     family = RankOneRidgeComponent
 
@@ -458,7 +445,7 @@ def gen_quadratic(spec, dtype=np.float64):
         q, R = np.linalg.qr(Q[start:start + block])
         Q[start:start + block] = q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
     Q, eig, c = (a.astype(dtype, copy=False) for a in (Q, eig, c))  # drops Q's draws before A
-    return _planted(assemble_problem(QuadraticBank(Q, eig, c).components, spec.mu, spec.L, d), spec)
+    return _planted(assemble_problem(QuadraticBank(Q, eig, c), spec.mu, spec.L, d), spec)
 
 
 def gen_ridge_regression(spec, dtype=np.float64):
@@ -477,7 +464,7 @@ def gen_ridge_regression(spec, dtype=np.float64):
     rows *= (np.sqrt(spec.L - spec.mu) / norms)[:, None]
     rows, ys = rows.astype(dtype, copy=False), rng.normal(size=spec.n).astype(dtype, copy=False)
     bank = RidgeBank(rows, ys, spec.mu)
-    return _planted(assemble_problem(bank.components, spec.mu, spec.L, spec.dim), spec)
+    return _planted(assemble_problem(bank, spec.mu, spec.L, spec.dim), spec)
 
 
 def gen_logistic_ridge(spec):
@@ -496,7 +483,7 @@ def gen_logistic_ridge(spec):
     norms = np.sqrt((rows * rows).sum(axis=1))
     rows *= (2.0 * np.sqrt(spec.L - spec.mu) / norms)[:, None]
     bank = LogisticBank(rows, 2.0 * rng.integers(0, 2, size=spec.n) - 1.0, spec.mu)
-    return _planted(assemble_problem(bank.components, spec.mu, spec.L, spec.dim), spec)
+    return _planted(assemble_problem(bank, spec.mu, spec.L, spec.dim), spec)
 
 
 def load_libsvm(path, mu):
@@ -578,4 +565,4 @@ def load_libsvm(path, mu):
     L = mu + 0.25 * float(sq_norms.max())
     bank = LogisticBank(rows, np.asarray(labels), mu)
     # The dataset holds the bank's own read-only arrays, not a copy.
-    return Dataset(bank.rows, bank.labels), assemble_problem(bank.components, mu, L, max_idx)
+    return Dataset(bank.rows, bank.labels), assemble_problem(bank, mu, L, max_idx)

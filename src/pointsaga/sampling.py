@@ -18,7 +18,7 @@ computes many outputs in one vector pass. sample_k_subset draws one subset at
 a time; sample_subsets draws the next k in blocks, shuffled together one swap
 step per numpy pass, and falls back to sample_k_subset for an iteration with a
 rejected draw, so both leave the same subsets and the same final state.
-Both samplers and enumerate_k_subsets take integer sizes (numpy integers
+Both samplers and subset_rows take integer sizes (numpy integers
 too) with 1 <= s <= n <= 2^63, so every 0-based index fits int64:
 sample_subsets returns int64 rows.
 """
@@ -175,15 +175,11 @@ def _check_sizes(n, s):
     return n, s
 
 
-def enumerate_k_subsets(n, s):
-    """All C(n, s) subsets exactly once, in lexicographic order, each a
-    strictly increasing tuple of 1-based indices."""
-    return list(map(tuple, (subset_rows(n, s) + 1).tolist()))
-
-
 def subset_rows(n, s):
-    """enumerate_k_subsets(n, s) minus 1 as a (C(n, s), s) int array, one column
-    per pass until each prefix has one completion, which counts up from it."""
+    """All C(n, s) subsets of the 0-based indices exactly once, in
+    lexicographic order, as the strictly increasing rows of a (C(n, s), s)
+    int array: one column per pass until each prefix has one completion,
+    which counts up from it."""
     n, s = _check_sizes(n, s)
     total = math.comb(n, s)
     if total > ENUMERATION_CAP:

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _norms
-from .errors import InvalidBatchSize, InvalidConstants, ProxFailure
+from .analysis import LyapunovWeights, _row_errors, optimal_stepsize
+from .errors import InvalidBatchSize, InvalidConstants, ProxFailure, _finite, _integral
 from .prox import TOL_PROX
 from .sampling import SplitMix64, sample_k_subset, sample_subsets
 
@@ -73,8 +74,6 @@ class SolverConfig:
     init_gradients: str = "at_x0"
 
     def validate(self, n):
-        from .analysis import _finite, _integral
-
         for name in ("s", "max_iters", "trace_every", "refresh_every", "seed"):
             value = getattr(self, name)
             if not (_integral(value) or (name == "refresh_every" and value is None)):
@@ -99,8 +98,6 @@ class SolverConfig:
 
     def resolve_gamma(self, problem):
         if self.gamma == "auto":
-            from .analysis import optimal_stepsize
-
             return optimal_stepsize(self.s, problem.n, problem.mu, problem.L)
         return float(self.gamma)
 
@@ -172,7 +169,9 @@ def _advance(state, problem, gamma, idx, refresh_every=None):
     table[idx] = (z - outs) / gamma
     # The means are mean(axis=0)'s own sum and division, without the wrapper
     # whose checks cost more than the reduction on an iteration's few rows.
-    state.x = np.add.reduce(outs, axis=0) / s  # idx is sorted: ascending-index sum
+    # At d = 1 numpy adds the rows pairwise, not in index order (see
+    # _linalg._sum_rows); the certificate's mean rounds the same way.
+    state.x = np.add.reduce(outs, axis=0) / s
     state.t += 1
     if _refreshes(state.t, refresh_every):
         state.g_avg = np.add.reduce(table, axis=0) / n
@@ -259,8 +258,6 @@ def run(problem, config, x0, *, drift=True):
 
     x_star = problem.known_solution
     if x_star is not None:
-        from .analysis import LyapunovWeights, _row_errors
-
         x_star = np.asarray(x_star)
         if x_star.dtype == state.x.dtype:
             grad_star = problem.grad_star
@@ -274,8 +271,7 @@ def run(problem, config, x0, *, drift=True):
         if x_star is not None:
             d = state.x - x_star
             dist_sq = d @ d
-            # LyapunovWeights.psi's formula, on the kept row errors.
-            lyap = weights.w_x * dist_sq + weights.w_g * row_errors.sum()
+            lyap = weights.score(dist_sq, row_errors)
         if drift:
             # Where g_avg is this very table mean (initialize's or a
             # refresh's), the pass would subtract equal arrays: +0.0

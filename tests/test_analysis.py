@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,8 @@ from pointsaga.errors import (
     MaxIterations,
     ProxFailure,
 )
-from pointsaga.sampling import SplitMix64, enumerate_k_subsets
+from pointsaga.problems import NEWTON_BATCH_MIN
+from pointsaga.sampling import SplitMix64
 from pointsaga.solver import step
 
 
@@ -368,10 +371,10 @@ def enumerated_certificate(state, problem, gamma, s, x_star, grad_star):
     rho = theoretical_rate(gamma, s, problem.n, problem.mu, problem.L).rho
     rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
-    subsets = enumerate_k_subsets(problem.n, s)
+    subsets = list(itertools.combinations(range(problem.n), s))
     total = 0.0
     for sub in subsets:
-        nxt = apply_subset_step(state, problem, gamma, np.asarray(sub, dtype=int) - 1)
+        nxt = apply_subset_step(state, problem, gamma, np.asarray(sub, dtype=int))
         total += w.psi(nxt, x_star, grad_star)
     lhs = total / len(subsets)
     return lhs, rhs, bool(lhs <= rhs + 1e-9 * (1.0 + rhs))
@@ -554,3 +557,41 @@ def test_full_batch_matches_consensus_splitting():
     for t in range(100):
         state = step(state, problem, cfg, rng, gamma=gamma)
         assert np.linalg.norm(state.x - reference[t + 1]) <= 1e-10
+
+
+def per_component_consensus(problem, gamma, x0, g0, iters):
+    """consensus_dr_run's splitting iteration with one component prox at a
+    time: the trajectory its one bank call per iteration must give bitwise."""
+    u = x0[None, :] + gamma * (g0 - g0.mean(axis=0)[None, :])
+    out = [x0.copy()]
+    w = np.empty_like(u)
+    for _ in range(iters):
+        for i in range(problem.n):
+            w[i] = problem.components[i].prox(gamma, u[i]).point
+        v = (2.0 * w - u).mean(axis=0)
+        u = u + v[None, :] - w
+        out.append(w.mean(axis=0))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family,dtype", [
+    ("quadratic", np.float64), ("quadratic", np.longdouble),
+    ("ridge_regression", np.float64), ("logistic_ridge", np.float64),
+], ids=["quad-f64", "quad-ld", "ridge", "logistic"])
+def test_consensus_makes_one_bank_prox_call_per_iteration(family, dtype, monkeypatch):
+    n, d, iters = 12, 4, 200
+    assert n >= NEWTON_BATCH_MIN  # the logistic bank proxes all n rows in one Newton
+    problem = _GENERATORS[family](GeneratorSpec(family, n, d, 0.5, 5.0, seed=3))
+    gamma = optimal_stepsize(n, n, problem.mu, problem.L)
+    rng = np.random.default_rng(5)
+    x0 = rng.normal(size=d).astype(dtype)
+    g0 = problem.bank.gradients(x0) + rng.normal(size=(n, d)).astype(dtype)
+    reference = per_component_consensus(problem, gamma, x0, g0, iters)
+    calls = []
+    bank_cls = type(problem.bank)
+    monkeypatch.setattr(bank_cls, "prox",
+                        lambda self, *args, f=bank_cls.prox: calls.append(1) or f(self, *args))
+    got = consensus_dr_run(problem, gamma, x0, g0, iters)
+    assert len(calls) == iters
+    assert got.dtype == reference.dtype == dtype
+    assert np.array_equal(got, reference)

@@ -47,6 +47,10 @@ def test_assemble_invalid_constants():
         assemble_problem([identity_quadratic(2)], mu=2.0, L=1.0, dim=2)
     with pytest.raises(InvalidConstants):
         assemble_problem([identity_quadratic(2)], mu=0.0, L=1.0, dim=2)
+    # Infinite constants are refused at construction, not by a later run.
+    for mu, L in ((1.0, float("inf")), (float("inf"), float("inf"))):
+        with pytest.raises(InvalidConstants, match="need finite 0 < mu <= L"):
+            FiniteSumProblem((identity_quadratic(1),), mu, L, 1, known_solution=np.zeros(1))
 
 
 def test_full_gradient_single():

@@ -718,6 +718,8 @@ def test_generators_and_loader_build_no_component_objects(monkeypatch, tmp_path)
     assert ridge.known_solution is not None and logistic.known_solution is not None
     assert quadratic.known_solution is not None
     assert built == [] and hessians == [1]  # the quadratic bank's one stacked product
+    # Each bank is its problem's components: nothing wraps it.
+    assert all(p.components is p.bank for p in (ridge, logistic, loaded, quadratic))
     # A component is built when it is read, one per access.
     ridge.components[3], logistic.components[-1], loaded.components[0]
     assert built == [RankOneRidgeComponent, LogisticRidgeComponent, LogisticRidgeComponent]
@@ -733,6 +735,7 @@ def test_generators_and_loader_build_no_component_objects(monkeypatch, tmp_path)
 def test_row_components_are_a_view_over_the_bank(kind, tmp_path):
     problem = _row_kind_problem(kind, tmp_path)
     comps, bank = problem.components, problem.bank
+    assert comps is bank
     assert len(comps) == problem.n == 12
     owned = _OWNED[type(bank)]
     for i in (0, 5, -1):
@@ -757,9 +760,10 @@ def test_row_components_are_a_view_over_the_bank(kind, tmp_path):
         comps[1.0]
     with pytest.raises(TypeError):
         comps[0] = comps[1]
-    # Wrapping the view again shares the bank instead of stacking the rows.
-    assert FiniteSumProblem(comps, problem.mu, problem.L, problem.dim).bank is bank
-    assert assemble_problem(comps, problem.mu, problem.L, problem.dim).bank is bank
+    # Wrapping the components again shares the bank instead of stacking the rows.
+    for again in (FiniteSumProblem(comps, problem.mu, problem.L, problem.dim),
+                  assemble_problem(comps, problem.mu, problem.L, problem.dim)):
+        assert again.bank is bank and again.components is bank
 
 
 @pytest.mark.parametrize("kind", _BANK_KINDS)

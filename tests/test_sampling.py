@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from pointsaga.errors import EnumerationTooLarge, InvalidBatchSize
 from pointsaga.sampling import (
     SplitMix64,
-    enumerate_k_subsets,
     sample_k_subset,
     sample_subsets,
     subset_rows,
@@ -82,24 +81,24 @@ def test_invalid_batch_sizes():
         sample_k_subset(rng, 5, 6)
     # Non-integral sizes are typed errors too, not operator.index's TypeError.
     for draw in (lambda: sample_k_subset(SplitMix64(0), 5.0, 2),
-                 lambda: enumerate_k_subsets(4, 2.0),
+                 lambda: subset_rows(4, 2.0),
                  lambda: sample_subsets(SplitMix64(0), 4, 2.0, 1)):
         with pytest.raises(InvalidBatchSize, match="sizes must be integers"):
             draw()
 
 
 def test_enumerate_pairs_of_three():
-    subs = enumerate_k_subsets(3, 2)
-    assert subs == [(1, 2), (1, 3), (2, 3)]
+    subs = subset_rows(3, 2)
+    assert subs.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_enumerate_singletons():
-    subs = enumerate_k_subsets(4, 1)
-    assert subs == [(1,), (2,), (3,), (4,)]
+    subs = subset_rows(4, 1)
+    assert subs.tolist() == [[0], [1], [2], [3]]
 
 
 def test_enumerate_six_choose_three():
-    subs = enumerate_k_subsets(6, 3)
+    subs = list(map(tuple, subset_rows(6, 3).tolist()))
     assert len(subs) == math.comb(6, 3) == 20
     assert len(set(subs)) == 20
     assert subs == sorted(subs)
@@ -108,13 +107,12 @@ def test_enumerate_six_choose_three():
 @pytest.mark.parametrize("s", [0, 4])
 def test_enumeration_rejects_s_out_of_range(s):
     with pytest.raises(InvalidBatchSize, match=f"need 1 <= s <= n <= 2\\^63, got s={s}, n=3"):
-        enumerate_k_subsets(3, s)
+        subset_rows(3, s)
 
 
 def test_enumeration_cap():
-    for enumerate_ in (enumerate_k_subsets, subset_rows):
-        with pytest.raises(EnumerationTooLarge):
-            enumerate_(30, 15)
+    with pytest.raises(EnumerationTooLarge):
+        subset_rows(30, 15)
 
 
 def test_subset_rows_are_the_lexicographic_combinations():
@@ -125,7 +123,6 @@ def test_subset_rows_are_the_lexicographic_combinations():
             rows = subset_rows(n, s)
             assert rows.dtype == np.intp and rows.shape == (math.comb(n, s), s)
             assert rows.tolist() == [list(c) for c in itertools.combinations(range(n), s)]
-            assert enumerate_k_subsets(n, s) == [tuple(r + 1 for r in row) for row in rows.tolist()]
     assert subset_rows(10**6, 1).ravel().tolist() == list(range(10**6))
 
 
@@ -265,4 +262,4 @@ def test_samplers_accept_numpy_integers():
         assert rows.tolist() == sample_subsets(python_rng, int(n), int(s), int(k)).tolist()
         assert rows.dtype == np.int64 and numpy_rng.state == python_rng.state
         assert sample_k_subset(numpy_rng, n, s) == sample_k_subset(python_rng, int(n), int(s))
-    assert enumerate_k_subsets(np.int64(4), np.int64(2)) == enumerate_k_subsets(4, 2)
+    assert subset_rows(np.int64(4), np.int64(2)).tolist() == subset_rows(4, 2).tolist()
