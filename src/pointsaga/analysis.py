@@ -192,7 +192,8 @@ def reference_solution(problem, tol=1e-12):
     solve. Later steps, while ||grad|| > tol, halve from length 1 until ||grad||
     falls, or return x at the rounding floor after HALVINGS halvings. Raises
     InvalidConstants when L/mu, the gradient or the Hessian overflows,
-    MaxIterations after NEWTON_STEPS steps, InvalidSpec for the default bank.
+    MaxIterations after NEWTON_STEPS steps, and InvalidSpec when a component
+    of the default bank has no ``hessian``.
     """
     mu, L = problem.mu, problem.L
     if not _finite(L / mu):
@@ -306,10 +307,16 @@ def consensus_dr_run(problem, gamma, x0, g0, iters):
     started from u_i = x0 + gamma (g0_i - mean(g0)). The reported iterate at
     step t is mean_i w_i. An iteration's n proxes are one call of the
     problem's bank. Coded independently of the solver module as an
-    equivalence oracle for the s = n regime.
+    equivalence oracle for the s = n regime. gamma and g0's shape (n, dim)
+    are checked before any prox.
     """
+    _check_constants(problem.mu, problem.L, gamma=gamma)
     x0 = problem.check_point(x0)
     g0 = np.asarray(g0, dtype=x0.dtype)
+    if g0.shape != (problem.n, problem.dim):
+        raise DimensionMismatch(
+            f"g0 has shape {g0.shape}, expected ({problem.n}, {problem.dim})"
+        )
     u = x0[None, :] + gamma * (g0 - g0.mean(axis=0)[None, :])
     out = [x0.copy()]
     idx = np.arange(problem.n)

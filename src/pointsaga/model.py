@@ -2,11 +2,11 @@
 
 A problem is ``min_x sum_i f_i(x)`` over R^d where every component is
 mu-strongly convex with an L-Lipschitz gradient, sharing one (mu, L) pair.
-Its components are evaluated through its bank: the per-component
-ComponentBank, or a family's batched subclass with bitwise the same results.
-Only family banks sum Hessians, so other problems must declare known_solution.
-A family bank that owns its components' arrays is also their read-only
-sequence, and a problem built on one has that bank as its components.
+Its components are evaluated through its bank. A family bank comes from its
+arrays: it batches the oracles to bitwise the per-component results, and it
+is the read-only sequence of its components, so a problem built on one has
+that bank as its components. Assembled components use the default
+ComponentBank, which calls them one at a time and sums their ``hessian``.
 """
 
 import copy
@@ -40,6 +40,11 @@ class ComponentFunction(ABC):
     are shared freely between threads after assembly. ``prox`` returns a
     :class:`~pointsaga.prox.ProxResult` whose ``point`` minimizes
     ``f(x) + ||x - z||^2 / (2 gamma)``.
+
+    A component may also define ``hessian(x)``, the d-by-d Hessian of its
+    ``gradient`` at x, which the default bank sums for the reference solve.
+    It is optional, but where it is defined it must match ``gradient``: a
+    subclass that overrides ``gradient`` must override ``hessian`` too.
     """
 
     @abstractmethod
@@ -50,17 +55,10 @@ class ComponentFunction(ABC):
     def prox(self, gamma, z):
         """Proximity operator of gamma * f at z."""
 
-    @classmethod
-    def stack(cls, components):
-        """The bank through which the solver evaluates these components, all
-        of class cls; a family may override it to batch them."""
-        return ComponentBank(components)
-
 
 class ComponentBank:
-    """The components of a problem, evaluated one at a time. A family's
-    ``stack`` may return a subclass that batches them to the same results,
-    bit for bit."""
+    """The components of a problem, evaluated one at a time. A family bank
+    is a subclass that batches them to the same results, bit for bit."""
 
     def __init__(self, components):
         self.components = components
@@ -70,9 +68,13 @@ class ComponentBank:
         return np.stack([c.gradient(x) for c in self.components])
 
     def hessian_sum(self, x):
-        """sum_i of the components' Hessians at x; only family banks have it."""
-        names = ", ".join(sorted({type(c).__name__ for c in self.components}))
-        raise InvalidSpec(f"no Hessian sum for {names}: declare known_solution")
+        """sum_i of the components' ``hessian(x)``, added in index order by
+        _linalg._sum_rows; InvalidSpec names the classes that have none."""
+        names = ", ".join(sorted({type(c).__name__ for c in self.components
+                                  if not hasattr(c, "hessian")}))
+        if names:
+            raise InvalidSpec(f"no Hessian for {names}: declare known_solution")
+        return _sum_rows(np.stack([c.hessian(x) for c in self.components]))
 
     def prox(self, gamma, idx, Z):
         """(P, residuals): row k of P, in Z's dtype, is the prox of component
@@ -95,12 +97,13 @@ class _ArrayBank(ComponentBank, Sequence):
     """A bank that owns its components' arrays, stacked on the first axis and
     read-only, so no component can change under it. It is the read-only
     sequence of its components too: item i is ``component(i)``, built on
-    access from the bank's own slices, and a slice is a tuple of them."""
+    access from the bank's own slices, and a slice is a tuple of them. The
+    first array's first two axes are n and the dimension d."""
 
     def __init__(self, *arrays):
         for array in arrays:
             array.flags.writeable = False
-        self._n = len(arrays[0])
+        self._n, self.dim = arrays[0].shape[:2]
 
     @property
     def components(self):
@@ -133,8 +136,8 @@ class FiniteSumProblem:
     known_solution : ndarray or None
         Minimizer of the sum, when available. Validated for stationarity.
     bank : ComponentBank
-        The components themselves when they are such a bank; otherwise the
-        components' ``stack`` when all share one class, else the default.
+        The components themselves when they are a family bank, which comes
+        from its arrays; otherwise the default bank over them.
     grad_star : ndarray or None
         Read-only n-by-d table whose row i is grad f_i(known_solution), in
         the bank's dtype at known_solution's dtype; None without a known
@@ -158,10 +161,11 @@ class FiniteSumProblem:
             raise InvalidConstants(f"dim must be >= 1, got {self.dim}")
         if isinstance(self.components, _ArrayBank):
             bank = self.components
+            if bank.dim != self.dim:
+                raise DimensionMismatch(f"the bank's rows have width {bank.dim}, "
+                                        f"expected dim {self.dim}")
         else:
-            kinds = {type(c) for c in self.components}
-            stack = getattr(kinds.pop() if len(kinds) == 1 else None, "stack", ComponentBank)
-            bank = stack(self.components)
+            bank = ComponentBank(self.components)
         object.__setattr__(self, "bank", bank)
         if self.known_solution is not None:
             object.__setattr__(self, "grad_star", self._stationary_gradients(self.known_solution))

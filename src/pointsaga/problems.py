@@ -28,7 +28,7 @@ from .errors import (
     _integral,
 )
 from . import prox
-from .model import ComponentBank, ComponentFunction, _ArrayBank, assemble_problem
+from .model import ComponentFunction, _ArrayBank, assemble_problem
 from .prox import (
     TOL_PROX,
     logistic_root_tol,
@@ -66,6 +66,9 @@ class QuadraticComponent(ComponentFunction):
     def gradient(self, x):
         return self.A @ x - self._Ac
 
+    def hessian(self, x):
+        return self.A
+
     def _resolvent(self, gamma):
         """(I + gamma A)^{-1} and gamma A c for this gamma."""
         return _resolvents(self.Q, self.eig, gamma), gamma * self._Ac
@@ -75,14 +78,6 @@ class QuadraticComponent(ComponentFunction):
         x = M @ (z + g_Ac)
         defect = x + gamma * (self.A @ x - self._Ac) - z
         return ProxResult(x, _norms(defect[None])[0])
-
-    @classmethod
-    def stack(cls, components):
-        arrays = [(c.Q, c.eig, c.c) for c in components]  # what the bank stacks
-        kinds = {tuple((a.shape, a.dtype) for a in q) for q in arrays}
-        if cls is QuadraticComponent and len(kinds) == 1:
-            return QuadraticBank(*map(np.stack, zip(*arrays)))
-        return super().stack(components)  # a subclass may have its own oracles
 
 
 def _hessians(Q, eig, c):
@@ -155,20 +150,6 @@ def _sigmoids(v):
     return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
-def _stack_rows(cls, family, bank, components):
-    """A bank over copies of the components' rows and labels when cls is
-    family itself and the components share one row shape and dtype, a label
-    of that dtype and one mu_reg; otherwise the default bank. The shared types
-    make every batched operation promote as the per-component one does."""
-    kinds = {(c.a.shape, c.a.dtype, type(c.y), type(c.mu_reg), c.mu_reg)
-             for c in components}
-    first = components[0]
-    if cls is family and len(kinds) == 1 and np.asarray(first.y).dtype == first.a.dtype:
-        rows = np.concatenate([c.a for c in components]).reshape(len(components), *first.a.shape)
-        return bank(rows, np.array([c.y for c in components], dtype=rows.dtype), first.mu_reg)
-    return ComponentBank(components)
-
-
 class _RowBank(_ArrayBank):
     """Components f_i built on a data row a_i and label y_i, held as one n-by-d
     row matrix, a label vector of its dtype and the mu_reg they share. Its
@@ -208,12 +189,11 @@ class RankOneRidgeComponent(ComponentFunction):
     def gradient(self, x):
         return self.a * (self.a @ x - self.y) + self.mu_reg * x
 
+    def hessian(self, x):
+        return np.outer(self.a, self.a) + self.mu_reg * np.eye(len(self.a), dtype=self.a.dtype)
+
     def prox(self, gamma, z):
         return prox_rank_one_quadratic(self.a, self.y, self.mu_reg, gamma, z)
-
-    @classmethod
-    def stack(cls, components):
-        return _stack_rows(cls, RankOneRidgeComponent, RidgeBank, components)
 
 
 class RidgeBank(_RowBank):
@@ -248,12 +228,12 @@ class LogisticRidgeComponent(ComponentFunction):
         s = sigmoid(-self.y * float(self.a @ x))
         return -self.y * s * self.a + self.mu_reg * x
 
+    def hessian(self, x):
+        s = sigmoid(-self.y * float(self.a @ x))
+        return s * (1.0 - s) * np.outer(self.a, self.a) + self.mu_reg * np.eye(len(self.a))
+
     def prox(self, gamma, z):
         return prox_logistic_ridge(self.a, self.y, self.mu_reg, gamma, z)
-
-    @classmethod
-    def stack(cls, components):
-        return _stack_rows(cls, LogisticRidgeComponent, LogisticBank, components)
 
 
 class LogisticBank(_RowBank):

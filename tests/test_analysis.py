@@ -595,3 +595,19 @@ def test_consensus_makes_one_bank_prox_call_per_iteration(family, dtype, monkeyp
     assert len(calls) == iters
     assert got.dtype == reference.dtype == dtype
     assert np.array_equal(got, reference)
+
+
+def test_consensus_checks_gamma_and_g0_before_any_prox(monkeypatch):
+    # A bad gamma gave an all-NaN trajectory and a short g0 numpy's
+    # broadcasting error; both now raise typed errors before any prox.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    x0, g0 = np.ones(3), problem.bank.gradients(np.ones(3))
+    calls = []
+    monkeypatch.setattr(type(problem.bank), "prox", lambda *args: calls.append(1))
+    for gamma in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(InvalidConstants, match="gamma"):
+            consensus_dr_run(problem, gamma, x0, g0, 5)
+    for shape in ((5, 3), (6, 2), (3,), (6, 3, 1)):
+        with pytest.raises(DimensionMismatch, match=r"expected \(6, 3\)"):
+            consensus_dr_run(problem, 0.5, x0, np.zeros(shape), 5)
+    assert calls == []

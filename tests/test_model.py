@@ -218,10 +218,11 @@ def test_sums_over_one_entry_rows_keep_index_order(dtype):
     # Over a stack of one-entry rows numpy's reduction sums pairwise, which
     # rounds differently from n = 16 on; the sums must stay the loop over i.
     rng = np.random.default_rng(6)
-    comps = [QuadraticComponent(np.ones((1, 1), dtype), np.array([e], dtype), np.array([c], dtype))
-             for e, c in zip(rng.uniform(1.0, 10.0, 300), rng.normal(size=300))]
-    problem = assemble_problem(comps, 1.0, 10.0, 1)
-    assert type(problem.bank) is QuadraticBank
+    eig, c = rng.uniform(1.0, 10.0, 300), rng.normal(size=300)
+    bank = QuadraticBank(np.ones((300, 1, 1), dtype), eig[:, None].astype(dtype),
+                         c[:, None].astype(dtype))
+    problem = assemble_problem(bank, 1.0, 10.0, 1)
+    comps = list(problem.components)
     x = np.array([0.7], dtype)
     total, hessian = np.zeros(1, dtype), np.zeros((1, 1), dtype)
     for comp in comps:
@@ -231,6 +232,7 @@ def test_sums_over_one_entry_rows_keep_index_order(dtype):
     assert np.array_equal(full_gradient(problem, x), total)
     assert np.array_equal(_row_total(ComponentBank(comps).gradients(x)), total)
     assert np.array_equal(problem.bank.hessian_sum(x), hessian)
+    assert np.array_equal(ComponentBank(comps).hessian_sum(x), hessian)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])

@@ -11,6 +11,7 @@ from pointsaga import (
     Dataset,
     FiniteSumProblem,
     GeneratorSpec,
+    GenericComponent,
     QuadraticComponent,
     assemble_problem,
     check_coercivity,
@@ -22,6 +23,7 @@ from pointsaga import (
     reference_solution,
 )
 from pointsaga.errors import (
+    DimensionMismatch,
     EmptyFile,
     InconsistentDimension,
     InvalidConstants,
@@ -327,61 +329,48 @@ def test_shared_quadratic_prox_is_thread_safe():
             assert all(np.array_equal(a, b) for a, b in zip(got, serial[gamma]))
 
 
-def test_prox_bank_needs_one_quadratic_shape_and_dtype():
+def test_assembled_components_get_the_default_bank():
+    # A family bank comes from its arrays; components a user assembles get
+    # the default bank, whatever their classes, shapes and dtypes.
     def quad(d, dtype=np.float64):
         return QuadraticComponent(np.eye(d, dtype=dtype), np.ones(d, dtype=dtype),
                                   np.zeros(d, dtype=dtype))
 
-    assert isinstance(assemble_problem([quad(2), quad(2)], 1.0, 1.0, 2).bank,
-                      QuadraticBank)
-    bank = assemble_problem([quad(2), quad(2, np.longdouble)], 1.0, 1.0, 2).bank
-    assert type(bank) is ComponentBank
-    assert type(assemble_problem([quad(2), quad(3)], 1.0, 1.0, 2).bank) is ComponentBank
-    # A has one shape here, but Q and eig do not: the bank could not stack them.
     thin = QuadraticComponent([[1.0], [0.0]], np.ones(1), np.zeros(2))
-    problem = assemble_problem([quad(2), thin], 0.5, 1.0, 2)
-    assert type(problem.bank) is ComponentBank
-    P, residuals = problem.bank.prox(0.5, np.arange(2), np.ones((2, 2)))
-    assert np.array_equal(P[1], thin.prox(0.5, np.ones(2)).point)
-    narrow_c = QuadraticComponent(np.eye(2), np.ones(2), np.zeros(2, dtype=np.float32))
-    assert type(assemble_problem([quad(2), narrow_c], 1.0, 1.0, 2).bank) is ComponentBank
     ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 3, 2, 0.1, 1.0, seed=1))
     assert type(ridge.bank) is RidgeBank
-    mixed = assemble_problem([quad(2), ridge.components[0]], 0.1, 1.0, 2)
-    assert type(mixed.bank) is ComponentBank
+    logistic = LogisticRidgeComponent(np.ones(2), -1.0, 0.1)
 
     class OwnProx(QuadraticComponent):
         def prox(self, gamma, z):
             return super().prox(gamma, z)
 
     own = OwnProx(np.eye(2), np.ones(2), np.zeros(2))
-    assert type(assemble_problem([own, own], 1.0, 1.0, 2).bank) is ComponentBank
+    for comps in ([quad(2), quad(2)], [quad(2), quad(2, np.longdouble)], [quad(2), thin],
+                  [quad(2), ridge.components[0]], list(ridge.components), [logistic] * 2,
+                  [own, own]):
+        problem = assemble_problem(comps, 0.1, 1.0, 2)
+        assert type(problem.bank) is ComponentBank
+        assert problem.bank.components is problem.components == tuple(comps)
+    problem = assemble_problem([quad(2), thin], 0.5, 1.0, 2)
+    P, residuals = problem.bank.prox(0.5, np.arange(2), np.ones((2, 2)))
+    assert np.array_equal(P[1], thin.prox(0.5, np.ones(2)).point)
 
 
-def test_row_banks_need_one_row_shape_label_dtype_and_mu_reg():
-    def ridge(d=2, mu_reg=0.1, y=1.0, dtype=np.float64):
-        return RankOneRidgeComponent(np.ones(d, dtype=dtype), y, mu_reg)
-
-    def bank(*comps):
-        return assemble_problem(comps, 0.1, 10.0, comps[0].a.shape[0]).bank
-
-    assert type(bank(ridge(), ridge(y=-2.0))) is RidgeBank
-    assert type(bank(ridge(dtype=np.longdouble, y=np.longdouble(1.0)),
-                     ridge(dtype=np.longdouble, y=np.longdouble(3.0)))) is RidgeBank
-    logistic = LogisticRidgeComponent(np.ones(2), -1.0, 0.1)
-    assert type(bank(logistic, logistic)) is LogisticBank
-    assert type(bank(ridge(), ridge(mu_reg=0.2))) is ComponentBank
-    assert type(bank(ridge(), ridge(d=3))) is ComponentBank
-    assert type(bank(ridge(), ridge(dtype=np.longdouble))) is ComponentBank
-    assert type(bank(ridge(y=1), ridge(y=2))) is ComponentBank  # int labels
-    assert type(bank(ridge(dtype=np.longdouble), ridge(dtype=np.longdouble))) is ComponentBank
-
-    class OwnGradient(RankOneRidgeComponent):
-        def gradient(self, x):
-            return super().gradient(x)
-
-    own = OwnGradient(np.ones(2), 1.0, 0.1)
-    assert type(bank(own, own)) is ComponentBank
+@pytest.mark.parametrize("family,generate", [("quadratic", gen_quadratic),
+                                             ("ridge_regression", gen_ridge_regression),
+                                             ("logistic_ridge", gen_logistic_ridge)],
+                         ids=["quadratic", "ridge", "logistic"])
+def test_family_bank_width_must_match_dim(family, generate):
+    # A bank of width 4 under dim 3 used to construct, and a later run
+    # raised numpy's untyped ValueError.
+    p = generate(GeneratorSpec(family, 6, 4, 0.5, 5.0, seed=1))
+    for dim in (3, 5):
+        with pytest.raises(DimensionMismatch, match=f"width 4, expected dim {dim}"):
+            assemble_problem(p.components, p.mu, p.L, dim)
+        with pytest.raises(DimensionMismatch):
+            FiniteSumProblem(p.bank, p.mu, p.L, dim)
+    assert assemble_problem(p.components, p.mu, p.L, 4).bank is p.bank
 
 
 def _row_problem(family, n, d, dtype):
@@ -424,13 +413,18 @@ def test_quadratic_bank_gradients_match_component_gradients(dtype):
         assert np.array_equal(full_gradient(problem, x), total)
 
 
-@pytest.mark.parametrize("family", ["quadratic", "ridge", "logistic"])
+@pytest.mark.parametrize("family", ["quadratic", "quadratic-longdouble", "ridge", "logistic"])
 def test_bank_hessian_sum_matches_central_differences(family):
-    if family == "quadratic":
-        problem = gen_quadratic(GeneratorSpec("quadratic", 9, 4, 1.0, 10.0, seed=3))
+    if family.startswith("quadratic"):
+        dtype = np.longdouble if family.endswith("longdouble") else np.float64
+        problem = gen_quadratic(GeneratorSpec("quadratic", 9, 4, 1.0, 10.0, seed=3), dtype=dtype)
     else:
         problem = _row_problem(family, 30, 4, np.float64)
     bank, h = problem.bank, 1e-5
+    # The default bank over the same components sums their hessian in index
+    # order: the quadratic bank's sum bitwise, the row banks' matrix product
+    # up to its rounding.
+    loop = ComponentBank(list(problem.components))
     rng = np.random.default_rng(8)
     for _ in range(3):
         x = rng.normal(size=4)
@@ -442,12 +436,18 @@ def test_bank_hessian_sum_matches_central_differences(family):
         assert np.allclose(H, diffs, rtol=0, atol=1e-6 * np.abs(H).max())
         if family != "logistic":  # constant in x, so built once and read-only
             assert H is bank.hessian_sum(-x) and not H.flags.writeable
+        if family.startswith("quadratic"):
+            assert_bitwise(loop.hessian_sum(x), H)
+        else:
+            assert np.abs(loop.hessian_sum(x) - H).max() <= 1e-13 * np.abs(H).max()
 
 
 def test_default_bank_has_no_hessian():
-    comps = [QuadraticComponent(np.eye(2), np.ones(2), np.zeros(2)),
-             RankOneRidgeComponent(np.ones(2), 1.0, 0.5)]
-    with pytest.raises(InvalidSpec, match="QuadraticComponent, RankOneRidgeComponent"):
+    # Only the components without a hessian are named.
+    comps = [GenericComponent(lambda x: x, 1.0, 1.0),
+             QuadraticComponent(np.eye(2), np.ones(2), np.zeros(2)),
+             GenericComponent(lambda x: 2.0 * x, 2.0, 2.0)]
+    with pytest.raises(InvalidSpec, match="^no Hessian for GenericComponent: declare known_solution$"):
         ComponentBank(comps).hessian_sum(np.zeros(2))
 
 
@@ -523,25 +523,21 @@ def test_logistic_bank_prox_edge_rows(monkeypatch, case):
         # derived bracket end falls short of the root by rounding (mu_reg is
         # so small that alpha rounds to 1), so the bracket must be widened.
         a, gamma, mu_reg = np.array([0.7, 0.2]), 0.1, 1e-17
-        comps = [LogisticRidgeComponent(np.zeros(2), -1.0, mu_reg),
-                 LogisticRidgeComponent(a, 1.0, mu_reg),
-                 LogisticRidgeComponent(np.array([1.0, -2.0]), -1.0, mu_reg)]
+        rows, labels = np.array([np.zeros(2), a, [1.0, -2.0]]), np.array([-1.0, 1.0, -1.0])
         Z = np.array([[3.0, -4.0], 3e16 * a, [0.5, 0.25]])
         aa, hi = a @ a, (np.sqrt(a @ a) * np.sqrt(Z[1] @ Z[1]) + gamma * (a @ a)) + 1.0
         assert hi - a @ Z[1] - gamma * aa * sigmoid(-hi) < 0.0
     elif case == "all-zero-rows":
         # No row has a root to find, so none is live from the start.
         gamma, mu_reg = 0.7, 0.3
-        comps = [LogisticRidgeComponent(np.zeros(2), y, mu_reg) for y in (1.0, -1.0, 1.0)]
+        rows, labels = np.zeros((3, 2)), np.array([1.0, -1.0, 1.0])
         Z = np.array([[3.0, -4.0], [-1.5, 0.5], [1e-300, -2.5]])
     elif case == "signed-zero-row":
         # Row 1 is zero with y = +1, and its z holds a -0.0. The scalar solve
         # returns z / alpha and keeps that sign; Newton's formula
         # (z + gamma y s a) / alpha would add +0.0 to it and lose it.
         gamma, mu_reg = 0.7, 0.3
-        comps = [LogisticRidgeComponent(np.array([1.0, -2.0]), -1.0, mu_reg),
-                 LogisticRidgeComponent(np.zeros(2), 1.0, mu_reg),
-                 LogisticRidgeComponent(np.array([0.5, 0.25]), 1.0, mu_reg)]
+        rows, labels = np.array([[1.0, -2.0], [0.0, 0.0], [0.5, 0.25]]), np.array([-1.0, 1.0, 1.0])
         Z = np.array([[0.5, 0.25], [-0.0, 2.0], [3.0, -4.0]])
     else:
         # Row 0's root is a'z = 1e17, where h vanishes, and the derived bracket
@@ -549,14 +545,13 @@ def test_logistic_bank_prox_edge_rows(monkeypatch, case):
         # on the root from below, so its steps land on the bracket end and are
         # bisected instead.
         a, gamma, mu_reg = np.array([1e6, 0.0]), 1e-25, 1.0
-        comps = [LogisticRidgeComponent(a, 1.0, mu_reg),
-                 LogisticRidgeComponent(np.array([1.0, 0.5]), 1.0, mu_reg)]
+        rows, labels = np.array([a, [1.0, 0.5]]), np.array([1.0, 1.0])
         Z = np.array([[1e11, 0.0], [0.3, -0.2]])
         aa, az = a @ a, a @ Z[0]
         hi = (np.sqrt(aa) * np.sqrt(Z[0] @ Z[0]) + gamma * aa) / (1.0 + gamma * mu_reg) + 1.0
         assert hi == az and (1.0 + gamma * mu_reg) * az - az - gamma * aa * sigmoid(-az) == 0.0
-    problem = assemble_problem(comps, mu_reg, 10.0, 2)
-    idx = np.arange(len(comps))
+    problem = assemble_problem(LogisticBank(rows, labels, mu_reg), mu_reg, 10.0, 2)
+    comps, idx = problem.components, np.arange(len(labels))
     handed = _spy_on_hand_off(monkeypatch)
     P, residuals = problem.bank.prox(gamma, idx, Z)
     # Zero rows and rows whose derived bracket fails go to the scalar solve, in
@@ -647,14 +642,12 @@ def test_row_bank_gradients_keep_the_component_dtype(family):
     rng = np.random.default_rng(2)
     rows, ys = rng.normal(size=(6, 3)), rng.normal(size=6)
     if family == "ridge":
-        rows, ys = rows.astype(np.float32), ys.astype(np.float32)
-        comps = [RankOneRidgeComponent(rows[i], ys[i], np.float64(0.5)) for i in range(6)]
+        bank = RidgeBank(rows.astype(np.float32), ys.astype(np.float32), np.float64(0.5))
     else:
-        comps = [LogisticRidgeComponent(rows[i], np.sign(ys[i]), np.float64(0.5))
-                 for i in range(6)]
-    problem = assemble_problem(comps, 0.5, 10.0, 3)
-    bank, loop = problem.bank, ComponentBank(comps)
-    assert type(bank) is {"ridge": RidgeBank, "logistic": LogisticBank}[family]
+        bank = LogisticBank(rows, np.sign(ys), np.float64(0.5))
+    problem = assemble_problem(bank, 0.5, 10.0, 3)
+    loop = ComponentBank(list(problem.components))
+    assert problem.bank is bank
     for x_dtype, expected in ((np.float32, np.float64), (np.float64, np.float64),
                               (np.longdouble, np.longdouble)):
         x = rng.normal(size=3).astype(x_dtype)
@@ -802,24 +795,27 @@ def test_loaded_rows_cannot_go_stale(tmp_path):
 
 @pytest.mark.parametrize("kind", _BANK_KINDS)
 def test_reassembled_row_components_give_the_same_bank(kind, tmp_path):
-    # A user's tuple of the same components takes the stack path, which
-    # copies their arrays into a bank of its own (and builds the quadratic
-    # bank's A and A c again): bitwise the bank built first.
+    # A user's tuple of the same components gets the default bank, which
+    # calls them one at a time: bitwise the family bank's gradients and
+    # proxes, and its Hessian sum too on quadratics. A row bank's sum is one
+    # matrix product, which rounds otherwise than a sum of outer products.
     problem = _row_kind_problem(kind, tmp_path)
     bank = problem.bank
     again = assemble_problem(list(problem.components), problem.mu, problem.L,
                              problem.dim).bank
-    assert type(again) is type(bank) and again is not bank
-    for name in _OWNED[type(bank)]:
-        assert not np.shares_memory(getattr(again, name), getattr(bank, name))
-        assert_bitwise(getattr(again, name), getattr(bank, name))
-    if hasattr(bank, "labels"):
-        assert_bitwise(again.labels, bank.labels)
-        assert type(again.mu_reg) is type(bank.mu_reg) and again.mu_reg == bank.mu_reg
+    assert type(again) is ComponentBank
     x = np.linspace(-1.0, 1.0, problem.dim).astype(bank.Q.dtype if hasattr(bank, "Q")
                                                     else bank.rows.dtype)
     assert_bitwise(again.gradients(x), bank.gradients(x))
-    assert_bitwise(again.hessian_sum(x), bank.hessian_sum(x))
+    H = bank.hessian_sum(x)
+    if isinstance(bank, QuadraticBank):
+        assert_bitwise(again.hessian_sum(x), H)
+    else:
+        # The row bank takes n mu_reg in float64 where mu_reg is a float, so
+        # even in longdouble the two sums may differ at float64's rounding.
+        rtol = max(1e-13, 16 * np.finfo(H.dtype).eps)
+        assert again.hessian_sum(x).dtype == H.dtype
+        assert np.abs(again.hessian_sum(x) - H).max() <= rtol * np.abs(H).max()
     rng = np.random.default_rng(7)
     for s in (1, 8):
         idx = np.sort(rng.choice(problem.n, size=s, replace=False))
