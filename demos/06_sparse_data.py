@@ -31,7 +31,7 @@ with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
     path = fh.name
 
 try:
-    dataset, problem = load_libsvm(path, mu=0.5)
+    _, problem = load_libsvm(path, mu=0.5)
     print(f"loaded {problem.n} rows, {problem.dim} features; mu={problem.mu}, "
           f"L={problem.L:.4f} (from max row norm)")
 

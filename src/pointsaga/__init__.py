@@ -23,7 +23,6 @@ from .model import (
     full_gradient,
 )
 from .problems import (
-    Dataset,
     GeneratorSpec,
     GenericComponent,
     LogisticRidgeComponent,

@@ -146,11 +146,11 @@ def optimal_stepsize(s, n, mu, L):
 def iteration_complexity(gamma, s, n, mu, L, psi0, eps):
     """Iterations guaranteeing E[Psi] <= eps: log(psi0/eps) / (1 - rho).
 
-    The exact geometric bound; eps may equal psi0 (zero iterations) but must
-    not exceed it.
+    The exact geometric bound; psi0 and eps are finite, and eps may equal
+    psi0 (zero iterations) but must not exceed it.
     """
-    if not eps > 0:
-        raise EpsNotBelowPsi0(f"eps must be > 0, got {eps}")
+    if not (_finite(psi0) and _finite(eps) and eps > 0):
+        raise EpsNotBelowPsi0(f"need finite psi0 and eps > 0, got psi0={psi0}, eps={eps}")
     if eps > psi0:
         raise EpsNotBelowPsi0(f"eps = {eps} exceeds psi0 = {psi0}")
     rho = theoretical_rate(gamma, s, n, mu, L).rho
@@ -238,9 +238,9 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     prox residuals and rounding in what is an exact inequality in exact
     arithmetic. The input state is left untouched.
 
-    Checks run in this order: the rate's constants, then the subset count
-    (InvalidBatchSize, EnumerationTooLarge), then the shapes of x_star and
-    grad_star and the Lyapunov weights, all before any prox. A row's prox
+    Checks run in this order: the subset count (InvalidBatchSize,
+    EnumerationTooLarge), then the rate's constants, then the shapes of x_star
+    and grad_star and the Lyapunov weights, all before any prox. A row's prox
     bound depends on that row alone, so ProxFailure names the lowest failing
     component, at iteration state.t + 1, as the first enumerated subset that
     holds it would. An error the bank raises for any row, such as
@@ -249,8 +249,8 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     from .solver import SUBSET_BLOCK, SolverState, _advance
 
     n = problem.n
-    rho = theoretical_rate(gamma, s, n, problem.mu, problem.L).rho
     subsets = subset_rows(n, s)
+    rho = theoretical_rate(gamma, s, n, problem.mu, problem.L).rho
     rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
     nxt = SolverState(state.t, state.x, state.grad_table.copy(), state.g_avg)

@@ -21,7 +21,6 @@ import numpy as np
 from .analysis import reference_solution, theoretical_rate
 from .errors import (
     EmptyFile,
-    InconsistentDimension,
     MaxInnerIterations,
     MaxIterations,
     ParseError,
@@ -299,7 +298,7 @@ def main(argv=None):
                 "rates": cmd_rates}
     try:
         return handlers[args.command](args)
-    except (ParseError, EmptyFile, InconsistentDimension, OSError) as exc:
+    except (ParseError, EmptyFile, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _IO_ERRORS
     except (ProxFailure, MaxInnerIterations, MaxIterations) as exc:

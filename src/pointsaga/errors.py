@@ -21,7 +21,7 @@ class InvalidKnownSolution(PointSagaError, ValueError):
 
 
 class DimensionMismatch(PointSagaError, ValueError):
-    """A point or table does not match the problem dimension."""
+    """A point, table or family bank array does not fit the dimension or n."""
 
 
 class SingularSystem(PointSagaError, ValueError):
@@ -73,12 +73,8 @@ class EmptyFile(PointSagaError, ValueError):
     """Data file contains no usable rows."""
 
 
-class InconsistentDimension(PointSagaError, ValueError):
-    """Dataset rows do not share a common dimension."""
-
-
 class EpsNotBelowPsi0(PointSagaError, ValueError):
-    """Target accuracy must satisfy 0 < eps <= psi0."""
+    """Target accuracy must satisfy 0 < eps <= psi0, both finite."""
 
 
 def _finite(value):
@@ -103,7 +99,7 @@ def _check_constants(mu, L, gamma=None, s=None, n=None):
         raise InvalidConstants(f"need finite 0 < mu <= L, got mu={mu}, L={L}")
     if gamma is not None and not (_finite(gamma) and gamma > 0):
         raise InvalidConstants(f"gamma must be finite and > 0, got {gamma}")
-    if n is not None and n < 1:
-        raise InvalidConstants(f"n must be >= 1, got {n}")
-    if s is not None and not 1 <= s <= (n if n is not None else s):
-        raise InvalidConstants(f"need 1 <= s <= n, got s={s}, n={n}")
+    if n is not None and not (_integral(n) and n >= 1):
+        raise InvalidConstants(f"n must be an integer >= 1, got {n!r}")
+    if s is not None and not (_integral(s) and 1 <= s <= (n if n is not None else s)):
+        raise InvalidConstants(f"need integer 1 <= s <= n, got s={s!r}, n={n!r}")

@@ -97,13 +97,35 @@ class _ArrayBank(ComponentBank, Sequence):
     """A bank that owns its components' arrays, stacked on the first axis and
     read-only, so no component can change under it. It is the read-only
     sequence of its components too: item i is ``component(i)``, built on
-    access from the bank's own slices, and a slice is a tuple of them. The
-    first array's first two axes are n and the dimension d."""
+    access from the bank's own slices, and a slice is a tuple of them.
+
+    The constructor is the one check of a family's arrays, declared in
+    ``axes`` by attribute name, one letter per axis (n components, dimension
+    d). Each goes through np.asarray; a ragged one, a wrong rank or an axis
+    that disagrees raises DimensionMismatch, entries that are not finite
+    integers or floats InvalidSpec, and n = 0 EmptyComponentList. Only then
+    are they bound, read-only."""
 
     def __init__(self, *arrays):
-        for array in arrays:
+        sizes, checked = {}, []
+        for (name, axes), array in zip(self.axes.items(), arrays):
+            try:
+                array = np.asarray(array)
+            except ValueError:  # a ragged nested sequence
+                raise DimensionMismatch(f"{name} is not a rectangular array") from None
+            if array.ndim != len(axes) or any(sizes.setdefault(axis, size) != size
+                                              for axis, size in zip(axes, array.shape)):
+                raise DimensionMismatch(f"{name} has shape {array.shape}; its axes "
+                                        f"{axes!r} must agree with {sizes}")
+            if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+                raise InvalidSpec(f"{name} must hold finite integers or floats")
+            checked.append(array)
+        if sizes["n"] == 0:
+            raise EmptyComponentList("need at least one component")
+        for name, array in zip(self.axes, checked):
             array.flags.writeable = False
-        self._n, self.dim = arrays[0].shape[:2]
+            setattr(self, name, array)
+        self._n, self.dim = sizes["n"], sizes["d"]
 
     @property
     def components(self):

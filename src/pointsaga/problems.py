@@ -19,7 +19,6 @@ from ._linalg import _dots, _norms, _sum_rows
 from .analysis import ROW_BLOCK_ENTRIES, reference_solution
 from .errors import (
     EmptyFile,
-    InconsistentDimension,
     InvalidConstants,
     InvalidKnownSolution,
     InvalidSpec,
@@ -97,12 +96,17 @@ class QuadraticBank(_ArrayBank):
     a subset: row k is bitwise ``components[idx[k]].prox``, the same
     operations in the same order, batched through matmul's per-matrix loop.
     One cache holds the last gamma's n resolvents, one stacked product, and
-    the Hessian sum is built once. Its item i reads the bank's A and A c too."""
+    the Hessian sum is built once. Its item i reads the bank's A and A c too.
+    An eig <= 0 raises InvalidSpec, before A and A c are built."""
+
+    axes = {"Q": "ndd", "eig": "nd", "c": "nd"}
 
     def __init__(self, Q, eig, c):
-        self.A, self.Ac = _hessians(Q, eig, c)
-        self.Q, self.eig, self.c = Q, eig, c
-        super().__init__(Q, eig, c, self.A, self.Ac)
+        super().__init__(Q, eig, c)
+        if not (self.eig > 0).all():
+            raise InvalidSpec("every eigenvalue in eig must be > 0")
+        self.A, self.Ac = _hessians(self.Q, self.eig, self.c)
+        self.A.flags.writeable = self.Ac.flags.writeable = False
         self._cache = (None, None, None)
 
     def component(self, i):
@@ -153,11 +157,15 @@ def _sigmoids(v):
 class _RowBank(_ArrayBank):
     """Components f_i built on a data row a_i and label y_i, held as one n-by-d
     row matrix, a label vector of its dtype and the mu_reg they share. Its
-    item i is ``family(rows[i], labels[i], mu_reg)``."""
+    item i is ``family(rows[i], labels[i], mu_reg)``; mu_reg is finite and >= 0."""
+
+    axes = {"rows": "nd", "labels": "n"}
 
     def __init__(self, rows, labels, mu_reg):
-        self.rows, self.labels, self.mu_reg = rows, labels, mu_reg
+        if not (_finite(mu_reg) and mu_reg >= 0):
+            raise InvalidSpec(f"mu_reg must be finite and >= 0, got {mu_reg}")
         super().__init__(rows, labels)
+        self.mu_reg = mu_reg
 
     def component(self, i):
         return self.family(self.rows[i], self.labels[i], self.mu_reg)
@@ -250,7 +258,7 @@ class LogisticBank(_RowBank):
 
     def __init__(self, rows, labels, mu_reg):
         super().__init__(rows, labels, mu_reg)
-        self.aa = _dots(rows, rows)
+        self.aa = _dots(self.rows, self.rows)
 
     def _gradients(self, a, y, x):
         """Row k is the gradient of the component on (a[k], y[k]) at x, or at
@@ -366,24 +374,6 @@ class GeneratorSpec:
                               f"over {MAX_DENSE_ENTRIES}")
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Dense feature rows plus labels (+-1 for classification). load_libsvm's
-    dataset holds its bank's own read-only arrays."""
-
-    rows: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows)
-        if rows.ndim != 2:
-            raise InconsistentDimension("rows must form a dense n-by-d matrix")
-        if rows.shape[0] != np.asarray(self.labels).shape[0]:
-            raise InconsistentDimension("rows and labels disagree in length")
-        if not np.all(np.isfinite(rows)):
-            raise InconsistentDimension("rows contain non-finite entries")
-
-
 def _planted(problem, spec):
     """problem with its reference minimizer attached. The stationarity check on
     it is absolute, so when it fails the spec's scale has put rounding above
@@ -474,11 +464,12 @@ def load_libsvm(path, mu):
     norm must be finite. Rows and the reference solve's Hessian are dense, so
     max(rows, width) * width may not exceed MAX_DENSE_ENTRIES, width being the
     largest index. Rows keep their scale, so L is mu + max_i ||a_i||^2 / 4.
+    Returns (problem.bank, problem), a pair because callers unpack two values;
+    the bank holds the read-only ``rows`` and ``labels``.
     """
     if not (_finite(mu) and mu > 0):
         raise InvalidSpec(f"mu must be finite and > 0, got {mu}")
-    sparse_rows = []
-    labels = []
+    sparse_rows, labels = [], []
     max_idx = max_line = 0
     # surrogateescape keeps undecodable bytes, so a bad line can be named.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -497,8 +488,7 @@ def load_libsvm(path, mu):
                 raise ParseError(line_no, f"bad label token {tokens[0]!r}") from None
             if label not in (-1.0, 1.0):
                 raise ParseError(line_no, f"label must be +-1, got {tokens[0]!r}")
-            idxs = []
-            vals = []
+            idxs, vals = [], []
             prev = 0
             for tok in tokens[1:]:
                 try:
@@ -543,6 +533,5 @@ def load_libsvm(path, mu):
     if bad.size:
         raise ParseError(sparse_rows[bad[0]][0], "squared row norm overflows")
     L = mu + 0.25 * float(sq_norms.max())
-    bank = LogisticBank(rows, np.asarray(labels), mu)
-    # The dataset holds the bank's own read-only arrays, not a copy.
-    return Dataset(bank.rows, bank.labels), assemble_problem(bank, mu, L, max_idx)
+    problem = assemble_problem(LogisticBank(rows, labels, mu), mu, L, max_idx)
+    return problem.bank, problem

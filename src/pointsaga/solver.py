@@ -15,26 +15,14 @@ recomputation bounds floating-point drift.
 There is one iteration, _advance, which advances a state in place: it writes
 the s new table rows, rebinds x and g_avg, and moves t on by one. run
 advances the state that initialize (which also validates the config) builds
-for it, so one of its iterations costs O(s*d) whatever n is. The public step
-and apply_subset_step are pure: each advances a copy that has its own table
-and returns it. run keeps the Lyapunov value's per-row table errors current
-in O(s*d) per iteration, so a record scores Psi with an O(n) sum; the table
-drift is still an O(n*d) pass per record (none where a refresh has just made
-g_avg the table mean, and none with run(..., drift=False)), so trace_every
-sets what that diagnostic costs. step and run draw the same SplitMix64 subset
-stream: step one subset at a time with sampling.sample_k_subset, run many
-iterations' subsets at once with sampling.sample_subsets, whose rows are
-int64 (n is capped at 2^63).
-Each prox row is accepted on its own residual bound, TOL_PROX * (1 + ||z_i||)
-with the norm from _linalg._norms, so whether a component's prox passes does
-not depend on the other rows of its subset.
-Components are reached only through the problem's bank (model.ComponentBank):
-the subset prox of each iteration and the n-row gradient stack of initialize
-are one bank call each. run reads the gradients at the known solution from
-the problem's grad_star, built once with the problem, and builds them again
-(one more bank call) only for an x0 of another dtype than the known
-solution's. Every family bank in problems batches the gradients, and the
-prox of a subset of the size its family sets.
+for it, so one of its iterations costs O(s*d) whatever n is; its diagnostics
+and its SplitMix64 subset stream, which step draws one subset at a time, are
+described in run. The public step and apply_subset_step are pure: each
+advances a copy that has its own table and returns it. Components are
+reached only through the problem's bank (model.ComponentBank): the subset
+prox of each iteration and the n-row gradient stack of initialize are one
+bank call each, and run reads the gradients at the known solution from the
+problem's grad_star, built once with the problem.
 """
 
 import time
@@ -44,7 +32,8 @@ import numpy as np
 
 from ._linalg import _norms
 from .analysis import LyapunovWeights, _row_errors, optimal_stepsize
-from .errors import InvalidBatchSize, InvalidConstants, ProxFailure, _finite, _integral
+from .errors import (InvalidBatchSize, InvalidConstants, ProxFailure, _check_constants,
+                     _finite, _integral)
 from .prox import TOL_PROX
 from .sampling import SplitMix64, sample_k_subset, sample_subsets
 
@@ -187,11 +176,18 @@ def _advance(state, problem, gamma, idx, refresh_every=None):
 def apply_subset_step(state, problem, gamma, indices0):
     """One deterministic iteration given the 0-based subset to activate.
 
-    Pure: advances a copy (its own table, the input's x and g_avg, which
-    _advance only rebinds) and returns it, leaving the input untouched.
+    indices0 must be non-empty, strictly increasing integers in [0, n), else
+    InvalidBatchSize, and gamma finite and > 0, else InvalidConstants. Pure:
+    advances a copy (its own table, the input's x and g_avg, which _advance
+    only rebinds) and returns it, leaving the input untouched.
     """
+    _check_constants(problem.mu, problem.L, gamma=gamma)
+    idx = np.asarray(indices0)
+    if not (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu" and 0 <= idx[0]
+            and idx[-1] < problem.n and (idx[1:] > idx[:-1]).all()):
+        raise InvalidBatchSize(f"need sorted distinct integers in [0, {problem.n}): {indices0!r}")
     nxt = SolverState(state.t, state.x, state.grad_table.copy(), state.g_avg)
-    _advance(nxt, problem, gamma, np.asarray(indices0, dtype=int))
+    _advance(nxt, problem, gamma, idx.astype(int, copy=False))
     return nxt
 
 
@@ -201,9 +197,10 @@ def step(state, problem, config, rng, gamma):
     draws in blocks.
 
     gamma is the resolved stepsize (see SolverConfig.resolve_gamma); config
-    supplies s and the refresh cadence. Pure, like apply_subset_step: the
-    input state is left untouched.
+    supplies s and the refresh cadence. Pure and checking gamma, like
+    apply_subset_step: the input state is left untouched.
     """
+    _check_constants(problem.mu, problem.L, gamma=gamma)
     idx0 = np.asarray(sample_k_subset(rng, problem.n, config.s), dtype=int) - 1
     nxt = SolverState(state.t, state.x, state.grad_table.copy(), state.g_avg)
     _advance(nxt, problem, gamma, idx0, config.refresh_every)
@@ -286,9 +283,6 @@ def run(problem, config, x0, *, drift=True):
                                    wall_ns=time.perf_counter_ns() - t_begin))
 
     records = []
-    # The row errors and the records are taken under one overflow scope per
-    # iteration: a diagnostic past the dtype's range reads inf (or NaN), as a
-    # record of a diverging run should, rather than raising a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if x_star is not None:
             row_errors = _row_errors(state.grad_table, grad_star)

@@ -91,6 +91,14 @@ def test_rate_validates_constants():
         theoretical_rate(1.0, 2, 1, 1.0, 1.0)
     with pytest.raises(InvalidConstants, match="overflows"):  # was a NaN rho
         theoretical_rate(1e300, 1, 1, 1e300, 1e300)
+    # Sizes that are not integers were read as numbers: a fractional s gave a
+    # rate, and a NaN n passed n >= 1 (False for NaN), giving 0.909.
+    with pytest.raises(InvalidConstants):
+        theoretical_rate(0.1, 1.5, 10, 1.0, 10.0)
+    with pytest.raises(InvalidConstants):
+        defazio_rate(0.1, float("nan"), 1.0, 10.0)
+    with pytest.raises(InvalidConstants):
+        optimal_stepsize(1, 10.0, 1.0, 10.0)
 
 
 def test_optimal_stepsize_values():
@@ -129,6 +137,10 @@ def test_iteration_complexity_rejects_bad_eps():
         iteration_complexity(1.0, 1, 1, 1.0, 1.0, 1.0, 2.0)
     with pytest.raises(EpsNotBelowPsi0):
         iteration_complexity(1.0, 1, 1, 1.0, 1.0, 1.0, 0.0)
+    # Each of these returned NaN or inf.
+    for psi0, eps in [(float("nan"), 1.0), (float("inf"), float("inf")), (float("inf"), 1.0)]:
+        with pytest.raises(EpsNotBelowPsi0):
+            iteration_complexity(0.1, 1, 10, 1.0, 10.0, psi0, eps)
 
 
 def test_defazio_rate_values():

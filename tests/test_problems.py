@@ -5,10 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pointsaga import (
-    Dataset,
     FiniteSumProblem,
     GeneratorSpec,
     GenericComponent,
@@ -24,8 +23,8 @@ from pointsaga import (
 )
 from pointsaga.errors import (
     DimensionMismatch,
+    EmptyComponentList,
     EmptyFile,
-    InconsistentDimension,
     InvalidConstants,
     InvalidSpec,
     MaxInnerIterations,
@@ -776,13 +775,14 @@ def test_loaded_rows_cannot_go_stale(tmp_path):
     # The dataset's rows were the components' rows but not the bank's, so a
     # write into them changed the per-component oracles and left the batched
     # ones as they were: subsets below and above NEWTON_BATCH_MIN then solved
-    # different problems. Now the dataset holds the bank's read-only arrays.
-    dataset, problem = _libsvm_problem(tmp_path)
-    assert dataset.rows is problem.bank.rows and dataset.labels is problem.bank.labels
+    # different problems. Now load_libsvm returns the bank itself, whose
+    # arrays are read-only.
+    bank, problem = _libsvm_problem(tmp_path)
+    assert bank is problem.bank
     with pytest.raises(ValueError):
-        dataset.rows[0, 0] += 1.0
+        bank.rows[0, 0] += 1.0
     with pytest.raises(ValueError):
-        dataset.labels[0] = -dataset.labels[0]
+        bank.labels[0] = -bank.labels[0]
     x = np.linspace(-1.0, 1.0, problem.dim)
     assert np.array_equal(problem.components[0].gradient(x), problem.bank.gradients(x)[0])
     idx = np.array([0, 1, 3, 4, 6, 7, 9, 10])
@@ -1075,13 +1075,115 @@ def test_load_libsvm_raises_typed_error_or_has_finite_L(tmp_path_factory, data):
     assert math.isfinite(problem.L)
 
 
-def test_dataset_validation():
-    with pytest.raises(InconsistentDimension):
-        Dataset(np.zeros((2, 2)), np.zeros(3))
-    with pytest.raises(InconsistentDimension):
-        Dataset(np.array([[1.0, np.inf]]), np.zeros(1))
+# --- bank constructors check their arrays --------------------------------------------
 
 
-def test_dataset_rejects_rows_that_are_not_2d():
-    with pytest.raises(InconsistentDimension, match="dense n-by-d matrix"):
-        Dataset(np.zeros(3), np.zeros(3))
+def test_bank_validation():
+    for family in (RidgeBank, LogisticBank):
+        with pytest.raises(DimensionMismatch):
+            family(np.zeros((2, 2)), np.zeros(3), 0.5)
+        with pytest.raises(InvalidSpec):
+            family(np.array([[1.0, np.inf]]), np.zeros(1), 0.5)
+
+
+def test_bank_rejects_rows_that_are_not_2d():
+    for family in (RidgeBank, LogisticBank):
+        with pytest.raises(DimensionMismatch, match="axes .nd."):
+            family(np.zeros(3), np.zeros(3), 0.5)
+
+
+_EYES = np.tile(np.eye(2), (4, 1, 1))
+
+
+@pytest.mark.parametrize("family,args,error", [
+    (RidgeBank, (np.ones((5, 3)), np.ones(4), 0.5), DimensionMismatch),
+    (QuadraticBank, (_EYES, np.ones((4, 2)), np.ones((5, 2))), DimensionMismatch),
+    (LogisticBank, (np.ones(3), np.ones(3), 0.5), DimensionMismatch),
+    (RidgeBank, (np.array([[1.0, np.nan], [1.0, 1.0]]), np.ones(2), 0.5), InvalidSpec),
+    (RidgeBank, ([[1.0, 2.0], [3.0]], [1.0, 2.0], 0.5), DimensionMismatch),
+    (LogisticBank, (np.ones((2, 2)), np.ones(2), np.nan), InvalidSpec),
+    (RidgeBank, (np.ones((5, 3)), np.ones((5, 1)), 0.5), DimensionMismatch),
+    (RidgeBank, (np.ones((0, 3)), np.ones(0), 0.5), EmptyComponentList),
+    (RidgeBank, (np.ones((2, 3)), np.array(["a", "b"]), 0.5), InvalidSpec),
+    (RidgeBank, (np.ones((2, 3)), np.ones(2), -0.5), InvalidSpec),
+    (QuadraticBank, (_EYES, np.zeros((4, 2)), np.ones((4, 2))), InvalidSpec),
+    (QuadraticBank, (np.ones((4, 2, 3)), np.ones((4, 2)), np.ones((4, 2))), DimensionMismatch),
+    (QuadraticBank, (_EYES, np.ones((4, 3)), np.ones((4, 2))), DimensionMismatch),
+], ids=["lengths", "quadratic-lengths", "1-d-rows", "nan-row", "ragged-list", "nan-mu_reg",
+        "labels-5x1", "empty", "string-labels", "negative-mu_reg", "zero-eig", "non-square-Q",
+        "eig-width"])
+def test_bank_constructor_raises_a_typed_error(family, args, error):
+    # The NaN row ran, and failed at iteration 1 with ProxFailure (residual
+    # nan); the other faults raised numpy's untyped errors, or none.
+    with pytest.raises(error):
+        family(*args)
+
+
+def test_bank_takes_lists_through_asarray():
+    rows, labels, x = [[1.0, 2.0], [0.5, -1.0]], [1.0, -1.0], np.array([0.3, -0.2])
+    for family in (RidgeBank, LogisticBank):
+        listed, arrayed = family(rows, labels, 0.5), family(np.array(rows), np.array(labels), 0.5)
+        assert not listed.rows.flags.writeable and not listed.labels.flags.writeable
+        assert np.array_equal(listed.gradients(x), arrayed.gradients(x))
+
+
+#: Each family's arrays, one letter per axis: n components of dimension d.
+_BANK_AXES = {RidgeBank: ("nd", "n"), LogisticBank: ("nd", "n"),
+              QuadraticBank: ("ndd", "nd", "nd")}
+
+
+#: Faults _bank_calls puts into one argument each.
+_BANK_FAULTS = ["rank", "shape", "nan", "inf", "zero", "negative", "0-d", "str", "ragged",
+                "mu_reg"]
+
+
+@st.composite
+def _bank_calls(draw):
+    """A family and its arguments: arrays of the family's shapes, each passed
+    as an array, a list, integers or float32, or with a drawn fault (up to two):
+    a wrong rank or a drawn shape, a non-finite or non-positive entry, a 0-d
+    value, strings, a ragged list or a bad mu_reg."""
+    family = draw(st.sampled_from(list(_BANK_AXES)))
+    sizes = {"n": draw(st.integers(1, 3)), "d": draw(st.integers(1, 3))}
+    args = []
+    for axes in _BANK_AXES[family]:
+        shape = tuple(sizes[axis] for axis in axes)
+        size = math.prod(shape)
+        values = draw(st.lists(st.floats(0.5, 2.0), min_size=size, max_size=size))
+        args.append(np.array(values).reshape(shape))
+    mu_reg = draw(st.floats(0.0, 1.0))
+    faults = st.tuples(st.sampled_from(_BANK_FAULTS), st.integers(0, len(args) - 1))
+    faulted = draw(st.lists(faults, max_size=2, unique_by=lambda fault: fault[1]))
+    for fault, k in faulted:
+        array = args[k]
+        if fault == "mu_reg":
+            mu_reg = draw(st.sampled_from([np.nan, np.inf, -1.0, "a"]))
+        elif fault in ("nan", "inf", "zero", "negative"):
+            array.flat[draw(st.integers(0, array.size - 1))] = {
+                "nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[fault]
+        else:
+            shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+            args[k] = {"rank": lambda: array[..., None], "shape": lambda: np.ones(shape),
+                       "0-d": lambda: 1.0, "str": lambda: array.astype(str),
+                       "ragged": lambda: [[1.0], [1.0, 2.0]]}[fault]()
+    for k in sorted(set(range(len(args))) - {k for _, k in faulted}):
+        array = args[k]
+        form = draw(st.sampled_from(["array", "list", "int", "float32"]))
+        args[k] = {"array": array, "list": array.tolist(), "int": np.rint(array).astype(int),
+                   "float32": array.astype(np.float32)}[form]
+    if family is not QuadraticBank:
+        args.append(mu_reg)
+    return family, args
+
+
+@settings(max_examples=300)
+@given(call=_bank_calls())
+def test_bank_constructors_build_or_raise_a_typed_error(call):
+    family, args = call
+    try:
+        bank = family(*args)
+    except PointSagaError:
+        return
+    assert len(bank) >= 1
+    G = bank.gradients(np.ones(bank.dim))
+    assert G.shape == (len(bank), bank.dim) and np.isfinite(G).all()

@@ -610,6 +610,33 @@ def test_invalid_batch_size_rejected():
         run(problem, SolverConfig(s=11, gamma=0.1, max_iters=1), np.zeros(4))
 
 
+@pytest.mark.parametrize("indices0,gamma,error", [
+    ([-1], 0.1, InvalidBatchSize),  # ran component 6
+    ([0.5], 0.1, InvalidBatchSize),  # ran component 1
+    ([1, 1], 0.1, InvalidBatchSize),  # ran, and miscounted the written rows
+    ([3, 1], 0.1, InvalidBatchSize),  # ran
+    ([6], 0.1, InvalidBatchSize),  # IndexError
+    ([], 0.1, InvalidBatchSize),  # ValueError
+    ([[0, 1]], 0.1, InvalidBatchSize),
+    ([0, 2], -0.1, InvalidConstants),  # RuntimeWarning: divide by zero
+    ([0, 2], float("nan"), InvalidConstants),  # ProxFailure
+], ids=["negative", "fractional", "repeated", "unsorted", "past-n", "empty", "2-d",
+        "negative-gamma", "nan-gamma"])
+def test_apply_subset_step_checks_its_inputs(indices0, gamma, error):
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    state = initialize(problem, SolverConfig(), np.ones(3))
+    with pytest.raises(error):
+        apply_subset_step(state, problem, gamma, indices0)
+
+
+@pytest.mark.parametrize("gamma", [-0.1, 0.0, float("nan"), float("inf")])
+def test_step_checks_its_gamma(gamma):
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    state = initialize(problem, SolverConfig(s=2), np.ones(3))
+    with pytest.raises(InvalidConstants):
+        step(state, problem, SolverConfig(s=2), SplitMix64(0), gamma)
+
+
 @pytest.mark.parametrize("gamma", ["fast", float("inf"), float("nan"), 0.0])
 def test_non_finite_or_non_numeric_gamma_rejected(gamma):
     with pytest.raises(InvalidConstants):
