@@ -39,7 +39,7 @@ from .errors import (
     _check_constants,
     _finite,
 )
-from .model import full_gradient
+from .model import _check_shape, full_gradient
 from .sampling import subset_rows
 
 #: Newton steps reference_solution takes before MaxIterations, and the step
@@ -171,17 +171,8 @@ def dr_rate(gamma, mu, L):
 
 def lyapunov(state, problem, x_star, grad_star, gamma, s):
     """Psi evaluated on the state's current iterate and gradient table."""
-    x_star = np.asarray(x_star)
-    grad_star = np.asarray(grad_star)
-    if x_star.shape != (problem.dim,):
-        raise DimensionMismatch(
-            f"x_star has shape {x_star.shape}, expected ({problem.dim},)"
-        )
-    if grad_star.shape != (problem.n, problem.dim):
-        raise DimensionMismatch(
-            f"grad_star has shape {grad_star.shape}, "
-            f"expected ({problem.n}, {problem.dim})"
-        )
+    x_star = _check_shape(x_star, (problem.dim,), "x_star")
+    grad_star = _check_shape(grad_star, (problem.n, problem.dim), "grad_star")
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
     return w.psi(state, x_star, grad_star)
 
@@ -312,11 +303,7 @@ def consensus_dr_run(problem, gamma, x0, g0, iters):
     """
     _check_constants(problem.mu, problem.L, gamma=gamma)
     x0 = problem.check_point(x0)
-    g0 = np.asarray(g0, dtype=x0.dtype)
-    if g0.shape != (problem.n, problem.dim):
-        raise DimensionMismatch(
-            f"g0 has shape {g0.shape}, expected ({problem.n}, {problem.dim})"
-        )
+    g0 = _check_shape(np.asarray(g0, dtype=x0.dtype), (problem.n, problem.dim), "g0")
     u = x0[None, :] + gamma * (g0 - g0.mean(axis=0)[None, :])
     out = [x0.copy()]
     idx = np.arange(problem.n)

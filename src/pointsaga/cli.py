@@ -149,7 +149,7 @@ def _stepsize(problem, args, s, gamma_spec):
     """Validate one (s, gamma) pair of the flags and resolve its stepsize."""
     probe = SolverConfig(s=s, gamma=gamma_spec, max_iters=args.iters,
                          trace_every=args.trace_every)
-    probe.validate(problem.n)
+    probe.validate(problem)
     return probe.resolve_gamma(problem)
 
 

@@ -13,7 +13,9 @@ class EmptyComponentList(PointSagaError, ValueError):
 
 
 class InvalidConstants(PointSagaError, ValueError):
-    """Constants violate 0 < mu <= L, or another scalar precondition."""
+    """A constant fails finite 0 < mu <= L (in a problem or a generator spec),
+    finite gamma > 0, dim >= 1 or a solver setting other than s, or a value
+    overflows at the constants given."""
 
 
 class InvalidKnownSolution(PointSagaError, ValueError):
@@ -37,7 +39,8 @@ class MaxIterations(PointSagaError, RuntimeError):
 
 
 class InvalidBatchSize(PointSagaError, ValueError):
-    """Minibatch size s must satisfy 1 <= s <= n."""
+    """A size fails _check_sizes: s or n is not an integer, or 1 <= s <= n
+    <= 2^63 fails; or a subset is not sorted distinct integers in [0, n)."""
 
 
 class EnumerationTooLarge(PointSagaError, ValueError):
@@ -58,7 +61,10 @@ class ProxFailure(PointSagaError, RuntimeError):
 
 
 class InvalidSpec(PointSagaError, ValueError):
-    """Generator spec is inconsistent with the requested family."""
+    """A problem's description is malformed: a generator spec's family, sizes
+    or seed, or constants its family cannot use; a family bank entry that is
+    not a finite number, a bad mu_reg, an eig <= 0 or a logistic label other
+    than +-1; load_libsvm's mu; components without a needed Hessian."""
 
 
 class ParseError(PointSagaError, ValueError):
@@ -94,12 +100,25 @@ def _integral(value):
     return True
 
 
+def _check_sizes(n, s):
+    """n and s as Python ints, once both are integers (numpy integers too)
+    and 1 <= s <= n <= 2^63 holds (so every 0-based index fits int64; a
+    problem's n is a tuple's length, far below)."""
+    try:
+        n, s = operator.index(n), operator.index(s)
+    except TypeError:
+        raise InvalidBatchSize(f"sizes must be integers, got s={s!r}, n={n!r}") from None
+    if not 1 <= s <= n <= 1 << 63:
+        raise InvalidBatchSize(f"need 1 <= s <= n <= 2^63, got s={s}, n={n}")
+    return n, s
+
+
 def _check_constants(mu, L, gamma=None, s=None, n=None):
+    """InvalidConstants unless finite 0 < mu <= L and gamma, if given, finite
+    and > 0; then, if n is given, _check_sizes(n, s), with s = 1 if not."""
     if not (_finite(mu) and _finite(L) and 0 < mu <= L):
         raise InvalidConstants(f"need finite 0 < mu <= L, got mu={mu}, L={L}")
     if gamma is not None and not (_finite(gamma) and gamma > 0):
         raise InvalidConstants(f"gamma must be finite and > 0, got {gamma}")
-    if n is not None and not (_integral(n) and n >= 1):
-        raise InvalidConstants(f"n must be an integer >= 1, got {n!r}")
-    if s is not None and not (_integral(s) and 1 <= s <= (n if n is not None else s)):
-        raise InvalidConstants(f"need integer 1 <= s <= n, got s={s!r}, n={n!r}")
+    if n is not None:
+        _check_sizes(n, 1 if s is None else s)

@@ -204,12 +204,7 @@ class FiniteSumProblem:
     def _stationary_gradients(self, x_star):
         """The read-only stack of grad f_i(x_star), after checking its shape
         and that its row total, full_gradient's bits, is within n*TOL_STAR of 0."""
-        xs = np.asarray(x_star)
-        if xs.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"known_solution has shape {xs.shape}, expected ({self.dim},)"
-            )
-        G = self.bank.gradients(xs)
+        G = self.bank.gradients(_check_shape(x_star, (self.dim,), "known_solution"))
         g = _row_total(G)
         norm = float(_norms(g[None])[0])
         if not norm <= self.n * TOL_STAR:  # a NaN norm fails too
@@ -224,10 +219,17 @@ class FiniteSumProblem:
         return len(self.components)
 
     def check_point(self, x):
-        x = np.asarray(x)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dim},)")
-        return x
+        return _check_shape(x, (self.dim,), "point")
+
+
+def _check_shape(a, shape, name):
+    """np.asarray(a), once its shape is shape, else DimensionMismatch naming
+    it; sizes print by str, so a numpy-integer dim reads 3, not np.int64(3)."""
+    a = np.asarray(a)
+    if a.shape != shape:
+        expected = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise DimensionMismatch(f"{name} has shape {a.shape}, expected ({expected})")
+    return a
 
 
 def assemble_problem(components, mu, L, dim):

@@ -23,6 +23,7 @@ from .errors import (
     InvalidKnownSolution,
     InvalidSpec,
     ParseError,
+    _check_constants,
     _finite,
     _integral,
 )
@@ -252,12 +253,16 @@ class LogisticBank(_RowBank):
     operation is the scalar one applied elementwise, so row k is bitwise what
     ``components[idx[k]].prox`` returns. The batch does only that common
     case; zero rows, rows whose derived bracket needs widening and rows out
-    of budget are left to the scalar solve, on a view of the row."""
+    of budget are left to the scalar solve, on a view of the row. A label
+    other than +-1 raises InvalidSpec: the curvature bound ||a||^2 / 4 that
+    gen_logistic_ridge's and load_libsvm's L rest on needs |y| = 1."""
 
     family = LogisticRidgeComponent
 
     def __init__(self, rows, labels, mu_reg):
         super().__init__(rows, labels, mu_reg)
+        if not (np.abs(self.labels) == 1).all():
+            raise InvalidSpec("logistic labels must be +-1")
         self.aa = _dots(self.rows, self.rows)
 
     def _gradients(self, a, y, x):
@@ -361,8 +366,7 @@ class GeneratorSpec:
                 raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.dim < 1:
             raise InvalidSpec(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
-        if not (_finite(self.mu) and _finite(self.L) and 0 < self.mu <= self.L):
-            raise InvalidSpec(f"need finite 0 < mu <= L, got mu={self.mu}, L={self.L}")
+        _check_constants(self.mu, self.L)
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         # Quadratics hold n d-by-d matrices; ridge and logistic hold n-by-d
@@ -418,20 +422,28 @@ def gen_quadratic(spec, dtype=np.float64):
     return _planted(assemble_problem(QuadraticBank(Q, eig, c), spec.mu, spec.L, d), spec)
 
 
+def _scaled_rows(spec, family, scale, term):
+    """The spec's rng and its n-by-dim normal rows, each rescaled to norm
+    scale * sqrt(L - mu), once the spec is of family and mu < L leaves room for term."""
+    if spec.family != family:
+        raise InvalidSpec(f"expected family {family!r}, got {spec.family!r}")
+    if not spec.mu < spec.L:
+        raise InvalidSpec(f"{family.partition('_')[0]} family needs mu < L "
+                          f"to leave room for {term}")
+    rng = np.random.default_rng(spec.seed)
+    rows = rng.normal(size=(spec.n, spec.dim))
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    rows *= (scale * np.sqrt(spec.L - spec.mu) / norms)[:, None]
+    return rng, rows
+
+
 def gen_ridge_regression(spec, dtype=np.float64):
     """Per-sample ridge regression with rows rescaled so ||a_i||^2 = L - mu.
 
     Each Hessian a_i a_i' + mu I then has spectrum {mu, ..., mu, L}: the
     shared constants are exact per component. Needs mu < L strictly.
     """
-    if spec.family != "ridge_regression":
-        raise InvalidSpec(f"expected family 'ridge_regression', got {spec.family!r}")
-    if not spec.mu < spec.L:
-        raise InvalidSpec("ridge family needs mu < L to leave room for the data term")
-    rng = np.random.default_rng(spec.seed)
-    rows = rng.normal(size=(spec.n, spec.dim))
-    norms = np.sqrt((rows * rows).sum(axis=1))
-    rows *= (np.sqrt(spec.L - spec.mu) / norms)[:, None]
+    rng, rows = _scaled_rows(spec, "ridge_regression", 1.0, "the data term")
     rows, ys = rows.astype(dtype, copy=False), rng.normal(size=spec.n).astype(dtype, copy=False)
     bank = RidgeBank(rows, ys, spec.mu)
     return _planted(assemble_problem(bank, spec.mu, spec.L, spec.dim), spec)
@@ -444,14 +456,7 @@ def gen_logistic_ridge(spec):
     exactly L-smooth as a bound and mu-strongly convex from the ridge. The
     minimizer comes from the deterministic reference solve at tol 1e-12.
     """
-    if spec.family != "logistic_ridge":
-        raise InvalidSpec(f"expected family 'logistic_ridge', got {spec.family!r}")
-    if not spec.mu < spec.L:
-        raise InvalidSpec("logistic family needs mu < L to leave room for the loss")
-    rng = np.random.default_rng(spec.seed)
-    rows = rng.normal(size=(spec.n, spec.dim))
-    norms = np.sqrt((rows * rows).sum(axis=1))
-    rows *= (2.0 * np.sqrt(spec.L - spec.mu) / norms)[:, None]
+    rng, rows = _scaled_rows(spec, "logistic_ridge", 2.0, "the loss")
     bank = LogisticBank(rows, 2.0 * rng.integers(0, 2, size=spec.n) - 1.0, spec.mu)
     return _planted(assemble_problem(bank, spec.mu, spec.L, spec.dim), spec)
 

@@ -18,9 +18,9 @@ computes many outputs in one vector pass. sample_k_subset draws one subset at
 a time; sample_subsets draws the next k in blocks, shuffled together one swap
 step per numpy pass, and falls back to sample_k_subset for an iteration with a
 rejected draw, so both leave the same subsets and the same final state.
-Both samplers and subset_rows take integer sizes (numpy integers
-too) with 1 <= s <= n <= 2^63, so every 0-based index fits int64:
-sample_subsets returns int64 rows.
+Both samplers and subset_rows check their sizes with errors._check_sizes:
+integers (numpy integers too) with 1 <= s <= n <= 2^63, so every 0-based
+index fits int64, and sample_subsets returns int64 rows.
 """
 
 import math
@@ -28,7 +28,7 @@ import operator
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, InvalidBatchSize
+from .errors import EnumerationTooLarge, _check_sizes
 
 _MASK64 = (1 << 64) - 1
 _INC = 0x9E3779B97F4A7C15
@@ -160,19 +160,6 @@ def _shuffle_rows(targets):
     for i, j in enumerate(cols.T):
         values[rows, j], values[:, i] = values[:, i], values[rows, j]
     return np.sort(values[:, :s], axis=1)
-
-
-def _check_sizes(n, s):
-    """n and s as Python ints, once both are integers (numpy integers too)
-    and 1 <= s <= n <= 2^63 holds (so every 0-based index fits int64; a
-    problem's n is a tuple's length, far below)."""
-    try:
-        n, s = operator.index(n), operator.index(s)
-    except TypeError:
-        raise InvalidBatchSize(f"sizes must be integers, got s={s!r}, n={n!r}") from None
-    if not 1 <= s <= n <= 1 << 63:
-        raise InvalidBatchSize(f"need 1 <= s <= n <= 2^63, got s={s}, n={n}")
-    return n, s
 
 
 def subset_rows(n, s):

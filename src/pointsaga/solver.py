@@ -33,7 +33,7 @@ import numpy as np
 from ._linalg import _norms
 from .analysis import LyapunovWeights, _row_errors, optimal_stepsize
 from .errors import (InvalidBatchSize, InvalidConstants, ProxFailure, _check_constants,
-                     _finite, _integral)
+                     _integral)
 from .prox import TOL_PROX
 from .sampling import SplitMix64, sample_k_subset, sample_subsets
 
@@ -51,7 +51,8 @@ class SolverConfig:
     refresh_every=None disables the periodic exact recomputation of the table
     average. init_gradients picks the initial table: "at_x0" (component
     gradients at x0) or "zeros". The sizes s, max_iters, seed, trace_every
-    and refresh_every are integers (numpy integers too).
+    and refresh_every are integers (numpy integers too); validate checks
+    them against a problem.
     """
 
     s: int = 1
@@ -62,17 +63,16 @@ class SolverConfig:
     refresh_every: int | None = 1000
     init_gradients: str = "at_x0"
 
-    def validate(self, n):
-        for name in ("s", "max_iters", "trace_every", "refresh_every", "seed"):
+    def validate(self, problem):
+        """Check the config for problem: s and gamma in the rate's one
+        errors._check_constants call (InvalidBatchSize for s, InvalidConstants
+        for gamma), every other setting here (InvalidConstants)."""
+        for name in ("max_iters", "trace_every", "refresh_every", "seed"):
             value = getattr(self, name)
             if not (_integral(value) or (name == "refresh_every" and value is None)):
                 raise InvalidConstants(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.s <= n:
-            raise InvalidBatchSize(f"need 1 <= s <= n, got s={self.s}, n={n}")
-        if self.gamma != "auto" and not (_finite(self.gamma) and self.gamma > 0):
-            raise InvalidConstants(
-                f"gamma must be finite and > 0 or 'auto', got {self.gamma!r}"
-            )
+        _check_constants(problem.mu, problem.L, s=self.s, n=problem.n,
+                         gamma=None if self.gamma == "auto" else self.gamma)
         if self.max_iters < 0:
             raise InvalidConstants("max_iters must be >= 0")
         if self.trace_every < 1:
@@ -116,7 +116,7 @@ class TraceRecord:
 def initialize(problem, config, x0):
     """Validate config and build the t=0 state: iterate x0, gradient table
     per config.init_gradients, g_avg its mean."""
-    config.validate(problem.n)
+    config.validate(problem)
     x0 = problem.check_point(x0)
     if config.init_gradients == "at_x0":
         table = problem.bank.gradients(x0)

@@ -87,17 +87,18 @@ def test_rate_validates_constants():
         theoretical_rate(1.0, 1, 1, 2.0, 1.0)
     with pytest.raises(InvalidConstants):
         theoretical_rate(-1.0, 1, 1, 1.0, 1.0)
-    with pytest.raises(InvalidConstants):
-        theoretical_rate(1.0, 2, 1, 1.0, 1.0)
     with pytest.raises(InvalidConstants, match="overflows"):  # was a NaN rho
         theoretical_rate(1e300, 1, 1, 1e300, 1e300)
-    # Sizes that are not integers were read as numbers: a fractional s gave a
-    # rate, and a NaN n passed n >= 1 (False for NaN), giving 0.909.
-    with pytest.raises(InvalidConstants):
+    # Sizes are the samplers' sizes, and raise their error. Sizes that are not
+    # integers were once read as numbers: a fractional s gave a rate, and a
+    # NaN n passed n >= 1 (False for NaN), giving 0.909.
+    with pytest.raises(InvalidBatchSize):
+        theoretical_rate(1.0, 2, 1, 1.0, 1.0)
+    with pytest.raises(InvalidBatchSize):
         theoretical_rate(0.1, 1.5, 10, 1.0, 10.0)
-    with pytest.raises(InvalidConstants):
+    with pytest.raises(InvalidBatchSize):
         defazio_rate(0.1, float("nan"), 1.0, 10.0)
-    with pytest.raises(InvalidConstants):
+    with pytest.raises(InvalidBatchSize):
         optimal_stepsize(1, 10.0, 1.0, 10.0)
 
 

@@ -125,7 +125,7 @@ def test_run_invalid_constant_exits_2_and_writes_nothing(tmp_path, capsys, flag,
 
 
 @pytest.mark.parametrize("over,error", [
-    ({"mu": "inf", "L": "inf"}, "InvalidSpec"),
+    ({"mu": "inf", "L": "inf"}, "InvalidConstants"),
     ({"gamma": "1e300"}, "InvalidConstants"),
     ({"problem": "ridge", "L": "1e300", "iters": "1"}, "InvalidConstants: mu=1, L=1e+300"),
     ({"problem": "nope"}, "unknown problem kind 'nope'"),

@@ -1,9 +1,18 @@
-"""Every error class in errors.py is raised by some module of the package."""
+"""Every error class in errors.py is raised by some module of the package,
+and a size fault raises InvalidBatchSize from the one size check."""
 
 import ast
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
 
 import pointsaga
+from pointsaga import (GeneratorSpec, SolverConfig, defazio_rate, gen_quadratic,
+                       optimal_stepsize, run, theoretical_rate, verify_one_step_contraction)
+from pointsaga.errors import InvalidBatchSize
+from pointsaga.sampling import SplitMix64, sample_k_subset, sample_subsets, subset_rows
 
 PACKAGE = Path(pointsaga.__file__).parent
 
@@ -30,6 +39,25 @@ def raised_names(source):
     return names
 
 
+def raising_functions(source, name):
+    """The innermost function around each raise of name, as ``raise name``,
+    ``raise name(...)`` or through an attribute such as ``errors.name``;
+    None for a raise outside any function."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == name:
+                    found.add(function)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def test_every_error_class_is_raised():
     raised = set().union(*(raised_names(p.read_text()) for p in PACKAGE.glob("*.py")))
     assert sorted(error_classes((PACKAGE / "errors.py").read_text()) - raised) == []
@@ -52,3 +80,69 @@ def test_error_classes_and_raised_names_on_a_toy_source():
     )
     assert error_classes(source) == {"A", "B"}
     assert raised_names(source) == {"A"}
+
+
+def test_batch_sizes_are_checked_in_one_place():
+    # _check_sizes is the size check; apply_subset_step's check is of a
+    # given subset's contents. A copy of the size check anywhere else fails.
+    raisers = {(path.stem, function) for path in PACKAGE.glob("*.py")
+               for function in raising_functions(path.read_text(), "InvalidBatchSize")}
+    assert raisers == {("errors", "_check_sizes"), ("solver", "apply_subset_step")}
+
+
+def test_raising_functions_on_a_toy_source():
+    source = (
+        "class A(Exception): pass\n"
+        "if flag:\n"
+        "    raise A\n"
+        "def f(x):\n"
+        "    raise A(x)\n"
+        "def g(x):\n"
+        "    def inner():\n"
+        "        raise errors.A('x') from None\n"
+        "    raise B(x)\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        if self:\n"
+        "            raise A\n"
+        "        raise\n"
+    )
+    assert raising_functions(source, "A") == {None, "f", "inner", "method"}
+    assert raising_functions(source, "B") == {"g"}
+    assert raising_functions(source, "C") == set()
+
+
+#: Sizes no entry point takes: s outside 1 <= s <= n, or not an integer, and
+#: an n that is not an integer.
+_BAD_SIZES = {"s-0": (0, 10), "s-n+1": (11, 10), "s-2.0": (2.0, 10),
+              "n-10.0": (1, 10.0), "n-nan": (1, float("nan"))}
+
+#: Each entry point that takes a batch size, called with (s, problem).
+_SIZED = {
+    "theoretical_rate": lambda s, p: theoretical_rate(0.1, s, p.n, 1.0, 10.0),
+    "optimal_stepsize": lambda s, p: optimal_stepsize(s, p.n, 1.0, 10.0),
+    "defazio_rate": lambda s, p: defazio_rate(0.1, p.n, 1.0, 10.0),  # n only
+    "SolverConfig.validate": lambda s, p: SolverConfig(s=s).validate(p),
+    "run": lambda s, p: run(p, SolverConfig(s=s, max_iters=1), np.ones(2)),
+    "sample_k_subset": lambda s, p: sample_k_subset(SplitMix64(0), p.n, s),
+    "sample_subsets": lambda s, p: sample_subsets(SplitMix64(0), p.n, s, 3),
+    "subset_rows": lambda s, p: subset_rows(p.n, s),
+    # The sizes are checked before the state or the solution is read.
+    "verify_one_step_contraction":
+        lambda s, p: verify_one_step_contraction(None, p, 0.1, s, None, None),
+}
+
+
+@pytest.mark.parametrize("entry,size", [
+    (entry, size) for entry in _SIZED for size in _BAD_SIZES
+    if entry != "defazio_rate" or size.startswith("n-")])
+def test_every_entry_point_raises_invalid_batch_size(entry, size):
+    s, n = _BAD_SIZES[size]
+    # A problem's n is its length, always an integer: a stand-in carries the
+    # others, with the real problem's constants.
+    if type(n) is int:
+        problem = gen_quadratic(GeneratorSpec("quadratic", n, 2, 1.0, 10.0, seed=1))
+    else:
+        problem = SimpleNamespace(n=n, mu=1.0, L=10.0)
+    with pytest.raises(InvalidBatchSize):
+        _SIZED[entry](s, problem)

@@ -8,12 +8,15 @@ from pointsaga import (
     GeneratorSpec,
     GenericComponent,
     QuadraticComponent,
+    SolverState,
     assemble_problem,
+    consensus_dr_run,
     full_gradient,
     gen_logistic_ridge,
     gen_quadratic,
     gen_ridge_regression,
     load_libsvm,
+    lyapunov,
     reference_solution,
 )
 from pointsaga.errors import (
@@ -76,6 +79,34 @@ def test_full_gradient_at_planted_solution():
     problem = gen_quadratic(GeneratorSpec("quadratic", 5, 3, 1.0, 10.0, seed=1))
     g = full_gradient(problem, problem.known_solution)
     assert np.linalg.norm(g) <= problem.n * TOL_STAR
+
+
+def _shape_fault(call):
+    """call on a 4-component problem whose dim is np.int64(3), a zero state
+    of it and its true x* and gradient table."""
+    bank = gen_quadratic(GeneratorSpec("quadratic", 4, 3, 1.0, 10.0, seed=1)).components
+    problem = FiniteSumProblem(bank, 1.0, 10.0, np.int64(3))
+    state = SolverState(0, np.zeros(3), np.zeros((4, 3)), np.zeros(3))
+    x_star = reference_solution(problem)
+    return lambda: call(problem, state, x_star, bank.gradients(x_star))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p, st, x, G: full_gradient(p, np.zeros(2)), "point has shape (2,), expected (3,)"),
+    (lambda p, st, x, G: p.with_known_solution(np.zeros((3, 1))),
+     "known_solution has shape (3, 1), expected (3,)"),
+    (lambda p, st, x, G: lyapunov(st, p, np.zeros(2), G, 0.1, 1),
+     "x_star has shape (2,), expected (3,)"),
+    (lambda p, st, x, G: lyapunov(st, p, x, G[:, :2], 0.1, 1),
+     "grad_star has shape (4, 2), expected (4, 3)"),
+    (lambda p, st, x, G: consensus_dr_run(p, 0.1, x, np.zeros(3), 1),
+     "g0 has shape (3,), expected (4, 3)"),
+], ids=["check_point", "known_solution", "lyapunov-x_star", "lyapunov-grad_star", "consensus-g0"])
+def test_shape_errors_name_the_array_and_both_shapes(call, message):
+    # The numpy-integer dim prints as 3, as every message did before the
+    # shape check had one home.
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        _shape_fault(call)()
 
 
 def test_known_solution_validated():

@@ -54,15 +54,16 @@ def test_spec_validation():
         GeneratorSpec("nope", 1, 1, 1.0, 1.0)
     with pytest.raises(InvalidSpec):
         GeneratorSpec("quadratic", 0, 1, 1.0, 1.0)
-    with pytest.raises(InvalidSpec):
+    # mu > L is the constants fault a problem raises, with its message.
+    with pytest.raises(InvalidConstants, match=r"^need finite 0 < mu <= L, got mu=2.0, L=1.0$"):
         GeneratorSpec("quadratic", 1, 1, 2.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_spec_rejects_non_finite_constants(bad):
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidConstants):
         GeneratorSpec("quadratic", 2, 2, 1.0, bad)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidConstants):
         GeneratorSpec("quadratic", 2, 2, bad, bad)
 
 
@@ -1109,14 +1110,28 @@ _EYES = np.tile(np.eye(2), (4, 1, 1))
     (QuadraticBank, (_EYES, np.zeros((4, 2)), np.ones((4, 2))), InvalidSpec),
     (QuadraticBank, (np.ones((4, 2, 3)), np.ones((4, 2)), np.ones((4, 2))), DimensionMismatch),
     (QuadraticBank, (_EYES, np.ones((4, 3)), np.ones((4, 2))), DimensionMismatch),
+    (LogisticBank, (np.ones((2, 2)), [3.0, -1.0], 0.5), InvalidSpec),
+    (LogisticBank, (np.ones((2, 2)), [0.0, 1.0], 0.5), InvalidSpec),
+    (LogisticBank, (np.ones((2, 2)), np.array([1, 2]), 0.5), InvalidSpec),
+    (LogisticBank, (np.ones((2, 2)), [0.5, -1.0], 0.5), InvalidSpec),
 ], ids=["lengths", "quadratic-lengths", "1-d-rows", "nan-row", "ragged-list", "nan-mu_reg",
         "labels-5x1", "empty", "string-labels", "negative-mu_reg", "zero-eig", "non-square-Q",
-        "eig-width"])
+        "eig-width", "logistic-label-3", "logistic-label-0", "logistic-int-label-2",
+        "logistic-label-0.5"])
 def test_bank_constructor_raises_a_typed_error(family, args, error):
     # The NaN row ran, and failed at iteration 1 with ProxFailure (residual
-    # nan); the other faults raised numpy's untyped errors, or none.
+    # nan); a logistic label other than +-1 built a bank whose curvature
+    # exceeds the shared L; the other faults raised numpy's untyped errors,
+    # or none.
     with pytest.raises(error):
         family(*args)
+
+
+def test_only_logistic_labels_are_plus_or_minus_one():
+    rows = np.ones((3, 2))
+    for labels in ([1.0, -1.0, 1.0], np.array([1, -1, -1]), np.array([-1.0, 1.0, 1.0], np.float32)):
+        assert np.array_equal(LogisticBank(rows, labels, 0.5).labels, labels)
+    assert np.array_equal(RidgeBank(rows, [3.0, 0.0, -0.5], 0.5).labels, [3.0, 0.0, -0.5])
 
 
 def test_bank_takes_lists_through_asarray():
@@ -1139,17 +1154,20 @@ _BANK_FAULTS = ["rank", "shape", "nan", "inf", "zero", "negative", "0-d", "str",
 
 @st.composite
 def _bank_calls(draw):
-    """A family and its arguments: arrays of the family's shapes, each passed
-    as an array, a list, integers or float32, or with a drawn fault (up to two):
-    a wrong rank or a drawn shape, a non-finite or non-positive entry, a 0-d
-    value, strings, a ragged list or a bad mu_reg."""
+    """A family and its arguments: arrays of the family's shapes (logistic
+    labels +-1), each passed as an array, a list, integers or float32, or
+    with a drawn fault (up to two): a wrong rank or a drawn shape, a
+    non-finite or non-positive entry, a 0-d value, strings, a ragged list or
+    a bad mu_reg."""
     family = draw(st.sampled_from(list(_BANK_AXES)))
     sizes = {"n": draw(st.integers(1, 3)), "d": draw(st.integers(1, 3))}
     args = []
-    for axes in _BANK_AXES[family]:
+    for k, axes in enumerate(_BANK_AXES[family]):
         shape = tuple(sizes[axis] for axis in axes)
         size = math.prod(shape)
-        values = draw(st.lists(st.floats(0.5, 2.0), min_size=size, max_size=size))
+        labels = family is LogisticBank and k == 1
+        entry = st.sampled_from([-1.0, 1.0]) if labels else st.floats(0.5, 2.0)
+        values = draw(st.lists(entry, min_size=size, max_size=size))
         args.append(np.array(values).reshape(shape))
     mu_reg = draw(st.floats(0.0, 1.0))
     faults = st.tuples(st.sampled_from(_BANK_FAULTS), st.integers(0, len(args) - 1))

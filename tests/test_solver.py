@@ -640,7 +640,7 @@ def test_step_checks_its_gamma(gamma):
 @pytest.mark.parametrize("gamma", ["fast", float("inf"), float("nan"), 0.0])
 def test_non_finite_or_non_numeric_gamma_rejected(gamma):
     with pytest.raises(InvalidConstants):
-        SolverConfig(gamma=gamma).validate(10)
+        SolverConfig(gamma=gamma).validate(quad_problem())
 
 
 @pytest.mark.parametrize("field", [{"refresh_every": 0}, {"init_gradients": "ones"},
@@ -651,8 +651,9 @@ def test_non_finite_or_non_numeric_gamma_rejected(gamma):
                               "s-2.0", "max_iters-3.5", "trace_every-2.5", "refresh_every-2.0",
                               "seed-1.5"])
 def test_out_of_range_config_rejected(field):
-    with pytest.raises(InvalidConstants):
-        SolverConfig(**field).validate(10)
+    # s is a size, checked as the samplers check it; every other field is a constant.
+    with pytest.raises(InvalidBatchSize if "s" in field else InvalidConstants):
+        SolverConfig(**field).validate(quad_problem())
 
 
 def test_initialize_rejects_unknown_init_gradients():
