@@ -48,6 +48,7 @@ from .solver import (
     apply_subset_step,
     initialize,
     run,
+    run_many,
     step,
     table_drift,
 )

@@ -1,5 +1,6 @@
 """Small dense solves that preserve extended-precision dtypes, row dots and
-norms, and sums over a stack's leading axis in index order.
+norms, per-row scale factors, and sums over a stack's leading axis in index
+order.
 
 LAPACK-backed ``np.linalg.solve`` rejects ``np.longdouble``; the elimination
 fallback here keeps whatever dtype the caller works in.
@@ -17,6 +18,16 @@ def _dots(A, B):
     1-d dot, which a matrix-vector product need not be. So a row computed
     alone equals the same row inside a pass over all rows."""
     return (A[:, None, :] @ B[..., None])[:, 0, 0]
+
+
+def _per_row(value, a):
+    """value as it scales the rows of a (value * a, a / value): a scalar as it
+    is; a 1-d ndarray, one value per row, as a column in a's dtype. That is
+    the dtype a Python float or int takes against a, so row k of the result
+    is bitwise row k scaled by the Python number value[k] alone."""
+    if not (isinstance(value, np.ndarray) and value.ndim):
+        return value
+    return value.astype(a.dtype, copy=False)[:, None]
 
 
 @functools.cache

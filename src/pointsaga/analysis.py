@@ -14,8 +14,8 @@ and the certified quantity is the weighted energy
 
 The table term is numpy's sum of the per-row squared errors
 r_i = ||g_i - grad f_i(x*)||^2, each a 1-d dot. LyapunovWeights.score is the
-one copy of the formula, so solver.run, which recomputes r_i only for the
-rows an iteration writes, scores every record bitwise as `lyapunov` does.
+one copy of the formula, so solver.run_many, which recomputes r_i only for
+the rows an iteration writes, scores every record bitwise as `lyapunov` does.
 
 Averaged over all C(n, s) equally likely subsets, one iteration maps Psi to
 at most rho * Psi; `verify_one_step_contraction` computes that average
@@ -170,7 +170,10 @@ def dr_rate(gamma, mu, L):
 
 
 def lyapunov(state, problem, x_star, grad_star, gamma, s):
-    """Psi evaluated on the state's current iterate and gradient table."""
+    """Psi evaluated on the state's current iterate and gradient table. The
+    constants are checked first: gamma (InvalidConstants) and s, which must
+    be a batch size of the problem (InvalidBatchSize)."""
+    _check_constants(problem.mu, problem.L, gamma=gamma, s=s, n=problem.n)
     x_star = _check_shape(x_star, (problem.dim,), "x_star")
     grad_star = _check_shape(grad_star, (problem.n, problem.dim), "grad_star")
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
@@ -237,15 +240,14 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     holds it would. An error the bank raises for any row, such as
     MaxInnerIterations, comes before a residual failure of another.
     """
-    from .solver import SUBSET_BLOCK, SolverState, _advance
+    from .solver import SUBSET_BLOCK, _advanced_copy
 
     n = problem.n
     subsets = subset_rows(n, s)
     rho = theoretical_rate(gamma, s, n, problem.mu, problem.L).rho
     rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
-    nxt = SolverState(state.t, state.x, state.grad_table.copy(), state.g_avg)
-    P = _advance(nxt, problem, gamma, np.arange(n))
+    nxt, P = _advanced_copy(state, problem, gamma, np.arange(n))
     kept = _row_errors(state.grad_table, grad_star)
     moved = _row_errors(nxt.grad_table, grad_star)
     per_block = max(1, SUBSET_BLOCK // n)

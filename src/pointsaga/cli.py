@@ -8,6 +8,12 @@ Trace files are CSV with header ``t,dist_sq,lyapunov,table_drift,wall_ns``;
 floats carry 17 significant digits so they round-trip. Every problem gets a
 known solution (generators plant one; ``reference_solution`` computes one for
 a file), so no field is empty.
+
+``run``'s repeats and ``sweep``'s cells times repeats advance together, in
+groups that share one solver.run_many call and one clock: a record's
+``wall_ns`` counts from the start of its group's call, ``summary.json``'s
+counts each group's common time once, and a ``sweep.csv`` row's is the time
+of the call that advanced its cell.
 """
 
 import argparse
@@ -15,6 +21,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from .errors import (
     _finite,
 )
 from .problems import GeneratorSpec, gen_logistic_ridge, gen_quadratic, gen_ridge_regression, load_libsvm
-from .solver import SolverConfig, run
+from .solver import SolverConfig, run, run_many
 
 TRACE_HEADER = "t,dist_sq,lyapunov,table_drift,wall_ns"
 
@@ -178,52 +185,96 @@ def _empirical_contraction(records):
     return float(np.exp((np.log(p1) - np.log(p0)) / (t1 - t0)))
 
 
-def _solve_cell(problem, args, gamma, s, threshold=None, trace_dir=None):
-    """Run `repeats` trajectories; aggregate the summary quantities.
+#: Most entries the trajectories one run_many call advances may hold between
+#: them: n * dim per gradient table, and RECORD_ENTRIES per trace record
+#: (a TraceRecord of numpy scalars takes about as much memory). The CLI's
+#: trajectories run in groups of consecutive ones within this budget; a
+#: trajectory over it runs alone.
+GROUP_ENTRIES = 1 << 21
+RECORD_ENTRIES = 32
 
-    With a threshold (sweep) every iteration is recorded, without the table
-    drift that sweep.csv does not hold, and prox calls are counted up to the
-    first record at or below threshold * Psi(0). Otherwise records follow
-    --trace-every and carry the drift, and each repeat's trace is written to
-    trace_dir, when given, as soon as that repeat finishes.
-    """
+
+def _advanced(problem, configs, drift):
+    """(state, records) per config, from x0 = 0: run_many's, or on a
+    PointSagaError each config's run in turn, yielded as it finishes, so the
+    error raised, and every trace written before it, are what a loop of
+    runs gives."""
     x0 = np.zeros(problem.dim)
-    contractions = []
-    finals = []
-    iters_hit = []
-    prox_calls = 0
-    wall = 0
-    for k in range(args.repeats):
-        config = SolverConfig(
-            s=s, gamma=gamma, max_iters=args.iters, seed=args.seed + k,
-            trace_every=args.trace_every if threshold is None else 1,
-        )
-        state, records = run(problem, config, x0, drift=threshold is None)
-        if trace_dir is not None:
-            _write_trace(f"{trace_dir}/trace_seed{config.seed}.csv", records)
-        contr = _empirical_contraction(records)
-        if contr is not None:
-            contractions.append(contr)
-        finals.append(float(records[-1].dist_sq))
-        wall += records[-1].wall_ns
-        hit = None
-        if threshold is not None:
-            psi0 = records[0].lyapunov
-            hit = next((r.t for r in records if r.lyapunov <= threshold * psi0), None)
-            if hit is not None:
-                iters_hit.append(hit)
-        prox_calls += s * (hit if hit is not None else state.t)
+    try:
+        yield from run_many(problem, configs, x0, drift=drift)
+    except PointSagaError:
+        for config in configs:
+            yield run(problem, config, x0, drift=drift)
+
+
+class _Trajectory(NamedTuple):
+    """What a summary needs of one trajectory's records. hit is the first t
+    whose record is at or below threshold * Psi(0), where a threshold is
+    given; t and wall_ns are the last record's; group indexes the group's
+    wall time."""
+
+    contraction: float | None
+    final_dist_sq: float
+    hit: int | None
+    t: int
+    wall_ns: int
+    group: int
+
+
+def _trajectories(problem, configs, drift, threshold=None, trace_dir=None):
+    """A _Trajectory per config, and the wall time of each group. The
+    configs advance together in groups of consecutive ones whose tables and
+    records fit GROUP_ENTRIES, so no more records than that are held at
+    once. Each trajectory's trace is written to trace_dir, when given, as
+    soon as its group finishes."""
+    done, walls = [], []
+    if not configs:
+        return done, walls
+    per_trajectory = configs[0].max_iters // configs[0].trace_every + 2  # records, at most
+    per_group = max(1, GROUP_ENTRIES // (problem.n * problem.dim + RECORD_ENTRIES * per_trajectory))
+    for start in range(0, len(configs), per_group):
+        t_begin = time.perf_counter_ns()
+        group = configs[start:start + per_group]
+        for config, (_, records) in zip(group, _advanced(problem, group, drift)):
+            if trace_dir is not None:
+                _write_trace(f"{trace_dir}/trace_seed{config.seed}.csv", records)
+            hit = None
+            if threshold is not None:
+                psi0 = records[0].lyapunov
+                hit = next((r.t for r in records if r.lyapunov <= threshold * psi0), None)
+            last = records[-1]
+            done.append(_Trajectory(_empirical_contraction(records), float(last.dist_sq), hit,
+                                    last.t, last.wall_ns, len(walls)))
+        walls.append(time.perf_counter_ns() - t_begin)
+    return done, walls
+
+
+def _summarize(trajectories, s, threshold=None):
+    """The summary quantities of one cell's repeats, from their
+    _Trajectory entries; wall_ns counts each group's common time once.
+    With a threshold (sweep), prox calls are counted up to each hit."""
+    contractions = [r.contraction for r in trajectories if r.contraction is not None]
+    hits = [r.hit for r in trajectories if r.hit is not None]
+    walls = {}
+    for r in trajectories:
+        walls[r.group] = max(walls.get(r.group, 0), r.wall_ns)
     summary = {
         "empirical_contraction": float(np.mean(contractions)) if contractions else None,
-        "final_dist_sq": float(np.mean(finals)),
-        "prox_calls": prox_calls,
-        "wall_ns": wall,
+        "final_dist_sq": float(np.mean([r.final_dist_sq for r in trajectories])),
+        "prox_calls": sum(s * (r.t if r.hit is None else r.hit) for r in trajectories),
+        "wall_ns": sum(walls.values()),
     }
     if threshold is not None:
         summary["iters_to_threshold"] = (
-            float(np.mean(iters_hit)) if len(iters_hit) == args.repeats else -1.0
+            float(np.mean(hits)) if len(hits) == len(trajectories) else -1.0
         )
     return summary
+
+
+def _repeats(args, s, gamma, trace_every):
+    """The configs of one cell's --repeats trajectories: repeat k runs seed --seed + k."""
+    return [SolverConfig(s=s, gamma=gamma, max_iters=args.iters, seed=args.seed + k,
+                         trace_every=trace_every) for k in range(args.repeats)]
 
 
 def cmd_run(args):
@@ -231,8 +282,9 @@ def cmd_run(args):
     problem = _build_problem(args)
     gamma = _stepsize(problem, args, args.s, args.gamma)
     report = theoretical_rate(gamma, args.s, problem.n, problem.mu, problem.L)
-    summary = {"gamma": gamma, **report.to_dict(),
-               **_solve_cell(problem, args, gamma, args.s, trace_dir=args.out)}
+    trajectories, _ = _trajectories(problem, _repeats(args, args.s, gamma, args.trace_every),
+                                    drift=True, trace_dir=args.out)
+    summary = {"gamma": gamma, **report.to_dict(), **_summarize(trajectories, args.s)}
     text = json.dumps(summary, indent=2, allow_nan=False)
     with open(f"{args.out}/summary.json", "w") as fh:
         fh.write(text + "\n")
@@ -250,15 +302,28 @@ def cmd_sweep(args):
     ss = args.ss if args.ss is not None else [args.s]
 
     problem = _build_problem(args)
+    # Every cell records each iteration, without the table drift that
+    # sweep.csv does not hold. A cell whose flags fail raises once the cells
+    # before it have run, as it would in a loop of cells.
+    cells, error = [], None
+    try:
+        for s in ss:
+            for gamma_spec in gammas:
+                gamma = _stepsize(problem, args, s, gamma_spec)
+                rho = theoretical_rate(gamma, s, problem.n, problem.mu, problem.L).rho
+                cells.append((gamma, s, rho))
+    except PointSagaError as exc:
+        error = exc
+    configs = [c for gamma, s, _ in cells for c in _repeats(args, s, gamma, 1)]
+    trajectories, walls = _trajectories(problem, configs, drift=False, threshold=args.threshold)
+    if error is not None:
+        raise error
     rows = []
-    for s in ss:
-        for gamma_spec in gammas:
-            gamma = _stepsize(problem, args, s, gamma_spec)
-            rho = theoretical_rate(gamma, s, problem.n, problem.mu, problem.L).rho
-            t_begin = time.perf_counter_ns()
-            cell = _solve_cell(problem, args, gamma, s, threshold=args.threshold)
-            rows.append({"gamma": gamma, "s": s, "rho": rho, **cell,
-                         "wall_ns": time.perf_counter_ns() - t_begin})
+    for k, (gamma, s, rho) in enumerate(cells):
+        own = trajectories[k * args.repeats:(k + 1) * args.repeats]
+        rows.append({"gamma": gamma, "s": s, "rho": rho,
+                     **_summarize(own, s, threshold=args.threshold),
+                     "wall_ns": sum(walls[g] for g in {r.group for r in own})})
 
     path = f"{args.out}/sweep.csv"
     with open(path, "w") as fh:

@@ -14,8 +14,8 @@ class EmptyComponentList(PointSagaError, ValueError):
 
 class InvalidConstants(PointSagaError, ValueError):
     """A constant fails finite 0 < mu <= L (in a problem or a generator spec),
-    finite gamma > 0, dim >= 1 or a solver setting other than s, or a value
-    overflows at the constants given."""
+    finite mu > 0 (load_libsvm's), finite gamma > 0, dim >= 1 or a solver
+    setting other than s, or a value overflows at the constants given."""
 
 
 class InvalidKnownSolution(PointSagaError, ValueError):
@@ -64,7 +64,7 @@ class InvalidSpec(PointSagaError, ValueError):
     """A problem's description is malformed: a generator spec's family, sizes
     or seed, or constants its family cannot use; a family bank entry that is
     not a finite number, a bad mu_reg, an eig <= 0 or a logistic label other
-    than +-1; load_libsvm's mu; components without a needed Hessian."""
+    than +-1; components without a needed Hessian."""
 
 
 class ParseError(PointSagaError, ValueError):

@@ -10,6 +10,7 @@ ComponentBank, which calls them one at a time and sums their ``hessian``.
 """
 
 import copy
+import itertools
 import operator
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -78,14 +79,17 @@ class ComponentBank:
 
     def prox(self, gamma, idx, Z):
         """(P, residuals): row k of P, in Z's dtype, is the prox of component
-        idx[k] at Z[k], and residuals[k] is its resolvent defect. An inner
-        solve out of budget raises MaxInnerIterations naming its component."""
+        idx[k] at Z[k] with stepsize gamma, or gamma[k] for a 1-d array of
+        stepsizes, and residuals[k] is its resolvent defect. An inner solve
+        out of budget raises MaxInnerIterations naming its component."""
         P = np.empty_like(Z)
         residuals = []
         components = self.components
-        for k, i in enumerate(idx.tolist()):
+        per_row = isinstance(gamma, np.ndarray) and gamma.ndim
+        gammas = gamma.tolist() if per_row else itertools.repeat(gamma)
+        for k, (i, g) in enumerate(zip(idx.tolist(), gammas)):
             try:
-                result = components[i].prox(gamma, Z[k])  # perfbench reads z as args[2]
+                result = components[i].prox(g, Z[k])  # perfbench reads z as args[2]
             except MaxInnerIterations as exc:
                 raise MaxInnerIterations(f"prox of component {i + 1}: {exc}") from None
             P[k] = result.point

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _dots, _norms, _sum_rows
+from ._linalg import _dots, _norms, _per_row, _sum_rows
 from .analysis import ROW_BLOCK_ENTRIES, reference_solution
 from .errors import (
     EmptyFile,
@@ -96,9 +96,10 @@ class QuadraticBank(_ArrayBank):
     one stacked product each by the component's own helper. One call proxes
     a subset: row k is bitwise ``components[idx[k]].prox``, the same
     operations in the same order, batched through matmul's per-matrix loop.
-    One cache holds the last gamma's n resolvents, one stacked product, and
-    the Hessian sum is built once. Its item i reads the bank's A and A c too.
-    An eig <= 0 raises InvalidSpec, before A and A c are built."""
+    A cache holds the n resolvents, one stacked product, of each gamma the
+    last call used, and the Hessian sum is built once. Its item i reads the
+    bank's A and A c too. An eig <= 0 raises InvalidSpec, before A and A c
+    are built."""
 
     axes = {"Q": "ndd", "eig": "nd", "c": "nd"}
 
@@ -108,7 +109,7 @@ class QuadraticBank(_ArrayBank):
             raise InvalidSpec("every eigenvalue in eig must be > 0")
         self.A, self.Ac = _hessians(self.Q, self.eig, self.c)
         self.A.flags.writeable = self.Ac.flags.writeable = False
-        self._cache = (None, None, None)
+        self._cache = {}
 
     def component(self, i):
         comp = QuadraticComponent.__new__(QuadraticComponent)
@@ -129,17 +130,42 @@ class QuadraticBank(_ArrayBank):
         H.flags.writeable = False
         return H
 
-    def _resolvent(self, gamma):
+    def _resolvents(self, gammas):
+        """{gamma: (the n resolvents, gamma * A c)} holding each of gammas.
+        The cache is the last such dict that had to build a stack: it holds
+        the gammas of one call, each stack built once while it is kept."""
         cache = self._cache
-        if cache[0] != gamma:
-            cache = self._cache = (gamma, _resolvents(self.Q, self.eig, gamma), gamma * self.Ac)
-        return cache[1], cache[2]
+        if not cache.keys() >= set(gammas):
+            self._cache = cache = {gamma: cache.get(gamma) or (
+                _resolvents(self.Q, self.eig, gamma), gamma * self.Ac) for gamma in gammas}
+        return cache
+
+    def _resolvent(self, gamma):
+        """The n resolvents and gamma * A c at one gamma, through the cache."""
+        try:
+            return self._cache[gamma]
+        except KeyError:
+            return self._resolvents([gamma])[gamma]
+        except TypeError:  # a 0-d array gamma: looked up, and built, as its scalar
+            return self._resolvent(gamma[()])
 
     def prox(self, gamma, idx, Z):
-        """(P, residuals): row k is the prox of component idx[k] at Z[k]."""
-        M, g_Ac = self._resolvent(gamma)
-        P = _matvecs(M.take(idx, axis=0), Z + g_Ac.take(idx, axis=0))
-        D = P + gamma * (_matvecs(self.A.take(idx, axis=0), P) - self.Ac.take(idx, axis=0)) - Z
+        """(P, residuals): row k is the prox of component idx[k] at Z[k] with
+        stepsize gamma, or gamma[k] for a 1-d array of stepsizes, bitwise
+        the row a call at that one gamma gives."""
+        if not (isinstance(gamma, np.ndarray) and gamma.ndim):
+            M, g_Ac = self._resolvent(gamma)
+            M, g_Ac = M.take(idx, axis=0), g_Ac.take(idx, axis=0)
+        else:  # each row's resolvent from its own gamma's stack
+            found, which = np.unique(gamma, return_inverse=True)
+            stacks = list(self._resolvents(found.tolist()).values())
+            M, g_Ac = (np.empty((len(idx),) + a.shape[1:], a.dtype) for a in stacks[0])
+            for j, (M_j, g_Ac_j) in enumerate(stacks):
+                rows = np.flatnonzero(which == j)
+                M[rows], g_Ac[rows] = M_j.take(idx[rows], axis=0), g_Ac_j.take(idx[rows], axis=0)
+        P = _matvecs(M, Z + g_Ac)
+        curvature = _matvecs(self.A.take(idx, axis=0), P) - self.Ac.take(idx, axis=0)
+        D = P + _per_row(gamma, curvature) * curvature - Z
         return P.astype(Z.dtype, copy=False), _norms(D)
 
 
@@ -279,13 +305,15 @@ class LogisticBank(_RowBank):
         return self._hessian_sum(self.rows * (s * (1.0 - s))[:, None])
 
     def prox(self, gamma, idx, Z):
-        """(P, residuals) as ComponentBank.prox. Rows the batched Newton
+        """(P, residuals) as ComponentBank.prox, gamma a stepsize or a 1-d
+        array of them, one per row: the Newton is elementwise, so a row is
+        bitwise the same at its own gamma alone. Rows the batched Newton
         cannot finish go through ComponentBank.prox, whose scalar solve
         handles them and raises MaxInnerIterations naming the first
         component whose root the budget does not reach."""
-        gamma = float(gamma)  # as the scalar solve, which works in float64
         if len(idx) < NEWTON_BATCH_MIN:
             return super().prox(gamma, idx, Z)
+        gamma = np.asarray(gamma, dtype=float)  # as the scalar solve, which works in float64
         a, y, aa = self.rows.take(idx, axis=0), self.labels.take(idx), self.aa.take(idx)
         z = Z.astype(float, copy=False)
         alpha = 1.0 + gamma * self.mu_reg
@@ -324,11 +352,12 @@ class LogisticBank(_RowBank):
             hu, s = h(u)
         scalar |= iters > budget  # the scalar solve raises for these
 
-        x = (z + (gamma * y * s)[:, None] * a) / alpha
-        D = x + gamma * self._gradients(a, y, x) - z
+        x = (z + (gamma * y * s)[:, None] * a) / _per_row(alpha, z)
+        D = x + _per_row(gamma, x) * self._gradients(a, y, x) - z
         P, residuals = x.astype(Z.dtype, copy=False), _norms(D)
         if scalar.any():
-            P[scalar], residuals[scalar] = super().prox(gamma, idx[scalar], Z[scalar])
+            P[scalar], residuals[scalar] = super().prox(
+                gamma[scalar] if gamma.ndim else float(gamma), idx[scalar], Z[scalar])
         return P, residuals
 
 
@@ -473,7 +502,7 @@ def load_libsvm(path, mu):
     the bank holds the read-only ``rows`` and ``labels``.
     """
     if not (_finite(mu) and mu > 0):
-        raise InvalidSpec(f"mu must be finite and > 0, got {mu}")
+        raise InvalidConstants(f"mu must be finite and > 0, got {mu}")
     sparse_rows, labels = [], []
     max_idx = max_line = 0
     # surrogateescape keeps undecodable bytes, so a bad line can be named.

@@ -238,6 +238,18 @@ def test_lyapunov_dimension_checks():
         lyapunov(state, problem, np.zeros(1), np.zeros((2, 1)), 1.0, 1)
 
 
+@pytest.mark.parametrize("s", [0, 11, 2.5, -3])
+def test_lyapunov_rejects_a_batch_size_the_problem_cannot_take(s):
+    # s scales w_x alone, so an unchecked one gives a Psi, negative at s = -3.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 10, 3, 1.0, 10.0, seed=1))
+    x_star, grad_star = problem.known_solution, problem.grad_star
+    table = grad_star + 1.0
+    state = SolverState(0, x_star + 1.0, table, table.mean(axis=0))
+    with pytest.raises(InvalidBatchSize):
+        lyapunov(state, problem, x_star, grad_star, 0.1, s)
+    assert lyapunov(state, problem, x_star, grad_star, 0.1, 10) > 0
+
+
 @pytest.mark.parametrize("gamma,mu,L", [(1e300, 1.0, 10.0), (1e150, 1e200, 1e200)])
 def test_lyapunov_weights_reject_overflow(gamma, mu, L):
     # The first overflows gamma**2 in w_g, the second gamma*mu*L in w_x.

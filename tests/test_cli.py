@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pointsaga import cli, theoretical_rate
+from pointsaga import GeneratorSpec, SolverConfig, cli, gen_quadratic, run, run_many, theoretical_rate
+from pointsaga.errors import ProxFailure
+from pointsaga.sampling import SplitMix64, sample_k_subset
+import pointsaga.problems
 import pointsaga.solver
 import pointsaga.verify
 
@@ -312,6 +315,146 @@ def test_sweep_grid_shape(tmp_path):
     assert cli.main(argv) == 0
     _, rows = read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 4
+
+
+# --- trajectories advanced together ------------------------------------------------
+
+
+def test_run_and_sweep_advance_their_trajectories_in_one_call(tmp_path, monkeypatch):
+    # sweep's cells times repeats, and run's repeats, each in one run_many call.
+    calls = []
+    many = pointsaga.solver.run_many
+
+    def counted(problem, configs, x0, **kw):
+        calls.append([(c.s, c.seed) for c in configs])
+        return many(problem, configs, x0, **kw)
+
+    monkeypatch.setattr(cli, "run_many", counted)
+    argv = run_args(tmp_path, iters="20", repeats="2")
+    argv[0] = "sweep"
+    assert cli.main(argv + ["--ss", "1,4", "--gammas", "0.05,auto"]) == 0
+    assert calls == [[(s, seed) for s in (1, 4) for _ in range(2) for seed in (42, 43)]]
+    calls.clear()
+    assert cli.main(run_args(tmp_path, iters="20", repeats="3")) == 0
+    assert calls == [[(4, 42), (4, 43), (4, 44)]]
+
+
+def test_groups_fit_the_entry_budget(tmp_path, monkeypatch):
+    # n * dim = 80 entries a table and 22 records of 32 a trajectory: 784
+    # entries, so a budget of 2000 takes two trajectories at a time.
+    sizes = []
+    many = pointsaga.solver.run_many
+    monkeypatch.setattr(cli, "GROUP_ENTRIES", 2000)
+    monkeypatch.setattr(cli, "run_many", lambda problem, configs, x0, **kw: (
+        sizes.append(len(configs)) or many(problem, configs, x0, **kw)))
+    grouped, alone = tmp_path / "grouped", tmp_path / "alone"
+    for out in (grouped, alone):
+        out.mkdir()
+        assert cli.main(run_args(out, iters="20", repeats="5", **{"trace-every": "1"})) == 0
+        monkeypatch.setattr(cli, "GROUP_ENTRIES", 1)  # each trajectory alone
+    assert sizes == [2, 2, 1, 1, 1, 1, 1, 1]
+    for name in [f"trace_seed{42 + k}.csv" for k in range(5)]:
+        assert strip_wall(grouped / name) == strip_wall(alone / name)
+    a, b = (json.loads((out / "summary.json").read_text()) for out in (grouped, alone))
+    assert {**a, "wall_ns": 0} == {**b, "wall_ns": 0}
+
+
+def strip_wall(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def _failing_component(monkeypatch, component):
+    """Every quadratic prox of component (0-based) fails the residual check."""
+    prox = pointsaga.problems.QuadraticBank.prox
+
+    def failing(bank, gamma, idx, Z):
+        P, residuals = prox(bank, gamma, idx, Z)
+        return P, np.where(idx == component, np.inf, residuals)
+
+    monkeypatch.setattr(pointsaga.problems.QuadraticBank, "prox", failing)
+
+
+def _first_draw(component, seed, n, s, iters):
+    """The first iteration whose subset holds component (0-based), or None."""
+    rng = SplitMix64(seed)
+    return next((t for t in range(1, iters + 1)
+                 if component + 1 in sample_k_subset(rng, n, s)), None)
+
+
+def _loop_of_runs(problem, configs):
+    """What running configs one after another leaves: the records of those
+    that finish, and the error of the first that fails."""
+    finished = []
+    for config in configs:
+        try:
+            finished.append(run(problem, config, np.zeros(problem.dim))[1])
+        except ProxFailure as exc:
+            return finished, exc
+    return finished, None
+
+
+def test_failing_repeats_raise_and_write_what_a_loop_of_runs_does(tmp_path, capsys, monkeypatch):
+    # Component c fails wherever it is proxed. Repeat 0 never draws it; repeats
+    # 1 and 2 do, repeat 2 first. Advanced together, repeat 2's error comes
+    # first; the CLI runs the repeats again one at a time, so it reports
+    # repeat 1's and leaves repeat 0's trace, as a loop of runs does.
+    n, s, iters = 20, 2, 12
+    seed, c = next((seed, c) for seed in range(500) for c in range(n)
+                   if _first_draw(c, seed, n, s, iters) is None
+                   and (_first_draw(c, seed + 2, n, s, iters) or iters + 1)
+                   < (_first_draw(c, seed + 1, n, s, iters) or 0))
+    _failing_component(monkeypatch, c)
+    problem = gen_quadratic(GeneratorSpec("quadratic", n, 4, 1.0, 10.0, seed=seed))
+    configs = [SolverConfig(s=s, max_iters=iters, seed=seed + k, trace_every=3)
+               for k in range(3)]
+    with pytest.raises(ProxFailure) as together:
+        run_many(problem, configs, np.zeros(4))
+    finished, error = _loop_of_runs(problem, configs)
+    assert len(finished) == 1 and error.t != together.value.t
+
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = run_args(out, n=str(n), s=str(s), iters=str(iters), seed=str(seed), repeats="3",
+                    **{"trace-every": "3"})
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert [p.name for p in out.iterdir()] == [f"trace_seed{seed}.csv"]
+    expected = ["t,dist_sq,lyapunov,table_drift"] + [
+        f"{r.t},{r.dist_sq:.17g},{r.lyapunov:.17g},{r.table_drift:.17g}" for r in finished[0]]
+    assert strip_wall(out / f"trace_seed{seed}.csv") == expected
+
+
+def test_failing_cells_raise_the_first_cells_error(tmp_path, capsys, monkeypatch):
+    # Every prox fails, so both cells of each command fail at iteration 1;
+    # the error is the first cell's, and nothing is written.
+    monkeypatch.setattr(pointsaga.solver, "TOL_PROX", 1e-30)
+    problem = gen_quadratic(GeneratorSpec("quadratic", 20, 4, 1.0, 10.0, seed=42))
+    configs = [SolverConfig(s=s, gamma=0.05, max_iters=30, seed=42, trace_every=1)
+               for s in (1, 4)]
+    _, error = _loop_of_runs(problem, configs)
+    argv = run_args(tmp_path, iters="30", gamma="0.05")
+    argv[0] = "sweep"
+    assert cli.main(argv + ["--ss", "1,4"]) == 4
+    assert capsys.readouterr().err == f"error: {error}\n"
+    _, error = _loop_of_runs(problem, [SolverConfig(s=4, gamma=0.05, max_iters=30, seed=42 + k)
+                                       for k in range(2)])
+    assert cli.main(run_args(tmp_path, iters="30", gamma="0.05", repeats="2")) == 4
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_runs_the_cells_before_one_whose_flags_fail(tmp_path, capsys, monkeypatch):
+    # A gamma of nan fails the second cell's check; the first cell, which
+    # runs before it is checked, fails first.
+    argv = run_args(tmp_path, iters="30")
+    argv[0] = "sweep"
+    argv += ["--ss", "4", "--gammas", "0.05,nan"]
+    assert cli.main(argv) == 2
+    assert "InvalidConstants" in capsys.readouterr().err
+    monkeypatch.setattr(pointsaga.solver, "TOL_PROX", 1e-30)
+    assert cli.main(argv) == 4
+    assert "failed at iteration 1, gamma=0.05 " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- verify ----------------------------------------------------------------------

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import pointsaga
-from pointsaga import (GeneratorSpec, SolverConfig, defazio_rate, gen_quadratic,
-                       optimal_stepsize, run, theoretical_rate, verify_one_step_contraction)
+from pointsaga import (GeneratorSpec, SolverConfig, defazio_rate, gen_quadratic, lyapunov,
+                       optimal_stepsize, run, run_many, theoretical_rate,
+                       verify_one_step_contraction)
 from pointsaga.errors import InvalidBatchSize
 from pointsaga.sampling import SplitMix64, sample_k_subset, sample_subsets, subset_rows
 
@@ -124,6 +125,11 @@ _SIZED = {
     "defazio_rate": lambda s, p: defazio_rate(0.1, p.n, 1.0, 10.0),  # n only
     "SolverConfig.validate": lambda s, p: SolverConfig(s=s).validate(p),
     "run": lambda s, p: run(p, SolverConfig(s=s, max_iters=1), np.ones(2)),
+    # Every config is checked before any iteration, the second one too.
+    "run_many": lambda s, p: run_many(p, [SolverConfig(max_iters=1), SolverConfig(s=s, max_iters=1)],
+                                      np.ones(2)),
+    # Before the state or the solution is read: s sets Psi's weight w_x.
+    "lyapunov": lambda s, p: lyapunov(None, p, None, None, 0.1, s),
     "sample_k_subset": lambda s, p: sample_k_subset(SplitMix64(0), p.n, s),
     "sample_subsets": lambda s, p: sample_subsets(SplitMix64(0), p.n, s, 3),
     "subset_rows": lambda s, p: subset_rows(p.n, s),

@@ -286,9 +286,10 @@ def test_quadratic_bank_rows_match_component_prox(dtype):
 
 
 def test_shared_quadratic_prox_is_thread_safe():
-    # The bank caches the resolvents of its last gamma, and the component
-    # builds its own on each call; four threads cycling through three gammas
-    # keep replacing the bank's cache under one another.
+    # The bank caches the resolvents of the gammas of its last call, and the
+    # component builds its own on each call; four threads cycling through
+    # three gammas, alone and per row, keep replacing the bank's cache under
+    # one another.
     problem = gen_quadratic(GeneratorSpec("quadratic", 6, 4, 1.0, 10.0, seed=12))
     comp, bank = problem.components[2], problem.bank
     gammas = (0.05, 0.8, 12.0)
@@ -298,7 +299,8 @@ def test_shared_quadratic_prox_is_thread_safe():
     def prox_both(gamma):
         one = comp.prox(gamma, Z[0])
         P, residual = bank.prox(gamma, idx, Z)
-        return one.point, one.residual, P, residual
+        P_rows, residual_rows = bank.prox(np.array([gamma, 0.05, gamma]), idx, Z)
+        return one.point, one.residual, P, residual, P_rows[[0, 2]], residual_rows[[0, 2]]
 
     serial = {gamma: prox_both(gamma) for gamma in gammas}
     results = [[] for _ in range(4)]
@@ -626,6 +628,87 @@ def test_logistic_prox_brackets_a_huge_point_without_overflow():
             P, residuals = problem.bank.prox(gamma, np.arange(6), np.tile(z, (6, 1)))
             assert np.isfinite(P).all() and np.all(residuals <= bound)
             assert np.array_equal(P[0], one.point) and residuals[0] == one.residual
+
+
+# --- per-row stepsizes ------------------------------------------------------------
+
+# Three trajectories' subsets of n = 12 components, joined as one solver
+# iteration joins them: each part sorted, the parts sharing components, the
+# last one every component (s = n), each at its own stepsize.
+_UNION_PARTS = ([0, 3, 5], [3, 5, 7, 8, 11], list(range(12)))
+_UNION_GAMMAS = (0.05, 0.7, 3.0)
+
+
+def _per_row_problem(kind):
+    if kind in ("ridge", "logistic"):
+        return _row_problem(kind, 12, 3, np.float64)
+    dtype = np.longdouble if kind == "quad-ld" else np.float64
+    problem = gen_quadratic(GeneratorSpec("quadratic", 12, 3, 1.0, 10.0, seed=4), dtype=dtype)
+    if kind == "default":  # the same components, one at a time
+        return assemble_problem(tuple(problem.components), 1.0, 10.0, 3)
+    return problem
+
+
+@pytest.mark.parametrize("kind,batch_min", [
+    ("quad-f64", 6), ("quad-ld", 6), ("ridge", 6), ("default", 6),
+    ("logistic", 6),  # the union takes the batched Newton, its parts of 3 and 5 rows alone do not
+    ("logistic", 1), ("logistic", 100)], ids=lambda v: str(v))
+def test_bank_prox_at_per_row_gammas_matches_one_gamma_at_a_time(kind, batch_min, monkeypatch):
+    monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", batch_min)
+    problem = _per_row_problem(kind)
+    assert type(problem.bank) is {"quad-f64": QuadraticBank, "quad-ld": QuadraticBank,
+                                  "ridge": RidgeBank, "logistic": LogisticBank,
+                                  "default": ComponentBank}[kind]
+    idx = np.concatenate(_UNION_PARTS)
+    gamma = np.repeat(_UNION_GAMMAS, [len(part) for part in _UNION_PARTS])
+    dtype = np.longdouble if kind == "quad-ld" else np.float64
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        Z = (rng.normal(size=(len(idx), 3)) * 4.0).astype(dtype)
+        P, residuals = problem.bank.prox(gamma, idx, Z)
+        assert P.dtype == dtype
+        start = 0
+        for part, g in zip(_UNION_PARTS, _UNION_GAMMAS):
+            rows = slice(start, start + len(part))
+            P_one, residuals_one = problem.bank.prox(g, np.array(part), Z[rows])
+            assert_bitwise(P[rows], P_one)
+            assert_bitwise(residuals[rows], residuals_one)
+            start += len(part)
+
+
+def test_logistic_bank_hands_scalar_rows_their_own_gammas(monkeypatch):
+    # The zero row (0) and the row whose derived bracket falls short of its
+    # root (1) go to the scalar solve, each at the gamma of its own row.
+    monkeypatch.setattr(problems, "NEWTON_BATCH_MIN", 1)
+    a, mu_reg = np.array([0.7, 0.2]), 1e-17
+    rows, labels = np.array([np.zeros(2), a, [1.0, -2.0]]), np.array([-1.0, 1.0, -1.0])
+    Z = np.array([[3.0, -4.0], 3e16 * a, [0.5, 0.25]])
+    problem = assemble_problem(LogisticBank(rows, labels, mu_reg), mu_reg, 10.0, 2)
+    gammas = (0.1, 0.4)
+    handed = _spy_on_hand_off(monkeypatch)
+    P, residuals = problem.bank.prox(np.repeat(gammas, 3), np.tile(np.arange(3), 2),
+                                     np.tile(Z, (2, 1)))
+    assert handed == [[0, 1, 0, 1]]
+    for k, gamma in enumerate(gammas):
+        P_one, residuals_one = problem.bank.prox(gamma, np.arange(3), Z)
+        assert_bitwise(P[3 * k:3 * k + 3], P_one)
+        assert_bitwise(residuals[3 * k:3 * k + 3], residuals_one)
+
+
+def test_quadratic_bank_keeps_the_resolvents_of_its_last_call(monkeypatch):
+    # One stack per gamma of the call; a later call reuses what it shares.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=2))
+    bank, built = problem.bank, []
+    resolvents = problems._resolvents
+    monkeypatch.setattr(problems, "_resolvents",
+                        lambda Q, eig, gamma: built.append(gamma) or resolvents(Q, eig, gamma))
+    Z, idx = np.ones((4, 3)), np.array([0, 2, 2, 5])
+    bank.prox(np.array([0.1, 0.1, 0.5, 0.5]), idx, Z)
+    bank.prox(0.5, idx[:2], Z[:2])
+    bank.prox(np.array([0.5, 0.5, 0.1, 0.2]), idx, Z)
+    bank.prox(0.1, idx[:2], Z[:2])
+    assert built == [0.1, 0.5, 0.2]
+    assert sorted(bank._cache) == [0.1, 0.2, 0.5]
 
 
 def assert_bitwise(a, b):
@@ -993,9 +1076,10 @@ def test_load_rejects_non_binary_label(tmp_path):
 
 @pytest.mark.parametrize("mu", [float("inf"), float("nan"), 0.0])
 def test_load_rejects_bad_mu(tmp_path, mu):
+    # The class FiniteSumProblem, GeneratorSpec and the rates raise for it too.
     path = tmp_path / "tiny.txt"
     path.write_text("+1 1:1.0\n")
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidConstants, match="mu must be finite and > 0"):
         load_libsvm(path, mu=mu)
 
 

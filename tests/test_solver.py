@@ -20,7 +20,9 @@ from pointsaga import (
     initialize,
     lyapunov,
     reference_solution,
+    load_libsvm,
     run,
+    run_many,
     step,
     table_drift,
 )
@@ -685,3 +687,121 @@ def test_run_rejects_a_gamma_whose_weights_overflow_psi0():
                             dtype=np.longdouble)
     _, records = run(problem, replace(cfg, max_iters=0), np.ones(4, dtype=np.longdouble))
     assert np.finfo(np.float64).max < records[0].lyapunov < np.inf
+
+
+# --- trajectories advanced together -------------------------------------------------
+
+
+def libsvm_problem(path, n=12, d=5):
+    """A seeded libsvm file of n rows and width d, loaded, with its minimizer."""
+    rng = np.random.default_rng(23)
+    with open(path, "w") as fh:
+        for _ in range(n):
+            idx = np.sort(rng.choice(d, 3, replace=False))
+            feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx, rng.normal(size=3)))
+            fh.write(f"{1 if rng.random() < 0.5 else -1} {feats}\n")
+    _, problem = load_libsvm(path, 0.2)
+    return problem.with_known_solution(reference_solution(problem))
+
+
+PROBLEMS_OF_12 = {
+    "quad": lambda tmp: quad_problem(n=12),
+    "quad-d1": lambda tmp: gen_quadratic(GeneratorSpec("quadratic", 12, 1, 2.0, 2.0, seed=3)),
+    "quad-longdouble": lambda tmp: gen_quadratic(
+        GeneratorSpec("quadratic", 12, 4, 1.0, 10.0, seed=31), dtype=np.longdouble),
+    "ridge": lambda tmp: gen_ridge_regression(
+        GeneratorSpec("ridge_regression", 12, 4, 1.0, 10.0, seed=31)),
+    "logistic": lambda tmp: gen_logistic_ridge(
+        GeneratorSpec("logistic_ridge", 12, 4, 1.0, 10.0, seed=31)),
+    "libsvm": lambda tmp: libsvm_problem(tmp / "data.txt"),
+}
+
+
+def assert_same_trajectory(got, expected):
+    """Equal states, dtypes included, and records equal in every field but
+    wall_ns, of the same types."""
+    (state, records), (state_0, records_0) = got, expected
+    assert state.t == state_0.t
+    for field in ("x", "grad_table", "g_avg"):
+        a, b = getattr(state, field), getattr(state_0, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    fields = [[(r.t, r.dist_sq, r.lyapunov, r.table_drift) for r in rs]
+              for rs in (records, records_0)]
+    assert fields[0] == fields[1]
+    assert [tuple(map(type, f)) for f in fields[0]] == [tuple(map(type, f)) for f in fields[1]]
+
+
+@pytest.mark.parametrize("drift", [True, False], ids=["drift", "no-drift"])
+@pytest.mark.parametrize("refresh_every", [1, 7, None], ids=lambda r: f"refresh{r}")
+@pytest.mark.parametrize("kind", list(PROBLEMS_OF_12))
+def test_run_many_matches_a_loop_of_runs(kind, refresh_every, drift, tmp_path, monkeypatch):
+    # Mixed s (s = n too), gammas and seeds; 21 union rows, so blocks of 2
+    # iterations, and of 50 // s for each run alone.
+    monkeypatch.setattr(solver, "SUBSET_BLOCK", 50)
+    problem = PROBLEMS_OF_12[kind](tmp_path)
+    x0 = (problem.known_solution + 2.0).astype(problem.known_solution.dtype)
+    configs = [SolverConfig(s=s, gamma=gamma, max_iters=31, seed=seed, trace_every=3,
+                            refresh_every=refresh_every)
+               for s, gamma, seed in ((1, "auto", 3), (4, 0.3, 4), (12, "auto", 5), (4, 0.3, 6))]
+    together = run_many(problem, configs, x0, drift=drift)
+    assert len(together) == len(configs)
+    for got, config in zip(together, configs):
+        assert_same_trajectory(got, run(problem, config, x0, drift=drift))
+
+
+def test_run_many_makes_one_prox_call_of_the_union_per_iteration(monkeypatch):
+    problem = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 12, 4, 1.0, 10.0, seed=31))
+    prox = problem.bank.prox
+    calls = []
+
+    def counted(gamma, idx, Z):
+        calls.append((np.copy(gamma), idx.copy()))
+        return prox(gamma, idx, Z)
+
+    monkeypatch.setattr(problem.bank, "prox", counted)
+    configs = [SolverConfig(s=s, gamma=gamma, max_iters=5, seed=s, init_gradients="zeros")
+               for s, gamma in ((1, 0.1), (3, 0.2), (3, 0.2))]
+    run_many(problem, configs, np.zeros(4))
+    assert len(calls) == 5
+    streams = [SplitMix64(config.seed) for config in configs]
+    for gamma, idx in calls:
+        # Each trajectory's rows, at its gamma, in the order of the configs.
+        subsets = [sample_k_subset(rng, 12, c.s) for rng, c in zip(streams, configs)]
+        assert idx.tolist() == [i - 1 for subset in subsets for i in subset]
+        assert gamma.tolist() == [0.1, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2]
+
+
+def test_run_many_passes_a_shared_gamma_as_one_number(monkeypatch):
+    problem = quad_problem()
+    gammas = []
+    prox = problem.bank.prox
+    monkeypatch.setattr(problem.bank, "prox",
+                        lambda gamma, idx, Z: gammas.append(gamma) or prox(gamma, idx, Z))
+    run_many(problem, [SolverConfig(s=2, gamma=0.2, max_iters=3, seed=k) for k in range(3)],
+             np.zeros(4))
+    assert gammas == [0.2] * 3 and all(type(g) is float for g in gammas)
+
+
+@pytest.mark.parametrize("field", [{"max_iters": 5}, {"trace_every": 2},
+                                   {"refresh_every": None}, {"init_gradients": "zeros"}])
+def test_run_many_needs_shared_budget_and_cadences(field):
+    problem = quad_problem()
+    configs = [SolverConfig(s=2, max_iters=4), SolverConfig(**{"s": 3, "max_iters": 4} | field)]
+    with pytest.raises(InvalidConstants, match="must share max_iters"):
+        run_many(problem, configs, np.zeros(4))
+    assert run_many(problem, [], np.zeros(4)) == []
+
+
+def test_run_many_raises_the_earliest_failure(monkeypatch):
+    # Trajectory 1 fails at its first iteration, trajectory 0 never does.
+    problem = quad_problem()
+    prox = problem.bank.prox
+    monkeypatch.setattr(problem.bank, "prox", lambda gamma, idx, Z: (
+        lambda P, residuals: (P, residuals + np.where(np.asarray(gamma) == 0.3, np.inf, 0.0))
+    )(*prox(gamma, idx, Z)))
+    configs = [SolverConfig(s=2, gamma=0.2, max_iters=4), SolverConfig(s=3, gamma=0.3, max_iters=4)]
+    with pytest.raises(ProxFailure) as err:
+        run_many(problem, configs, np.ones(4))
+    assert (err.value.t, err.value.gamma) == (1, 0.3)
+    first = sample_k_subset(SplitMix64(0), problem.n, 3)
+    assert err.value.index == first[0]
