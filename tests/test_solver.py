@@ -805,3 +805,21 @@ def test_run_many_raises_the_earliest_failure(monkeypatch):
     assert (err.value.t, err.value.gamma) == (1, 0.3)
     first = sample_k_subset(SplitMix64(0), problem.n, 3)
     assert err.value.index == first[0]
+
+
+@pytest.mark.parametrize("dtypes", [(np.float64, np.float32), (np.float32, np.float32),
+                                    (np.float32, np.float64)],
+                         ids=["f64-problem-f32-x0", "f32", "f32-problem-f64-x0"])
+def test_run_many_matches_runs_across_dtypes(dtypes, monkeypatch):
+    # Each trajectory's gamma must scale float32 and mixed arrays as its
+    # Python float does: in float32 where the operand is float32. A float32
+    # problem's proxes cannot meet the absolute 1e-10 bound, so it is widened.
+    problem_dtype, x0_dtype = dtypes
+    monkeypatch.setattr(solver, "TOL_PROX", 1e-3)
+    problem = gen_quadratic(GeneratorSpec("quadratic", 8, 3, 1.0, 10.0, seed=7), dtype=problem_dtype)
+    configs = [SolverConfig(s=s, gamma=gamma, max_iters=15, seed=k, trace_every=2,
+                            refresh_every=None)
+               for k, (s, gamma) in enumerate([(1, 0.1), (8, 0.3), (3, 0.2)])]
+    x0 = np.ones(3, dtype=x0_dtype)
+    for got, config in zip(run_many(problem, configs, x0), configs):
+        assert_same_trajectory(got, run(problem, config, x0))
