@@ -13,7 +13,8 @@ a file), so no field is empty.
 groups that share one solver.run_many call and one clock: a record's
 ``wall_ns`` counts from the start of its group's call, ``summary.json``'s
 counts each group's common time once, and a ``sweep.csv`` row's is the time
-of the call that advanced its cell.
+of the calls that advanced its cell, shared by the cells of a group and so
+not a per-cell cost.
 """
 
 import argparse

@@ -96,10 +96,10 @@ class QuadraticBank(_ArrayBank):
     one stacked product each by the component's own helper. One call proxes
     a subset: row k is bitwise ``components[idx[k]].prox``, the same
     operations in the same order, batched through matmul's per-matrix loop.
-    A cache holds the n resolvents, one stacked product, of each gamma the
-    last call used, and the Hessian sum is built once. Its item i reads the
-    bank's A and A c too. An eig <= 0 raises InvalidSpec, before A and A c
-    are built."""
+    A cache holds the n resolvents, one stacked product, of each gamma of
+    the last call that had to build one, and the Hessian sum is built once.
+    Its item i reads the bank's A and A c too. An eig <= 0 raises
+    InvalidSpec, before A and A c are built."""
 
     axes = {"Q": "ndd", "eig": "nd", "c": "nd"}
 
@@ -131,34 +131,30 @@ class QuadraticBank(_ArrayBank):
         return H
 
     def _resolvents(self, gammas):
-        """{gamma: (the n resolvents, gamma * A c)} holding each of gammas.
-        The cache is the last such dict that had to build a stack: it holds
-        the gammas of one call, each stack built once while it is kept."""
+        """[(the n resolvents, gamma * A c) for gamma in gammas]. The cache is
+        the last call's that had to build a stack: it holds the gammas of
+        that call, each stack built once while it is kept."""
         cache = self._cache
-        if not cache.keys() >= set(gammas):
-            self._cache = cache = {gamma: cache.get(gamma) or (
-                _resolvents(self.Q, self.eig, gamma), gamma * self.Ac) for gamma in gammas}
-        return cache
-
-    def _resolvent(self, gamma):
-        """The n resolvents and gamma * A c at one gamma, through the cache."""
-        try:
-            return self._cache[gamma]
-        except KeyError:
-            return self._resolvents([gamma])[gamma]
-        except TypeError:  # a 0-d array gamma: looked up, and built, as its scalar
-            return self._resolvent(gamma[()])
+        stacks = [cache.get(gamma) for gamma in gammas]
+        if None in stacks:
+            stacks = [stack or (_resolvents(self.Q, self.eig, gamma), gamma * self.Ac)
+                      for gamma, stack in zip(gammas, stacks)]
+            self._cache = dict(zip(gammas, stacks))
+        return stacks
 
     def prox(self, gamma, idx, Z):
         """(P, residuals): row k is the prox of component idx[k] at Z[k] with
         stepsize gamma, or gamma[k] for a 1-d array of stepsizes, bitwise
         the row a call at that one gamma gives."""
-        if not (isinstance(gamma, np.ndarray) and gamma.ndim):
-            M, g_Ac = self._resolvent(gamma)
+        per_row = isinstance(gamma, np.ndarray)
+        if per_row and not gamma.ndim:  # a 0-d array: looked up, and built, as its scalar
+            gamma, per_row = gamma[()], False
+        if not per_row:
+            (M, g_Ac), = self._resolvents([gamma])
             M, g_Ac = M.take(idx, axis=0), g_Ac.take(idx, axis=0)
         else:  # each row's resolvent from its own gamma's stack
             found, which = np.unique(gamma, return_inverse=True)
-            stacks = list(self._resolvents(found.tolist()).values())
+            stacks = self._resolvents(found.tolist())
             M, g_Ac = (np.empty((len(idx),) + a.shape[1:], a.dtype) for a in stacks[0])
             for j, (M_j, g_Ac_j) in enumerate(stacks):
                 rows = np.flatnonzero(which == j)

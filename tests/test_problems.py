@@ -278,7 +278,7 @@ def test_quadratic_bank_rows_match_component_prox(dtype):
                     one = problem.components[i].prox(gamma, Z[k])
                     assert np.array_equal(P[k], one.point)
                     assert residual[k] == one.residual
-            M, g_Ac = bank._resolvent(gamma)
+            (M, g_Ac), = bank._resolvents([gamma])
             assert M.dtype == dtype and g_Ac.dtype == dtype
             for i, comp in enumerate(problem.components):
                 M_i, g_Ac_i = comp._resolvent(gamma)
@@ -709,6 +709,23 @@ def test_quadratic_bank_keeps_the_resolvents_of_its_last_call(monkeypatch):
     bank.prox(0.1, idx[:2], Z[:2])
     assert built == [0.1, 0.5, 0.2]
     assert sorted(bank._cache) == [0.1, 0.2, 0.5]
+
+
+
+def test_quadratic_bank_gives_each_row_its_own_gammas_resolvents():
+    # Calls whose gammas are a strict subset of the cached ones, and a call
+    # whose gammas all equal one of them, read each row's stack by its gamma.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=2))
+    bank, rng = problem.bank, np.random.default_rng(3)
+    idx = np.array([0, 2, 5, 3, 1, 4])
+    for gammas in ([0.1, 0.2, 0.5], [0.1, 0.5], [0.5, 0.5], [0.2, 0.1]):
+        gamma = np.repeat(gammas, len(idx) // len(gammas))
+        Z = rng.normal(size=(len(idx), 3)) * 4.0
+        P, residuals = bank.prox(gamma, idx, Z)
+        for k in range(len(idx)):
+            P_one, residuals_one = bank.prox(gamma[k].item(), idx[k:k + 1], Z[k:k + 1])
+            assert_bitwise(P[k], P_one[0])
+            assert_bitwise(residuals[k], residuals_one[0])
 
 
 def assert_bitwise(a, b):

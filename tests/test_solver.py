@@ -749,6 +749,19 @@ def test_run_many_matches_a_loop_of_runs(kind, refresh_every, drift, tmp_path, m
         assert_same_trajectory(got, run(problem, config, x0, drift=drift))
 
 
+
+def test_run_many_again_on_a_subset_of_the_gammas():
+    # The quadratic bank's cache keeps the first call's three gammas; the
+    # second call's two must each get their own resolvents from it.
+    problem = quad_problem()
+    x0 = np.ones(4)
+    for gammas in ((0.1, 0.2, 0.5), (0.1, 0.5), (0.5, 0.5)):
+        configs = [SolverConfig(s=2, gamma=gamma, max_iters=6, seed=k, trace_every=2)
+                   for k, gamma in enumerate(gammas)]
+        for got, config in zip(run_many(problem, configs, x0), configs):
+            assert_same_trajectory(got, run(problem, config, x0))
+
+
 def test_run_many_makes_one_prox_call_of_the_union_per_iteration(monkeypatch):
     problem = gen_logistic_ridge(GeneratorSpec("logistic_ridge", 12, 4, 1.0, 10.0, seed=31))
     prox = problem.bank.prox
