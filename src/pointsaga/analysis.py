@@ -38,8 +38,9 @@ from .errors import (
     MaxIterations,
     _check_constants,
     _finite,
+    _integral,
 )
-from .model import _check_shape, full_gradient
+from .model import _check_shape, _check_state, full_gradient
 from .sampling import subset_rows
 
 #: Newton steps reference_solution takes before MaxIterations, and the step
@@ -172,8 +173,11 @@ def dr_rate(gamma, mu, L):
 def lyapunov(state, problem, x_star, grad_star, gamma, s):
     """Psi evaluated on the state's current iterate and gradient table. The
     constants are checked first: gamma (InvalidConstants) and s, which must
-    be a batch size of the problem (InvalidBatchSize)."""
+    be a batch size of the problem (InvalidBatchSize); then the shapes of the
+    state (x and g_avg (dim,), grad_table (n, dim)), x_star and grad_star
+    (DimensionMismatch)."""
     _check_constants(problem.mu, problem.L, gamma=gamma, s=s, n=problem.n)
+    _check_state(state, problem)
     x_star = _check_shape(x_star, (problem.dim,), "x_star")
     grad_star = _check_shape(grad_star, (problem.n, problem.dim), "grad_star")
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
@@ -233,12 +237,13 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     arithmetic. The input state is left untouched.
 
     Checks run in this order: the subset count (InvalidBatchSize,
-    EnumerationTooLarge), then the rate's constants, then the shapes of x_star
-    and grad_star and the Lyapunov weights, all before any prox. A row's prox
-    bound depends on that row alone, so ProxFailure names the lowest failing
-    component, at iteration state.t + 1, as the first enumerated subset that
-    holds it would. An error the bank raises for any row, such as
-    MaxInnerIterations, comes before a residual failure of another.
+    EnumerationTooLarge), then the rate's constants, then lyapunov's checks
+    of the shapes of the state, x_star and grad_star (DimensionMismatch) and
+    the Lyapunov weights, all before any prox. A row's prox bound depends on
+    that row alone, so ProxFailure names the lowest failing component, at
+    iteration state.t + 1, as the first enumerated subset that holds it
+    would. An error the bank raises for any row, such as MaxInnerIterations,
+    comes before a residual failure of another.
     """
     from .solver import SUBSET_BLOCK, _advanced_copy
 
@@ -300,10 +305,13 @@ def consensus_dr_run(problem, gamma, x0, g0, iters):
     started from u_i = x0 + gamma (g0_i - mean(g0)). The reported iterate at
     step t is mean_i w_i. An iteration's n proxes are one call of the
     problem's bank. Coded independently of the solver module as an
-    equivalence oracle for the s = n regime. gamma and g0's shape (n, dim)
-    are checked before any prox.
+    equivalence oracle for the s = n regime. gamma, iters (an integer
+    >= 0, else InvalidConstants), x0 (problem.check_point) and g0's shape
+    (n, dim) are checked before any prox.
     """
     _check_constants(problem.mu, problem.L, gamma=gamma)
+    if not (_integral(iters) and iters >= 0):
+        raise InvalidConstants(f"iters must be an integer >= 0, got {iters!r}")
     x0 = problem.check_point(x0)
     g0 = _check_shape(np.asarray(g0, dtype=x0.dtype), (problem.n, problem.dim), "g0")
     u = x0[None, :] + gamma * (g0 - g0.mean(axis=0)[None, :])

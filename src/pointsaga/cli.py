@@ -11,17 +11,16 @@ a file), so no field is empty.
 
 ``run``'s repeats and ``sweep``'s cells times repeats advance together, in
 groups that share one solver.run_many call and one clock: a record's
-``wall_ns`` counts from the start of its group's call, ``summary.json``'s
-counts each group's common time once, and a ``sweep.csv`` row's is the time
-of the calls that advanced its cell, shared by the cells of a group and so
-not a per-cell cost.
+``wall_ns`` counts from the start of its group's records, after set-up, and
+``summary.json``'s, like a ``sweep.csv`` row's, adds up, over the groups its
+trajectories ran in, the largest last-record ``wall_ns`` among them.
 """
 
 import argparse
 import json
 import os
 import sys
-import time
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -92,11 +91,11 @@ def build_parser():
         p.add_argument("--iters", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--repeats", type=int, default=1)
-        p.add_argument("--trace-every", type=int, default=1)
         p.add_argument("--out", default=".", help="output directory")
 
     p_run = sub.add_parser("run", help="run trajectories, write traces and a summary")
     add_problem_flags(p_run)
+    p_run.add_argument("--trace-every", type=int, default=1)
 
     p_sweep = sub.add_parser("sweep", help="grid over gamma and/or s values")
     add_problem_flags(p_sweep)
@@ -153,14 +152,6 @@ def _build_problem(args):
                                   L=args.L, seed=args.seed))
 
 
-def _stepsize(problem, args, s, gamma_spec):
-    """Validate one (s, gamma) pair of the flags and resolve its stepsize."""
-    probe = SolverConfig(s=s, gamma=gamma_spec, max_iters=args.iters,
-                         trace_every=args.trace_every)
-    probe.validate(problem)
-    return probe.resolve_gamma(problem)
-
-
 def _fmt(value):
     return "" if value is None else f"{float(value):.17g}"
 
@@ -211,49 +202,46 @@ def _advanced(problem, configs, drift):
 class _Trajectory(NamedTuple):
     """What a summary needs of one trajectory's records. hit is the first t
     whose record is at or below threshold * Psi(0), where a threshold is
-    given; t and wall_ns are the last record's; group indexes the group's
-    wall time."""
+    given; wall_ns is the last record's; group names the run_many call that
+    advanced it."""
 
     contraction: float | None
     final_dist_sq: float
     hit: int | None
-    t: int
     wall_ns: int
     group: int
 
 
-def _trajectories(problem, configs, drift, threshold=None, trace_dir=None):
-    """A _Trajectory per config, and the wall time of each group. The
-    configs advance together in groups of consecutive ones whose tables and
-    records fit GROUP_ENTRIES, so no more records than that are held at
-    once. Each trajectory's trace is written to trace_dir, when given, as
-    soon as its group finishes."""
-    done, walls = [], []
-    if not configs:
-        return done, walls
+def _trajectories(problem, configs, threshold=None, trace_dir=None):
+    """A _Trajectory per config. The configs advance together in groups of
+    consecutive ones whose tables and records fit GROUP_ENTRIES, so no more
+    records than that are held at once. Each trajectory's trace, with the
+    table drift, is written to trace_dir, when given, as soon as its group
+    finishes; without one no record makes the drift pass."""
+    done = []
     per_trajectory = configs[0].max_iters // configs[0].trace_every + 2  # records, at most
     per_group = max(1, GROUP_ENTRIES // (problem.n * problem.dim + RECORD_ENTRIES * per_trajectory))
     for start in range(0, len(configs), per_group):
-        t_begin = time.perf_counter_ns()
         group = configs[start:start + per_group]
-        for config, (_, records) in zip(group, _advanced(problem, group, drift)):
+        for config, (_, records) in zip(group, _advanced(problem, group, trace_dir is not None)):
             if trace_dir is not None:
                 _write_trace(f"{trace_dir}/trace_seed{config.seed}.csv", records)
             hit = None
             if threshold is not None:
-                psi0 = records[0].lyapunov
-                hit = next((r.t for r in records if r.lyapunov <= threshold * psi0), None)
+                # A Python float: a bound past the float range reads inf, without a warning.
+                bound = threshold * float(records[0].lyapunov)
+                hit = next((r.t for r in records if r.lyapunov <= bound), None)
             last = records[-1]
             done.append(_Trajectory(_empirical_contraction(records), float(last.dist_sq), hit,
-                                    last.t, last.wall_ns, len(walls)))
-        walls.append(time.perf_counter_ns() - t_begin)
-    return done, walls
+                                    last.wall_ns, start))
+    return done
 
 
-def _summarize(trajectories, s, threshold=None):
-    """The summary quantities of one cell's repeats, from their
-    _Trajectory entries; wall_ns counts each group's common time once.
-    With a threshold (sweep), prox calls are counted up to each hit."""
+def _summarize(trajectories, s, iters, threshold=None):
+    """The summary quantities of one cell's repeats, from their _Trajectory
+    entries, each run for iters iterations; wall_ns adds up the largest
+    wall_ns of each group they ran in. With a threshold (sweep), prox calls
+    are counted up to each hit."""
     contractions = [r.contraction for r in trajectories if r.contraction is not None]
     hits = [r.hit for r in trajectories if r.hit is not None]
     walls = {}
@@ -262,7 +250,7 @@ def _summarize(trajectories, s, threshold=None):
     summary = {
         "empirical_contraction": float(np.mean(contractions)) if contractions else None,
         "final_dist_sq": float(np.mean([r.final_dist_sq for r in trajectories])),
-        "prox_calls": sum(s * (r.t if r.hit is None else r.hit) for r in trajectories),
+        "prox_calls": sum(s * (iters if r.hit is None else r.hit) for r in trajectories),
         "wall_ns": sum(walls.values()),
     }
     if threshold is not None:
@@ -272,20 +260,23 @@ def _summarize(trajectories, s, threshold=None):
     return summary
 
 
-def _repeats(args, s, gamma, trace_every):
-    """The configs of one cell's --repeats trajectories: repeat k runs seed --seed + k."""
-    return [SolverConfig(s=s, gamma=gamma, max_iters=args.iters, seed=args.seed + k,
-                         trace_every=trace_every) for k in range(args.repeats)]
+def _repeats(problem, args, s, gamma_spec, trace_every):
+    """The stepsize of one (s, gamma) pair of the flags, once its config
+    validates for problem, and the configs of its --repeats trajectories:
+    repeat k runs seed --seed + k."""
+    probe = SolverConfig(s=s, gamma=gamma_spec, max_iters=args.iters, trace_every=trace_every)
+    probe.validate(problem)
+    gamma = probe.resolve_gamma(problem)
+    return gamma, [replace(probe, gamma=gamma, seed=args.seed + k) for k in range(args.repeats)]
 
 
 def cmd_run(args):
     _check_flags(args)
     problem = _build_problem(args)
-    gamma = _stepsize(problem, args, args.s, args.gamma)
+    gamma, configs = _repeats(problem, args, args.s, args.gamma, args.trace_every)
     report = theoretical_rate(gamma, args.s, problem.n, problem.mu, problem.L)
-    trajectories, _ = _trajectories(problem, _repeats(args, args.s, gamma, args.trace_every),
-                                    drift=True, trace_dir=args.out)
-    summary = {"gamma": gamma, **report.to_dict(), **_summarize(trajectories, args.s)}
+    trajectories = _trajectories(problem, configs, trace_dir=args.out)
+    summary = {"gamma": gamma, **report.to_dict(), **_summarize(trajectories, args.s, args.iters)}
     text = json.dumps(summary, indent=2, allow_nan=False)
     with open(f"{args.out}/summary.json", "w") as fh:
         fh.write(text + "\n")
@@ -303,41 +294,31 @@ def cmd_sweep(args):
     ss = args.ss if args.ss is not None else [args.s]
 
     problem = _build_problem(args)
-    # Every cell records each iteration, without the table drift that
-    # sweep.csv does not hold. A cell whose flags fail raises once the cells
-    # before it have run, as it would in a loop of cells.
-    cells, error = [], None
-    try:
-        for s in ss:
-            for gamma_spec in gammas:
-                gamma = _stepsize(problem, args, s, gamma_spec)
-                rho = theoretical_rate(gamma, s, problem.n, problem.mu, problem.L).rho
-                cells.append((gamma, s, rho))
-    except PointSagaError as exc:
-        error = exc
-    configs = [c for gamma, s, _ in cells for c in _repeats(args, s, gamma, 1)]
-    trajectories, walls = _trajectories(problem, configs, drift=False, threshold=args.threshold)
-    if error is not None:
-        raise error
-    rows = []
-    for k, (gamma, s, rho) in enumerate(cells):
-        own = trajectories[k * args.repeats:(k + 1) * args.repeats]
-        rows.append({"gamma": gamma, "s": s, "rho": rho,
-                     **_summarize(own, s, threshold=args.threshold),
-                     "wall_ns": sum(walls[g] for g in {r.group for r in own})})
+    # Every cell is checked before any runs. Each records every iteration,
+    # without the table drift that sweep.csv does not hold.
+    cells, configs = [], []
+    for s in ss:
+        for gamma_spec in gammas:
+            gamma, repeats = _repeats(problem, args, s, gamma_spec, 1)
+            rho = theoretical_rate(gamma, s, problem.n, problem.mu, problem.L).rho
+            cells.append((gamma, s, rho))
+            configs += repeats
+    trajectories = _trajectories(problem, configs, threshold=args.threshold)
 
     path = f"{args.out}/sweep.csv"
     with open(path, "w") as fh:
         fh.write("gamma,s,rho,empirical_contraction,iters_to_threshold,"
                  "prox_calls,wall_ns\n")
-        for row in rows:
+        for k, (gamma, s, rho) in enumerate(cells):
+            row = _summarize(trajectories[k * args.repeats:(k + 1) * args.repeats], s,
+                             args.iters, threshold=args.threshold)
             fh.write(
-                f"{row['gamma']:.17g},{row['s']},{row['rho']:.17g},"
+                f"{gamma:.17g},{s},{rho:.17g},"
                 f"{_fmt(row['empirical_contraction'])},"
                 f"{row['iters_to_threshold']:.17g},"
                 f"{row['prox_calls']},{row['wall_ns']}\n"
             )
-    print(f"wrote {path} ({len(rows)} cells)")
+    print(f"wrote {path} ({len(cells)} cells)")
     return 0
 
 

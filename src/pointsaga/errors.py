@@ -23,7 +23,8 @@ class InvalidKnownSolution(PointSagaError, ValueError):
 
 
 class DimensionMismatch(PointSagaError, ValueError):
-    """A point, table or family bank array does not fit the dimension or n."""
+    """A point, solver state, table or family bank array does not fit the
+    dimension or n."""
 
 
 class SingularSystem(PointSagaError, ValueError):
@@ -64,7 +65,8 @@ class InvalidSpec(PointSagaError, ValueError):
     """A problem's description is malformed: a generator spec's family, sizes
     or seed, or constants its family cannot use; a family bank entry that is
     not a finite number, a bad mu_reg, an eig <= 0 or a logistic label other
-    than +-1; components without a needed Hessian."""
+    than +-1; components without a needed Hessian. A point whose entries are
+    not integers or floats (complex, bool, object) raises it too."""
 
 
 class ParseError(PointSagaError, ValueError):

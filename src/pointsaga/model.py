@@ -223,7 +223,12 @@ class FiniteSumProblem:
         return len(self.components)
 
     def check_point(self, x):
-        return _check_shape(x, (self.dim,), "point")
+        """np.asarray(x), once it has shape (dim,), else DimensionMismatch,
+        and holds integers or floats (a bank array's rule), else InvalidSpec."""
+        x = _check_shape(x, (self.dim,), "point")
+        if x.dtype.kind not in "iuf":
+            raise InvalidSpec(f"a point must hold integers or floats, got dtype {x.dtype}")
+        return x
 
 
 def _check_shape(a, shape, name):
@@ -234,6 +239,14 @@ def _check_shape(a, shape, name):
         expected = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
         raise DimensionMismatch(f"{name} has shape {a.shape}, expected ({expected})")
     return a
+
+
+def _check_state(state, problem):
+    """DimensionMismatch unless a solver state fits problem: x and g_avg of
+    shape (dim,), grad_table (n, dim)."""
+    n, dim = problem.n, problem.dim
+    for name, shape in (("x", (dim,)), ("grad_table", (n, dim)), ("g_avg", (dim,))):
+        _check_shape(getattr(state, name), shape, f"state.{name}")
 
 
 def assemble_problem(components, mu, L, dim):

@@ -42,6 +42,7 @@ from ._linalg import _norms, _per_row
 from .analysis import LyapunovWeights, _row_errors, optimal_stepsize
 from .errors import (InvalidBatchSize, InvalidConstants, ProxFailure, _check_constants,
                      _integral)
+from .model import _check_state
 from .prox import TOL_PROX
 from .sampling import SplitMix64, sample_k_subset, sample_subsets
 
@@ -269,12 +270,15 @@ def _advanced_copy(state, problem, gamma, idx, refresh_every=None):
 def apply_subset_step(state, problem, gamma, indices0):
     """One deterministic iteration given the 0-based subset to activate.
 
-    indices0 must be non-empty, strictly increasing integers in [0, n), else
-    InvalidBatchSize, and gamma finite and > 0, else InvalidConstants. Pure:
-    advances a copy (its own table, the input's x and g_avg, which _advance
-    only rebinds) and returns it, leaving the input untouched.
+    gamma must be finite and > 0, else InvalidConstants; the state must fit
+    the problem (x and g_avg of shape (dim,), grad_table (n, dim)), else
+    DimensionMismatch; and indices0 must be non-empty, strictly increasing
+    integers in [0, n), else InvalidBatchSize. Pure: advances a copy (its own
+    table, the input's x and g_avg, which _advance only rebinds) and returns
+    it, leaving the input untouched.
     """
     _check_constants(problem.mu, problem.L, gamma=gamma)
+    _check_state(state, problem)
     idx = np.asarray(indices0)
     if not (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu" and 0 <= idx[0]
             and idx[-1] < problem.n and (idx[1:] > idx[:-1]).all()):
@@ -288,10 +292,12 @@ def step(state, problem, config, rng, gamma):
     draws in blocks.
 
     gamma is the resolved stepsize (see SolverConfig.resolve_gamma); config
-    supplies s and the refresh cadence. Pure and checking gamma, like
-    apply_subset_step: the input state is left untouched.
+    supplies s and the refresh cadence. Pure and checking gamma and the
+    state's shapes before it draws, like apply_subset_step: the input state
+    is left untouched.
     """
     _check_constants(problem.mu, problem.L, gamma=gamma)
+    _check_state(state, problem)
     idx0 = np.asarray(sample_k_subset(rng, problem.n, config.s), dtype=int) - 1
     return _advanced_copy(state, problem, gamma, idx0, config.refresh_every)[0]
 

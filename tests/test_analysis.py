@@ -636,3 +636,13 @@ def test_consensus_checks_gamma_and_g0_before_any_prox(monkeypatch):
         with pytest.raises(DimensionMismatch, match=r"expected \(6, 3\)"):
             consensus_dr_run(problem, 0.5, x0, np.zeros(shape), 5)
     assert calls == []
+
+
+@pytest.mark.parametrize("iters", [1.5, -1, "3", None])
+def test_consensus_refuses_an_iteration_count_that_is_not_a_count(iters):
+    # 1.5 raised Python's TypeError from range, and -1 ran no iteration.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    g0 = problem.bank.gradients(np.ones(3))
+    with pytest.raises(InvalidConstants, match="iters must be an integer >= 0"):
+        consensus_dr_run(problem, 0.5, np.ones(3), g0, iters)
+    assert len(consensus_dr_run(problem, 0.5, np.ones(3), g0, np.int64(2))) == 3

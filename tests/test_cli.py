@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -61,14 +63,18 @@ def test_rates_infinite_L_exits_2(capsys):
 # --- run -------------------------------------------------------------------------
 
 
-def run_args(tmp_path, **over):
+def run_args(tmp_path, command="run", **over):
+    """argv of command, run or sweep, with these flags, updated by over;
+    sweep has no --trace-every."""
     base = {
         "problem": "quad", "n": "20", "dim": "4", "mu": "1", "L": "10",
         "s": "4", "gamma": "auto", "iters": "300", "seed": "42",
         "repeats": "1", "trace-every": "10", "out": str(tmp_path),
     }
+    if command == "sweep":
+        del base["trace-every"]
     base.update(over)
-    argv = ["run"]
+    argv = [command]
     for key, val in base.items():
         argv += [f"--{key}", val]
     return argv
@@ -238,11 +244,14 @@ def test_run_on_tiny_libsvm_file(tmp_path):
 
 
 @pytest.mark.parametrize("repeats", [1, 3])
-def test_sweep_single_cell_matches_run(tmp_path, repeats):
+def test_sweep_single_cell_matches_run(tmp_path, monkeypatch, repeats):
+    # With the clock a counter, both commands read the same ticks: wall_ns
+    # is the records' own in each.
+    monkeypatch.setattr(time, "perf_counter_ns", itertools.count().__next__)
     out_run = tmp_path / "run"
     out_run.mkdir()
-    over = {"trace-every": "1", "repeats": str(repeats)}
-    assert cli.main(run_args(tmp_path, out=str(out_run), **over)) == 0
+    assert cli.main(run_args(tmp_path, out=str(out_run), repeats=str(repeats),
+                             **{"trace-every": "1"})) == 0
     summary = json.loads((out_run / "summary.json").read_text())
     assert sorted(p.name for p in out_run.glob("trace_seed*.csv")) == [
         f"trace_seed{42 + k}.csv" for k in range(repeats)
@@ -250,10 +259,8 @@ def test_sweep_single_cell_matches_run(tmp_path, repeats):
 
     out_sweep = tmp_path / "sweep"
     out_sweep.mkdir()
-    argv = run_args(tmp_path, out=str(out_sweep), **over)
-    argv[0] = "sweep"
-    argv += ["--ss", "4"]
-    assert cli.main(argv) == 0
+    argv = run_args(tmp_path, "sweep", out=str(out_sweep), repeats=str(repeats))
+    assert cli.main(argv + ["--ss", "4"]) == 0
     header, rows = read_csv(out_sweep / "sweep.csv")
     assert header == "gamma,s,rho,empirical_contraction,iters_to_threshold,prox_calls,wall_ns"
     assert len(rows) == 1
@@ -262,6 +269,7 @@ def test_sweep_single_cell_matches_run(tmp_path, repeats):
     assert int(cells[1]) == 4
     assert abs(float(cells[2]) - summary["rho"]) <= 1e-12
     assert float(cells[3]) == summary["empirical_contraction"]
+    assert int(cells[6]) == summary["wall_ns"] > 0
 
 
 def test_sweep_makes_no_drift_pass_and_run_still_writes_one(tmp_path, monkeypatch):
@@ -275,10 +283,7 @@ def test_sweep_makes_no_drift_pass_and_run_still_writes_one(tmp_path, monkeypatc
         return table_drift(state)
 
     monkeypatch.setattr(pointsaga.solver, "table_drift", counting_drift)
-    argv = run_args(tmp_path, iters="50")
-    argv[0] = "sweep"
-    argv += ["--ss", "1,4"]
-    assert cli.main(argv) == 0
+    assert cli.main(run_args(tmp_path, "sweep", iters="50") + ["--ss", "1,4"]) == 0
     assert calls == []
     assert cli.main(run_args(tmp_path)) == 0
     assert calls == list(range(10, 301, 10))
@@ -287,32 +292,28 @@ def test_sweep_makes_no_drift_pass_and_run_still_writes_one(tmp_path, monkeypatc
 
 
 def test_sweep_requires_an_axis(tmp_path, capsys):
-    argv = run_args(tmp_path)
-    argv[0] = "sweep"
+    assert cli.main(run_args(tmp_path, "sweep")) == 2
+    assert "sweep needs --gammas and/or --ss" in capsys.readouterr().err
+
+
+def test_sweep_empty_axis_exits_2(tmp_path, capsys):
+    assert cli.main(run_args(tmp_path, "sweep") + ["--ss", ""]) == 2
+    assert "empty s axis" in capsys.readouterr().err
+
+
+def test_sweep_has_no_trace_every_flag(tmp_path, capsys):
+    # A sweep cell records every iteration, so the flag would do nothing.
+    argv = run_args(tmp_path, "sweep", **{"trace-every": "1"}) + ["--ss", "4"]
     assert cli.main(argv) == 2
-
-
-def test_sweep_empty_axis_exits_2(tmp_path):
-    argv = run_args(tmp_path)
-    argv[0] = "sweep"
-    argv += ["--ss", ""]
-    assert cli.main(argv) == 2
-
-
-def test_sweep_trace_every_zero_exits_2_and_writes_nothing(tmp_path, capsys):
-    argv = run_args(tmp_path, **{"trace-every": "0"})
-    argv[0] = "sweep"
-    argv += ["--ss", "4"]
-    assert cli.main(argv) == 2
-    assert "InvalidConstants" in capsys.readouterr().err
+    assert "unrecognized arguments: --trace-every 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    assert cli.main(["sweep", "--help"]) == 0
+    assert "--trace-every" not in capsys.readouterr().out
 
 
 def test_sweep_grid_shape(tmp_path):
-    argv = run_args(tmp_path, iters="100")
-    argv[0] = "sweep"
-    argv += ["--ss", "1,4", "--gammas", "0.05,auto"]
-    assert cli.main(argv) == 0
+    argv = run_args(tmp_path, "sweep", iters="100")
+    assert cli.main(argv + ["--ss", "1,4", "--gammas", "0.05,auto"]) == 0
     _, rows = read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 4
 
@@ -330,8 +331,7 @@ def test_run_and_sweep_advance_their_trajectories_in_one_call(tmp_path, monkeypa
         return many(problem, configs, x0, **kw)
 
     monkeypatch.setattr(cli, "run_many", counted)
-    argv = run_args(tmp_path, iters="20", repeats="2")
-    argv[0] = "sweep"
+    argv = run_args(tmp_path, "sweep", iters="20", repeats="2")
     assert cli.main(argv + ["--ss", "1,4", "--gammas", "0.05,auto"]) == 0
     assert calls == [[(s, seed) for s in (1, 4) for _ in range(2) for seed in (42, 43)]]
     calls.clear()
@@ -432,8 +432,7 @@ def test_failing_cells_raise_the_first_cells_error(tmp_path, capsys, monkeypatch
     configs = [SolverConfig(s=s, gamma=0.05, max_iters=30, seed=42, trace_every=1)
                for s in (1, 4)]
     _, error = _loop_of_runs(problem, configs)
-    argv = run_args(tmp_path, iters="30", gamma="0.05")
-    argv[0] = "sweep"
+    argv = run_args(tmp_path, "sweep", iters="30", gamma="0.05")
     assert cli.main(argv + ["--ss", "1,4"]) == 4
     assert capsys.readouterr().err == f"error: {error}\n"
     _, error = _loop_of_runs(problem, [SolverConfig(s=4, gamma=0.05, max_iters=30, seed=42 + k)
@@ -443,17 +442,18 @@ def test_failing_cells_raise_the_first_cells_error(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sweep_runs_the_cells_before_one_whose_flags_fail(tmp_path, capsys, monkeypatch):
-    # A gamma of nan fails the second cell's check; the first cell, which
-    # runs before it is checked, fails first.
-    argv = run_args(tmp_path, iters="30")
-    argv[0] = "sweep"
-    argv += ["--ss", "4", "--gammas", "0.05,nan"]
-    assert cli.main(argv) == 2
-    assert "InvalidConstants" in capsys.readouterr().err
-    monkeypatch.setattr(pointsaga.solver, "TOL_PROX", 1e-30)
-    assert cli.main(argv) == 4
-    assert "failed at iteration 1, gamma=0.05 " in capsys.readouterr().err
+def test_sweep_checks_every_cell_before_it_runs_any(tmp_path, capsys, monkeypatch):
+    # A gamma of nan fails the second cell's check, so no cell runs: not even
+    # a first cell whose every prox would fail.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran before every cell was checked")
+
+    monkeypatch.setattr(cli, "run_many", no_run)
+    argv = run_args(tmp_path, "sweep", iters="30") + ["--ss", "4", "--gammas", "0.05,nan"]
+    for _ in range(2):
+        assert cli.main(argv) == 2
+        assert "InvalidConstants: gamma must be finite and > 0, got nan" in capsys.readouterr().err
+        monkeypatch.setattr(pointsaga.solver, "TOL_PROX", 1e-30)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -520,10 +520,7 @@ def test_summary_is_strict_json(tmp_path):
 def test_zero_repeats_exit_2_and_write_nothing(tmp_path, capsys):
     assert cli.main(run_args(tmp_path, repeats="0")) == 2
     assert "--repeats must be >= 1" in capsys.readouterr().err
-    argv = run_args(tmp_path, repeats="0")
-    argv[0] = "sweep"
-    argv += ["--ss", "4"]
-    assert cli.main(argv) == 2
+    assert cli.main(run_args(tmp_path, "sweep", repeats="0") + ["--ss", "4"]) == 2
     assert "--repeats must be >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -537,22 +534,20 @@ def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, problem):
         problem = f"file:{data}"
     out = tmp_path / "out"
     out.mkdir()
-    argv = run_args(out, problem=problem, seed="-1", n="2", dim="2", s="1")
-    assert cli.main(argv) == 2
-    assert "--seed must be >= 0" in capsys.readouterr().err
-    argv[0] = "sweep"
-    assert cli.main(argv + ["--ss", "1"]) == 2
+    for command, axis in [("run", []), ("sweep", ["--ss", "1"])]:
+        argv = run_args(out, command, problem=problem, seed="-1", n="2", dim="2", s="1")
+        assert cli.main(argv + axis) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("seed,repeats", [(2**64, 1), (2**64 - 2, 3)])
 def test_seed_beyond_64_bits_exits_2_and_writes_nothing(tmp_path, capsys, seed, repeats):
     # SplitMix64 keeps 64 bits of its seed, so seed 2^64 would rerun seed 0's stream.
-    argv = run_args(tmp_path, seed=str(seed), repeats=str(repeats), iters="3")
-    assert cli.main(argv) == 2
-    assert "--seed + --repeats - 1 must be < 2^64" in capsys.readouterr().err
-    argv[0] = "sweep"
-    assert cli.main(argv + ["--ss", "4"]) == 2
+    for command, axis in [("run", []), ("sweep", ["--ss", "4"])]:
+        argv = run_args(tmp_path, command, seed=str(seed), repeats=str(repeats), iters="3")
+        assert cli.main(argv + axis) == 2
+        assert "--seed + --repeats - 1 must be < 2^64" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -564,8 +559,7 @@ def test_largest_seed_runs(tmp_path):
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
 def test_sweep_bad_threshold_exits_2_and_writes_nothing(tmp_path, capsys, threshold):
-    argv = run_args(tmp_path, iters="3")
-    argv[0] = "sweep"
+    argv = run_args(tmp_path, "sweep", iters="3")
     assert cli.main(argv + ["--ss", "4", "--threshold", threshold]) == 2
     assert "--threshold must be finite and > 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -580,8 +574,7 @@ def test_unusable_out_exits_3_before_any_problem_is_built(tmp_path, capsys, monk
 
     monkeypatch.setattr(cli, "_build_problem", no_build)
     (tmp_path / "notdir").write_text("")
-    argv = run_args(tmp_path / out)
-    argv[0] = command
+    argv = run_args(tmp_path / out, command)
     assert cli.main(argv + (["--ss", "1,4"] if command == "sweep" else [])) == 3
     assert "is not an existing directory" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["notdir"]
@@ -615,12 +608,12 @@ def _flags(pairs, max_flags, min_flags=0):
 _PROBLEM_FLAGS = [("--problem", _PROBLEMS), ("--n", _INTS), ("--dim", _INTS),
                   ("--mu", _FLOATS), ("--L", _FLOATS), ("--s", _INTS),
                   ("--gamma", _FLOATS + ["auto"]), ("--seed", _SEEDS),
-                  ("--repeats", _SMALL_INTS), ("--trace-every", _INTS),
-                  ("--out", _OUTS)]
+                  ("--repeats", _SMALL_INTS), ("--out", _OUTS)]
 _AXES = [("--gammas", ["auto", "0.1,1e300", "nan", "x", ","]),
          ("--ss", ["1", "1,2", "-1", "0", str(10**9), "x", ","])]
 _iters = st.sampled_from(_SMALL_INTS).map(lambda v: ["--iters", v])
-_run_argv = st.tuples(_flags(_PROBLEM_FLAGS, 3), _iters).map(lambda t: ["run", *t[0], *t[1]])
+_run_argv = st.tuples(_flags(_PROBLEM_FLAGS + [("--trace-every", _INTS)], 3), _iters).map(
+    lambda t: ["run", *t[0], *t[1]])
 _sweep_argv = st.tuples(_flags(_PROBLEM_FLAGS + [("--threshold", _FLOATS)], 3),
                         _flags(_AXES, 2, min_flags=1), _iters).map(
     lambda t: ["sweep", *t[0], *t[1], *t[2]])
@@ -648,6 +641,7 @@ _rates_argv = _flags([("--gamma", _FLOATS), ("--s", _INTS), ("--n", _INTS),
 @example(argv=["sweep", "--gammas", "1e153,0.1", "--L", "1e3", "--n", "20", "--dim", "4",
                "--iters", "30", "--out", "OUT"])
 @example(argv=["run", "--gamma", "1e153", "--iters", "3", "--out", "OUT"])
+@example(argv=["sweep", "--ss", "50", "--iters", "3", "--threshold", "1e308", "--out", "OUT"])
 def test_cli_exits_with_a_documented_code(tmp_path_factory, argv):
     base = tmp_path_factory.getbasetemp() / "cli-argv"
     base.mkdir(exist_ok=True)

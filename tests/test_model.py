@@ -8,6 +8,7 @@ from pointsaga import (
     GeneratorSpec,
     GenericComponent,
     QuadraticComponent,
+    SolverConfig,
     SolverState,
     assemble_problem,
     consensus_dr_run,
@@ -18,12 +19,15 @@ from pointsaga import (
     load_libsvm,
     lyapunov,
     reference_solution,
+    run,
+    run_many,
 )
 from pointsaga.errors import (
     DimensionMismatch,
     EmptyComponentList,
     InvalidConstants,
     InvalidKnownSolution,
+    InvalidSpec,
 )
 from pointsaga.model import TOL_STAR, ComponentBank, _row_total
 from pointsaga.problems import QuadraticBank
@@ -107,6 +111,29 @@ def test_shape_errors_name_the_array_and_both_shapes(call, message):
     # shape check had one home.
     with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         _shape_fault(call)()
+
+
+@pytest.mark.parametrize("dtype", [complex, bool, object, str])
+@pytest.mark.parametrize("call", [
+    lambda p, x: run(p, SolverConfig(s=2, max_iters=2), x),
+    lambda p, x: run_many(p, [SolverConfig(s=1), SolverConfig(s=2)], x),
+    lambda p, x: full_gradient(p, x),
+    lambda p, x: consensus_dr_run(p, 0.1, x, np.zeros((6, 3)), 1),
+], ids=["run", "run_many", "full_gradient", "consensus_dr_run"])
+def test_a_point_of_non_real_entries_raises_invalid_spec(call, dtype):
+    # A complex x0 gave run complex dist_sq and lyapunov values; a bool or
+    # object one numpy's TypeError.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    with pytest.raises(InvalidSpec, match="a point must hold integers or floats"):
+        call(problem, np.ones(3, dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.longdouble])
+def test_a_point_of_integers_or_floats_is_accepted(dtype):
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    x = problem.check_point(np.ones(3, dtype=dtype))
+    assert x.dtype == dtype
+    assert np.isfinite(run(problem, SolverConfig(s=2, max_iters=2), x)[1][-1].lyapunov)
 
 
 def test_known_solution_validated():

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -25,12 +26,13 @@ from pointsaga import (
     run_many,
     step,
     table_drift,
+    verify_one_step_contraction,
 )
 import pointsaga.problems as problems
 import pointsaga.solver as solver
 from pointsaga.model import ComponentBank
 from pointsaga.problems import LogisticRidgeComponent, RankOneRidgeComponent
-from pointsaga.errors import InvalidBatchSize, InvalidConstants, ProxFailure
+from pointsaga.errors import DimensionMismatch, InvalidBatchSize, InvalidConstants, ProxFailure
 from pointsaga.prox import TOL_PROX
 from pointsaga.sampling import SplitMix64, sample_k_subset
 
@@ -836,3 +838,35 @@ def test_run_many_matches_runs_across_dtypes(dtypes, monkeypatch):
     x0 = np.ones(3, dtype=x0_dtype)
     for got, config in zip(run_many(problem, configs, x0), configs):
         assert_same_trajectory(got, run(problem, config, x0))
+
+
+#: The entry points that take a SolverState, each called on a state, a
+#: 6-component problem in dimension 3 and a SplitMix64.
+_STATE_ENTRY_POINTS = {
+    "step": lambda st, p, rng: step(st, p, SolverConfig(s=2), rng, 0.1),
+    "apply_subset_step": lambda st, p, rng: apply_subset_step(st, p, 0.1, [5]),
+    "lyapunov": lambda st, p, rng: lyapunov(st, p, p.known_solution, p.grad_star, 0.1, 2),
+    "verify_one_step_contraction": lambda st, p, rng: verify_one_step_contraction(
+        st, p, 0.1, 2, p.known_solution, p.grad_star),
+}
+
+
+@pytest.mark.parametrize("entry", list(_STATE_ENTRY_POINTS))
+@pytest.mark.parametrize("field,value,message", [
+    ("grad_table", np.zeros((5, 3)), "state.grad_table has shape (5, 3), expected (6, 3)"),
+    ("x", np.zeros(4), "state.x has shape (4,), expected (3,)"),
+    ("g_avg", np.zeros((1, 3)), "state.g_avg has shape (1, 3), expected (3,)"),
+], ids=["table-5-rows", "x-4", "g_avg-1x3"])
+def test_a_state_that_does_not_fit_its_problem_raises_dimension_mismatch(
+        entry, field, value, message, monkeypatch):
+    # A 5-row table gave step and apply_subset_step a 5-row state back (or
+    # numpy's IndexError for a subset holding component 5), and lyapunov
+    # and the verifier numpy's ValueError. Now no prox runs and step draws
+    # no subset.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    state = replace(SolverState(0, np.zeros(3), np.zeros((6, 3)), np.zeros(3)), **{field: value})
+    monkeypatch.setattr(type(problem.bank), "prox", lambda *args: pytest.fail("prox called"))
+    rng = SplitMix64(0)
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        _STATE_ENTRY_POINTS[entry](state, problem, rng)
+    assert rng.state == SplitMix64(0).state
