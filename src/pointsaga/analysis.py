@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     EpsNotBelowPsi0,
     InvalidConstants,
+    InvalidSpec,
     MaxIterations,
     _check_constants,
     _finite,
@@ -278,8 +279,10 @@ def check_coercivity(f, x, y, mu, L):
     <grad f(x) - grad f(y), x - y>
         >= mu L/(L+mu) ||x-y||^2 + 1/(L+mu) ||grad f(x) - grad f(y)||^2,
 
-    up to additive slack 1e-12 (1 + ||x-y||^2) for rounding.
+    up to additive slack 1e-12 (1 + ||x-y||^2) for rounding. mu and L are
+    checked first: InvalidConstants unless finite 0 < mu <= L.
     """
+    _check_constants(mu, L)
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape:
@@ -306,14 +309,17 @@ def consensus_dr_run(problem, gamma, x0, g0, iters):
     step t is mean_i w_i. An iteration's n proxes are one call of the
     problem's bank. Coded independently of the solver module as an
     equivalence oracle for the s = n regime. gamma, iters (an integer
-    >= 0, else InvalidConstants), x0 (problem.check_point) and g0's shape
-    (n, dim) are checked before any prox.
+    >= 0, else InvalidConstants), x0 (problem.check_point, which makes an
+    integer x0 float64) and g0 (shape (n, dim), else DimensionMismatch, and
+    integer or float entries, else InvalidSpec) are checked before any prox.
     """
     _check_constants(problem.mu, problem.L, gamma=gamma)
     if not (_integral(iters) and iters >= 0):
         raise InvalidConstants(f"iters must be an integer >= 0, got {iters!r}")
     x0 = problem.check_point(x0)
-    g0 = _check_shape(np.asarray(g0, dtype=x0.dtype), (problem.n, problem.dim), "g0")
+    g0 = _check_shape(g0, (problem.n, problem.dim), "g0")
+    if g0.dtype.kind not in "iuf":
+        raise InvalidSpec(f"g0 must hold integers or floats, got dtype {g0.dtype}")
     u = x0[None, :] + gamma * (g0 - g0.mean(axis=0)[None, :])
     out = [x0.copy()]
     idx = np.arange(problem.n)

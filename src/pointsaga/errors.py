@@ -65,8 +65,9 @@ class InvalidSpec(PointSagaError, ValueError):
     """A problem's description is malformed: a generator spec's family, sizes
     or seed, or constants its family cannot use; a family bank entry that is
     not a finite number, a bad mu_reg, an eig <= 0 or a logistic label other
-    than +-1; components without a needed Hessian. A point whose entries are
-    not integers or floats (complex, bool, object) raises it too."""
+    than +-1; components without a needed Hessian. A point, or consensus's
+    g0, whose entries are not integers or floats (complex, bool, object)
+    raises it too."""
 
 
 class ParseError(PointSagaError, ValueError):

@@ -160,7 +160,8 @@ class FiniteSumProblem:
     dim : int
         Ambient dimension d.
     known_solution : ndarray or None
-        Minimizer of the sum, when available. Validated for stationarity.
+        Minimizer of the sum, when available: a read-only copy of the array
+        given, validated for stationarity.
     bank : ComponentBank
         The components themselves when they are a family bank, which comes
         from its arrays; otherwise the default bank over them.
@@ -194,41 +195,47 @@ class FiniteSumProblem:
             bank = ComponentBank(self.components)
         object.__setattr__(self, "bank", bank)
         if self.known_solution is not None:
-            object.__setattr__(self, "grad_star", self._stationary_gradients(self.known_solution))
+            self._set_solution(self.known_solution)
 
     def with_known_solution(self, x_star):
-        """A copy sharing this bank, with known_solution x_star and its
-        grad_star; raises unless x_star is stationary."""
-        grad_star = self._stationary_gradients(x_star)
+        """A copy sharing this bank, with known_solution a read-only copy of
+        x_star and its grad_star; raises unless x_star is stationary."""
         problem = copy.copy(self)
-        object.__setattr__(problem, "known_solution", x_star)
-        object.__setattr__(problem, "grad_star", grad_star)
+        problem._set_solution(x_star)
         return problem
 
-    def _stationary_gradients(self, x_star):
-        """The read-only stack of grad f_i(x_star), after checking its shape
-        and that its row total, full_gradient's bits, is within n*TOL_STAR of 0."""
-        G = self.bank.gradients(_check_shape(x_star, (self.dim,), "known_solution"))
+    def _set_solution(self, x_star):
+        """Bind known_solution, a read-only copy of x_star, and grad_star, the
+        read-only stack of grad f_i(x_star), after checking the shape and that
+        the stack's row total, full_gradient's bits, is within n*TOL_STAR of 0.
+        The caller's array stays writable, and no later write to it moves the
+        solution away from its grad_star."""
+        x_star = np.array(_check_shape(x_star, (self.dim,), "known_solution"))
+        G = self.bank.gradients(x_star)
         g = _row_total(G)
         norm = float(_norms(g[None])[0])
         if not norm <= self.n * TOL_STAR:  # a NaN norm fails too
             raise InvalidKnownSolution(
                 f"||sum grad f_i(x*)|| = {norm:.3e} exceeds n*{TOL_STAR:g}"
             )
-        G.flags.writeable = False
-        return G
+        x_star.flags.writeable = G.flags.writeable = False
+        object.__setattr__(self, "known_solution", x_star)
+        object.__setattr__(self, "grad_star", G)
 
     @property
     def n(self):
         return len(self.components)
 
     def check_point(self, x):
-        """np.asarray(x), once it has shape (dim,), else DimensionMismatch,
-        and holds integers or floats (a bank array's rule), else InvalidSpec."""
+        """np.asarray(x) in the float dtype it promotes to, once it has shape
+        (dim,), else DimensionMismatch, and holds integers or floats (a bank
+        array's rule), else InvalidSpec. A float point is returned as it is,
+        an integer one as float64, so no trajectory or gradient computes in
+        integers."""
         x = _check_shape(x, (self.dim,), "point")
         if x.dtype.kind not in "iuf":
             raise InvalidSpec(f"a point must hold integers or floats, got dtype {x.dtype}")
-        return x
+        return x.astype(np.result_type(x, 0.0), copy=False)
 
 
 def _check_shape(a, shape, name):

@@ -124,8 +124,9 @@ class TraceRecord:
 
 
 def initialize(problem, config, x0):
-    """Validate config and build the t=0 state: iterate x0, gradient table
-    per config.init_gradients, g_avg its mean."""
+    """Validate config and build the t=0 state: iterate x0 as check_point
+    returns it, gradient table per config.init_gradients ("zeros" in x0's
+    dtype), g_avg its mean. A _Stack decides the dtype a run computes in."""
     config.validate(problem)
     x0 = problem.check_point(x0)
     if config.init_gradients == "at_x0":
@@ -167,13 +168,17 @@ class _Stack:
     trajectory k's iterate, table average and gradient table. Trajectory k
     takes s[k] components an iteration, at stepsize gamma[k]; they are the
     rows parts[k] of each iteration's union subset, and cell[j] is the
-    trajectory of row j where there are several."""
+    trajectory of row j where there are several. Every trajectory enters the
+    solver here, so x, g_avg and table are bound in the one float dtype they
+    promote to, np.result_type(x, g_avg, table, 0.0), uncopied if in it."""
 
     __slots__ = ("t", "x", "g_avg", "table", "s", "gamma", "parts", "table_parts", "cell",
                  "row_gamma", "cell_gamma", "keep", "move")
 
     def __init__(self, t, x, g_avg, table, s, gamma, n):
-        self.t, self.x, self.g_avg, self.table, self.s, self.gamma = t, x, g_avg, table, s, gamma
+        dtype = np.result_type(x, g_avg, table, 0.0)
+        self.x, self.g_avg = x.astype(dtype, copy=False), g_avg.astype(dtype, copy=False)
+        self.table, self.t, self.s, self.gamma = table.astype(dtype, copy=False), t, s, gamma
         if len(s) == 1:  # one trajectory's rows are all of them: no copy, no gather
             self.parts, self.table_parts, self.cell = _WHOLE, _WHOLE, None
             self.row_gamma = self.cell_gamma = gamma[0]
@@ -197,10 +202,6 @@ class _Stack:
         """Row k of a for every union row of trajectory k: a itself, which
         broadcasts, where there is one trajectory."""
         return a if self.cell is None else a.take(self.cell, axis=0)
-
-    def owner(self, j):
-        """The trajectory of union row j."""
-        return 0 if self.cell is None else self.cell[j]
 
 
 def _row_means(a, parts, sizes):
@@ -239,7 +240,7 @@ def _advance(stack, problem, rows, idx, refresh_every=None):
     j = ok.argmin()  # the first failing row, if any row fails
     if not ok[j]:
         raise ProxFailure(int(idx[j]) + 1, float(residual[j]), stack.t + 1,
-                          stack.gamma[stack.owner(j)])
+                          stack.gamma[0 if stack.cell is None else stack.cell[j]])
 
     moved = z - outs
     table[rows] = moved / _per_row(stack.row_gamma, moved)
@@ -275,7 +276,7 @@ def apply_subset_step(state, problem, gamma, indices0):
     DimensionMismatch; and indices0 must be non-empty, strictly increasing
     integers in [0, n), else InvalidBatchSize. Pure: advances a copy (its own
     table, the input's x and g_avg, which _advance only rebinds) and returns
-    it, leaving the input untouched.
+    it, leaving the input untouched, in the float dtype the state promotes to.
     """
     _check_constants(problem.mu, problem.L, gamma=gamma)
     _check_state(state, problem)
@@ -292,10 +293,11 @@ def step(state, problem, config, rng, gamma):
     draws in blocks.
 
     gamma is the resolved stepsize (see SolverConfig.resolve_gamma); config
-    supplies s and the refresh cadence. Pure and checking gamma and the
-    state's shapes before it draws, like apply_subset_step: the input state
-    is left untouched.
+    supplies s and the refresh cadence. Checks the config (as initialize
+    does), gamma and the state's shapes before it draws. Pure, like
+    apply_subset_step, and in the same dtype.
     """
+    config.validate(problem)
     _check_constants(problem.mu, problem.L, gamma=gamma)
     _check_state(state, problem)
     idx0 = np.asarray(sample_k_subset(rng, problem.n, config.s), dtype=int) - 1
@@ -318,7 +320,7 @@ def run(problem, config, x0, *, drift=True):
     config : SolverConfig
         config.s, stepsize, budget, seed, trace cadence.
     x0 : ndarray
-        Starting point; its dtype sets the working precision of the run.
+        Starting point; the run works in the float dtype x0 and its table promote to.
     drift : bool, keyword-only
         Whether records carry the table drift; without it every record's
         table_drift is None and the run is otherwise the same.
@@ -377,17 +379,13 @@ def run_many(problem, configs, x0, *, drift=True):
     K, n = len(configs), problem.n
     s = [int(config.s) for config in configs]
     gammas = [config.resolve_gamma(problem) for config in configs]
-    if K == 1:  # its own arrays: a one-config run copies no table
-        stack = _Stack(0, state.x[None], state.g_avg[None], state.grad_table, s, gammas, n)
-    else:
-        stack = _Stack(0, np.repeat(state.x[None], K, axis=0),
-                       np.repeat(state.g_avg[None], K, axis=0),
-                       np.concatenate([state.grad_table] * K), s, gammas, n)
+    stack = _Stack(0, np.repeat(state.x[None], K, axis=0), np.repeat(state.g_avg[None], K, axis=0),
+                   state.grad_table if K == 1 else np.concatenate([state.grad_table] * K),
+                   s, gammas, n)  # one trajectory runs on initialize's table, uncopied
     del state
 
     x_star = problem.known_solution
     if x_star is not None:
-        x_star = np.asarray(x_star)
         if x_star.dtype == stack.x.dtype:
             grad_star = problem.grad_star
         else:  # the kept table is at x*'s own dtype: build one at the run's
@@ -419,8 +417,8 @@ def run_many(problem, configs, x0, *, drift=True):
     records = [[] for _ in configs]
     with np.errstate(over="ignore", invalid="ignore"):
         if x_star is not None:
-            row_errors = [_row_errors(stack.table[part], grad_star) for part in stack.table_parts]
-            row_errors = row_errors[0] if K == 1 else np.concatenate(row_errors)
+            row_errors = np.concatenate([_row_errors(stack.table[part], grad_star)
+                                         for part in stack.table_parts])
             errors = list(row_errors.reshape(K, n))  # views: row k is trajectory k's
         t_begin = time.perf_counter_ns()
         record()

@@ -558,6 +558,14 @@ def test_coercivity_same_point():
     assert check_coercivity(comp, x, x, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("mu,L", [(-1.0, 1.0), (float("nan"), 10.0), (10.0, 1.0)])
+def test_coercivity_checks_its_constants(mu, L):
+    # (-1, 1) raised ZeroDivisionError, (nan, 10) returned False and (10, 1) True.
+    comp = QuadraticComponent(np.eye(2), np.ones(2), np.zeros(2))
+    with pytest.raises(InvalidConstants, match="need finite 0 < mu <= L"):
+        check_coercivity(comp, np.zeros(2), np.ones(2), mu, L)
+
+
 def test_coercivity_generated_components():
     problem = gen_quadratic(GeneratorSpec("quadratic", 4, 3, 1.0, 10.0, seed=6))
     rng = np.random.default_rng(7)
@@ -623,8 +631,9 @@ def test_consensus_makes_one_bank_prox_call_per_iteration(family, dtype, monkeyp
 
 
 def test_consensus_checks_gamma_and_g0_before_any_prox(monkeypatch):
-    # A bad gamma gave an all-NaN trajectory and a short g0 numpy's
-    # broadcasting error; both now raise typed errors before any prox.
+    # A bad gamma gave an all-NaN trajectory, a short g0 numpy's
+    # broadcasting error and a complex g0 numpy's ComplexWarning; all now
+    # raise typed errors before any prox.
     problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
     x0, g0 = np.ones(3), problem.bank.gradients(np.ones(3))
     calls = []
@@ -635,6 +644,9 @@ def test_consensus_checks_gamma_and_g0_before_any_prox(monkeypatch):
     for shape in ((5, 3), (6, 2), (3,), (6, 3, 1)):
         with pytest.raises(DimensionMismatch, match=r"expected \(6, 3\)"):
             consensus_dr_run(problem, 0.5, x0, np.zeros(shape), 5)
+    for dtype in (complex, bool, object, str):
+        with pytest.raises(InvalidSpec, match="g0 must hold integers or floats"):
+            consensus_dr_run(problem, 0.5, x0, np.ones((6, 3), dtype=dtype), 5)
     assert calls == []
 
 

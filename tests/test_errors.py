@@ -1,5 +1,6 @@
 """Every error class in errors.py is raised by some module of the package,
-and a size fault raises InvalidBatchSize from the one size check."""
+a size fault raises InvalidBatchSize from the one size check, and a bad
+constant raises a PointSagaError from every entry point that takes one."""
 
 import ast
 from pathlib import Path
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 import pointsaga
-from pointsaga import (GeneratorSpec, SolverConfig, defazio_rate, gen_quadratic, lyapunov,
-                       optimal_stepsize, run, run_many, theoretical_rate,
-                       verify_one_step_contraction)
-from pointsaga.errors import InvalidBatchSize
+from pointsaga import (GeneratorSpec, LyapunovWeights, SolverConfig, apply_subset_step,
+                       check_coercivity, consensus_dr_run, defazio_rate, dr_rate, gen_quadratic,
+                       initialize, iteration_complexity, lyapunov, optimal_stepsize, run,
+                       run_many, step, theoretical_rate, verify_one_step_contraction)
+from pointsaga.errors import InvalidBatchSize, PointSagaError
 from pointsaga.sampling import SplitMix64, sample_k_subset, sample_subsets, subset_rows
 
 PACKAGE = Path(pointsaga.__file__).parent
@@ -152,3 +154,36 @@ def test_every_entry_point_raises_invalid_batch_size(entry, size):
         problem = SimpleNamespace(n=n, mu=1.0, L=10.0)
     with pytest.raises(InvalidBatchSize):
         _SIZED[entry](s, problem)
+
+
+#: Each public entry point that takes constants, called with one bad one
+#: (mu = -1, gamma = 0 or refresh_every = 0) on a problem, its t = 0 state
+#: and a point.
+_CONSTANTS = {
+    "theoretical_rate": lambda p, st, x: theoretical_rate(0.1, 1, p.n, -1.0, 10.0),
+    "optimal_stepsize": lambda p, st, x: optimal_stepsize(1, p.n, -1.0, 10.0),
+    "defazio_rate": lambda p, st, x: defazio_rate(0.1, p.n, -1.0, 10.0),
+    "dr_rate": lambda p, st, x: dr_rate(0.1, -1.0, 10.0),
+    "iteration_complexity": lambda p, st, x: iteration_complexity(0.1, 1, p.n, -1.0, 10.0,
+                                                                  1.0, 0.5),
+    "LyapunovWeights.from_constants": lambda p, st, x: LyapunovWeights.from_constants(
+        0.1, 1, -1.0, 10.0),
+    "lyapunov": lambda p, st, x: lyapunov(st, p, p.known_solution, p.grad_star, 0.0, 1),
+    "check_coercivity": lambda p, st, x: check_coercivity(p.components[0], x, x + 1.0,
+                                                          -1.0, 10.0),
+    "consensus_dr_run": lambda p, st, x: consensus_dr_run(p, 0.0, x, st.grad_table, 1),
+    "apply_subset_step": lambda p, st, x: apply_subset_step(st, p, 0.0, [0]),
+    "step": lambda p, st, x: step(st, p, SolverConfig(refresh_every=0), SplitMix64(0), 0.1),
+    "verify_one_step_contraction": lambda p, st, x: verify_one_step_contraction(
+        st, p, 0.0, 1, p.known_solution, p.grad_star),
+    "run": lambda p, st, x: run(p, SolverConfig(refresh_every=0), x),
+    "run_many": lambda p, st, x: run_many(p, [SolverConfig(), SolverConfig(gamma=0.0)], x),
+}
+
+
+@pytest.mark.parametrize("entry", list(_CONSTANTS))
+def test_every_entry_point_that_takes_constants_raises_a_typed_error(entry):
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    x = np.ones(3)
+    with pytest.raises(PointSagaError):
+        _CONSTANTS[entry](problem, initialize(problem, SolverConfig(), x), x)

@@ -128,11 +128,19 @@ def test_a_point_of_non_real_entries_raises_invalid_spec(call, dtype):
         call(problem, np.ones(3, dtype=dtype))
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.longdouble])
-def test_a_point_of_integers_or_floats_is_accepted(dtype):
+@pytest.mark.parametrize("dtype,expected", [(np.int64, np.float64), (np.uint8, np.float64),
+                                            (np.float32, np.float32), (np.float64, np.float64),
+                                            (np.longdouble, np.longdouble)],
+                         ids=["int64", "uint8", "float32", "float64", "longdouble"])
+def test_a_point_of_integers_or_floats_is_accepted(dtype, expected):
+    # A float point keeps its dtype (and is the array given where it is an
+    # array); an integer point comes back as float64, so nothing computes
+    # in integers.
     problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
-    x = problem.check_point(np.ones(3, dtype=dtype))
-    assert x.dtype == dtype
+    given = np.ones(3, dtype=dtype)
+    x = problem.check_point(given)
+    assert x.dtype == expected and np.array_equal(x, given)
+    assert (x is given) == (dtype is expected)
     assert np.isfinite(run(problem, SolverConfig(s=2, max_iters=2), x)[1][-1].lyapunov)
 
 
@@ -147,6 +155,26 @@ def test_known_solution_validated():
         problem.with_known_solution(x)
     with pytest.raises(InvalidKnownSolution, match="= nan exceeds"):
         FiniteSumProblem(problem.components, 1.0, 10.0, 3, known_solution=x)
+
+
+def test_the_known_solution_is_a_read_only_copy():
+    # The caller's array was kept as given: a write to it, or to
+    # known_solution, moved x* away from its grad_star, and a later run
+    # measured from a non-stationary point without an error.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    config, x0 = SolverConfig(s=2, max_iters=3), np.ones(3)
+    last = run(problem, config, x0)[1][-1]
+    with pytest.raises(ValueError):
+        problem.known_solution[0] += 1.0
+    x_star = problem.known_solution.copy()
+    solved = [FiniteSumProblem(problem.components, 1.0, 10.0, 3, known_solution=x_star),
+              problem.with_known_solution(x_star), problem.with_known_solution(list(x_star))]
+    for kept in (p.known_solution for p in solved):
+        assert type(kept) is np.ndarray and not kept.flags.writeable and kept is not x_star
+    x_star[0] += 1.0  # the caller's array stays writable, and no problem sees the write
+    for p in solved:
+        assert np.array_equal(p.known_solution, problem.known_solution)
+        assert run(p, config, x0)[1][-1].dist_sq == last.dist_sq
 
 
 def _solved_problem(kind, tmp_path):

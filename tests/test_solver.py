@@ -13,7 +13,9 @@ from pointsaga import (
     FiniteSumProblem,
     SolverConfig,
     SolverState,
+    TraceRecord,
     apply_subset_step,
+    consensus_dr_run,
     full_gradient,
     gen_logistic_ridge,
     gen_quadratic,
@@ -519,8 +521,10 @@ def test_records_past_the_float_range_read_inf_without_a_warning():
 
 
 def test_run_reads_the_kept_gradients_at_the_solution(monkeypatch):
-    # One gradient stack per run (initialize's) where x0 has the known
-    # solution's dtype; another dtype builds the stack at x* again, in its own.
+    # One gradient stack per run (initialize's) where the run works in the
+    # known solution's dtype, float64: a float32 x0 on this float64 problem
+    # does too, so it scores Psi at the float64 x*. A run in another dtype
+    # builds the stack at x* again, in its own.
     problem = gen_ridge_regression(GeneratorSpec("ridge_regression", 9, 3, 0.5, 4.0, seed=2))
     x_star = problem.known_solution
     calls = []
@@ -528,13 +532,15 @@ def test_run_reads_the_kept_gradients_at_the_solution(monkeypatch):
     monkeypatch.setattr(problems.RidgeBank, "gradients",
                         lambda self, x: calls.append(x.dtype) or gradients(self, x))
     cfg = SolverConfig(s=2, max_iters=25, seed=4, trace_every=4, refresh_every=10)
-    for dtype, expected in ((np.float64, [np.float64]),
-                            (np.float32, [np.float32, np.float32])):
+    for dtype, expected, working in ((np.float64, [np.float64], np.float64),
+                                     (np.float32, [np.float32], np.float64),
+                                     (np.longdouble, [np.longdouble] * 2, np.longdouble)):
         calls.clear()
         final, records = run(problem, cfg, (x_star + 1.0).astype(dtype))
         assert calls == expected
+        assert final.x.dtype == final.grad_table.dtype == final.g_avg.dtype == working
         # Psi of the last record is lyapunov's on a per-component oracle.
-        xs = x_star.astype(dtype)
+        xs = x_star.astype(working)
         oracle = np.stack([c.gradient(xs) for c in problem.components])
         gamma = cfg.resolve_gamma(problem)
         psi = lyapunov(final, problem, xs, oracle, gamma, cfg.s)
@@ -639,6 +645,17 @@ def test_step_checks_its_gamma(gamma):
     state = initialize(problem, SolverConfig(s=2), np.ones(3))
     with pytest.raises(InvalidConstants):
         step(state, problem, SolverConfig(s=2), SplitMix64(0), gamma)
+
+
+@pytest.mark.parametrize("refresh_every", [0, "3", 1.5, -1])
+def test_step_checks_its_config_before_it_draws(refresh_every):
+    # 0 raised ZeroDivisionError, "3" a TypeError, and 1.5 and -1 ran.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    state = initialize(problem, SolverConfig(s=2, init_gradients="zeros"), np.ones(3))
+    rng = SplitMix64(0)
+    with pytest.raises(InvalidConstants, match="refresh_every must be"):
+        step(state, problem, SolverConfig(s=2, refresh_every=refresh_every), rng, 0.1)
+    assert rng.state == SplitMix64(0).state
 
 
 @pytest.mark.parametrize("gamma", ["fast", float("inf"), float("nan"), 0.0])
@@ -870,3 +887,89 @@ def test_a_state_that_does_not_fit_its_problem_raises_dimension_mismatch(
     with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         _STATE_ENTRY_POINTS[entry](state, problem, rng)
     assert rng.state == SplitMix64(0).state
+
+
+def _outputs(out):
+    """An entry point's output as a flat list of (type, dtype, value): states
+    by their arrays, run's records by every field but wall_ns."""
+    if isinstance(out, SolverState):
+        out = [out.t, out.x, out.grad_table, out.g_avg]
+    elif isinstance(out, TraceRecord):
+        out = [out.t, out.dist_sq, out.lyapunov, out.table_drift]
+    if isinstance(out, (list, tuple)):
+        return [item for part in out for item in _outputs(part)]
+    return [(type(out), getattr(out, "dtype", None), np.asarray(out).tolist())]
+
+
+#: Entry points given integer or float32 inputs, each called on P with a
+#: cast that maps every input array to what the call gets.
+_MIXED_INPUTS = {
+    "run-zeros-table": lambda p, cast: run(
+        p, SolverConfig(s=2, max_iters=5, seed=1, init_gradients="zeros"), cast(np.ones(3, int))),
+    "run-records": lambda p, cast: run(p, SolverConfig(s=2, max_iters=2), cast(np.ones(3, int))),
+    "run-float32-x0": lambda p, cast: run(p, SolverConfig(s=2, max_iters=400, seed=1),
+                                          cast(np.ones(3, np.float32))),
+    "apply_subset_step": lambda p, cast: apply_subset_step(
+        SolverState(0, cast(np.ones(3, int)), cast(np.zeros((6, 3), int)), cast(np.zeros(3, int))),
+        p, 0.1, [0, 2]),
+    "verify_one_step_contraction": lambda p, cast: verify_one_step_contraction(
+        SolverState(0, cast(np.ones(3, int)), cast(np.arange(18).reshape(6, 3) - 8),
+                    (np.arange(18).reshape(6, 3) - 8).mean(axis=0)),
+        p, 0.3, 2, p.known_solution, p.grad_star),
+    "consensus_dr_run": lambda p, cast: consensus_dr_run(
+        p, 0.1, cast(np.ones(3, int)), 0.3 * np.arange(18.).reshape(6, 3), 2),
+}
+
+
+@pytest.mark.parametrize("entry", list(_MIXED_INPUTS))
+def test_integer_and_float32_inputs_compute_as_their_float64_copies(entry):
+    # Each truncated to integers, or measured from x* rounded to float32,
+    # where one entry point decided a dtype of its own: run's zeros table and
+    # its t = 0 record were int64, a float32 x0's run on this float64 problem
+    # ended at dist_sq 2.9e-15 against 2.1e-31, apply_subset_step's new row 0
+    # was [6, 1, 3], the certificate's lhs 129.229 against 131.748, and
+    # consensus's iterates moved from a truncated g0.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    call = _MIXED_INPUTS[entry]
+    got = _outputs(call(problem, lambda a: a))
+    assert got == _outputs(call(problem, lambda a: a.astype(np.float64)))
+
+
+@pytest.mark.parametrize("entry", list(_STATE_ENTRY_POINTS))
+def test_an_int64_state_computes_as_its_float64_copy(entry):
+    # step and apply_subset_step returned int64 states, their table rows
+    # truncated, and the certificate's lhs was scored from them.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    table = np.arange(18).reshape(6, 3) - 8  # and g_avg its mean rounded down
+    state = SolverState(0, np.ones(3, int), table, table.sum(axis=0) // 6)
+    as_float = SolverState(0, *(a.astype(np.float64) for a in (state.x, state.grad_table,
+                                                                 state.g_avg)))
+    got = _outputs(_STATE_ENTRY_POINTS[entry](state, problem, SplitMix64(3)))
+    assert got == _outputs(_STATE_ENTRY_POINTS[entry](as_float, problem, SplitMix64(3)))
+
+
+@settings(max_examples=40)
+@given(x0_dtype=st.sampled_from([np.int64, np.float32, np.float64, np.longdouble]),
+       problem_dtype=st.sampled_from([np.float64, np.longdouble]),
+       init_gradients=st.sampled_from(["at_x0", "zeros"]),
+       x0=st.lists(st.integers(-5, 5), min_size=3, max_size=3),
+       s=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
+def test_run_works_in_the_dtype_x0_and_its_table_promote_to(x0_dtype, problem_dtype,
+                                                            init_gradients, x0, s, seed):
+    # The working dtype is x0's float dtype (float64 for an integer x0)
+    # promoted with its initial table's: the bank's gradients at x0, or
+    # zeros in x0's dtype. The run is bitwise x0's in that dtype, and so is
+    # its last Psi, scored at x* in that dtype.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=2), dtype=problem_dtype)
+    x0 = np.array(x0, dtype=x0_dtype)
+    float_x0 = np.float64 if x0_dtype is np.int64 else x0_dtype
+    working = np.result_type(float_x0, problem_dtype) if init_gradients == "at_x0" else float_x0
+    config = SolverConfig(s=s, max_iters=12, seed=seed, trace_every=5, refresh_every=7,
+                          init_gradients=init_gradients)
+    final, records = got = run(problem, config, x0)
+    assert final.x.dtype == final.grad_table.dtype == final.g_avg.dtype == working
+    assert_same_trajectory(got, run(problem, config, x0.astype(working)))
+    x_star = problem.known_solution.astype(working)
+    psi = lyapunov(final, problem, x_star, problem.bank.gradients(x_star),
+                   config.resolve_gamma(problem), s)
+    assert records[-1].lyapunov == psi
