@@ -32,16 +32,14 @@ import numpy as np
 
 from ._linalg import _dots, solve
 from .errors import (
-    DimensionMismatch,
     EpsNotBelowPsi0,
     InvalidConstants,
-    InvalidSpec,
     MaxIterations,
     _check_constants,
     _finite,
     _integral,
 )
-from .model import _check_shape, _check_state, full_gradient
+from .model import _check_array, _check_state, full_gradient
 from .sampling import subset_rows
 
 #: Newton steps reference_solution takes before MaxIterations, and the step
@@ -82,7 +80,7 @@ class LyapunovWeights:
 
     @classmethod
     def from_constants(cls, gamma, s, mu, L):
-        _check_constants(mu, L, gamma=gamma)
+        mu, L, gamma = _check_constants(mu, L, gamma=gamma)
         w_x = (1.0 + 2.0 * gamma * mu * L / (L + mu)) * s
         try:
             w_g = (1.0 + 2.0 / (gamma * (L + mu))) * gamma**2
@@ -120,7 +118,7 @@ def _row_errors(table, grad_star):
 
 def theoretical_rate(gamma, s, n, mu, L):
     """Per-iteration contraction factor of E[Psi], as a RateReport."""
-    _check_constants(mu, L, gamma=gamma, s=s, n=n)
+    mu, L, gamma = _check_constants(mu, L, gamma=gamma, s=s, n=n)
     rho_prox = 1.0 - 2.0 * gamma * mu * L / (L + mu + 2.0 * gamma * mu * L)
     if not _finite(rho_prox):  # 2 gamma mu L overflows: inf / inf
         raise InvalidConstants(f"rate overflows at gamma={gamma}, mu={mu}, L={L}")
@@ -135,7 +133,7 @@ def theoretical_rate(gamma, s, n, mu, L):
 
 def optimal_stepsize(s, n, mu, L):
     """Stepsize sqrt(s / (L mu n)) balancing the two rate terms."""
-    _check_constants(mu, L, s=s, n=n)
+    mu, L, _ = _check_constants(mu, L, s=s, n=n)
     try:
         gamma = math.sqrt(s / (L * mu * n))
     except ZeroDivisionError:  # L * mu * n underflows to 0
@@ -161,28 +159,31 @@ def iteration_complexity(gamma, s, n, mu, L, psi0, eps):
 
 def defazio_rate(gamma, n, mu, L):
     """Comparison rate for s=1: max(1/(1+gamma mu), 1 - 1/((gamma L + 1) n))."""
-    _check_constants(mu, L, gamma=gamma, n=n)
+    mu, L, gamma = _check_constants(mu, L, gamma=gamma, n=n)
     return max(1.0 / (1.0 + gamma * mu), 1.0 - 1.0 / ((gamma * L + 1.0) * n))
 
 
 def dr_rate(gamma, mu, L):
     """Comparison rate for the deterministic s=n scheme (two-operator tight)."""
-    _check_constants(mu, L, gamma=gamma)
+    mu, L, gamma = _check_constants(mu, L, gamma=gamma)
     return max(1.0 / (1.0 + gamma * mu), 1.0 - 1.0 / (gamma * L + 1.0))
 
 
 def lyapunov(state, problem, x_star, grad_star, gamma, s):
     """Psi evaluated on the state's current iterate and gradient table. The
     constants are checked first: gamma (InvalidConstants) and s, which must
-    be a batch size of the problem (InvalidBatchSize); then the shapes of the
-    state (x and g_avg (dim,), grad_table (n, dim)), x_star and grad_star
-    (DimensionMismatch)."""
+    be a batch size of the problem (InvalidBatchSize); then the arrays are
+    admitted, and Psi computed on what _admitted returns."""
     _check_constants(problem.mu, problem.L, gamma=gamma, s=s, n=problem.n)
-    _check_state(state, problem)
-    x_star = _check_shape(x_star, (problem.dim,), "x_star")
-    grad_star = _check_shape(grad_star, (problem.n, problem.dim), "grad_star")
+    state, x_star, grad_star = _admitted(state, problem, x_star, grad_star)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
     return w.psi(state, x_star, grad_star)
+
+
+def _admitted(state, problem, x_star, grad_star):
+    """(state, x_star (dim,), grad_star (n, dim)) as model admits them, in order."""
+    return (_check_state(state, problem), _check_array(x_star, (problem.dim,), "x_star"),
+            _check_array(grad_star, (problem.n, problem.dim), "grad_star"))
 
 
 def reference_solution(problem, tol=1e-12):
@@ -239,9 +240,9 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
 
     Checks run in this order: the subset count (InvalidBatchSize,
     EnumerationTooLarge), then the rate's constants, then lyapunov's checks
-    of the shapes of the state, x_star and grad_star (DimensionMismatch) and
-    the Lyapunov weights, all before any prox. A row's prox bound depends on
-    that row alone, so ProxFailure names the lowest failing component, at
+    of the state, x_star and grad_star, whose returned arrays it computes on,
+    and the Lyapunov weights, all before any prox. A row's prox bound depends
+    on that row alone, so ProxFailure names the lowest failing component, at
     iteration state.t + 1, as the first enumerated subset that holds it
     would. An error the bank raises for any row, such as MaxInnerIterations,
     comes before a residual failure of another.
@@ -251,8 +252,9 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     n = problem.n
     subsets = subset_rows(n, s)
     rho = theoretical_rate(gamma, s, n, problem.mu, problem.L).rho
-    rhs = rho * lyapunov(state, problem, x_star, grad_star, gamma, s)
+    state, x_star, grad_star = _admitted(state, problem, x_star, grad_star)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
+    rhs = rho * w.psi(state, x_star, grad_star)  # lyapunov's Psi
     nxt, P = _advanced_copy(state, problem, gamma, np.arange(n))
     kept = _row_errors(state.grad_table, grad_star)
     moved = _row_errors(nxt.grad_table, grad_star)
@@ -280,13 +282,12 @@ def check_coercivity(f, x, y, mu, L):
         >= mu L/(L+mu) ||x-y||^2 + 1/(L+mu) ||grad f(x) - grad f(y)||^2,
 
     up to additive slack 1e-12 (1 + ||x-y||^2) for rounding. mu and L are
-    checked first: InvalidConstants unless finite 0 < mu <= L.
+    checked first: InvalidConstants unless finite 0 < mu <= L. It computes
+    on x and y (y at x's shape) as model._check_array admits them.
     """
-    _check_constants(mu, L)
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"x has shape {x.shape}, y has shape {y.shape}")
+    mu, L, _ = _check_constants(mu, L)
+    x = _check_array(x, None, "x")
+    y = _check_array(y, x.shape, "y")
     dg = f.gradient(x) - f.gradient(y)
     dx = x - y
     lhs = dg @ dx
@@ -309,17 +310,15 @@ def consensus_dr_run(problem, gamma, x0, g0, iters):
     step t is mean_i w_i. An iteration's n proxes are one call of the
     problem's bank. Coded independently of the solver module as an
     equivalence oracle for the s = n regime. gamma, iters (an integer
-    >= 0, else InvalidConstants), x0 (problem.check_point, which makes an
-    integer x0 float64) and g0 (shape (n, dim), else DimensionMismatch, and
-    integer or float entries, else InvalidSpec) are checked before any prox.
+    >= 0, else InvalidConstants), x0 (problem.check_point) and g0 (which
+    model._check_array admits at shape (n, dim)) are checked before any
+    prox, and it computes on what the checks return.
     """
-    _check_constants(problem.mu, problem.L, gamma=gamma)
+    _, _, gamma = _check_constants(problem.mu, problem.L, gamma=gamma)
     if not (_integral(iters) and iters >= 0):
         raise InvalidConstants(f"iters must be an integer >= 0, got {iters!r}")
     x0 = problem.check_point(x0)
-    g0 = _check_shape(g0, (problem.n, problem.dim), "g0")
-    if g0.dtype.kind not in "iuf":
-        raise InvalidSpec(f"g0 must hold integers or floats, got dtype {g0.dtype}")
+    g0 = _check_array(g0, (problem.n, problem.dim), "g0")
     u = x0[None, :] + gamma * (g0 - g0.mean(axis=0)[None, :])
     out = [x0.copy()]
     idx = np.arange(problem.n)

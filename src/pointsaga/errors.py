@@ -24,7 +24,7 @@ class InvalidKnownSolution(PointSagaError, ValueError):
 
 class DimensionMismatch(PointSagaError, ValueError):
     """A point, solver state, table or family bank array does not fit the
-    dimension or n."""
+    dimension or n, or is a ragged nested sequence."""
 
 
 class SingularSystem(PointSagaError, ValueError):
@@ -65,9 +65,9 @@ class InvalidSpec(PointSagaError, ValueError):
     """A problem's description is malformed: a generator spec's family, sizes
     or seed, or constants its family cannot use; a family bank entry that is
     not a finite number, a bad mu_reg, an eig <= 0 or a logistic label other
-    than +-1; components without a needed Hessian. A point, or consensus's
-    g0, whose entries are not integers or floats (complex, bool, object)
-    raises it too."""
+    than +-1; components without a needed Hessian. Any array argument (a
+    point, a state, x_star, grad_star, a known solution, g0) whose entries
+    are not integers or floats (complex, bool, object, str) raises it too."""
 
 
 class ParseError(PointSagaError, ValueError):
@@ -118,10 +118,12 @@ def _check_sizes(n, s):
 
 def _check_constants(mu, L, gamma=None, s=None, n=None):
     """InvalidConstants unless finite 0 < mu <= L and gamma, if given, finite
-    and > 0; then, if n is given, _check_sizes(n, s), with s = 1 if not."""
+    and > 0; then, if n is given, _check_sizes(n, s), with s = 1 if not.
+    Returns the Python floats callers compute on: mu, L and gamma (or None)."""
     if not (_finite(mu) and _finite(L) and 0 < mu <= L):
         raise InvalidConstants(f"need finite 0 < mu <= L, got mu={mu}, L={L}")
     if gamma is not None and not (_finite(gamma) and gamma > 0):
         raise InvalidConstants(f"gamma must be finite and > 0, got {gamma}")
     if n is not None:
         _check_sizes(n, 1 if s is None else s)
+    return float(mu), float(L), None if gamma is None else float(gamma)

@@ -161,7 +161,7 @@ class FiniteSumProblem:
         Ambient dimension d.
     known_solution : ndarray or None
         Minimizer of the sum, when available: a read-only copy of the array
-        given, validated for stationarity.
+        given as _check_array admits it, validated for stationarity.
     bank : ComponentBank
         The components themselves when they are a family bank, which comes
         from its arrays; otherwise the default bank over them.
@@ -206,11 +206,11 @@ class FiniteSumProblem:
 
     def _set_solution(self, x_star):
         """Bind known_solution, a read-only copy of x_star, and grad_star, the
-        read-only stack of grad f_i(x_star), after checking the shape and that
-        the stack's row total, full_gradient's bits, is within n*TOL_STAR of 0.
-        The caller's array stays writable, and no later write to it moves the
-        solution away from its grad_star."""
-        x_star = np.array(_check_shape(x_star, (self.dim,), "known_solution"))
+        read-only stack of grad f_i(x_star), once _check_array admits x_star
+        and the stack's row total, full_gradient's bits, is within n*TOL_STAR
+        of 0. The caller's array stays writable, and no later write to it
+        moves the solution away from its grad_star."""
+        x_star = np.array(_check_array(x_star, (self.dim,), "known_solution"))
         G = self.bank.gradients(x_star)
         g = _row_total(G)
         norm = float(_norms(g[None])[0])
@@ -227,33 +227,37 @@ class FiniteSumProblem:
         return len(self.components)
 
     def check_point(self, x):
-        """np.asarray(x) in the float dtype it promotes to, once it has shape
-        (dim,), else DimensionMismatch, and holds integers or floats (a bank
-        array's rule), else InvalidSpec. A float point is returned as it is,
-        an integer one as float64, so no trajectory or gradient computes in
-        integers."""
-        x = _check_shape(x, (self.dim,), "point")
-        if x.dtype.kind not in "iuf":
-            raise InvalidSpec(f"a point must hold integers or floats, got dtype {x.dtype}")
-        return x.astype(np.result_type(x, 0.0), copy=False)
+        """x as _check_array admits it, named "point", at shape (dim,)."""
+        return _check_array(x, (self.dim,), "point")
 
 
-def _check_shape(a, shape, name):
-    """np.asarray(a), once its shape is shape, else DimensionMismatch naming
-    it; sizes print by str, so a numpy-integer dim reads 3, not np.int64(3)."""
-    a = np.asarray(a)
-    if a.shape != shape:
+def _check_array(a, shape, name):
+    """np.asarray(a) as the package computes with it: a float array as it is,
+    an integer one as float64. A ragged nested sequence or a shape other than
+    shape (any for None) raises DimensionMismatch naming it, with sizes by
+    str (3, not np.int64(3)); entries that are not integers or floats
+    (complex, bool, object, str) raise InvalidSpec."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # a ragged nested sequence
+        raise DimensionMismatch(f"{name} is not a rectangular array") from None
+    if shape is not None and a.shape != shape:
         expected = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
         raise DimensionMismatch(f"{name} has shape {a.shape}, expected ({expected})")
-    return a
+    if a.dtype.kind == "f":
+        return a
+    if a.dtype.kind not in "iu":
+        raise InvalidSpec(f"{name} must hold integers or floats, got dtype {a.dtype}")
+    return a.astype(np.float64)
 
 
 def _check_state(state, problem):
-    """DimensionMismatch unless a solver state fits problem: x and g_avg of
-    shape (dim,), grad_table (n, dim)."""
+    """The state to go on with: a new one whose x and g_avg (dim,) and
+    grad_table (n, dim) are what _check_array admits, checked in that order."""
     n, dim = problem.n, problem.dim
-    for name, shape in (("x", (dim,)), ("grad_table", (n, dim)), ("g_avg", (dim,))):
-        _check_shape(getattr(state, name), shape, f"state.{name}")
+    return type(state)(t=state.t, x=_check_array(state.x, (dim,), "state.x"),
+                       grad_table=_check_array(state.grad_table, (n, dim), "state.grad_table"),
+                       g_avg=_check_array(state.g_avg, (dim,), "state.g_avg"))
 
 
 def assemble_problem(components, mu, L, dim):

@@ -131,9 +131,7 @@ def sample_subsets(rng, n, s, k):
         bad = (u > tops).any(axis=1)
         ok = int(bad.argmax()) if bad.any() else len(u)
         targets = (u[:ok] % bounds + offsets).view(np.int64)  # every target is below 2^63
-        if s == 1:
-            parts.append(targets)
-        elif s == n:  # the whole shuffle: every index, whatever the draws
+        if s == n:  # the whole shuffle: every index, whatever the draws
             parts.append(np.broadcast_to(np.arange(s), targets.shape))
         else:
             parts.append(_shuffle_rows(targets))

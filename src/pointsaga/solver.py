@@ -271,15 +271,17 @@ def _advanced_copy(state, problem, gamma, idx, refresh_every=None):
 def apply_subset_step(state, problem, gamma, indices0):
     """One deterministic iteration given the 0-based subset to activate.
 
-    gamma must be finite and > 0, else InvalidConstants; the state must fit
-    the problem (x and g_avg of shape (dim,), grad_table (n, dim)), else
-    DimensionMismatch; and indices0 must be non-empty, strictly increasing
-    integers in [0, n), else InvalidBatchSize. Pure: advances a copy (its own
-    table, the input's x and g_avg, which _advance only rebinds) and returns
-    it, leaving the input untouched, in the float dtype the state promotes to.
+    gamma must be finite and > 0, else InvalidConstants; the state's arrays
+    must fit the problem (x and g_avg (dim,), grad_table (n, dim)), else
+    DimensionMismatch, and hold integers or floats, else InvalidSpec; indices0
+    must be non-empty, strictly increasing integers in [0, n), else
+    InvalidBatchSize.
+    Pure: advances a copy of the state _check_state returns (its own table,
+    x and g_avg, which _advance only rebinds) at the checked gamma, leaving
+    the input untouched, and returns it in the dtype it promotes to.
     """
-    _check_constants(problem.mu, problem.L, gamma=gamma)
-    _check_state(state, problem)
+    _, _, gamma = _check_constants(problem.mu, problem.L, gamma=gamma)
+    state = _check_state(state, problem)
     idx = np.asarray(indices0)
     if not (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu" and 0 <= idx[0]
             and idx[-1] < problem.n and (idx[1:] > idx[:-1]).all()):
@@ -294,12 +296,12 @@ def step(state, problem, config, rng, gamma):
 
     gamma is the resolved stepsize (see SolverConfig.resolve_gamma); config
     supplies s and the refresh cadence. Checks the config (as initialize
-    does), gamma and the state's shapes before it draws. Pure, like
-    apply_subset_step, and in the same dtype.
+    does), gamma and the state before it draws, then steps on what the checks
+    return. Pure, like apply_subset_step, and in the same dtype.
     """
     config.validate(problem)
-    _check_constants(problem.mu, problem.L, gamma=gamma)
-    _check_state(state, problem)
+    _, _, gamma = _check_constants(problem.mu, problem.L, gamma=gamma)
+    state = _check_state(state, problem)
     idx0 = np.asarray(sample_k_subset(rng, problem.n, config.s), dtype=int) - 1
     return _advanced_copy(state, problem, gamma, idx0, config.refresh_every)[0]
 

@@ -548,7 +548,8 @@ def test_coercivity_identity_quadratic_equality():
 
 def test_coercivity_rejects_mismatched_shapes():
     comp = QuadraticComponent(np.eye(2), np.ones(2), np.zeros(2))
-    with pytest.raises(DimensionMismatch, match=r"x has shape \(2,\), y has shape \(3,\)"):
+    # y is admitted at x's shape, by the message every array's shape check gives.
+    with pytest.raises(DimensionMismatch, match=r"^y has shape \(3,\), expected \(2,\)$"):
         check_coercivity(comp, np.zeros(2), np.zeros(3), 1.0, 1.0)
 
 
@@ -658,3 +659,35 @@ def test_consensus_refuses_an_iteration_count_that_is_not_a_count(iters):
     with pytest.raises(InvalidConstants, match="iters must be an integer >= 0"):
         consensus_dr_run(problem, 0.5, np.ones(3), g0, iters)
     assert len(consensus_dr_run(problem, 0.5, np.ones(3), g0, np.int64(2))) == 3
+
+
+def test_numpy_float_constants_compute_as_python_floats():
+    # errors._check_constants returns mu, L and gamma as Python floats, and
+    # the rates, the weights and the certificate compute on them: a float32
+    # constant gave float32 rates, weights 6.6e-8 off and a balanced
+    # stepsize rounded in float32.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    g = float(np.float32(optimal_stepsize(2, 6, 1.0, 10.0)))
+    rng = np.random.default_rng(0)
+    state = SolverState(0, rng.normal(size=3), rng.normal(size=(6, 3)), rng.normal(size=3))
+    x_star, grad_star = problem.known_solution, problem.grad_star
+    for gamma in (np.float32(g), np.float64(g)):
+        for got, want in [
+            (theoretical_rate(gamma, 2, 6, 1.0, 10.0), theoretical_rate(g, 2, 6, 1.0, 10.0)),
+            (theoretical_rate(gamma, 1, 6, 1.0, np.float32(10.0)),
+             theoretical_rate(g, 1, 6, 1.0, 10.0)),
+            (dr_rate(gamma, np.float32(1.0), 10.0), dr_rate(g, 1.0, 10.0)),
+            (iteration_complexity(gamma, 2, 6, 1.0, 10.0, 1.0, 1e-6),
+             iteration_complexity(g, 2, 6, 1.0, 10.0, 1.0, 1e-6)),
+            (LyapunovWeights.from_constants(gamma, 2, np.float32(1.0), 10.0),
+             LyapunovWeights.from_constants(g, 2, 1.0, 10.0)),
+            (lyapunov(state, problem, x_star, grad_star, gamma, 2),
+             lyapunov(state, problem, x_star, grad_star, g, 2)),
+            (verify_one_step_contraction(state, problem, gamma, 2, x_star, grad_star),
+             verify_one_step_contraction(state, problem, g, 2, x_star, grad_star)),
+            (apply_subset_step(state, problem, gamma, [0, 2]).x,
+             apply_subset_step(state, problem, g, [0, 2]).x),
+        ]:
+            assert repr(got) == repr(want)
+    assert optimal_stepsize(2, 6, np.float32(1.0), np.float32(10.0)) == 0.18257418583505536
+    assert type(optimal_stepsize(2, 6, np.float32(1.0), np.float32(10.0))) is float

@@ -1,8 +1,11 @@
 """Every error class in errors.py is raised by some module of the package,
-a size fault raises InvalidBatchSize from the one size check, and a bad
-constant raises a PointSagaError from every entry point that takes one."""
+a size fault raises InvalidBatchSize from the one size check, a bad
+constant raises a PointSagaError from every entry point that takes one, and
+an array argument of non-real entries or ragged rows raises InvalidSpec or
+DimensionMismatch from every entry point that takes one."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,11 +13,12 @@ import numpy as np
 import pytest
 
 import pointsaga
-from pointsaga import (GeneratorSpec, LyapunovWeights, SolverConfig, apply_subset_step,
-                       check_coercivity, consensus_dr_run, defazio_rate, dr_rate, gen_quadratic,
-                       initialize, iteration_complexity, lyapunov, optimal_stepsize, run,
-                       run_many, step, theoretical_rate, verify_one_step_contraction)
-from pointsaga.errors import InvalidBatchSize, PointSagaError
+from pointsaga import (FiniteSumProblem, GeneratorSpec, LyapunovWeights, SolverConfig,
+                       apply_subset_step, check_coercivity, consensus_dr_run,
+                       defazio_rate, dr_rate, full_gradient, gen_quadratic, initialize,
+                       iteration_complexity, lyapunov, optimal_stepsize, run, run_many, step,
+                       theoretical_rate, verify_one_step_contraction)
+from pointsaga.errors import DimensionMismatch, InvalidBatchSize, InvalidSpec, PointSagaError
 from pointsaga.sampling import SplitMix64, sample_k_subset, sample_subsets, subset_rows
 
 PACKAGE = Path(pointsaga.__file__).parent
@@ -187,3 +191,140 @@ def test_every_entry_point_that_takes_constants_raises_a_typed_error(entry):
     x = np.ones(3)
     with pytest.raises(PointSagaError):
         _CONSTANTS[entry](problem, initialize(problem, SolverConfig(), x), x)
+
+
+def dtype_kind_readers(source):
+    """The dotted name of the innermost function around each read of
+    ``<expr>.dtype.kind``, within its classes (``Class.method``); None for a
+    read outside any function."""
+    found = set()
+
+    def visit(node, scope, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "kind"
+                    and isinstance(child.value, ast.Attribute) and child.value.attr == "dtype"):
+                found.add(function)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                visit(child, name, function if isinstance(child, ast.ClassDef) else name)
+            else:
+                visit(child, scope, function)
+
+    visit(ast.parse(source), None, None)
+    return found
+
+
+def test_array_entries_are_checked_in_one_place():
+    # model._check_array is the rule for an array argument's entries; the
+    # bank constructor keeps its arrays' integer dtypes, and
+    # apply_subset_step's subset must hold integers. A copy of the entry
+    # rule anywhere else fails.
+    readers = {(path.stem, function) for path in PACKAGE.glob("*.py")
+               for function in dtype_kind_readers(path.read_text())}
+    assert readers == {("model", "_check_array"), ("model", "_ArrayBank.__init__"),
+                       ("solver", "apply_subset_step")}
+
+
+def test_dtype_kind_readers_on_a_toy_source():
+    source = (
+        "k = a.dtype.kind\n"
+        "def f(x):\n"
+        "    return x.dtype.kind == 'f'\n"
+        "def g(x):\n"
+        "    def inner(y):\n"
+        "        return np.asarray(y).dtype.kind\n"
+        "    return x.dtype, x.kind\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        return self.a.dtype.kind\n"
+    )
+    assert dtype_kind_readers(source) == {None, "f", "g.inner", "C.method"}
+
+
+#: Each public entry point that takes an array, called on a problem, its t = 0
+#: state, its known solution x* and grad_star G*, with one array argument
+#: passed through the function ``a``.
+_ARRAYS = {
+    "run-x0": lambda p, st, xs, G, a: run(p, SolverConfig(s=2, max_iters=3), a(st.x)),
+    "initialize-x0": lambda p, st, xs, G, a: initialize(p, SolverConfig(s=2), a(st.x)),
+    "full_gradient": lambda p, st, xs, G, a: full_gradient(p, a(st.x)),
+    "with_known_solution": lambda p, st, xs, G, a: _solution(p.with_known_solution(a(xs))),
+    "FiniteSumProblem-known_solution": lambda p, st, xs, G, a: _solution(
+        FiniteSumProblem(p.components, 1.0, 10.0, 3, known_solution=a(xs))),
+    "consensus_dr_run-x0": lambda p, st, xs, G, a: consensus_dr_run(p, 0.1, a(st.x), G, 2),
+    "consensus_dr_run-g0": lambda p, st, xs, G, a: consensus_dr_run(p, 0.1, st.x, a(G), 2),
+    "check_coercivity-x": lambda p, st, xs, G, a: check_coercivity(
+        p.components[0], a(st.x), xs, 1.0, 10.0),
+    "check_coercivity-y": lambda p, st, xs, G, a: check_coercivity(
+        p.components[0], st.x, a(xs), 1.0, 10.0),
+    "lyapunov-x_star": lambda p, st, xs, G, a: lyapunov(st, p, a(xs), G, 0.1, 2),
+    "lyapunov-grad_star": lambda p, st, xs, G, a: lyapunov(st, p, xs, a(G), 0.1, 2),
+    "verify_one_step_contraction-x_star": lambda p, st, xs, G, a: verify_one_step_contraction(
+        st, p, 0.1, 2, a(xs), G),
+    "verify_one_step_contraction-grad_star": lambda p, st, xs, G, a: verify_one_step_contraction(
+        st, p, 0.1, 2, xs, a(G)),
+}
+
+#: The entry points that take a solver state, called with the state given.
+_STATEFUL = {
+    "step": lambda p, st, xs, G: step(st, p, SolverConfig(s=2), SplitMix64(3), 0.1),
+    "apply_subset_step": lambda p, st, xs, G: apply_subset_step(st, p, 0.1, [0, 2]),
+    "lyapunov": lambda p, st, xs, G: lyapunov(st, p, xs, G, 0.1, 2),
+    "verify_one_step_contraction": lambda p, st, xs, G: verify_one_step_contraction(
+        st, p, 0.1, 2, xs, G),
+}
+_ARRAYS |= {f"{entry}-{name}": lambda p, st, xs, G, a, call=call, name=name: call(
+                p, replace(st, **{name: a(getattr(st, name))}), xs, G)
+            for entry, call in _STATEFUL.items() for name in ("x", "grad_table", "g_avg")}
+
+
+def _solution(problem):
+    return problem.known_solution, problem.grad_star
+
+
+def _bits(result):
+    """A result's arrays and numbers as (dtype, shape, bytes), in order, without
+    wall clock readings: dataclasses by field, sequences item by item."""
+    if isinstance(result, (list, tuple)):
+        return [bits for item in result for bits in _bits(item)]
+    if hasattr(result, "__dataclass_fields__"):
+        return _bits([getattr(result, f) for f in result.__dataclass_fields__ if f != "wall_ns"])
+    if result is None:
+        return [None]
+    a = np.asarray(result)
+    return [(a.dtype, a.shape, a.tobytes())]
+
+
+#: Array faults, each made from the array it replaces: entries of another
+#: kind (InvalidSpec) or a nested list that is not rectangular (DimensionMismatch).
+_FAULTS = {
+    "complex": lambda a: a.astype(complex),
+    "bool": lambda a: a.astype(bool),
+    "object": lambda a: a.astype(object),
+    "str": lambda a: a.astype(str),
+    "ragged": lambda a: [a.tolist(), [0.0]],
+}
+
+
+def _array_case():
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    state = initialize(problem, SolverConfig(s=2), np.ones(3))
+    return problem, state, problem.known_solution, problem.grad_star
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+@pytest.mark.parametrize("entry", list(_ARRAYS))
+def test_every_entry_point_that_takes_an_array_raises_a_typed_error(entry, fault):
+    error = DimensionMismatch if fault == "ragged" else InvalidSpec
+    with pytest.raises(error, match="is not a rectangular array" if fault == "ragged"
+                       else "must hold integers or floats, got dtype"):
+        _ARRAYS[entry](*_array_case(), _FAULTS[fault])
+
+
+@pytest.mark.parametrize("entry", list(_ARRAYS))
+def test_every_entry_point_computes_a_nested_list_as_its_array(entry):
+    # The array made from the list, bitwise: nothing computes on the list.
+    call = _ARRAYS[entry]
+    got = call(*_array_case(), lambda a: a.tolist())
+    want = call(*_array_case(), lambda a: np.array(a.tolist()))
+    assert _bits(got) == _bits(want)

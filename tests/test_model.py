@@ -123,9 +123,12 @@ def test_shape_errors_name_the_array_and_both_shapes(call, message):
 def test_a_point_of_non_real_entries_raises_invalid_spec(call, dtype):
     # A complex x0 gave run complex dist_sq and lyapunov values; a bool or
     # object one numpy's TypeError.
+    # The message is _check_array's, which names the array "point".
     problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
-    with pytest.raises(InvalidSpec, match="a point must hold integers or floats"):
-        call(problem, np.ones(3, dtype=dtype))
+    x = np.ones(3, dtype=dtype)
+    message = f"point must hold integers or floats, got dtype {x.dtype}"
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        call(problem, x)
 
 
 @pytest.mark.parametrize("dtype,expected", [(np.int64, np.float64), (np.uint8, np.float64),

@@ -676,6 +676,20 @@ def test_bank_prox_at_per_row_gammas_matches_one_gamma_at_a_time(kind, batch_min
             start += len(part)
 
 
+@pytest.mark.parametrize("rows", [2, 8])
+@pytest.mark.parametrize("kind", ["quad-f64", "ridge", "logistic"])
+def test_bank_prox_at_a_0d_gamma_matches_the_python_float(kind, rows):
+    # A 0-d gamma array is its scalar: the bits of the Python float, on a
+    # fresh bank, so QuadraticBank builds its resolvents from the 0-d call.
+    problem = _per_row_problem(kind)
+    idx = np.arange(rows)
+    Z = np.random.default_rng(rows).normal(size=(rows, 3)) * 4.0
+    P, residuals = problem.bank.prox(np.array(0.2), idx, Z)
+    P_float, residuals_float = problem.bank.prox(0.2, idx, Z)
+    assert_bitwise(P, P_float)
+    assert_bitwise(residuals, residuals_float)
+
+
 def test_logistic_bank_hands_scalar_rows_their_own_gammas(monkeypatch):
     # The zero row (0) and the row whose derived bracket falls short of its
     # root (1) go to the scalar solve, each at the gamma of its own row.
