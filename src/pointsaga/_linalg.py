@@ -1,9 +1,17 @@
-"""Small dense solves that preserve extended-precision dtypes, row dots and
-norms, per-row scale factors, and sums over a stack's leading axis in index
-order.
+"""Small dense solves that preserve extended-precision dtypes, row dots,
+norms and stacked mat-vecs, per-row scale factors, and sums over a stack's
+leading axis in index order.
 
 LAPACK-backed ``np.linalg.solve`` rejects ``np.longdouble``; the elimination
 fallback here keeps whatever dtype the caller works in.
+
+Each kernel is picked so that a row of a stacked result is bitwise the
+product taken alone. Row dots run through ``np.vecdot`` in every dtype: its
+loop is the one a 1-d ``a @ b`` calls. Stacked mat-vecs keep matmul, whose
+per-matrix product is BLAS gemv, for float32 and float64: a dot per row
+rounds differently there. numpy has no BLAS for any other dtype (notably
+longdouble), so matmul runs its generic loop there, a sum over k from 0 for
+each entry; ``np.vecdot`` computes that same sum in fewer passes.
 """
 
 import functools
@@ -14,10 +22,22 @@ from .errors import SingularSystem
 
 
 def _dots(A, B):
-    """Row k is A[k] @ B[k], or A[k] @ B for a vector B; each is bitwise the
-    1-d dot, which a matrix-vector product need not be. So a row computed
-    alone equals the same row inside a pass over all rows."""
-    return (A[:, None, :] @ B[..., None])[:, 0, 0]
+    """Row k is A[k] @ B[k], or A[k] @ B for a vector B, bitwise the 1-d dot
+    in every dtype: np.vecdot runs the loop a 1-d dot calls, which a
+    matrix-vector product need not match. So a row computed alone equals the
+    same row inside a pass over all rows. vecdot conjugates a complex A;
+    _check_array admits no complex array, so the rows here are real."""
+    return np.vecdot(A, B)
+
+
+def _matvecs(M, V):
+    """Row k is M[k] @ V[k], or M[k] @ V for a vector V; M @ V for one matrix.
+    Each row is bitwise the product taken alone: float32 and float64 run
+    matmul, whose stacked loop calls the same BLAS gemv per matrix; any other
+    dtype runs np.vecdot, whose sum over k from 0 is matmul's no-BLAS loop."""
+    if np.result_type(M, V) in (np.float32, np.float64):
+        return (M @ V[..., None])[..., 0]
+    return np.vecdot(M, V[..., None, :])
 
 
 def _per_row(value, a):

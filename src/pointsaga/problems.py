@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _dots, _norms, _per_row, _sum_rows
+from ._linalg import _dots, _matvecs, _norms, _per_row, _sum_rows
 from .analysis import ROW_BLOCK_ENTRIES, reference_solution
 from .errors import (
     EmptyFile,
@@ -95,7 +95,8 @@ class QuadraticBank(_ArrayBank):
     """Quadratic components as stacks of Q, eig and c, with A and A c built in
     one stacked product each by the component's own helper. One call proxes
     a subset: row k is bitwise ``components[idx[k]].prox``, the same
-    operations in the same order, batched through matmul's per-matrix loop.
+    operations in the same order, batched through _linalg._matvecs (BLAS
+    matmul in float32 and float64, np.vecdot in longdouble).
     A cache holds the n resolvents, one stacked product, of each gamma of
     the last call that had to build one, and the Hessian sum is built once.
     Its item i reads the bank's A and A c too. An eig <= 0 raises
@@ -117,7 +118,7 @@ class QuadraticBank(_ArrayBank):
         return comp
 
     def gradients(self, x):
-        return self.A @ x - self.Ac
+        return _matvecs(self.A, x) - self.Ac
 
     def hessian_sum(self, x):
         """sum_i A_i, added in index order by _linalg._sum_rows, as
@@ -163,11 +164,6 @@ class QuadraticBank(_ArrayBank):
         curvature = _matvecs(self.A.take(idx, axis=0), P) - self.Ac.take(idx, axis=0)
         D = P + _per_row(gamma, curvature) * curvature - Z
         return P.astype(Z.dtype, copy=False), _norms(D)
-
-
-def _matvecs(M, V):
-    """Row k is M[k] @ V[k]; M @ V for one matrix and one vector."""
-    return (M @ V[..., None])[..., 0]
 
 
 def _sigmoids(v):
@@ -392,6 +388,13 @@ class GeneratorSpec:
         if self.n < 1 or self.dim < 1:
             raise InvalidSpec(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
         _check_constants(self.mu, self.L)
+        # mu and L scale float64 data and enter the banks' mu_reg, where a
+        # float32 value would demote the prox arithmetic; so each is widened
+        # to at least float64. A longdouble value stays: gen_quadratic's eig
+        # takes its dtype.
+        for name in ("mu", "L"):
+            if np.result_type(getattr(self, name), np.float64) == np.float64:
+                object.__setattr__(self, name, float(getattr(self, name)))
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         # Quadratics hold n d-by-d matrices; ridge and logistic hold n-by-d

@@ -12,6 +12,7 @@ from pointsaga import (
     GeneratorSpec,
     GenericComponent,
     QuadraticComponent,
+    SolverConfig,
     assemble_problem,
     check_coercivity,
     full_gradient,
@@ -20,6 +21,7 @@ from pointsaga import (
     gen_ridge_regression,
     load_libsvm,
     reference_solution,
+    run,
 )
 from pointsaga.errors import (
     DimensionMismatch,
@@ -88,6 +90,26 @@ def test_spec_accepts_numpy_integer_sizes():
     # n * d * d = 2^64 would wrap to 0 in int64 and slip under the cap.
     with pytest.raises(InvalidSpec, match="dense entries"):
         GeneratorSpec("quadratic", np.int64(2**32), np.int64(2**16), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("generate,family", [(gen_ridge_regression, "ridge_regression"),
+                                             (gen_logistic_ridge, "logistic_ridge")])
+def test_spec_widens_float32_constants(generate, family):
+    # A float32 mu reached the banks' mu_reg, where 1 + gamma mu_reg rounded
+    # in float32: the first prox missed its tolerance (residual ~5e-10). The
+    # spec binds the Python float of the same value instead.
+    spec = GeneratorSpec(family, 20, 3, np.float32(0.1), np.float32(10.0), seed=1)
+    assert type(spec.mu) is float and type(spec.L) is float
+    assert spec.mu == np.float32(0.1)
+    config = SolverConfig(s=2, max_iters=50, seed=1)
+    state, _ = run(generate(spec), config, np.zeros(3))
+    python = GeneratorSpec(family, 20, 3, float(np.float32(0.1)), 10.0, seed=1)
+    assert np.array_equal(state.x, run(generate(python), config, np.zeros(3))[0].x)
+
+
+def test_spec_keeps_longdouble_constants():
+    spec = GeneratorSpec("quadratic", 3, 2, np.longdouble(1), 2, seed=1)
+    assert type(spec.mu) is np.longdouble and type(spec.L) is float
 
 
 # Each family at its dense-entry cap, then one step over it: quadratics hold

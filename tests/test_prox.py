@@ -14,7 +14,7 @@ from pointsaga import (
     prox_logistic_ridge,
     prox_rank_one_quadratic,
 )
-from pointsaga._linalg import _dots, solve
+from pointsaga._linalg import _dots, _matvecs, solve
 from pointsaga.errors import DimensionMismatch, MaxInnerIterations, SingularSystem
 import pointsaga.prox as prox
 from pointsaga.prox import TOL_PROX, sigmoid
@@ -48,19 +48,39 @@ def test_linalg_solve_longdouble_matches_lapack():
 
 
 @pytest.mark.parametrize("d", [1, 4, 50])
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_row_dots_of_gathered_rows_match_the_full_pass(dtype, d):
+@pytest.mark.parametrize("dtype,x_dtype", [
+    (np.float32, np.float32), (np.float64, np.float64), (np.longdouble, np.longdouble),
+    (np.float32, np.float64), (np.longdouble, np.float64)], ids=lambda t: np.dtype(t).name)
+def test_row_dots_of_gathered_rows_match_the_full_pass(dtype, x_dtype, d):
     # solver.run recomputes Psi's row errors for the rows a step writes and
-    # needs each to be bitwise the same row of a pass over every row.
+    # needs each to be bitwise the same row of a pass over every row. The
+    # row banks dot their rows with one vector x, which may be wider.
     rng = np.random.default_rng(d)
-    E = rng.standard_normal((40, d)).astype(dtype) * np.logspace(-8, 8, 40)[:, None]
-    full = _dots(E, E)
-    assert full.dtype == dtype
-    for idx in (np.array([0]), np.array([3, 17, 39]), np.arange(1, 40, 2), np.arange(40)):
-        rows = E[idx]
-        part = _dots(rows, rows)
-        assert np.array_equal(part, full[idx])
-        assert all(part[k] == E[i] @ E[i] for k, i in enumerate(idx))
+    E = (rng.standard_normal((40, d)) * np.logspace(-8, 8, 40)[:, None]).astype(dtype)
+    F = rng.standard_normal((40, d)).astype(x_dtype)
+    x = rng.standard_normal(d).astype(x_dtype)
+    for B in (E, F, x):
+        full = _dots(E, B)
+        assert full.dtype == np.result_type(E, B)
+        for idx in (np.array([0]), np.array([3, 17, 39]), np.arange(1, 40, 2), np.arange(40)):
+            part = _dots(E[idx], B if B.ndim == 1 else B[idx])
+            assert np.array_equal(part, full[idx])
+            assert all(part[k] == E[i] @ (B if B.ndim == 1 else B[i]) for k, i in enumerate(idx))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+def test_stacked_matvecs_are_each_product_alone(dtype):
+    # QuadraticBank's prox rows must be bitwise its components' M @ v. In
+    # float32 and float64 that product is BLAS gemv, which a dot per row
+    # does not reproduce on 10-by-10 random matrices.
+    rng = np.random.default_rng(10)
+    M = rng.standard_normal((50, 10, 10)).astype(dtype)
+    V = rng.standard_normal((50, 10)).astype(dtype)
+    for got, want in ((_matvecs(M, V), np.stack([M[k] @ V[k] for k in range(50)])),
+                      (_matvecs(M, V[0]), np.stack([M[k] @ V[0] for k in range(50)])),
+                      (_matvecs(M[0], V[0]), M[0] @ V[0])):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 # --- prox_rank_one_quadratic --------------------------------------------------
