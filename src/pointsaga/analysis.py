@@ -239,19 +239,20 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     arithmetic. The input state is left untouched.
 
     Checks run in this order: the subset count (InvalidBatchSize,
-    EnumerationTooLarge), then the rate's constants, then lyapunov's checks
-    of the state, x_star and grad_star, whose returned arrays it computes on,
-    and the Lyapunov weights, all before any prox. A row's prox bound depends
-    on that row alone, so ProxFailure names the lowest failing component, at
-    iteration state.t + 1, as the first enumerated subset that holds it
-    would. An error the bank raises for any row, such as MaxInnerIterations,
-    comes before a residual failure of another.
+    EnumerationTooLarge), then the rate's constants, at whose float gamma it
+    steps, then lyapunov's checks of the state, x_star and grad_star, whose
+    returned arrays it computes on, and the Lyapunov weights, all before any
+    prox. A row's prox bound depends on that row alone, so ProxFailure names
+    the lowest failing component, at iteration state.t + 1, as the first
+    enumerated subset that holds it would. An error the bank raises for any
+    row, such as MaxInnerIterations, precedes another row's residual failure.
     """
     from .solver import SUBSET_BLOCK, _advanced_copy
 
     n = problem.n
     subsets = subset_rows(n, s)
     rho = theoretical_rate(gamma, s, n, problem.mu, problem.L).rho
+    _, _, gamma = _check_constants(problem.mu, problem.L, gamma=gamma)
     state, x_star, grad_star = _admitted(state, problem, x_star, grad_star)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
     rhs = rho * w.psi(state, x_star, grad_star)  # lyapunov's Psi

@@ -14,8 +14,8 @@ class EmptyComponentList(PointSagaError, ValueError):
 
 class InvalidConstants(PointSagaError, ValueError):
     """A constant fails finite 0 < mu <= L (in a problem or a generator spec),
-    finite mu > 0 (load_libsvm's), finite gamma > 0, dim >= 1 or a solver
-    setting other than s, or a value overflows at the constants given."""
+    finite mu > 0 (load_libsvm's), finite gamma > 0, integer dim >= 1 or a
+    solver setting other than s, or a value overflows at the constants given."""
 
 
 class InvalidKnownSolution(PointSagaError, ValueError):
@@ -66,8 +66,9 @@ class InvalidSpec(PointSagaError, ValueError):
     or seed, or constants its family cannot use; a family bank entry that is
     not a finite number, a bad mu_reg, an eig <= 0 or a logistic label other
     than +-1; components without a needed Hessian. Any array argument (a
-    point, a state, x_star, grad_star, a known solution, g0) whose entries
-    are not integers or floats (complex, bool, object, str) raises it too."""
+    point, a state, x_star, grad_star, a known solution, g0, a family's
+    arrays) of entries not integers or floats (complex, bool, object, str)
+    raises it too."""
 
 
 class ParseError(PointSagaError, ValueError):

@@ -27,6 +27,7 @@ from .errors import (
     InvalidSpec,
     MaxInnerIterations,
     _check_constants,
+    _integral,
 )
 
 #: Absolute tolerance on ||sum_i grad f_i(x*)|| / n for declared minimizers.
@@ -105,24 +106,21 @@ class _ArrayBank(ComponentBank, Sequence):
 
     The constructor is the one check of a family's arrays, declared in
     ``axes`` by attribute name, one letter per axis (n components, dimension
-    d). Each goes through np.asarray; a ragged one, a wrong rank or an axis
-    that disagrees raises DimensionMismatch, entries that are not finite
-    integers or floats InvalidSpec, and n = 0 EmptyComponentList. Only then
+    d). Each is admitted by _check_array, so an integer one is bound as
+    float64; a wrong rank or an axis that disagrees raises DimensionMismatch,
+    a non-finite entry InvalidSpec, and n = 0 EmptyComponentList. Only then
     are they bound, read-only."""
 
     def __init__(self, *arrays):
         sizes, checked = {}, []
         for (name, axes), array in zip(self.axes.items(), arrays):
-            try:
-                array = np.asarray(array)
-            except ValueError:  # a ragged nested sequence
-                raise DimensionMismatch(f"{name} is not a rectangular array") from None
+            array = _check_array(array, None, name)
             if array.ndim != len(axes) or any(sizes.setdefault(axis, size) != size
                                               for axis, size in zip(axes, array.shape)):
                 raise DimensionMismatch(f"{name} has shape {array.shape}; its axes "
                                         f"{axes!r} must agree with {sizes}")
-            if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
-                raise InvalidSpec(f"{name} must hold finite integers or floats")
+            if not np.isfinite(array).all():
+                raise InvalidSpec(f"{name} must hold finite entries")
             checked.append(array)
         if sizes["n"] == 0:
             raise EmptyComponentList("need at least one component")
@@ -153,12 +151,11 @@ class FiniteSumProblem:
     components : sequence of ComponentFunction
         A tuple, or a family bank that owns its components' arrays, whose
         items are built on access from them.
-    mu : float
-        Strong-convexity modulus shared by every component, > 0.
-    L : float
-        Smoothness constant shared by every component, >= mu.
+    mu, L : float
+        Strong-convexity modulus (> 0) and smoothness constant (>= mu) shared
+        by every component, as the Python floats errors._check_constants returns.
     dim : int
-        Ambient dimension d.
+        Ambient dimension d, an integer >= 1 (numpy's too), as a Python int.
     known_solution : ndarray or None
         Minimizer of the sum, when available: a read-only copy of the array
         given as _check_array admits it, validated for stationarity.
@@ -183,9 +180,10 @@ class FiniteSumProblem:
     def __post_init__(self):
         if len(self.components) == 0:
             raise EmptyComponentList("need at least one component")
-        _check_constants(self.mu, self.L)
-        if self.dim < 1:
-            raise InvalidConstants(f"dim must be >= 1, got {self.dim}")
+        mu, L, _ = _check_constants(self.mu, self.L)
+        if not (_integral(self.dim) and self.dim >= 1):
+            raise InvalidConstants(f"dim must be >= 1 and an integer, got {self.dim}")
+        vars(self).update(mu=mu, L=L, dim=int(self.dim))
         if isinstance(self.components, _ArrayBank):
             bank = self.components
             if bank.dim != self.dim:
@@ -261,7 +259,7 @@ def _check_state(state, problem):
 
 
 def assemble_problem(components, mu, L, dim):
-    """Validate and pack components into a FiniteSumProblem.
+    """Pack components into a FiniteSumProblem, which checks them, mu, L and dim.
 
     A family bank that owns its components' arrays is kept as it is; any
     other iterable is packed into a tuple. The known solution is left unset;
@@ -269,7 +267,7 @@ def assemble_problem(components, mu, L, dim):
     """
     if not isinstance(components, _ArrayBank):
         components = tuple(components)
-    return FiniteSumProblem(components, float(mu), float(L), int(dim))
+    return FiniteSumProblem(components, mu, L, dim)
 
 
 def _row_total(G):

@@ -28,7 +28,7 @@ from .errors import (
     _integral,
 )
 from . import prox
-from .model import ComponentFunction, _ArrayBank, assemble_problem
+from .model import ComponentFunction, _ArrayBank, _check_array, assemble_problem
 from .prox import (
     TOL_PROX,
     logistic_root_tol,
@@ -57,10 +57,11 @@ class QuadraticComponent(ComponentFunction):
     component reads the bank's. The prox solves (I + gamma A) x = z + gamma
     A c through the eigendecomposition, in any float dtype (longdouble too),
     building (I + gamma A)^{-1} on every call; a bank caches the stack of them.
+    Q, eig and c are taken as model._check_array admits them.
     """
 
     def __init__(self, Q, eig, c):
-        self.Q, self.eig, self.c = np.asarray(Q), np.asarray(eig), np.asarray(c)
+        self.Q, self.eig, self.c = map(_check_array, (Q, eig, c), [None] * 3, ("Q", "eig", "c"))
         self.A, self._Ac = _hessians(self.Q, self.eig, self.c)
 
     def gradient(self, x):
@@ -206,12 +207,11 @@ class _RowBank(_ArrayBank):
 
 
 class RankOneRidgeComponent(ComponentFunction):
-    """f(x) = (a'x - y)^2 / 2 + mu_reg ||x||^2 / 2; O(d) closed-form prox."""
+    """f(x) = (a'x - y)^2 / 2 + mu_reg ||x||^2 / 2; O(d) closed-form prox.
+    a is taken as model._check_array admits it."""
 
     def __init__(self, a, y, mu_reg):
-        self.a = np.asarray(a)
-        self.y = y
-        self.mu_reg = mu_reg
+        self.a, self.y, self.mu_reg = _check_array(a, None, "a"), y, mu_reg
 
     def gradient(self, x):
         return self.a * (self.a @ x - self.y) + self.mu_reg * x
@@ -244,12 +244,12 @@ class RidgeBank(_RowBank):
 
 
 class LogisticRidgeComponent(ComponentFunction):
-    """f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2, y in {-1, +1}."""
+    """f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2, y in {-1, +1}. a is
+    taken as model._check_array admits it, in float64 as the prox computes."""
 
     def __init__(self, a, y, mu_reg):
-        self.a = np.asarray(a, dtype=float)
-        self.y = float(y)
-        self.mu_reg = mu_reg
+        self.a = _check_array(a, None, "a").astype(float, copy=False)
+        self.y, self.mu_reg = float(y), mu_reg
 
     def gradient(self, x):
         s = sigmoid(-self.y * float(self.a @ x))

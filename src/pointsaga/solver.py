@@ -60,9 +60,9 @@ class SolverConfig:
     sqrt(s / (L mu n)) at run time. run always takes max_iters iterations.
     refresh_every=None disables the periodic exact recomputation of the table
     average. init_gradients picks the initial table: "at_x0" (component
-    gradients at x0) or "zeros". The sizes s, max_iters, seed, trace_every
-    and refresh_every are integers (numpy integers too); validate checks
-    them against a problem.
+    gradients at x0) or "zeros", both in the dtype of those gradients. The
+    sizes s, max_iters, seed, trace_every and refresh_every are integers
+    (numpy integers too); validate checks them against a problem.
     """
 
     s: int = 1
@@ -125,14 +125,13 @@ class TraceRecord:
 
 def initialize(problem, config, x0):
     """Validate config and build the t=0 state: iterate x0 as check_point
-    returns it, gradient table per config.init_gradients ("zeros" in x0's
-    dtype), g_avg its mean. A _Stack decides the dtype a run computes in."""
+    returns it, table the bank's gradients at x0, zeroed for init_gradients
+    "zeros", and g_avg its mean. So x0 and the problem decide a run's dtype."""
     config.validate(problem)
     x0 = problem.check_point(x0)
-    if config.init_gradients == "at_x0":
-        table = problem.bank.gradients(x0)
-    else:
-        table = np.zeros((problem.n, problem.dim), dtype=x0.dtype)
+    table = problem.bank.gradients(x0)
+    if config.init_gradients == "zeros":
+        table = np.zeros_like(table)
     return SolverState(t=0, x=x0.copy(), grad_table=table, g_avg=table.mean(axis=0))
 
 
@@ -322,7 +321,7 @@ def run(problem, config, x0, *, drift=True):
     config : SolverConfig
         config.s, stepsize, budget, seed, trace cadence.
     x0 : ndarray
-        Starting point; the run works in the float dtype x0 and its table promote to.
+        Starting point; the run works in the float dtype of x0 and the problem's gradients at x0.
     drift : bool, keyword-only
         Whether records carry the table drift; without it every record's
         table_drift is None and the run is otherwise the same.

@@ -691,3 +691,18 @@ def test_numpy_float_constants_compute_as_python_floats():
             assert repr(got) == repr(want)
     assert optimal_stepsize(2, 6, np.float32(1.0), np.float32(10.0)) == 0.18257418583505536
     assert type(optimal_stepsize(2, 6, np.float32(1.0), np.float32(10.0))) is float
+
+
+@pytest.mark.parametrize("gamma", [np.longdouble(0.1), np.longdouble(1) / 3, np.float32(0.25)])
+def test_the_certificate_steps_at_its_admitted_float_gamma(gamma):
+    # It took rho and the weights at float(gamma) but proxed at gamma itself,
+    # so a longdouble gamma gave a longdouble lhs, stepped at another gamma
+    # than its rhs.
+    problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1))
+    t = np.ones((6, 3))
+    state = SolverState(0, np.ones(3), t, t.mean(axis=0))
+    args = (2, problem.known_solution, problem.grad_star)
+    got = verify_one_step_contraction(state, problem, gamma, *args)
+    want = verify_one_step_contraction(state, problem, float(gamma), *args)
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()

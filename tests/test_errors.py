@@ -2,7 +2,8 @@
 a size fault raises InvalidBatchSize from the one size check, a bad
 constant raises a PointSagaError from every entry point that takes one, and
 an array argument of non-real entries or ragged rows raises InvalidSpec or
-DimensionMismatch from every entry point that takes one."""
+DimensionMismatch from every entry point and family constructor that takes
+one."""
 
 import ast
 from dataclasses import replace
@@ -19,6 +20,8 @@ from pointsaga import (FiniteSumProblem, GeneratorSpec, LyapunovWeights, SolverC
                        iteration_complexity, lyapunov, optimal_stepsize, run, run_many, step,
                        theoretical_rate, verify_one_step_contraction)
 from pointsaga.errors import DimensionMismatch, InvalidBatchSize, InvalidSpec, PointSagaError
+from pointsaga.problems import (LogisticBank, LogisticRidgeComponent, QuadraticBank,
+                                QuadraticComponent, RankOneRidgeComponent, RidgeBank)
 from pointsaga.sampling import SplitMix64, sample_k_subset, sample_subsets, subset_rows
 
 PACKAGE = Path(pointsaga.__file__).parent
@@ -215,14 +218,12 @@ def dtype_kind_readers(source):
 
 
 def test_array_entries_are_checked_in_one_place():
-    # model._check_array is the rule for an array argument's entries; the
-    # bank constructor keeps its arrays' integer dtypes, and
-    # apply_subset_step's subset must hold integers. A copy of the entry
-    # rule anywhere else fails.
+    # model._check_array is the rule for an array argument's entries, a
+    # family bank's or component's too; apply_subset_step's subset must hold
+    # integers. A copy of the entry rule anywhere else fails.
     readers = {(path.stem, function) for path in PACKAGE.glob("*.py")
                for function in dtype_kind_readers(path.read_text())}
-    assert readers == {("model", "_check_array"), ("model", "_ArrayBank.__init__"),
-                       ("solver", "apply_subset_step")}
+    assert readers == {("model", "_check_array"), ("solver", "apply_subset_step")}
 
 
 def test_dtype_kind_readers_on_a_toy_source():
@@ -328,3 +329,54 @@ def test_every_entry_point_computes_a_nested_list_as_its_array(entry):
     got = call(*_array_case(), lambda a: a.tolist())
     want = call(*_array_case(), lambda a: np.array(a.tolist()))
     assert _bits(got) == _bits(want)
+
+
+#: Each family bank and component: its class, its arrays, whose products
+#: overflow int8, and its other arguments.
+_CONSTRUCTORS = {
+    "QuadraticBank": (QuadraticBank, [np.eye(3)[None].repeat(2, axis=0), [[1, 2, 100], [3, 4, 5]],
+                                      [[100, -100, 3], [1, 2, 3]]], []),
+    "RidgeBank": (RidgeBank, [np.full((4, 3), 100), [1, 2, 3, 4]], [0.5]),
+    "LogisticBank": (LogisticBank, [np.full((3, 3), 100), [1, -1, 1]], [0.1]),
+    "QuadraticComponent": (QuadraticComponent, [np.eye(3), [1, 2, 100], [100, -100, 3]], []),
+    "RankOneRidgeComponent": (RankOneRidgeComponent, [np.full(3, 100)], [1.0, 0.5]),
+    "LogisticRidgeComponent": (LogisticRidgeComponent, [np.full(3, 100)], [1.0, 0.1]),
+}
+
+
+def _built(name, convert):
+    """The bank or component name, built on convert(a) for each of its arrays a."""
+    family, arrays, rest = _CONSTRUCTORS[name]
+    return family(*(convert(np.array(a)) for a in arrays), *rest)
+
+
+def _oracles(built):
+    """Every oracle of a bank or a component at x = (0.5, -1, 2)."""
+    x = np.array([0.5, -1.0, 2.0])
+    if not hasattr(built, "gradients"):
+        result = built.prox(0.1, x)
+        return [built.gradient(x), built.hessian(x), result.point, result.residual]
+    idx = np.arange(len(built))
+    return [built.gradients(x), built.hessian_sum(x), *built.prox(0.1, idx, np.tile(x, (len(idx), 1)))]
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTORS))
+def test_a_constructor_computes_int8_arrays_as_their_float64_copies(name):
+    # An int8 bank or component computed in int8, and overflowed there.
+    got = _oracles(_built(name, lambda a: a.astype(np.int8)))
+    assert _bits(got) == _bits(_oracles(_built(name, lambda a: a.astype(np.float64))))
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+@pytest.mark.parametrize("name", list(_CONSTRUCTORS))
+def test_a_constructor_raises_a_typed_error_for_each_faulty_array(name, fault):
+    # A component took complex entries and computed in complex, and raised
+    # numpy's ValueError for a ragged array.
+    family, arrays, rest = _CONSTRUCTORS[name]
+    error = DimensionMismatch if fault == "ragged" else InvalidSpec
+    for k in range(len(arrays)):
+        args = [np.array(a, dtype=float) for a in arrays]
+        args[k] = _FAULTS[fault](args[k])
+        with pytest.raises(error, match="is not a rectangular array" if fault == "ragged"
+                           else "must hold integers or floats, got dtype"):
+            family(*args, *rest)

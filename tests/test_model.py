@@ -49,6 +49,25 @@ def test_assemble_empty_components():
         assemble_problem([], mu=1.0, L=2.0, dim=2)
 
 
+@pytest.mark.parametrize("mu,L,dim", [("1", "10", "3"), (1.0, 10.0, 3.7), (1.0, 10.0, 3.0),
+                                      (1.0, 10.0, "3"), (1.0, 10.0, None)])
+def test_a_problem_refuses_constants_it_would_have_to_coerce(mu, L, dim):
+    # assemble_problem coerced strings and a 3.7 dim before the problem
+    # checked them, and FiniteSumProblem kept a 3.0 dim.
+    components = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1)).components
+    for build in (assemble_problem, FiniteSumProblem):
+        with pytest.raises(InvalidConstants):
+            build(components, mu, L, dim)
+
+
+def test_a_problem_binds_its_constants_as_python_numbers():
+    components = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=1)).components
+    for build in (assemble_problem, FiniteSumProblem):
+        problem = build(components, np.float32(1.0), 10, np.int64(3))
+        assert [type(value) for value in (problem.mu, problem.L, problem.dim)] == [float, float, int]
+        assert (problem.mu, problem.L, problem.dim) == (1.0, 10.0, 3)
+
+
 def test_assemble_invalid_constants():
     with pytest.raises(InvalidConstants):
         assemble_problem([identity_quadratic(2)], mu=2.0, L=1.0, dim=2)

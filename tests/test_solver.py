@@ -957,13 +957,13 @@ def test_an_int64_state_computes_as_its_float64_copy(entry):
 def test_run_works_in_the_dtype_x0_and_its_table_promote_to(x0_dtype, problem_dtype,
                                                             init_gradients, x0, s, seed):
     # The working dtype is x0's float dtype (float64 for an integer x0)
-    # promoted with its initial table's: the bank's gradients at x0, or
-    # zeros in x0's dtype. The run is bitwise x0's in that dtype, and so is
-    # its last Psi, scored at x* in that dtype.
+    # promoted with its initial table's, the bank's gradients at x0 (zeroed
+    # or not): x0 and the problem decide it, whatever init_gradients is. The
+    # run is bitwise x0's in that dtype, and so is its last Psi, scored at x*
+    # in that dtype.
     problem = gen_quadratic(GeneratorSpec("quadratic", 6, 3, 1.0, 10.0, seed=2), dtype=problem_dtype)
     x0 = np.array(x0, dtype=x0_dtype)
-    float_x0 = np.float64 if x0_dtype is np.int64 else x0_dtype
-    working = np.result_type(float_x0, problem_dtype) if init_gradients == "at_x0" else float_x0
+    working = np.result_type(np.float64 if x0_dtype is np.int64 else x0_dtype, problem_dtype)
     config = SolverConfig(s=s, max_iters=12, seed=seed, trace_every=5, refresh_every=7,
                           init_gradients=init_gradients)
     final, records = got = run(problem, config, x0)
