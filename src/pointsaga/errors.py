@@ -13,9 +13,10 @@ class EmptyComponentList(PointSagaError, ValueError):
 
 
 class InvalidConstants(PointSagaError, ValueError):
-    """A constant fails finite 0 < mu <= L (in a problem or a generator spec),
-    finite mu > 0 (load_libsvm's), finite gamma > 0, integer dim >= 1 or a
-    solver setting other than s, or a value overflows at the constants given."""
+    """A constant fails finite 0 < mu <= L (in a problem, a generator spec or
+    a GenericComponent), finite mu > 0 (load_libsvm's), finite gamma > 0,
+    integer dim >= 1 or a solver setting other than s, or a value overflows
+    at the constants given."""
 
 
 class InvalidKnownSolution(PointSagaError, ValueError):
@@ -23,8 +24,10 @@ class InvalidKnownSolution(PointSagaError, ValueError):
 
 
 class DimensionMismatch(PointSagaError, ValueError):
-    """A point, solver state, table or family bank array does not fit the
-    dimension or n, or is a ragged nested sequence."""
+    """A point, solver state, table, row prox argument or family bank or
+    component array does not fit the dimension or n (a non-square or thin
+    Q, an eig or c of another length, a list label), or is a ragged nested
+    sequence."""
 
 
 class SingularSystem(PointSagaError, ValueError):
@@ -63,12 +66,13 @@ class ProxFailure(PointSagaError, RuntimeError):
 
 class InvalidSpec(PointSagaError, ValueError):
     """A problem's description is malformed: a generator spec's family, sizes
-    or seed, or constants its family cannot use; a family bank entry that is
-    not a finite number, a bad mu_reg, an eig <= 0 or a logistic label other
-    than +-1; components without a needed Hessian. Any array argument (a
-    point, a state, x_star, grad_star, a known solution, g0, a family's
-    arrays) of entries not integers or floats (complex, bool, object, str)
-    raises it too."""
+    or seed, or constants its family cannot use; a family bank's or
+    component's entry that is not a finite number, a bad mu_reg, an eig <= 0,
+    a Q whose columns are not orthonormal or a logistic label other than
+    +-1; components without a needed Hessian. Any array argument (a point, a
+    state, x_star, grad_star, a known solution, g0, a family's arrays, a row
+    prox's a and z) of entries not integers or floats (complex, bool,
+    object, str) raises it too."""
 
 
 class ParseError(PointSagaError, ValueError):

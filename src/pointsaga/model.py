@@ -101,20 +101,26 @@ class ComponentBank:
 class _ArrayBank(ComponentBank, Sequence):
     """A bank that owns its components' arrays, stacked on the first axis and
     read-only, so no component can change under it. It is the read-only
-    sequence of its components too: item i is ``component(i)``, built on
-    access from the bank's own slices, and a slice is a tuple of them.
+    sequence of its components too: item i is ``component(i)``, bound to the
+    bank's own slices on access without running a constructor, and a slice
+    is a tuple of them. A family's component class builds the one-row bank
+    of its arguments and takes its item 0, so the bank's constructor and
+    its subclasses' are the one check of a family's inputs.
 
-    The constructor is the one check of a family's arrays, declared in
-    ``axes`` by attribute name, one letter per axis (n components, dimension
-    d). Each is admitted by _check_array, so an integer one is bound as
-    float64; a wrong rank or an axis that disagrees raises DimensionMismatch,
-    a non-finite entry InvalidSpec, and n = 0 EmptyComponentList. Only then
-    are they bound, read-only."""
+    The constructor checks a family's arrays, declared in ``axes`` by
+    attribute name, one letter per axis (n components, dimension d). Each is
+    admitted by _check_array, so an integer one is bound as float64, and
+    cast to ``dtype`` where the family sets one; a wrong rank or an axis
+    that disagrees raises DimensionMismatch, a non-finite entry InvalidSpec,
+    and n = 0 EmptyComponentList. Only then are they bound, read-only."""
+
+    #: The float dtype a family computes in; None keeps each array's own.
+    dtype = None
 
     def __init__(self, *arrays):
         sizes, checked = {}, []
         for (name, axes), array in zip(self.axes.items(), arrays):
-            array = _check_array(array, None, name)
+            array = np.asarray(_check_array(array, None, name), dtype=self.dtype)
             if array.ndim != len(axes) or any(sizes.setdefault(axis, size) != size
                                               for axis, size in zip(axes, array.shape)):
                 raise DimensionMismatch(f"{name} has shape {array.shape}; its axes "

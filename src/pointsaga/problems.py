@@ -28,7 +28,7 @@ from .errors import (
     _integral,
 )
 from . import prox
-from .model import ComponentFunction, _ArrayBank, _check_array, assemble_problem
+from .model import ComponentFunction, _ArrayBank, assemble_problem
 from .prox import (
     TOL_PROX,
     logistic_root_tol,
@@ -53,16 +53,15 @@ NEWTON_BATCH_MIN = 6
 class QuadraticComponent(ComponentFunction):
     """f(x) = (x - c)' A (x - c) / 2 with A = Q diag(eig) Q'.
 
-    A and A c come from the helper that QuadraticBank stacks; a bank's own
-    component reads the bank's. The prox solves (I + gamma A) x = z + gamma
-    A c through the eigendecomposition, in any float dtype (longdouble too),
-    building (I + gamma A)^{-1} on every call; a bank caches the stack of them.
-    Q, eig and c are taken as model._check_array admits them.
+    It is item 0 of QuadraticBank([Q], [eig], [c]), which admits and checks
+    Q, eig and c and builds A and A c. The prox solves (I + gamma A) x = z +
+    gamma A c through the eigendecomposition, in any float dtype (longdouble
+    too), building (I + gamma A)^{-1} on every call; a bank caches the stack
+    of them.
     """
 
     def __init__(self, Q, eig, c):
-        self.Q, self.eig, self.c = map(_check_array, (Q, eig, c), [None] * 3, ("Q", "eig", "c"))
-        self.A, self._Ac = _hessians(self.Q, self.eig, self.c)
+        vars(self).update(vars(QuadraticBank([Q], [eig], [c])[0]))
 
     def gradient(self, x):
         return self.A @ x - self._Ac
@@ -92,6 +91,14 @@ def _resolvents(Q, eig, gamma):
     return (Q * (1.0 / (1.0 + gamma * eig))[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
+def _bound(cls, **attributes):
+    """An object of cls with attributes bound as given, built without running
+    cls's constructor: a bank's item takes the slices the bank admitted."""
+    item = cls.__new__(cls)
+    vars(item).update(attributes)
+    return item
+
+
 class QuadraticBank(_ArrayBank):
     """Quadratic components as stacks of Q, eig and c, with A and A c built in
     one stacked product each by the component's own helper. One call proxes
@@ -101,7 +108,9 @@ class QuadraticBank(_ArrayBank):
     A cache holds the n resolvents, one stacked product, of each gamma of
     the last call that had to build one, and the Hessian sum is built once.
     Its item i reads the bank's A and A c too. An eig <= 0 raises
-    InvalidSpec, before A and A c are built."""
+    InvalidSpec, and so does a Q whose columns are not orthonormal to
+    8 d eps (eps of Q's dtype, at least float64's), both before A and A c
+    are built: the prox's resolvent is (I + gamma A)^{-1} only for such a Q."""
 
     axes = {"Q": "ndd", "eig": "nd", "c": "nd"}
 
@@ -109,14 +118,19 @@ class QuadraticBank(_ArrayBank):
         super().__init__(Q, eig, c)
         if not (self.eig > 0).all():
             raise InvalidSpec("every eigenvalue in eig must be > 0")
+        Q64 = self.Q.astype(np.float64, copy=False)  # through BLAS; tol covers the rounding to it
+        defect = float(np.abs(np.swapaxes(Q64, -1, -2) @ Q64 - np.eye(self.dim)).max())
+        tol = 8 * self.dim * max(np.finfo(self.Q.dtype).eps, np.finfo(np.float64).eps)
+        if not defect <= tol:
+            raise InvalidSpec(f"the columns of Q must be orthonormal: "
+                              f"max |Q'Q - I| = {defect:.3g} exceeds {tol:.3g}")
         self.A, self.Ac = _hessians(self.Q, self.eig, self.c)
         self.A.flags.writeable = self.Ac.flags.writeable = False
         self._cache = {}
 
     def component(self, i):
-        comp = QuadraticComponent.__new__(QuadraticComponent)
-        vars(comp).update(Q=self.Q[i], eig=self.eig[i], c=self.c[i], A=self.A[i], _Ac=self.Ac[i])
-        return comp
+        return _bound(QuadraticComponent, Q=self.Q[i], eig=self.eig[i], c=self.c[i],
+                      A=self.A[i], _Ac=self.Ac[i])
 
     def gradients(self, x):
         return _matvecs(self.A, x) - self.Ac
@@ -176,8 +190,9 @@ def _sigmoids(v):
 
 class _RowBank(_ArrayBank):
     """Components f_i built on a data row a_i and label y_i, held as one n-by-d
-    row matrix, a label vector of its dtype and the mu_reg they share. Its
-    item i is ``family(rows[i], labels[i], mu_reg)``; mu_reg is finite and >= 0."""
+    row matrix, a label vector and the mu_reg they share, which must be
+    finite and >= 0 (InvalidSpec). Its item i is a ``family`` object bound to
+    a = rows[i], y = labels[i] and mu_reg, as the bank admitted them."""
 
     axes = {"rows": "nd", "labels": "n"}
 
@@ -188,7 +203,7 @@ class _RowBank(_ArrayBank):
         self.mu_reg = mu_reg
 
     def component(self, i):
-        return self.family(self.rows[i], self.labels[i], self.mu_reg)
+        return _bound(self.family, a=self.rows[i], y=self.labels[i], mu_reg=self.mu_reg)
 
     def _add_ridge(self, G, x):
         """G + mu_reg * x, written into G where that sum keeps G's dtype, so
@@ -208,10 +223,11 @@ class _RowBank(_ArrayBank):
 
 class RankOneRidgeComponent(ComponentFunction):
     """f(x) = (a'x - y)^2 / 2 + mu_reg ||x||^2 / 2; O(d) closed-form prox.
-    a is taken as model._check_array admits it."""
+    It is item 0 of RidgeBank([a], [y], mu_reg), which admits and checks a,
+    y and mu_reg."""
 
     def __init__(self, a, y, mu_reg):
-        self.a, self.y, self.mu_reg = _check_array(a, None, "a"), y, mu_reg
+        vars(self).update(vars(RidgeBank([a], [y], mu_reg)[0]))
 
     def gradient(self, x):
         return self.a * (self.a @ x - self.y) + self.mu_reg * x
@@ -244,12 +260,12 @@ class RidgeBank(_RowBank):
 
 
 class LogisticRidgeComponent(ComponentFunction):
-    """f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2, y in {-1, +1}. a is
-    taken as model._check_array admits it, in float64 as the prox computes."""
+    """f(x) = log(1 + exp(-y a'x)) + mu_reg ||x||^2 / 2, y in {-1, +1}. It is
+    item 0 of LogisticBank([a], [y], mu_reg), which admits and checks a, y
+    and mu_reg, and binds a and y in float64, as the prox computes."""
 
     def __init__(self, a, y, mu_reg):
-        self.a = _check_array(a, None, "a").astype(float, copy=False)
-        self.y, self.mu_reg = float(y), mu_reg
+        vars(self).update(vars(LogisticBank([a], [y], mu_reg)[0]))
 
     def gradient(self, x):
         s = sigmoid(-self.y * float(self.a @ x))
@@ -273,9 +289,13 @@ class LogisticBank(_RowBank):
     case; zero rows, rows whose derived bracket needs widening and rows out
     of budget are left to the scalar solve, on a view of the row. A label
     other than +-1 raises InvalidSpec: the curvature bound ||a||^2 / 4 that
-    gen_logistic_ridge's and load_libsvm's L rest on needs |y| = 1."""
+    gen_logistic_ridge's and load_libsvm's L rest on needs |y| = 1. The
+    family works in float64: rows and labels are bound in it, whatever the
+    dtype they are given in, so an item's oracles are its bank's rows in
+    every dtype."""
 
     family = LogisticRidgeComponent
+    dtype = np.float64
 
     def __init__(self, rows, labels, mu_reg):
         super().__init__(rows, labels, mu_reg)
@@ -354,12 +374,13 @@ class LogisticBank(_RowBank):
 
 
 class GenericComponent(ComponentFunction):
-    """Component from a bare gradient callable; prox by inner descent."""
+    """Component from a bare gradient callable; prox by inner descent. mu and
+    L are bound as the Python floats errors._check_constants returns, which
+    raises InvalidConstants unless finite 0 < mu <= L holds."""
 
     def __init__(self, grad_fn, mu, L):
         self._grad = grad_fn
-        self.mu = mu
-        self.L = L
+        self.mu, self.L, _ = _check_constants(mu, L)
 
     def gradient(self, x):
         return self._grad(x)

@@ -11,6 +11,7 @@ import numpy as np
 
 from ._linalg import _norms
 from .errors import DimensionMismatch, MaxInnerIterations
+from .model import _check_array
 
 #: Default residual tolerance. Closed forms land far below this; iterative
 #: proxes are driven to it.
@@ -48,9 +49,9 @@ def prox_rank_one_quadratic(a, y, mu_reg, gamma, z):
 
     Solves ((1 + gamma mu_reg) I + gamma a a') x = z + gamma y a by the
     rank-one inverse formula; never singular for gamma > 0, mu_reg >= 0.
+    a and z are taken as model._check_array admits them.
     """
-    a = np.asarray(a)
-    z = np.asarray(z)
+    a, z = _check_array(a, None, "a"), _check_array(z, None, "z")
     if a.shape != z.shape:
         raise DimensionMismatch(f"a has shape {a.shape}, z has shape {z.shape}")
     alpha = 1.0 + gamma * mu_reg
@@ -71,11 +72,12 @@ def prox_logistic_ridge(a, y, mu_reg, gamma, z):
     h is strictly increasing, so Newton with a bisection safeguard on a
     bracket derived from |u| <= (||a|| ||z|| + gamma ||a||^2) / (1 + gamma mu_reg)
     terminates once |h(u)| <= logistic_root_tol. Raises MaxInnerIterations
-    past the safeguard budget. It works in float64, gamma included.
+    past the safeguard budget. It works in float64, gamma included, on a and
+    z as model._check_array admits them.
     """
     gamma = float(gamma)
-    a = np.asarray(a, dtype=float)
-    z = np.asarray(z, dtype=float)
+    a = _check_array(a, None, "a").astype(float, copy=False)
+    z = _check_array(z, None, "z").astype(float, copy=False)
     if a.shape != z.shape:
         raise DimensionMismatch(f"a has shape {a.shape}, z has shape {z.shape}")
     alpha = 1.0 + gamma * mu_reg

@@ -3,7 +3,8 @@ a size fault raises InvalidBatchSize from the one size check, a bad
 constant raises a PointSagaError from every entry point that takes one, and
 an array argument of non-real entries or ragged rows raises InvalidSpec or
 DimensionMismatch from every entry point and family constructor that takes
-one."""
+one, and a value a family's rules refuse raises a typed error from each of
+its constructors."""
 
 import ast
 from dataclasses import replace
@@ -19,9 +20,11 @@ from pointsaga import (FiniteSumProblem, GeneratorSpec, LyapunovWeights, SolverC
                        defazio_rate, dr_rate, full_gradient, gen_quadratic, initialize,
                        iteration_complexity, lyapunov, optimal_stepsize, run, run_many, step,
                        theoretical_rate, verify_one_step_contraction)
-from pointsaga.errors import DimensionMismatch, InvalidBatchSize, InvalidSpec, PointSagaError
-from pointsaga.problems import (LogisticBank, LogisticRidgeComponent, QuadraticBank,
-                                QuadraticComponent, RankOneRidgeComponent, RidgeBank)
+from pointsaga.errors import (DimensionMismatch, InvalidBatchSize, InvalidConstants, InvalidSpec,
+                              PointSagaError)
+from pointsaga.problems import (GenericComponent, LogisticBank, LogisticRidgeComponent,
+                                QuadraticBank, QuadraticComponent, RankOneRidgeComponent,
+                                RidgeBank)
 from pointsaga.sampling import SplitMix64, sample_k_subset, sample_subsets, subset_rows
 
 PACKAGE = Path(pointsaga.__file__).parent
@@ -380,3 +383,49 @@ def test_a_constructor_raises_a_typed_error_for_each_faulty_array(name, fault):
         with pytest.raises(error, match="is not a rectangular array" if fault == "ragged"
                            else "must hold integers or floats, got dtype"):
             family(*args, *rest)
+
+
+#: Values that break a family's rules: the constructors each applies to, the
+#: position of the argument it replaces, the faulty argument made from the
+#: one it replaces, and the error. A component took each of them (or raised
+#: numpy's ValueError for the short eig), and its prox then broke the
+#: strong convexity and smoothness the method's rate assumes.
+_VALUE_FAULTS = {
+    "Q-not-orthonormal": (("QuadraticBank", "QuadraticComponent"), 0, lambda Q: 2.0 * Q,
+                          InvalidSpec),
+    "Q-thin": (("QuadraticBank", "QuadraticComponent"), 0, lambda Q: Q[..., :1], DimensionMismatch),
+    "eig-short": (("QuadraticBank", "QuadraticComponent"), 1, lambda eig: eig[..., :2],
+                  DimensionMismatch),
+    "eig-negative": (("QuadraticBank", "QuadraticComponent"), 1, lambda eig: eig * [1, -1, 1],
+                     InvalidSpec),
+    "label-nan": (("RidgeBank", "LogisticBank", "RankOneRidgeComponent", "LogisticRidgeComponent"),
+                  1, lambda y: y * np.nan, InvalidSpec),
+    "label-3": (("LogisticBank", "LogisticRidgeComponent"), 1, lambda y: 3.0 * y, InvalidSpec),
+    "label-list": (("RankOneRidgeComponent", "LogisticRidgeComponent"), 1, lambda y: [y],
+                   DimensionMismatch),
+    "mu_reg-negative": (("RidgeBank", "LogisticBank", "RankOneRidgeComponent",
+                         "LogisticRidgeComponent"), 2, lambda mu_reg: -1.0, InvalidSpec),
+}
+
+
+@pytest.mark.parametrize("name,fault", [(name, fault) for fault, (names, *_) in _VALUE_FAULTS.items()
+                                        for name in names])
+def test_a_constructor_raises_a_typed_error_for_each_value_its_family_refuses(name, fault):
+    family, arrays, rest = _CONSTRUCTORS[name]
+    _, position, make, error = _VALUE_FAULTS[fault]
+    args = [np.array(a, dtype=float) for a in arrays] + list(rest)
+    family(*args)  # valid as it is
+    args[position] = make(args[position])
+    with pytest.raises(error):
+        family(*args)
+
+
+@pytest.mark.parametrize("mu,L", [(-1.0, 1.0), (float("nan"), 1.0), (1.0, float("inf")),
+                                  (2.0, 1.0)])
+def test_generic_component_checks_its_constants(mu, L):
+    # These raised ZeroDivisionError, ValueError and OverflowError at the
+    # first prox, and mu > L was taken.
+    with pytest.raises(InvalidConstants, match="need finite 0 < mu <= L"):
+        GenericComponent(lambda x: x, mu, L)
+    comp = GenericComponent(lambda x: x, np.float32(0.5), 2)
+    assert (comp.mu, comp.L) == (0.5, 2.0) and type(comp.mu) is type(comp.L) is float

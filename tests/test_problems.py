@@ -36,7 +36,7 @@ from pointsaga.errors import (
 import pointsaga.cli as cli
 import pointsaga.problems as problems
 import pointsaga.prox as prox
-from pointsaga.model import ComponentBank, _row_total
+from pointsaga.model import ComponentBank, _ArrayBank, _row_total
 from pointsaga.problems import (
     MAX_DENSE_ENTRIES,
     LogisticBank,
@@ -360,7 +360,9 @@ def test_assembled_components_get_the_default_bank():
         return QuadraticComponent(np.eye(d, dtype=dtype), np.ones(d, dtype=dtype),
                                   np.zeros(d, dtype=dtype))
 
-    thin = QuadraticComponent([[1.0], [0.0]], np.ones(1), np.zeros(2))
+    # A rotation, eig in float32 and c an integer list: the arrays' dtypes mix.
+    mixed = QuadraticComponent([[0.6, -0.8], [0.8, 0.6]], np.array([1.0, 3.0], dtype=np.float32),
+                               [1, -2])
     ridge = gen_ridge_regression(GeneratorSpec("ridge_regression", 3, 2, 0.1, 1.0, seed=1))
     assert type(ridge.bank) is RidgeBank
     logistic = LogisticRidgeComponent(np.ones(2), -1.0, 0.1)
@@ -370,15 +372,15 @@ def test_assembled_components_get_the_default_bank():
             return super().prox(gamma, z)
 
     own = OwnProx(np.eye(2), np.ones(2), np.zeros(2))
-    for comps in ([quad(2), quad(2)], [quad(2), quad(2, np.longdouble)], [quad(2), thin],
+    for comps in ([quad(2), quad(2)], [quad(2), quad(2, np.longdouble)], [quad(2), mixed],
                   [quad(2), ridge.components[0]], list(ridge.components), [logistic] * 2,
                   [own, own]):
         problem = assemble_problem(comps, 0.1, 1.0, 2)
         assert type(problem.bank) is ComponentBank
         assert problem.bank.components is problem.components == tuple(comps)
-    problem = assemble_problem([quad(2), thin], 0.5, 1.0, 2)
+    problem = assemble_problem([quad(2), mixed], 0.5, 1.0, 2)
     P, residuals = problem.bank.prox(0.5, np.arange(2), np.ones((2, 2)))
-    assert np.array_equal(P[1], thin.prox(0.5, np.ones(2)).point)
+    assert np.array_equal(P[1], mixed.prox(0.5, np.ones(2)).point)
 
 
 @pytest.mark.parametrize("family,generate", [("quadratic", gen_quadratic),
@@ -830,13 +832,17 @@ def _row_kind_problem(kind, tmp_path):
 
 
 def test_generators_and_loader_build_no_component_objects(monkeypatch, tmp_path):
-    built = []
-    for cls in (RankOneRidgeComponent, LogisticRidgeComponent, QuadraticComponent):
-        def counting_init(self, *args, init=cls.__init__):
-            built.append(type(self))
-            init(self, *args)
+    # An item is built by its bank's component, which runs no constructor.
+    built, constructed = [], []
+    for bank in (QuadraticBank, problems._RowBank):
+        def counting_component(self, i, component=bank.component):
+            item = component(self, i)
+            built.append(type(item))
+            return item
 
-        monkeypatch.setattr(cls, "__init__", counting_init)
+        monkeypatch.setattr(bank, "component", counting_component)
+    for cls in (RankOneRidgeComponent, LogisticRidgeComponent, QuadraticComponent):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args: constructed.append(type(self)))
     hessians = []
     monkeypatch.setattr(problems, "_hessians",
                         lambda *a, f=problems._hessians: hessians.append(1) or f(*a))
@@ -846,7 +852,8 @@ def test_generators_and_loader_build_no_component_objects(monkeypatch, tmp_path)
     quadratic = gen_quadratic(GeneratorSpec("quadratic", 50, 4, 0.3, 5.0, seed=1))
     assert ridge.known_solution is not None and logistic.known_solution is not None
     assert quadratic.known_solution is not None
-    assert built == [] and hessians == [1]  # the quadratic bank's one stacked product
+    assert built == constructed == []
+    assert hessians == [1]  # the quadratic bank's one stacked product
     # Each bank is its problem's components: nothing wraps it.
     assert all(p.components is p.bank for p in (ridge, logistic, loaded, quadratic))
     # A component is built when it is read, one per access.
@@ -857,7 +864,7 @@ def test_generators_and_loader_build_no_component_objects(monkeypatch, tmp_path)
     assert type(first) is QuadraticComponent and first is not again
     assert np.shares_memory(first.A, quadratic.bank.A)
     assert np.shares_memory(first._Ac, quadratic.bank.Ac)
-    assert len(built) == 3 and hessians == [1]
+    assert built[3:] == [QuadraticComponent] * 2 and hessians == [1] and constructed == []
 
 
 @pytest.mark.parametrize("kind", _BANK_KINDS)
@@ -959,6 +966,53 @@ def test_reassembled_row_components_give_the_same_bank(kind, tmp_path):
         Z = (rng.normal(size=(s, problem.dim)) * 3.0).astype(x.dtype)
         for got, want in zip(again.prox(0.3, idx, Z), bank.prox(0.3, idx, Z)):
             assert_bitwise(got, want)
+
+
+#: A float64 problem of each family bank, from its generator.
+_GENERATED = {
+    QuadraticBank: lambda: gen_quadratic(GeneratorSpec("quadratic", 12, 4, 1.0, 10.0, seed=2)),
+    RidgeBank: lambda: _row_problem("ridge", 12, 4, np.float64),
+    LogisticBank: lambda: _row_problem("logistic", 12, 4, np.float64),
+}
+
+
+def _subclasses(cls):
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | _subclasses(direct)}
+
+
+#: Every family bank the package defines: a new one needs its _GENERATED entry.
+_FAMILY_BANKS = sorted((cls for cls in _subclasses(_ArrayBank) if cls.__module__ == problems.__name__
+                        and not cls.__name__.startswith("_")), key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+@pytest.mark.parametrize("family", _FAMILY_BANKS, ids=lambda family: family.__name__)
+def test_a_family_bank_is_bitwise_its_items_in_every_dtype(family, dtype):
+    # A float32 or longdouble LogisticBank kept its rows' dtype while its
+    # items computed in float64: neither its gradients nor its prox rows were
+    # theirs. A row bank's Hessian sum is one matrix product, which rounds
+    # otherwise than a sum of outer products, so it is held to its dtype and
+    # to rounding. Subsets fall on both sides of NEWTON_BATCH_MIN.
+    generated = _GENERATED[family]().bank
+    rest = [generated.mu_reg] if isinstance(generated, problems._RowBank) else []
+    bank = family(*(getattr(generated, name).astype(dtype) for name in family.axes), *rest)
+    items = ComponentBank(list(bank))
+    rng = np.random.default_rng(6)
+    x = (rng.normal(size=bank.dim) * 3.0).astype(dtype)
+    assert_bitwise(bank.gradients(x), items.gradients(x))
+    H = bank.hessian_sum(x)
+    if family is QuadraticBank:
+        assert_bitwise(H, items.hessian_sum(x))
+    else:
+        rtol = max(1e-13, 16 * np.finfo(H.dtype).eps)
+        assert H.dtype == items.hessian_sum(x).dtype
+        assert np.abs(items.hessian_sum(x) - H).max() <= rtol * np.abs(H).max()
+    for s in (problems.NEWTON_BATCH_MIN - 1, problems.NEWTON_BATCH_MIN + 2):
+        idx = np.sort(rng.choice(len(bank), size=s, replace=False))
+        Z = (rng.normal(size=(s, bank.dim)) * 3.0).astype(dtype)
+        for gamma in (0.3, rng.uniform(0.1, 1.0, size=s)):
+            for got, want in zip(bank.prox(gamma, idx, Z), items.prox(gamma, idx, Z)):
+                assert_bitwise(got, want)
 
 
 # --- ridge generator -----------------------------------------------------------------

@@ -15,7 +15,7 @@ from pointsaga import (
     prox_rank_one_quadratic,
 )
 from pointsaga._linalg import _dots, _matvecs, solve
-from pointsaga.errors import DimensionMismatch, MaxInnerIterations, SingularSystem
+from pointsaga.errors import DimensionMismatch, InvalidSpec, MaxInnerIterations, SingularSystem
 import pointsaga.prox as prox
 from pointsaga.prox import TOL_PROX, sigmoid
 
@@ -97,6 +97,19 @@ def test_rank_one_hand_solve():
 def test_row_prox_rejects_mismatched_shapes(prox_fn):
     with pytest.raises(DimensionMismatch, match=r"a has shape \(2,\), z has shape \(3,\)"):
         prox_fn(np.ones(2), 1.0, 0.1, 0.5, np.zeros(3))
+
+
+@pytest.mark.parametrize("prox_fn", [prox_rank_one_quadratic, prox_logistic_ridge])
+def test_row_prox_admits_its_arrays_as_model_check_array_does(prox_fn):
+    # An int8 row computed in int8, where its a'a overflowed (residual 2.8e7
+    # for the rank-one quadratic); a complex one computed in complex.
+    for name in ("a", "z"):
+        args = {"a": np.full(3, 100), "z": np.ones(3)}
+        want = prox_fn(args["a"].astype(np.float64), 1.0, 0.5, 0.1, args["z"])
+        got = prox_fn(**{**args, name: args[name].astype(np.int8)}, y=1.0, mu_reg=0.5, gamma=0.1)
+        assert np.array_equal(got.point, want.point) and got.residual == want.residual
+        with pytest.raises(InvalidSpec, match=f"{name} must hold integers or floats"):
+            prox_fn(**{**args, name: args[name] * 1j}, y=1.0, mu_reg=0.5, gamma=0.1)
 
 
 def test_rank_one_zero_row_reduces_to_ridge():
