@@ -25,17 +25,19 @@ proxes plus O(C(n, s) * (s * d + n)) vector arithmetic, not C(n, s)
 iterations.
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._linalg import _dots, solve
+from ._linalg import _dots, _sum_rows, solve
 from .errors import (
     EpsNotBelowPsi0,
     InvalidConstants,
     MaxIterations,
     _check_constants,
+    _check_sizes,
     _finite,
     _integral,
 )
@@ -233,7 +235,16 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     SUBSET_BLOCK // n rows of one 0-based index array, it costs n proxes plus
     O(C(n, s) * (s * d + n)) vector arithmetic, and the average is still
     exact by enumeration: Psi of every subset's outcome, bitwise what one
-    iteration on that subset gives, summed in lexicographic order. Returns
+    iteration on that subset gives, summed in lexicographic order.
+
+    A block costs a few whole-array passes. Its means are summed down the
+    index array's columns, one block-wide add per member, which adds each
+    subset's rows whole and in index order as _advance does; at d = 1, where
+    _advance's sum is numpy's pairwise one, numpy's reduce over each subset
+    stays (_subset_sums). Its error rows are the kept rows with the moved
+    ones scattered in at the subset's columns. The enumeration of the last
+    (n, s) whose C(n, s) * s entries fit ROW_BLOCK_ENTRIES is kept, read-only,
+    for the next call at that (n, s); a larger one is built per call. Returns
     (lhs, rhs, ok) with ok = lhs <= rhs + 1e-9 (1 + rhs); the slack absorbs
     prox residuals and rounding in what is an exact inequality in exact
     arithmetic. The input state is left untouched.
@@ -250,22 +261,24 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     from .solver import SUBSET_BLOCK, _advanced_copy
 
     n = problem.n
-    subsets = subset_rows(n, s)
+    subsets = _subsets(n, s)
     rho = theoretical_rate(gamma, s, n, problem.mu, problem.L).rho
     _, _, gamma = _check_constants(problem.mu, problem.L, gamma=gamma)
     state, x_star, grad_star = _admitted(state, problem, x_star, grad_star)
     w = LyapunovWeights.from_constants(gamma, s, problem.mu, problem.L)
-    rhs = rho * w.psi(state, x_star, grad_star)  # lyapunov's Psi
-    nxt, P = _advanced_copy(state, problem, gamma, np.arange(n))
     kept = _row_errors(state.grad_table, grad_star)
+    d = state.x - x_star
+    rhs = rho * w.score(d @ d, kept)  # lyapunov's Psi, as psi computes it
+    nxt, P = _advanced_copy(state, problem, gamma, np.arange(n))
     moved = _row_errors(nxt.grad_table, grad_star)
     per_block = max(1, SUBSET_BLOCK // n)
+    block_rows = np.arange(min(per_block, len(subsets)))[:, None]
     total = 0.0
     for start in range(0, len(subsets), per_block):
         S = subsets[start:start + per_block]
-        dx = np.add.reduce(P[S], axis=1) / S.shape[1] - x_star  # _advance's mean
+        dx = _subset_sums(P, S) / S.shape[1] - x_star  # _advance's mean
         errors = np.repeat(kept[None, :], len(S), axis=0)
-        np.put_along_axis(errors, S, moved[S], axis=1)
+        errors[block_rows[:len(S)], S] = moved[S]
         psi = w.score(_dots(dx, dx), errors)
         # Added on in enumeration order, in psi's dtype: accumulate is a
         # sequential sum, so total is what adding one subset at a time gives.
@@ -274,6 +287,37 @@ def verify_one_step_contraction(state, problem, gamma, s, x_star, grad_star):
     lhs = total / len(subsets)
     ok = bool(lhs <= rhs + 1e-9 * (1.0 + rhs))
     return lhs, rhs, ok
+
+
+def _subsets(n, s):
+    """subset_rows(n, s) once _check_sizes admits n and s. An enumeration of
+    at most ROW_BLOCK_ENTRIES entries (512 KB of int64) is the memo's: the
+    last one is kept, read-only, for the next call at the same (n, s). A
+    larger one is built per call."""
+    n, s = _check_sizes(n, s)
+    if math.comb(n, s) * s <= ROW_BLOCK_ENTRIES:
+        return _small_enumeration(n, s)
+    return subset_rows(n, s)
+
+
+@functools.lru_cache(maxsize=1)
+def _small_enumeration(n, s):
+    rows = subset_rows(n, s)
+    rows.flags.writeable = False
+    return rows
+
+
+def _subset_sums(P, S):
+    """Row k is the sum of the rows P[S[k]], added as _advance's mean adds a
+    subset's proxes. Where a row holds two or more entries that is whole
+    rows in index order, so the sum runs down S's columns: _sum_rows over
+    the (s, len(S), d) gather of them adds one block-wide slab per member.
+    At d = 1 numpy sums a subset pairwise, which rounds otherwise from s = 9
+    on (see _linalg._sum_rows), so there the sum is numpy's reduce over
+    each subset."""
+    if P.shape[1] == 1:
+        return np.add.reduce(P[S], axis=1)
+    return _sum_rows(P.take(S.T, axis=0))
 
 
 def check_coercivity(f, x, y, mu, L):

@@ -15,8 +15,8 @@ class EmptyComponentList(PointSagaError, ValueError):
 class InvalidConstants(PointSagaError, ValueError):
     """A constant fails finite 0 < mu <= L (in a problem, a generator spec or
     a GenericComponent), finite mu > 0 (load_libsvm's), finite gamma > 0,
-    integer dim >= 1 or a solver setting other than s, or a value overflows
-    at the constants given."""
+    integer dim >= 1, a solver state's integer t >= 0 or a solver setting
+    other than s, or a value overflows at the constants given."""
 
 
 class InvalidKnownSolution(PointSagaError, ValueError):

@@ -100,10 +100,14 @@ class ComponentBank:
 
 class _ArrayBank(ComponentBank, Sequence):
     """A bank that owns its components' arrays, stacked on the first axis and
-    read-only, so no component can change under it. It is the read-only
-    sequence of its components too: item i is ``component(i)``, bound to the
-    bank's own slices on access without running a constructor, and a slice
-    is a tuple of them. A family's component class builds the one-row bank
+    read-only, so no component can change under it: an array it made (a
+    cast, say) is frozen, and an array of the caller's is copied unless the
+    caller handed it over read-only with read-only bases, as the generators
+    and load_libsvm do. The flags of an array the bank did not make are left
+    alone, and no later write to the caller's arrays reaches the bank. It is
+    the read-only sequence of its components too: item i is
+    ``component(i)``, bound to the bank's own slices on access without
+    running a constructor, and a slice is a tuple of them. A family's component class builds the one-row bank
     of its arguments and takes its item 0, so the bank's constructor and
     its subclasses' are the one check of a family's inputs.
 
@@ -112,7 +116,7 @@ class _ArrayBank(ComponentBank, Sequence):
     admitted by _check_array, so an integer one is bound as float64, and
     cast to ``dtype`` where the family sets one; a wrong rank or an axis
     that disagrees raises DimensionMismatch, a non-finite entry InvalidSpec,
-    and n = 0 EmptyComponentList. Only then are they bound, read-only."""
+    and n = 0 EmptyComponentList. Only then are they bound."""
 
     #: The float dtype a family computes in; None keeps each array's own.
     dtype = None
@@ -130,8 +134,10 @@ class _ArrayBank(ComponentBank, Sequence):
             checked.append(array)
         if sizes["n"] == 0:
             raise EmptyComponentList("need at least one component")
-        for name, array in zip(self.axes, checked):
-            array.flags.writeable = False
+        for name, array, given in zip(self.axes, checked, arrays):
+            if np.may_share_memory(array, given) and not _frozen(array):
+                array = array.copy()
+            array.flags.writeable = False  # a no-op on a frozen array of the caller's
             setattr(self, name, array)
         self._n, self.dim = sizes["n"], sizes["d"]
 
@@ -146,6 +152,14 @@ class _ArrayBank(ComponentBank, Sequence):
         if isinstance(i, slice):
             return tuple(map(self.component, range(*i.indices(self._n))))
         return self.component(operator.index(i))
+
+
+def _frozen(a):
+    """True when no write can reach a: it and the arrays it views are
+    read-only, down to one that owns its data."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +270,14 @@ def _check_array(a, shape, name):
 
 
 def _check_state(state, problem):
-    """The state to go on with: a new one whose x and g_avg (dim,) and
-    grad_table (n, dim) are what _check_array admits, checked in that order."""
+    """The state to go on with: a new one whose t is an integer >= 0 (numpy's
+    too) as a Python int, else InvalidConstants, and whose x (dim,),
+    grad_table (n, dim) and g_avg (dim,) are what _check_array admits,
+    checked in that order."""
     n, dim = problem.n, problem.dim
-    return type(state)(t=state.t, x=_check_array(state.x, (dim,), "state.x"),
+    if not (_integral(state.t) and state.t >= 0):
+        raise InvalidConstants(f"state.t must be an integer >= 0, got {state.t!r}")
+    return type(state)(t=operator.index(state.t), x=_check_array(state.x, (dim,), "state.x"),
                        grad_table=_check_array(state.grad_table, (n, dim), "state.grad_table"),
                        g_avg=_check_array(state.g_avg, (dim,), "state.g_avg"))
 

@@ -467,8 +467,16 @@ def gen_quadratic(spec, dtype=np.float64):
     for start in range(0, n, block):
         q, R = np.linalg.qr(Q[start:start + block])
         Q[start:start + block] = q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
-    Q, eig, c = (a.astype(dtype, copy=False) for a in (Q, eig, c))  # drops Q's draws before A
+    # Drops Q's draws before A is built.
+    Q, eig, c = (_handed_over(a.astype(dtype, copy=False)) for a in (Q, eig, c))
     return _planted(assemble_problem(QuadraticBank(Q, eig, c), spec.mu, spec.L, d), spec)
+
+
+def _handed_over(a):
+    """a, made read-only, for a caller that made a and never writes it
+    again: a family bank binds such an array without a copy."""
+    a.flags.writeable = False
+    return a
 
 
 def _scaled_rows(spec, family, scale, term):
@@ -493,7 +501,7 @@ def gen_ridge_regression(spec, dtype=np.float64):
     shared constants are exact per component. Needs mu < L strictly.
     """
     rng, rows = _scaled_rows(spec, "ridge_regression", 1.0, "the data term")
-    rows, ys = rows.astype(dtype, copy=False), rng.normal(size=spec.n).astype(dtype, copy=False)
+    rows, ys = (_handed_over(a.astype(dtype, copy=False)) for a in (rows, rng.normal(size=spec.n)))
     bank = RidgeBank(rows, ys, spec.mu)
     return _planted(assemble_problem(bank, spec.mu, spec.L, spec.dim), spec)
 
@@ -506,7 +514,8 @@ def gen_logistic_ridge(spec):
     minimizer comes from the deterministic reference solve at tol 1e-12.
     """
     rng, rows = _scaled_rows(spec, "logistic_ridge", 2.0, "the loss")
-    bank = LogisticBank(rows, 2.0 * rng.integers(0, 2, size=spec.n) - 1.0, spec.mu)
+    labels = 2.0 * rng.integers(0, 2, size=spec.n) - 1.0
+    bank = LogisticBank(_handed_over(rows), _handed_over(labels), spec.mu)
     return _planted(assemble_problem(bank, spec.mu, spec.L, spec.dim), spec)
 
 
@@ -587,5 +596,5 @@ def load_libsvm(path, mu):
     if bad.size:
         raise ParseError(sparse_rows[bad[0]][0], "squared row norm overflows")
     L = mu + 0.25 * float(sq_norms.max())
-    problem = assemble_problem(LogisticBank(rows, labels, mu), mu, L, max_idx)
+    problem = assemble_problem(LogisticBank(_handed_over(rows), labels, mu), mu, L, max_idx)
     return problem.bank, problem

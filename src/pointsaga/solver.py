@@ -208,9 +208,10 @@ def _row_means(a, parts, sizes):
     axis=0) / sizes[k]: mean(axis=0)'s own sum and division, without the
     wrapper whose checks cost more than the reduction on an iteration's few
     rows. Each part is summed alone; a sum across the parts
-    (np.add.reduceat) rounds differently. At d = 1 numpy adds a part's rows
-    pairwise, not in index order (see _linalg._sum_rows); the certificate's
-    mean rounds the same way."""
+    (np.add.reduceat) rounds differently. Rows of two or more entries are
+    added whole, in index order, as the certificate's column sweep adds a
+    subset's; at d = 1 numpy adds a part's rows pairwise, not in index order
+    (see _linalg._sum_rows), and the certificate keeps that reduce there."""
     if len(parts) == 1:  # the parts of one trajectory are all of a
         return (np.add.reduce(a, axis=0) / sizes[0])[None]
     means = [np.add.reduce(a[part], axis=0) / size for part, size in zip(parts, sizes)]
@@ -270,11 +271,11 @@ def _advanced_copy(state, problem, gamma, idx, refresh_every=None):
 def apply_subset_step(state, problem, gamma, indices0):
     """One deterministic iteration given the 0-based subset to activate.
 
-    gamma must be finite and > 0, else InvalidConstants; the state's arrays
-    must fit the problem (x and g_avg (dim,), grad_table (n, dim)), else
-    DimensionMismatch, and hold integers or floats, else InvalidSpec; indices0
-    must be non-empty, strictly increasing integers in [0, n), else
-    InvalidBatchSize.
+    gamma must be finite and > 0, and the state's t an integer >= 0, else
+    InvalidConstants; the state's arrays must fit the problem (x and g_avg
+    (dim,), grad_table (n, dim)), else DimensionMismatch, and hold integers
+    or floats, else InvalidSpec; indices0 must be non-empty, strictly
+    increasing integers in [0, n), else InvalidBatchSize.
     Pure: advances a copy of the state _check_state returns (its own table,
     x and g_avg, which _advance only rebinds) at the checked gamma, leaving
     the input untouched, and returns it in the dtype it promotes to.

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from pointsaga.errors import (
     ProxFailure,
 )
 from pointsaga.problems import NEWTON_BATCH_MIN
-from pointsaga.sampling import SplitMix64
+from pointsaga.sampling import SplitMix64, subset_rows
 from pointsaga.solver import step
 
 
@@ -409,25 +410,30 @@ _GENERATORS = {"quadratic": gen_quadratic, "ridge_regression": gen_ridge_regress
                "logistic_ridge": gen_logistic_ridge}
 
 
-@pytest.mark.parametrize("family,n,d,mu,L,dtype", [
-    ("quadratic", 12, 4, 1.0, 10.0, np.float64),
-    ("quadratic", 12, 4, 1.0, 10.0, np.longdouble),
-    ("quadratic", 6, 3, 1.0, 10.0, np.longdouble),
-    ("quadratic", 10, 5, 1.0, 10.0, np.float64),
-    ("quadratic", 10, 5, 1.0, 10.0, np.longdouble),
-    ("quadratic", 9, 1, 2.0, 2.0, np.float64),
-    ("ridge_regression", 10, 4, 0.5, 10.0, np.float64),
+@pytest.mark.parametrize("family,n,d,mu,L,dtype,ss", [
+    ("quadratic", 12, 4, 1.0, 10.0, np.float64, None),
+    ("quadratic", 12, 4, 1.0, 10.0, np.longdouble, None),
+    ("quadratic", 6, 3, 1.0, 10.0, np.longdouble, None),
+    ("quadratic", 10, 5, 1.0, 10.0, np.float64, None),
+    ("quadratic", 10, 5, 1.0, 10.0, np.longdouble, None),
+    ("quadratic", 9, 1, 2.0, 2.0, np.float64, None),
+    # At d = 1 an iteration's mean is numpy's pairwise sum, which differs
+    # from the sum in index order once s >= 9; C(13, 9) = 715 subsets are
+    # scored in 3 blocks of 315.
+    ("quadratic", 13, 1, 2.0, 2.0, np.float64, (9, 12)),
+    ("quadratic", 13, 1, 2.0, 2.0, np.longdouble, (9, 12)),
+    ("ridge_regression", 10, 4, 0.5, 10.0, np.float64, None),
     # n = 10 proxes at once take the batched Newton; subsets below
     # NEWTON_BATCH_MIN took the per-component solve.
-    ("logistic_ridge", 10, 4, 0.5, 5.0, np.float64),
+    ("logistic_ridge", 10, 4, 0.5, 5.0, np.float64, None),
 ], ids=["quad12-f64", "quad12-ld", "quad6-ld", "quad10-f64", "quad10-ld", "quad-d1",
-        "ridge", "logistic"])
-def test_contraction_equals_the_enumerated_iterations(family, n, d, mu, L, dtype):
+        "quad13-d1-f64", "quad13-d1-ld", "ridge", "logistic"])
+def test_contraction_equals_the_enumerated_iterations(family, n, d, mu, L, dtype, ss):
     problem = _GENERATORS[family](GeneratorSpec(family, n, d, mu, L, seed=n + d))
     x_star = problem.known_solution
     grad_star = problem.bank.gradients(x_star)
     rng = np.random.default_rng(n * d)
-    for s in sorted({1, 2, 3, n // 2, n}):
+    for s in ss or sorted({1, 2, 3, n // 2, n}):
         g_star = optimal_stepsize(s, n, mu, L)
         for gamma in (0.1 * g_star, g_star, 10 * g_star):
             table = (rng.normal(size=(n, d)) * 2).astype(dtype)
@@ -440,6 +446,67 @@ def test_contraction_equals_the_enumerated_iterations(family, n, d, mu, L, dtype
             for kept, now in zip(before, (state.x, state.grad_table, state.g_avg)):
                 assert np.array_equal(kept, now)
             assert state.t == 4
+
+
+def _counted_enumerations(monkeypatch):
+    """Count the enumerations the certificate builds, from an empty memo."""
+    builds = []
+
+    def counted(n, s):
+        builds.append((n, s))
+        return subset_rows(n, s)
+
+    analysis._small_enumeration.cache_clear()
+    monkeypatch.setattr(analysis, "subset_rows", counted)
+    return builds
+
+
+def test_the_certificate_enumerates_each_small_n_s_once(monkeypatch):
+    builds = _counted_enumerations(monkeypatch)
+    problem = gen_quadratic(GeneratorSpec("quadratic", 12, 2, 1.0, 10.0, seed=3))
+    x_star, grad_star = problem.known_solution, problem.grad_star
+    state = random_state(problem, seed=4)
+    # C(12, 6) * 6 = 5544 entries are kept; C(12, 6) three times at three
+    # gammas, as the benchmark's op calls it, builds the enumeration once.
+    got = [verify_one_step_contraction(state, problem, gamma, 6, x_star, grad_star)
+           for gamma in (0.05, 0.1, 0.2)]
+    assert builds == [(12, 6)]
+    assert got == [enumerated_certificate(state, problem, gamma, 6, x_star, grad_star)
+                   for gamma in (0.05, 0.1, 0.2)]
+    kept = analysis._subsets(12, 6)
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 1
+    # Its numpy integer sizes find the same enumeration; bad ones are still refused.
+    assert analysis._subsets(np.int64(12), np.int8(6)) is kept and builds == [(12, 6)]
+    with pytest.raises(InvalidBatchSize):
+        verify_one_step_contraction(state, problem, 0.1, 6.0, x_star, grad_star)
+
+
+def test_a_large_enumeration_is_built_per_call(monkeypatch):
+    # C(16, 8) * 8 = 102960 entries exceed ROW_BLOCK_ENTRIES: each call
+    # builds its own, and the memo keeps the last small one.
+    assert math.comb(16, 8) * 8 > analysis.ROW_BLOCK_ENTRIES >= math.comb(16, 2) * 2
+    builds = _counted_enumerations(monkeypatch)
+    problem = gen_quadratic(GeneratorSpec("quadratic", 16, 2, 1.0, 10.0, seed=3))
+    x_star, grad_star = problem.known_solution, problem.grad_star
+    state = random_state(problem, seed=4)
+    for s in (2, 8, 8, 2):
+        verify_one_step_contraction(state, problem, 0.1, s, x_star, grad_star)
+    assert builds == [(16, 2), (16, 8), (16, 8)]
+    assert analysis._subsets(16, 8).flags.writeable
+
+
+def test_a_write_into_an_enumeration_leaves_the_certificate_alone():
+    problem = gen_quadratic(GeneratorSpec("quadratic", 8, 3, 1.0, 10.0, seed=6))
+    x_star, grad_star = problem.known_solution, problem.grad_star
+    state = random_state(problem, seed=7)
+    first = verify_one_step_contraction(state, problem, 0.2, 4, x_star, grad_star)
+    rows = subset_rows(8, 4)
+    assert rows.flags.writeable
+    rows[:] = 0
+    assert verify_one_step_contraction(state, problem, 0.2, 4, x_star, grad_star) == first
+    assert first == enumerated_certificate(state, problem, 0.2, 4, x_star, grad_star)
 
 
 def test_contraction_sums_in_the_state_dtype():

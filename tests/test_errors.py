@@ -282,6 +282,28 @@ _ARRAYS |= {f"{entry}-{name}": lambda p, st, xs, G, a, call=call, name=name: cal
             for entry, call in _STATEFUL.items() for name in ("x", "grad_table", "g_avg")}
 
 
+#: A state's t that is not an integer >= 0. Unchecked, None and "3" raised
+#: TypeError, 1.5 stepped to t = 2.5 and -1 to t = 0.
+_BAD_T = {"None": None, "str": "3", "float": 1.5, "negative": -1, "numpy-negative": np.int64(-1)}
+
+
+@pytest.mark.parametrize("t", list(_BAD_T))
+@pytest.mark.parametrize("entry", list(_STATEFUL))
+def test_every_entry_point_that_takes_a_state_checks_its_t(entry, t):
+    problem, state, x_star, grad_star = _array_case()
+    with pytest.raises(InvalidConstants, match="state.t must be an integer >= 0"):
+        _STATEFUL[entry](problem, replace(state, t=_BAD_T[t]), x_star, grad_star)
+
+
+@pytest.mark.parametrize("t", [0, 3, np.int64(3), np.uint8(3)], ids=repr)
+def test_a_state_t_is_bound_as_a_python_int(t):
+    problem, state, x_star, grad_star = _array_case()
+    state = replace(state, t=t)
+    for nxt in (_STATEFUL["step"](problem, state, x_star, grad_star),
+                _STATEFUL["apply_subset_step"](problem, state, x_star, grad_star)):
+        assert type(nxt.t) is int and nxt.t == int(t) + 1
+
+
 def _solution(problem):
     return problem.known_solution, problem.grad_star
 

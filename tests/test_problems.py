@@ -1333,6 +1333,65 @@ def test_bank_takes_lists_through_asarray():
         assert np.array_equal(listed.gradients(x), arrayed.gradients(x))
 
 
+#: Each family's arrays at n = 2, d = 3, none of their entries 0, and its
+#: other arguments.
+_CALLER_ARRAYS = {
+    RidgeBank: lambda: ((np.arange(1.0, 7.0).reshape(2, 3), np.array([1.0, 2.0])), (0.1,)),
+    LogisticBank: lambda: ((np.arange(1.0, 7.0).reshape(2, 3), np.array([1.0, -1.0])), (0.1,)),
+    QuadraticBank: lambda: ((np.stack([np.eye(3)] * 2), np.full((2, 3), 2.0),
+                             np.arange(1.0, 7.0).reshape(2, 3)), ()),
+}
+
+
+@pytest.mark.parametrize("family", list(_CALLER_ARRAYS), ids=lambda family: family.__name__)
+def test_a_family_bank_leaves_the_callers_arrays_alone(family):
+    # The bank froze the caller's own float64 arrays, so a later write into
+    # them raised in the caller's code.
+    arrays, rest = _CALLER_ARRAYS[family]()
+    bank = family(*arrays, *rest)
+    x = np.array([0.3, -0.2, 0.5])
+    kept, gradients = [a.copy() for a in arrays], bank.gradients(x)
+    for name, array, before in zip(family.axes, arrays, kept):
+        assert array.flags.writeable and not getattr(bank, name).flags.writeable
+        array *= -1.0
+        assert np.array_equal(getattr(bank, name), before)
+    assert np.array_equal(bank.gradients(x), gradients)
+    # Arrays handed over read-only are bound as they are; a read-only view
+    # of a writable array is copied, as a write through its base would reach it.
+    for array in kept:
+        array.flags.writeable = False
+    bank = family(*kept, *rest)
+    assert all(getattr(bank, name) is array for name, array in zip(family.axes, kept))
+    arrays, _ = _CALLER_ARRAYS[family]()
+    views = [a[...] for a in arrays]
+    for view in views:
+        view.flags.writeable = False
+    bank = family(*views, *rest)
+    assert not any(np.shares_memory(getattr(bank, name), a) for name, a in zip(family.axes, arrays))
+
+
+def test_the_generators_hand_their_banks_arrays_without_a_copy(monkeypatch, tmp_path):
+    # A copy of ridge-large-n's 8 MB rows would show in its peak memory.
+    given = []
+    init = _ArrayBank.__init__
+
+    def spy(self, *arrays):
+        given.append(arrays)
+        init(self, *arrays)
+
+    monkeypatch.setattr(_ArrayBank, "__init__", spy)
+    banks = [gen_quadratic(GeneratorSpec("quadratic", 4, 3, 1.0, 10.0, seed=1)).bank,
+             gen_ridge_regression(GeneratorSpec("ridge_regression", 4, 3, 0.5, 10.0, seed=1)).bank,
+             gen_logistic_ridge(GeneratorSpec("logistic_ridge", 4, 3, 0.5, 5.0, seed=1)).bank,
+             _libsvm_problem(tmp_path)[0]]
+    assert len(given) == len(banks)
+    for bank, arrays in zip(banks, given):
+        bound = [getattr(bank, name) for name in bank.axes]
+        # load_libsvm's labels come as a list.
+        assert all(b is a for b, a in zip(bound, arrays) if isinstance(a, np.ndarray))
+        assert not any(b.flags.writeable for b in bound)
+
+
 #: Each family's arrays, one letter per axis: n components of dimension d.
 _BANK_AXES = {RidgeBank: ("nd", "n"), LogisticBank: ("nd", "n"),
               QuadraticBank: ("ndd", "nd", "nd")}
